@@ -346,9 +346,7 @@ let dist_run ~workers ~status ~scrape =
       else None
     in
     let cfg =
-      (* tight lease timeout: Wait backoff is timeout/4, and a worker
-         napping through the campaign's tail would swamp the timing *)
-      Dist.Coordinator.config ~lease_trials:32 ~lease_timeout_s:1.0 ~hb_interval_s:0.2
+      Dist.Coordinator.config ~lease_trials:32 ~hb_interval_s:0.2
         (Dist.Transport.Unix_sock sock)
     in
     let serve_result = ref (Error "never ran") in

@@ -140,15 +140,20 @@ let of_frame { Wire.tag; payload } =
       let* spec = Spec.of_json spec_json in
       let* sup_json = field "supervision" Option.some j in
       let* hb_interval_s = field "hb_interval_s" Json.get_float j in
-      Ok
-        (Welcome
-           {
-             version;
-             epoch = epoch_field "epoch" j;
-             spec;
-             supervision = supervision_of_json sup_json;
-             hb_interval_s;
-           })
+      (* the rule Coordinator.config enforces: the worker's heartbeat
+         thread sleeps this long between beats *)
+      if (not (Float.is_finite hb_interval_s)) || hb_interval_s <= 0.0 then
+        Error "codec: hb_interval_s must be finite and positive"
+      else
+        Ok
+          (Welcome
+             {
+               version;
+               epoch = epoch_field "epoch" j;
+               spec;
+               supervision = supervision_of_json sup_json;
+               hb_interval_s;
+             })
   | 'r' -> Ok Request
   | 'l' ->
       let* lease = field "lease" Json.get_int j in
@@ -171,7 +176,11 @@ let of_frame { Wire.tag; payload } =
       Ok (Heartbeat { snapshot = Json.member "snapshot" j; spans = Json.member "spans" j })
   | 'z' ->
       let* seconds = field "seconds" Json.get_float j in
-      Ok (Wait { seconds })
+      (* the worker waits this long on its socket: "1e999" would park it
+         forever *)
+      if (not (Float.is_finite seconds)) || seconds < 0.0 then
+        Error "codec: wait seconds must be finite and non-negative"
+      else Ok (Wait { seconds })
   | 'y' ->
       let* reason = field "reason" Json.get_str j in
       Ok (Bye { reason })

@@ -69,6 +69,9 @@ val heartbeat : msg
 
 val to_frame : msg -> Wire.frame
 val of_frame : Wire.frame -> (msg, string) result
+(** [Error] on an unknown tag, a malformed payload, a [Wait] whose
+    [seconds] is negative or not finite, or a [Welcome] whose
+    [hb_interval_s] is not finite and positive. *)
 
 val pp : Format.formatter -> msg -> unit
 (** One-line rendering for logs (records and specs elided). *)

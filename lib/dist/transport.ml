@@ -1,4 +1,5 @@
 module Metrics = Ffault_telemetry.Metrics
+module Clock = Ffault_runtime.Clock
 
 let m_bytes_sent = Metrics.counter "dist.bytes_sent"
 let m_bytes_recv = Metrics.counter "dist.bytes_recv"
@@ -172,6 +173,38 @@ let rec recv_msg c =
           c.stash <- fs;
           recv_msg c
       | (`Closed | `Error _) as other -> other)
+
+(* [recv_msg] with a deadline. A frame already in the stash is served
+   without touching the fd; otherwise [select] until the deadline, so a
+   partial frame stays in the decoder for the next call. Each [select]
+   waits at most [max_select_s], which keeps a huge but finite timeout
+   out of the C timeval conversion. *)
+let max_select_s = 3600.0
+
+let recv_within c ~timeout_s =
+  if (not (Float.is_finite timeout_s)) || timeout_s < 0.0 then
+    invalid_arg "Transport.recv_within: timeout_s must be finite and non-negative";
+  let deadline = Clock.now_s Clock.monotonic +. timeout_s in
+  let rec wait () =
+    match c.stash with
+    | _ :: _ -> recv_msg c
+    | [] -> (
+        let remaining = deadline -. Clock.now_s Clock.monotonic in
+        if remaining <= 0.0 then `Timeout
+        else
+          match Unix.select [ c.c_fd ] [] [] (Float.min remaining max_select_s) with
+          | [], _, _ -> wait ()
+          | _ -> (
+              match recv_step c with
+              | `Frames fs ->
+                  c.stash <- fs;
+                  wait ()
+              | (`Closed | `Error _) as other -> other)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+          | exception Unix.Unix_error (e, _, _) ->
+              `Error (Printf.sprintf "recv: %s" (Unix.error_message e)))
+  in
+  wait ()
 
 (* ---- client ---- *)
 

@@ -28,6 +28,10 @@ val sockaddr_of : endpoint -> (Unix.sockaddr, string) result
 
 type conn
 
+val conn_of_fd : peer:string -> Unix.file_descr -> conn
+(** Wrap an already-connected stream socket (e.g. one end of a
+    [Unix.socketpair]); the conn owns it from here on. *)
+
 val fd : conn -> Unix.file_descr
 val peer : conn -> string
 (** Human-readable peer address, for logs and the Workers report. *)
@@ -47,6 +51,17 @@ val recv_step :
 
 val recv_msg : conn -> [ `Msg of Codec.msg | `Closed | `Error of string ]
 (** Blocking: pump {!recv_step} until one full message decodes. *)
+
+val recv_within :
+  conn ->
+  timeout_s:float ->
+  [ `Msg of Codec.msg | `Closed | `Error of string | `Timeout ]
+(** {!recv_msg} bounded by [timeout_s] seconds on the monotonic clock.
+    A message already decoded is returned without touching the socket;
+    otherwise [select] waits for bytes until the deadline ([EINTR] is
+    retried). A frame cut short by the deadline stays in the decoder and
+    completes on a later call. [`Timeout] means no full message arrived.
+    @raise Invalid_argument if [timeout_s] is negative or not finite. *)
 
 val close : conn -> unit
 (** Idempotent. *)

@@ -304,22 +304,29 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                 let rec serve () =
                   match Transport.send_msg conn Codec.Request with
                   | Error e -> bye_or e
-                  | Ok () -> (
-                      match Transport.recv_msg conn with
-                      | `Msg m -> (
-                          match Protocol.lease_reply m with
-                          | Protocol.Granted { lease; epoch; lo; hi; done_ids } -> (
-                              match run_lease ~lease ~epoch ~lo ~hi ~done_ids with
-                              | Ok () -> serve ()
-                              | Error e -> bye_or e)
-                          | Protocol.Backoff seconds ->
-                              Thread.delay (Float.max 0.01 seconds);
-                              serve ()
-                          | Protocol.Stop reason -> Done reason
-                          | Protocol.Ignore -> serve ()
-                          | Protocol.Unexpected e -> Fatal e)
-                      | `Closed -> Lost "connection closed"
-                      | `Error e -> Lost e)
+                  | Ok () -> reply (Transport.recv_msg conn)
+                and reply = function
+                  | `Msg m -> (
+                      match Protocol.lease_reply m with
+                      | Protocol.Granted { lease; epoch; lo; hi; done_ids } -> (
+                          match run_lease ~lease ~epoch ~lo ~hi ~done_ids with
+                          | Ok () -> serve ()
+                          | Error e -> bye_or e)
+                      | Protocol.Backoff seconds -> (
+                          (* [Wait] bounds the idle, it is not a nap: the
+                             coordinator's [Bye] at the end of the
+                             campaign arrives on this socket and ends the
+                             wait at once *)
+                          match
+                            Transport.recv_within conn ~timeout_s:(Float.max 0.01 seconds)
+                          with
+                          | `Timeout -> serve ()
+                          | (`Msg _ | `Closed | `Error _) as r -> reply r)
+                      | Protocol.Stop reason -> Done reason
+                      | Protocol.Ignore -> serve ()
+                      | Protocol.Unexpected e -> Fatal e)
+                  | `Closed -> Lost "connection closed"
+                  | `Error e -> Lost e
                 in
                 fin (match resend () with Error e -> bye_or e | Ok () -> serve ())))
   in

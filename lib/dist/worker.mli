@@ -7,8 +7,9 @@
     ({!Ffault_campaign.Pool.run_trials} — domains, deadlines, retries,
     quarantine and adaptive deadlines all behave exactly as in a local
     run), stream one [Result] frame per record, and send [Complete].
-    [Wait] backs it off when every shard is leased; [Bye] (or a closed
-    socket once the campaign is done) ends it.
+    [Wait] (every shard is leased) bounds how long it idles before
+    asking again; it idles watching its socket, so the [Bye] sent when
+    the campaign completes (or a closed socket) ends it at once.
 
     {b Reconnection.} A lost connection — including a coordinator that
     crashed and is restarting — does not kill the worker. It retries
@@ -79,7 +80,9 @@ module Protocol : sig
   type reply =
     | Granted of { lease : int; epoch : int; lo : int; hi : int; done_ids : int list }
         (** [epoch] is the grant's fencing token, echoed on [Complete] *)
-    | Backoff of float  (** [Wait]: retry the request after this many seconds *)
+    | Backoff of float
+        (** [Wait]: retry the request after at most this many seconds;
+            a frame arriving sooner (the final [Bye]) is handled at once *)
     | Stop of string  (** [Bye]: campaign over *)
     | Ignore  (** a stray [Heartbeat]: tolerated, request again *)
     | Unexpected of string

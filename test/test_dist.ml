@@ -230,6 +230,50 @@ let test_codec_rejects_garbage () =
   (match Codec.of_frame (frame 'l' "{\"lease\":1}") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "lease without bounds accepted");
+  (* durations the worker cannot wait on: an infinite Wait parked it
+     forever, and a negative one would block the socket wait *)
+  List.iter
+    (fun payload ->
+      match Codec.of_frame (frame 'z' payload) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "wait %s accepted" payload)
+    [ "{\"seconds\":1e999}"; "{\"seconds\":-1e999}"; "{\"seconds\":-0.5}" ];
+  (match Codec.of_frame (frame 'z' "{\"seconds\":0}") with
+  | Ok (Codec.Wait { seconds = 0.0 }) -> ()
+  | _ -> Alcotest.fail "zero wait rejected");
+  (* a Welcome's heartbeat interval obeys Coordinator.config's rule *)
+  let welcome_payload hb =
+    (Codec.to_frame
+       (Codec.Welcome
+          {
+            version = Wire.version;
+            epoch = 1;
+            spec = fixture_spec;
+            supervision = Codec.no_supervision;
+            hb_interval_s = hb;
+          }))
+      .Wire.payload
+  in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then Alcotest.failf "%S not in payload" sub
+      else if String.sub s i n = sub then
+        String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (what, payload) ->
+      match Codec.of_frame (frame 'w' payload) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "welcome with %s heartbeat accepted" what)
+    [
+      ("zero", welcome_payload 0.0);
+      ("negative", welcome_payload (-1.0));
+      ("infinite", replace ~sub:"0.125" ~by:"1e999" (welcome_payload 0.125));
+    ];
   (* fuzz: random tags and payloads error, never raise *)
   let state = ref 0x9E3779B9 in
   let next () =
@@ -710,6 +754,167 @@ let test_serve_exactly_once () =
               check Alcotest.bool "workers json is an object" true
                 (match w with Campaign.Json.Obj _ -> true | _ -> false)))
 
+(* ---- bounded receive ---- *)
+
+(* A conn on one end of a socketpair; the test writes raw bytes to the
+   other end. *)
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Transport.conn_of_fd ~peer:"pair" a in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.close conn;
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () -> f conn b)
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+let wire_of msg = Wire.encode (Codec.to_frame msg)
+
+let expect_msg what want = function
+  | `Msg m -> check Alcotest.bool what true (m = want)
+  | `Timeout -> Alcotest.failf "%s: timed out" what
+  | `Closed -> Alcotest.failf "%s: closed" what
+  | `Error e -> Alcotest.failf "%s: %s" what e
+
+let test_recv_within_timeout () =
+  with_socketpair @@ fun conn _peer ->
+  let t0 = Unix.gettimeofday () in
+  let r = Transport.recv_within conn ~timeout_s:0.1 in
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool "nothing sent: timeout" true (r = `Timeout);
+  check Alcotest.bool (Fmt.str "waited about the timeout (%.3fs)" dt) true
+    (dt >= 0.09 && dt < 1.0)
+
+let test_recv_within_stash () =
+  with_socketpair @@ fun conn peer ->
+  let first = Codec.Wait { seconds = 0.5 } and second = Codec.Bye { reason = "done" } in
+  write_all peer (wire_of first ^ wire_of second);
+  expect_msg "first frame" first (Transport.recv_within conn ~timeout_s:1.0);
+  (* a zero timeout still serves the second: it is already decoded *)
+  expect_msg "second frame from the stash" second
+    (Transport.recv_within conn ~timeout_s:0.0)
+
+let test_recv_within_split_frame () =
+  with_socketpair @@ fun conn peer ->
+  let msg = Codec.Bye { reason = "split across two writes" } in
+  let bytes = wire_of msg in
+  let cut = String.length bytes / 2 in
+  write_all peer (String.sub bytes 0 cut);
+  check Alcotest.bool "half a frame: timeout" true
+    (Transport.recv_within conn ~timeout_s:0.05 = `Timeout);
+  write_all peer (String.sub bytes cut (String.length bytes - cut));
+  expect_msg "the rest completes it" msg (Transport.recv_within conn ~timeout_s:1.0)
+
+let test_recv_within_closed () =
+  with_socketpair @@ fun conn peer ->
+  Unix.close peer;
+  check Alcotest.bool "peer closed" true
+    (Transport.recv_within conn ~timeout_s:1.0 = `Closed)
+
+(* The end-of-campaign tail: a worker told to [Wait] must leave as soon
+   as the coordinator says [Bye], not when its wait runs out. A raw
+   client holds lease #0 while the real worker runs lease #1, asks for
+   more and is told to wait 1 s (lease timeout 30 s / 4, capped at 1);
+   then the raw client finishes lease #0 and the campaign ends. *)
+let test_bye_ends_wait () =
+  let root = tmp_root () in
+  let sock = Filename.concat root "coord.sock" in
+  let spec =
+    Spec.v ~name:"dist-bye" ~protocol:"fig3" ~f:[ 1 ] ~t:[ Some 1 ] ~n:[ 3 ]
+      ~rates:[ 0.3 ] ~trials:32 ~seed:0xB1EL ()
+  in
+  let total = Grid.total_trials spec in
+  let cfg =
+    Dist.Coordinator.config ~lease_trials:16 ~lease_timeout_s:30.0 ~hb_interval_s:0.5
+      (Transport.Unix_sock sock)
+  in
+  let journaled = Atomic.make 0 in
+  let serve_result = ref (Error "never ran") and serve_done = ref 0.0 in
+  let coordinator =
+    Thread.create
+      (fun () ->
+        serve_result :=
+          Dist.Coordinator.serve ~observe:(fun _ -> Atomic.incr journaled) ~root cfg spec;
+        serve_done := Unix.gettimeofday ())
+      ()
+  in
+  let rec await what cond n =
+    if not (cond ()) then
+      if n = 0 then Alcotest.failf "timed out waiting for %s" what
+      else begin
+        Thread.delay 0.01;
+        await what cond (n - 1)
+      end
+  in
+  await "the coordinator to listen" (fun () -> Sys.file_exists sock) 500;
+  let raw =
+    match Transport.connect (Transport.Unix_sock sock) with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let send m =
+    match Transport.send_msg raw m with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  let recv () =
+    match Transport.recv_msg raw with
+    | `Msg m -> m
+    | `Closed -> Alcotest.fail "raw client: closed"
+    | `Error e -> Alcotest.fail e
+  in
+  send (Codec.Hello { version = Wire.version; name = "w-raw"; domains = 1; last_epoch = 0 });
+  (match recv () with
+  | Codec.Welcome _ -> ()
+  | m -> Alcotest.failf "expected welcome, got %a" Codec.pp m);
+  send Codec.Request;
+  let lease, epoch, lo, hi =
+    match recv () with
+    | Codec.Lease { lease; epoch; lo; hi; done_ids = [] } -> (lease, epoch, lo, hi)
+    | m -> Alcotest.failf "expected a fresh lease, got %a" Codec.pp m
+  in
+  check Alcotest.int "raw client holds shard 0" 0 lo;
+  let worker_result = ref (Error "never ran") and worker_done = ref 0.0 in
+  let worker =
+    Thread.create
+      (fun () ->
+        worker_result :=
+          Dist.Worker.run
+            ~retry:(Retry.policy ~max_retries:0 ())
+            (Dist.Worker.config ~name:"w-real" (Transport.Unix_sock sock));
+        worker_done := Unix.gettimeofday ())
+      ()
+  in
+  (* the worker's lease is journaled; give it a moment to complete it,
+     request again and be told to wait *)
+  await "the worker's lease" (fun () -> Atomic.get journaled = total - (hi - lo)) 1000;
+  Thread.delay 0.1;
+  for t = lo to hi - 1 do
+    send (Codec.Result (record_for spec t))
+  done;
+  send (Codec.Complete { lease; epoch });
+  (match recv () with
+  | Codec.Bye _ -> ()
+  | m -> Alcotest.failf "expected bye, got %a" Codec.pp m);
+  Transport.close raw;
+  Thread.join coordinator;
+  Thread.join worker;
+  (match !serve_result with Ok _ -> () | Error m -> Alcotest.failf "serve: %s" m);
+  (match !worker_result with
+  | Error m -> Alcotest.failf "worker: %s" m
+  | Ok s ->
+      check Alcotest.int "worker ran the other shard" (total - (hi - lo))
+        s.Dist.Worker.trials_run;
+      check Alcotest.string "worker stopped on the bye" "campaign complete"
+        s.Dist.Worker.stop_reason);
+  let tail = !worker_done -. !serve_done in
+  check Alcotest.bool (Fmt.str "worker left %.3fs after serve returned" tail) true
+    (tail < 0.3);
+  let dir = Checkpoint.campaign_dir ~root spec in
+  let path = Checkpoint.journal_path ~dir in
+  check Alcotest.int "journal complete" total (Journal.count ~path);
+  let ids = Hashtbl.create total in
+  Journal.fold ~path ~init:() ~f:(fun () r -> Hashtbl.replace ids r.Journal.trial ());
+  check Alcotest.int "every id exactly once" total (Hashtbl.length ids)
+
 let suites =
   [
     ( "dist.wire",
@@ -745,5 +950,14 @@ let suites =
         Alcotest.test_case "stale complete fenced, results deduped" `Quick
           test_stale_complete_fenced_results_deduped;
         Alcotest.test_case "exactly-once over a socket" `Quick test_serve_exactly_once;
+        Alcotest.test_case "bye ends a worker's wait" `Quick test_bye_ends_wait;
+      ] );
+    ( "dist.transport",
+      [
+        Alcotest.test_case "recv_within: timeout" `Quick test_recv_within_timeout;
+        Alcotest.test_case "recv_within: second frame from the stash" `Quick
+          test_recv_within_stash;
+        Alcotest.test_case "recv_within: split frame" `Quick test_recv_within_split_frame;
+        Alcotest.test_case "recv_within: peer closed" `Quick test_recv_within_closed;
       ] );
   ]
