@@ -533,8 +533,9 @@ let pretty ns =
   else Fmt.str "%.0f ns" ns
 
 (* Machine-readable sibling of the printed table: BENCH_<group>.json in
-   the working directory, one record per test. trials_per_s mirrors the
-   campaign summary's rate so the two are directly comparable. *)
+   the working directory, one record per test. runs_per_s counts bench
+   runs, and one run is a whole test (often 128-256 trials): it is not
+   the campaign summary's trials/s. *)
 let write_json gname rows =
   let module Json = Ffault_campaign.Json in
   let record (name, iters, ns) =
@@ -543,7 +544,7 @@ let write_json gname rows =
         ("name", Json.Str name);
         ("iters", Json.Int iters);
         ("ns_per_op", if Float.is_nan ns then Json.Null else Json.Float ns);
-        ( "trials_per_s",
+        ( "runs_per_s",
           if Float.is_nan ns || ns <= 0.0 then Json.Null else Json.Float (1e9 /. ns) );
       ]
   in

@@ -1,15 +1,21 @@
 (* ffault — command-line driver for the Functional Faults reproduction.
 
-   Subcommands: experiment (run E1..E14 and print their report tables),
-   list, trace (render one adversarial execution), explore (bounded
-   exhaustive model checking, with witness shrinking), replay (re-run a
-   witness decision vector), falsify (portfolio search), critical (the
-   executable valency walk), severity (fault order), hierarchy
-   (consensus-number table), multicore (domains + atomics runs), and
-   campaign (parallel fault-injection campaigns with persistent
-   journals: run | resume | report | diff), and lint (compiler-libs
-   static analysis of the fault-injection / determinism invariants,
-   doc/LINT.md). *)
+   Subcommands: experiment (run E1..E15 and print their report tables),
+   list, trace (render one adversarial execution; trace merge joins
+   Chrome traces), explore (bounded exhaustive model checking, with
+   witness shrinking), replay (re-run a witness decision vector),
+   falsify (portfolio search), critical (the executable valency walk),
+   severity (fault order), hierarchy (consensus-number table),
+   multicore (domains + atomics runs), campaign (parallel
+   fault-injection campaigns with persistent journals: run | resume |
+   serve | status | report | diff), worker (runs the leases of a
+   campaign serve coordinator), netsim (deterministic simulation of the
+   distributed layer), and lint (compiler-libs static analysis of the
+   fault-injection / determinism invariants, doc/LINT.md).
+
+   Each flag group shared by several commands is one term yielding a
+   validated value: instance_term, spec_term, supervision_term and
+   observe_term. A bad value prints `error: ...' and exits 1. *)
 
 open Cmdliner
 module Experiments = Ffault_experiments
@@ -26,6 +32,18 @@ module Dist = Ffault_dist
 module Netsim = Ffault_netsim
 
 (* ---- shared options ---- *)
+
+(* How every command reports bad input: one [error:] line on stderr and
+   a nonzero exit, 1 unless the command documents another code. *)
+let fail ?(code = 1) m =
+  Fmt.epr "error: %s@." m;
+  code
+
+(* [let@ v = r in k]: continue with a validated value, or [fail]. *)
+let ( let@ ) r k = match r with Ok v -> k v | Error m -> fail m
+
+(* A library builder's [Invalid_argument] as a validation error. *)
+let validated build = match build () with v -> Ok v | exception Invalid_argument m -> Error m
 
 let seed_arg =
   let doc = "Root seed for randomized schedules and fault plans." in
@@ -58,12 +76,35 @@ let protocol_arg =
   in
   Arg.(value & opt string "fig2" & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc)
 
-let with_protocol name k =
-  match Campaign.Spec.resolve_protocol name with
-  | Ok p -> k p
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      1
+(* The consensus instance under test (--protocol, -f, -t, -n) as the
+   checker setup of trace, explore, replay, falsify and critical. *)
+let instance_term =
+  let make name f t n =
+    Result.map
+      (fun protocol -> Check.setup protocol (Protocol.params ?t ~n_procs:n ~f ()))
+      (Campaign.Spec.resolve_protocol name)
+  in
+  Term.(const make $ protocol_arg $ f_arg $ t_arg $ n_arg)
+
+let pp_instance ppf setup =
+  Fmt.pf ppf "%s %a" setup.Check.protocol.Protocol.name Protocol.pp_params
+    setup.Check.params
+
+(* A checked execution's trace, then its verdict: the violations (exit
+   1), or [clean] when there are none (exit 0). *)
+let print_checked ?(clean = "No violations.") setup report =
+  Fmt.pr "%a@."
+    (Sim.Trace.pp ~world:(Check.world setup))
+    report.Check.result.Sim.Engine.trace;
+  if Check.ok report then begin
+    Fmt.pr "@.%s@." clean;
+    0
+  end
+  else begin
+    Fmt.pr "@.Violations:@.";
+    List.iter (fun v -> Fmt.pr "  %a@." Check.pp_violation v) report.Check.violations;
+    1
+  end
 
 (* ---- experiment ---- *)
 
@@ -73,35 +114,31 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let run ids quick seed =
-    let seed = Int64.of_int seed in
-    let entries =
-      if ids = [] then Experiments.Registry.all
-      else
-        List.filter_map
-          (fun id ->
-            match Experiments.Registry.find id with
-            | Some e -> Some e
-            | None ->
-                Fmt.epr "warning: unknown experiment %S (try `ffault list')@." id;
-                None)
-          ids
-    in
-    let reports = List.map (fun e -> e.Experiments.Registry.run ~quick ~seed) entries in
-    List.iter (fun r -> Fmt.pr "%a@." Experiments.Report.pp r) reports;
-    let failed =
-      List.filter (fun r -> not r.Experiments.Report.passed) reports
-    in
-    if failed = [] then begin
-      Fmt.pr "@.All %d experiments reproduced.@." (List.length reports);
-      0
-    end
-    else begin
-      Fmt.pr "@.%d experiment(s) NOT reproduced: %s@." (List.length failed)
-        (String.concat ", " (List.map (fun r -> r.Experiments.Report.id) failed));
-      1
-    end
+    (* a mistyped id must not pass as "All 0 experiments reproduced" *)
+    match List.find_opt (fun id -> Experiments.Registry.find id = None) ids with
+    | Some id -> fail (Fmt.str "unknown experiment %S (try `ffault list')" id)
+    | None ->
+        let seed = Int64.of_int seed in
+        let entries =
+          if ids = [] then Experiments.Registry.all
+          else List.filter_map Experiments.Registry.find ids
+        in
+        let reports = List.map (fun e -> e.Experiments.Registry.run ~quick ~seed) entries in
+        List.iter (fun r -> Fmt.pr "%a@." Experiments.Report.pp r) reports;
+        let failed =
+          List.filter (fun r -> not r.Experiments.Report.passed) reports
+        in
+        if failed = [] then begin
+          Fmt.pr "@.All %d experiments reproduced.@." (List.length reports);
+          0
+        end
+        else begin
+          Fmt.pr "@.%d experiment(s) NOT reproduced: %s@." (List.length failed)
+            (String.concat ", " (List.map (fun r -> r.Experiments.Report.id) failed));
+          1
+        end
   in
-  let doc = "Run the paper-reproduction and extension experiments (E1..E14)." in
+  let doc = "Run the paper-reproduction and extension experiments (E1..E15)." in
   Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ ids_arg $ quick_arg $ seed_arg)
 
 (* ---- list ---- *)
@@ -123,32 +160,20 @@ let trace_cmd =
     let doc = "Overriding-fault rate in [0,1]; 1.0 = worst case." in
     Arg.(value & opt float 1.0 & info [ "rate" ] ~docv:"P" ~doc)
   in
-  let run proto f t n rate seed =
-    with_protocol proto (fun protocol ->
-        let params = Protocol.params ?t ~n_procs:n ~f () in
-        let setup = Check.setup protocol params in
-        let seed64 = Int64.of_int seed in
-        let injector =
-          if rate >= 1.0 then Fault.Injector.always Fault.Fault_kind.Overriding
-          else if rate <= 0.0 then Fault.Injector.never
-          else Fault.Injector.probabilistic ~seed:seed64 ~p:rate Fault.Fault_kind.Overriding
-        in
-        let report =
-          Check.run setup ~scheduler:(Sim.Scheduler.random ~seed:seed64) ~injector ()
-        in
-        let world = Check.world setup in
-        Fmt.pr "%s under %a, seed %d:@.@.%a@." report.Check.setup_name Protocol.pp_params
-          params seed (Sim.Trace.pp ~world)
-          report.Check.result.Sim.Engine.trace;
-        if Check.ok report then begin
-          Fmt.pr "@.No violations: all processes decided consistently.@.";
-          0
-        end
-        else begin
-          Fmt.pr "@.Violations:@.";
-          List.iter (fun v -> Fmt.pr "  %a@." Check.pp_violation v) report.Check.violations;
-          1
-        end)
+  let run setup rate seed =
+    let@ setup = setup in
+    let seed64 = Int64.of_int seed in
+    let injector =
+      if rate >= 1.0 then Fault.Injector.always Fault.Fault_kind.Overriding
+      else if rate <= 0.0 then Fault.Injector.never
+      else Fault.Injector.probabilistic ~seed:seed64 ~p:rate Fault.Fault_kind.Overriding
+    in
+    let report =
+      Check.run setup ~scheduler:(Sim.Scheduler.random ~seed:seed64) ~injector ()
+    in
+    Fmt.pr "%s under %a, seed %d:@.@." report.Check.setup_name Protocol.pp_params
+      setup.Check.params seed;
+    print_checked ~clean:"No violations: all processes decided consistently." setup report
   in
   let merge_cmd =
     let out_arg =
@@ -178,9 +203,7 @@ let trace_cmd =
             | exception Sys_error m -> Error m)
       in
       match load [] files with
-      | Error m ->
-          Fmt.epr "error: %s@." m;
-          1
+      | Error m -> fail m
       | Ok rows ->
           let oc = open_out out in
           output_string oc (Campaign.Json.to_string (Campaign.Trace_merge.merge rows));
@@ -201,7 +224,7 @@ let trace_cmd =
      traces (trace merge)."
   in
   Cmd.group
-    ~default:Term.(const run $ protocol_arg $ f_arg $ t_arg $ n_arg $ rate_arg $ seed_arg)
+    ~default:Term.(const run $ instance_term $ rate_arg $ seed_arg)
     (Cmd.info "trace" ~doc) [ merge_cmd ]
 
 (* ---- explore ---- *)
@@ -215,36 +238,29 @@ let explore_cmd =
     let doc = "Minimize the witness decision vector before printing its trace." in
     Arg.(value & flag & info [ "shrink" ] ~doc)
   in
-  let run proto f t n max_exec shrink =
-    with_protocol proto (fun protocol ->
-        let params = Protocol.params ?t ~n_procs:n ~f () in
-        let setup = Check.setup protocol params in
-        let stats = Dfs.explore ~max_executions:max_exec ~max_witnesses:3 setup in
-        Fmt.pr "%s %a: %a@." protocol.Protocol.name Protocol.pp_params params Dfs.pp_stats
-          stats;
-        (match stats.Dfs.witnesses with
-        | [] ->
-            if stats.Dfs.truncated then
-              Fmt.pr "No witness found, but the search was truncated (inconclusive).@."
-            else Fmt.pr "Exhaustively verified: no consensus violation exists in this model.@."
-        | w :: _ ->
-            let decisions, report =
-              if shrink then Ffault_verify.Shrink.witness_report setup w.Dfs.decisions
-              else (w.Dfs.decisions, w.Dfs.report)
-            in
-            let world = Check.world setup in
-            Fmt.pr
-              "@.%s witness (decisions [%a] \xe2\x80\x94 replay with `ffault \
-               replay'):@.%a@.@.Violations:@."
-              (if shrink then "Shrunk" else "First")
-              (Fmt.array ~sep:Fmt.comma Fmt.int)
-              decisions (Sim.Trace.pp ~world) report.Check.result.Sim.Engine.trace;
-            List.iter (fun v -> Fmt.pr "  %a@." Check.pp_violation v) report.Check.violations);
-        if stats.Dfs.witnesses = [] then 0 else 1)
+  let run setup max_exec shrink =
+    let@ setup = setup in
+    let stats = Dfs.explore ~max_executions:max_exec ~max_witnesses:3 setup in
+    Fmt.pr "%a: %a@." pp_instance setup Dfs.pp_stats stats;
+    match stats.Dfs.witnesses with
+    | [] ->
+        if stats.Dfs.truncated then
+          Fmt.pr "No witness found, but the search was truncated (inconclusive).@."
+        else Fmt.pr "Exhaustively verified: no consensus violation exists in this model.@.";
+        0
+    | w :: _ ->
+        let decisions, report =
+          if shrink then Ffault_verify.Shrink.witness_report setup w.Dfs.decisions
+          else (w.Dfs.decisions, w.Dfs.report)
+        in
+        Fmt.pr "@.%s witness (decisions [%a] \xe2\x80\x94 replay with `ffault replay'):@."
+          (if shrink then "Shrunk" else "First")
+          (Fmt.array ~sep:Fmt.comma Fmt.int)
+          decisions;
+        print_checked setup report
   in
   let doc = "Bounded-exhaustive model checking over schedules and fault choices." in
-  Cmd.v (Cmd.info "explore" ~doc)
-    Term.(const run $ protocol_arg $ f_arg $ t_arg $ n_arg $ max_exec_arg $ shrink_arg)
+  Cmd.v (Cmd.info "explore" ~doc) Term.(const run $ instance_term $ max_exec_arg $ shrink_arg)
 
 (* ---- replay ---- *)
 
@@ -253,40 +269,22 @@ let replay_cmd =
     let doc = "Comma-separated decision vector from a previous `explore' witness." in
     Arg.(value & opt string "" & info [ "decisions" ] ~docv:"D,D,..." ~doc)
   in
-  let run proto f t n decisions =
-    with_protocol proto (fun protocol ->
-        let params = Protocol.params ?t ~n_procs:n ~f () in
-        let setup = Check.setup protocol params in
-        match
-          if decisions = "" then Ok [||]
-          else
-            try
-              Ok
-                (String.split_on_char ',' decisions
-                |> List.map (fun s -> int_of_string (String.trim s))
-                |> Array.of_list)
-            with Failure _ -> Error ()
-        with
-        | Error () ->
-            Fmt.epr "error: --decisions expects a comma-separated list of integers@.";
-            1
-        | Ok vector ->
-            let report = Dfs.replay setup vector in
-            let world = Check.world setup in
-            Fmt.pr "%a@." (Sim.Trace.pp ~world) report.Check.result.Sim.Engine.trace;
-            if Check.ok report then begin
-              Fmt.pr "@.No violations.@.";
-              0
-            end
-            else begin
-              Fmt.pr "@.Violations:@.";
-              List.iter (fun v -> Fmt.pr "  %a@." Check.pp_violation v) report.Check.violations;
-              1
-            end)
+  let run setup decisions =
+    let@ setup = setup in
+    let@ vector =
+      if decisions = "" then Ok [||]
+      else
+        try
+          Ok
+            (String.split_on_char ',' decisions
+            |> List.map (fun s -> int_of_string (String.trim s))
+            |> Array.of_list)
+        with Failure _ -> Error "--decisions expects a comma-separated list of integers"
+    in
+    print_checked setup (Dfs.replay setup vector)
   in
   let doc = "Replay a decision vector (an `explore' witness) and print its trace." in
-  Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ protocol_arg $ f_arg $ t_arg $ n_arg $ decisions_arg)
+  Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ instance_term $ decisions_arg)
 
 (* ---- falsify ---- *)
 
@@ -295,28 +293,20 @@ let falsify_cmd =
     let doc = "Attempt cap for the portfolio search." in
     Arg.(value & opt int 10_000 & info [ "max-attempts" ] ~docv:"N" ~doc)
   in
-  let run proto f t n attempts seed =
-    with_protocol proto (fun protocol ->
-        let params = Protocol.params ?t ~n_procs:n ~f () in
-        let setup = Check.setup protocol params in
-        let o =
-          Ffault_verify.Falsify.falsify ~max_attempts:attempts ~seed:(Int64.of_int seed)
-            setup
-        in
-        Fmt.pr "%s %a: %a@." protocol.Protocol.name Protocol.pp_params params
-          Ffault_verify.Falsify.pp_outcome o;
-        match o.Ffault_verify.Falsify.witness with
-        | None -> 0
-        | Some (_, _, report) ->
-            let world = Check.world setup in
-            Fmt.pr "@.%a@.@.Violations:@." (Sim.Trace.pp ~world)
-              report.Check.result.Sim.Engine.trace;
-            List.iter (fun v -> Fmt.pr "  %a@." Check.pp_violation v) report.Check.violations;
-            1)
+  let run setup attempts seed =
+    let@ setup = setup in
+    let o =
+      Ffault_verify.Falsify.falsify ~max_attempts:attempts ~seed:(Int64.of_int seed) setup
+    in
+    Fmt.pr "%a: %a@." pp_instance setup Ffault_verify.Falsify.pp_outcome o;
+    match o.Ffault_verify.Falsify.witness with
+    | None -> 0
+    | Some (_, _, report) ->
+        Fmt.pr "@.";
+        print_checked setup report
   in
   let doc = "Randomized portfolio falsification (for instances too large for `explore')." in
-  Cmd.v (Cmd.info "falsify" ~doc)
-    Term.(const run $ protocol_arg $ f_arg $ t_arg $ n_arg $ attempts_arg $ seed_arg)
+  Cmd.v (Cmd.info "falsify" ~doc) Term.(const run $ instance_term $ attempts_arg $ seed_arg)
 
 (* ---- critical ---- *)
 
@@ -325,27 +315,21 @@ let critical_cmd =
     let doc = "Run in the reduced model with this process always faulty." in
     Arg.(value & opt (some int) None & info [ "reduced" ] ~docv:"PROC" ~doc)
   in
-  let run proto f t n reduced =
-    with_protocol proto (fun protocol ->
-        let params = Protocol.params ?t ~n_procs:n ~f () in
-        let setup = Check.setup protocol params in
-        let result =
-          Ffault_impossibility.Critical.find ?reduced_faulty_proc:reduced setup
-        in
-        Fmt.pr "%s %a:@.%a@." protocol.Protocol.name Protocol.pp_params params
-          Ffault_impossibility.Critical.pp_result result;
-        match result with
-        | Ffault_impossibility.Critical.Critical _
-        | Ffault_impossibility.Critical.Disagreement _ ->
-            0
-        | Ffault_impossibility.Critical.Not_found _ -> 1)
+  let run setup reduced =
+    let@ setup = setup in
+    let result = Ffault_impossibility.Critical.find ?reduced_faulty_proc:reduced setup in
+    Fmt.pr "%a:@.%a@." pp_instance setup Ffault_impossibility.Critical.pp_result result;
+    match result with
+    | Ffault_impossibility.Critical.Critical _
+    | Ffault_impossibility.Critical.Disagreement _ ->
+        0
+    | Ffault_impossibility.Critical.Not_found _ -> 1
   in
   let doc =
     "Walk the valency tree to a critical state (or to a disagreeing execution) \xe2\x80\x94 \
      the Theorem 18 proof, executable."
   in
-  Cmd.v (Cmd.info "critical" ~doc)
-    Term.(const run $ protocol_arg $ f_arg $ t_arg $ n_arg $ reduced_arg)
+  Cmd.v (Cmd.info "critical" ~doc) Term.(const run $ instance_term $ reduced_arg)
 
 (* ---- severity ---- *)
 
@@ -514,7 +498,7 @@ let campaign_domains_arg =
 
 let resolve_domains d = if d <= 0 then Ffault_runtime.Runner.recommended_domains () else d
 
-(* Supervision flags, shared by run and resume. *)
+(* Supervision flags, shared by run, resume and serve. *)
 
 let deadline_flag_arg =
   let doc =
@@ -548,15 +532,19 @@ let adaptive_deadline_arg =
   in
   Arg.(value & flag & info [ "adaptive-deadline" ] ~doc)
 
-let supervision_of_flags ~deadline ~max_retries ~quarantine_after ~adaptive =
-  match
-    Campaign.Pool.supervision ?deadline_s:deadline ~max_retries ~quarantine_after
-      ~adaptive_deadline:adaptive ()
-  with
-  | s -> Ok s
-  | exception Invalid_argument m -> Error m
+(* The supervision flags as the record the pool runs under and the
+   coordinator ships to its workers. *)
+let supervision_term =
+  let make deadline max_retries quarantine_after adaptive_deadline =
+    validated (fun () ->
+        Campaign.Pool.supervision ?deadline_s:deadline ~max_retries ~quarantine_after
+          ~adaptive_deadline ())
+  in
+  Term.(
+    const make $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg
+    $ adaptive_deadline_arg)
 
-(* Observability flags, shared by run and resume. *)
+(* Observability flags, shared by run, resume and serve. *)
 
 let progress_arg =
   let doc = "Force the live progress line on (default: auto — on when stderr is a TTY)." in
@@ -574,46 +562,23 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let show_progress ~progress ~quiet =
-  (not quiet) && (progress || Telemetry.Progress.isatty stderr)
+type observe = { progress : bool; quiet : bool; trace : string option }
 
-let campaign_spec_of_flags ~name ~protocol ~f ~t ~n ~kinds ~rates ~crashes ~crash_rates
-    ~persistence ~crash_seed ~trials ~seed =
-  let ( let* ) = Result.bind in
-  let* f = Campaign.Spec.ints_of_string f in
-  let* t = Campaign.Spec.t_values_of_string t in
-  let* n = Campaign.Spec.ints_of_string n in
-  let* kinds = Campaign.Spec.kinds_of_string kinds in
-  let* rates = Campaign.Spec.rates_of_string rates in
-  let* crashes = Campaign.Spec.ints_of_string crashes in
-  let* crash_rates = Campaign.Spec.rates_of_string crash_rates in
-  let* persistence = Campaign.Spec.persistence_of_string persistence in
-  Campaign.Spec.validate
-    {
-      Campaign.Spec.name;
-      protocol;
-      f_values = f;
-      t_values = t;
-      n_values = n;
-      kinds;
-      rates;
-      crashes;
-      crash_rates;
-      persistence;
-      crash_seed = Int64.of_int crash_seed;
-      trials;
-      seed = Int64.of_int seed;
-    }
+(* [trace] is the command's own --trace flag: serve documents it
+   differently from run and resume. *)
+let observe_term trace =
+  Term.(
+    const (fun progress quiet trace -> { progress; quiet; trace })
+    $ progress_arg $ quiet_arg $ trace)
 
-let run_campaign ~resume ~root ~domains ~supervision ~progress ~quiet ~trace spec =
-  let domains = resolve_domains domains in
-  Fmt.pr "%a@.grid: %d cells × %d trials = %d trials, %d domains@." Campaign.Spec.pp spec
-    (Campaign.Grid.n_cells spec) spec.Campaign.Spec.trials
-    (Campaign.Grid.total_trials spec) domains;
-  Option.iter (fun _ -> Telemetry.Tracer.enable ()) trace;
+(* Run a campaign body under [obs]: the tracer on when --trace asks for
+   it, and the live progress line over [spec]'s grid until [k] returns.
+   [k] gets the hooks Pool.run_dir and Coordinator.serve both take. *)
+let with_live obs spec k =
+  Option.iter (fun _ -> Telemetry.Tracer.enable ()) obs.trace;
   let live = Campaign.Live.create spec in
   let reporter =
-    if show_progress ~progress ~quiet then
+    if (not obs.quiet) && (obs.progress || Telemetry.Progress.isatty stderr) then
       Some
         (Telemetry.Progress.start ~oc:stderr
            ~render:(fun () -> Campaign.Live.render live)
@@ -621,13 +586,24 @@ let run_campaign ~resume ~root ~domains ~supervision ~progress ~quiet ~trace spe
     else None
   in
   let result =
-    Campaign.Pool.run_dir ~domains ~supervision ~resume ~root
+    k
       ~on_skip:(fun () -> Campaign.Live.on_skip live)
       ~observe:(fun r -> Campaign.Live.on_record live r)
       ~on_warn:(fun m -> Fmt.epr "warning: %s@." m)
-      spec
   in
   Option.iter Telemetry.Progress.stop reporter;
+  result
+
+let run_campaign ~resume ~root ~domains ~supervision obs spec =
+  let domains = resolve_domains domains in
+  Fmt.pr "%a@.grid: %d cells × %d trials = %d trials, %d domains@." Campaign.Spec.pp spec
+    (Campaign.Grid.n_cells spec) spec.Campaign.Spec.trials
+    (Campaign.Grid.total_trials spec) domains;
+  let result =
+    with_live obs spec (fun ~on_skip ~observe ~on_warn ->
+        Campaign.Pool.run_dir ~domains ~supervision ~resume ~root ~on_skip ~observe ~on_warn
+          spec)
+  in
   Option.iter
     (fun path ->
       Telemetry.Tracer.disable ();
@@ -636,11 +612,9 @@ let run_campaign ~resume ~root ~domains ~supervision ~progress ~quiet ~trace spe
         path
         (Telemetry.Tracer.event_count ())
         (Telemetry.Tracer.dropped_count ()))
-    trace;
+    obs.trace;
   match result with
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      1
+  | Error m -> fail m
   | Ok summary ->
       Fmt.pr "%a@.artifacts: %s@." Campaign.Pool.pp_summary summary
         (Campaign.Checkpoint.campaign_dir ~root spec);
@@ -702,53 +676,61 @@ let trials_arg =
   let doc = "Trials per grid cell." in
   Arg.(value & opt int 100 & info [ "trials" ] ~docv:"K" ~doc)
 
+(* The campaign spec: the --spec file when given, else the axis flags. *)
+let spec_term =
+  let make spec_file name protocol f t n kinds rates crashes crash_rates persistence
+      crash_seed trials seed =
+    match spec_file with
+    | Some path -> Campaign.Spec.of_file path
+    | None ->
+        let ( let* ) = Result.bind in
+        let* f = Campaign.Spec.ints_of_string f in
+        let* t = Campaign.Spec.t_values_of_string t in
+        let* n = Campaign.Spec.ints_of_string n in
+        let* kinds = Campaign.Spec.kinds_of_string kinds in
+        let* rates = Campaign.Spec.rates_of_string rates in
+        let* crashes = Campaign.Spec.ints_of_string crashes in
+        let* crash_rates = Campaign.Spec.rates_of_string crash_rates in
+        let* persistence = Campaign.Spec.persistence_of_string persistence in
+        Campaign.Spec.validate
+          {
+            Campaign.Spec.name;
+            protocol;
+            f_values = f;
+            t_values = t;
+            n_values = n;
+            kinds;
+            rates;
+            crashes;
+            crash_rates;
+            persistence;
+            crash_seed = Int64.of_int crash_seed;
+            trials;
+            seed = Int64.of_int seed;
+          }
+  in
+  Term.(
+    const make $ spec_file_arg $ campaign_name_arg $ protocol_arg $ f_list_arg $ t_list_arg
+    $ n_list_arg $ kinds_arg $ rates_arg $ crashes_arg $ crash_rates_arg $ persistence_arg
+    $ crash_seed_arg $ trials_arg $ seed_arg)
+
 let campaign_run_cmd =
-  let run spec_file name protocol f t n kinds rates crashes crash_rates persistence
-      crash_seed trials seed root domains deadline max_retries quarantine_after adaptive
-      progress quiet trace =
-    let spec =
-      match spec_file with
-      | Some path -> Campaign.Spec.of_file path
-      | None ->
-          campaign_spec_of_flags ~name ~protocol ~f ~t ~n ~kinds ~rates ~crashes
-            ~crash_rates ~persistence ~crash_seed ~trials ~seed
-    in
-    match
-      Result.bind spec (fun spec ->
-          Result.map
-            (fun s -> (spec, s))
-            (supervision_of_flags ~deadline ~max_retries ~quarantine_after ~adaptive))
-    with
-    | Error m ->
-        Fmt.epr "error: %s@." m;
-        1
-    | Ok (spec, supervision) ->
-        run_campaign ~resume:false ~root ~domains ~supervision ~progress ~quiet ~trace spec
+  let run spec root domains supervision obs =
+    let@ spec = spec in
+    let@ supervision = supervision in
+    run_campaign ~resume:false ~root ~domains ~supervision obs spec
   in
   let doc = "Run a fault-injection campaign over a parameter grid, journaling every trial." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ spec_file_arg $ campaign_name_arg $ protocol_arg $ f_list_arg $ t_list_arg
-      $ n_list_arg $ kinds_arg $ rates_arg $ crashes_arg $ crash_rates_arg
-      $ persistence_arg $ crash_seed_arg $ trials_arg $ seed_arg $ campaign_root_arg
-      $ campaign_domains_arg $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg
-      $ adaptive_deadline_arg $ progress_arg $ quiet_arg $ trace_arg)
+      const run $ spec_term $ campaign_root_arg $ campaign_domains_arg $ supervision_term
+      $ observe_term trace_arg)
 
 let campaign_resume_cmd =
-  let run name root domains deadline max_retries quarantine_after adaptive progress quiet
-      trace =
-    let dir = Filename.concat root name in
-    match
-      Result.bind (Campaign.Checkpoint.load_manifest ~dir) (fun spec ->
-          Result.map
-            (fun s -> (spec, s))
-            (supervision_of_flags ~deadline ~max_retries ~quarantine_after ~adaptive))
-    with
-    | Error m ->
-        Fmt.epr "error: %s@." m;
-        1
-    | Ok (spec, supervision) ->
-        run_campaign ~resume:true ~root ~domains ~supervision ~progress ~quiet ~trace spec
+  let run name root domains supervision obs =
+    let@ spec = Campaign.Checkpoint.load_manifest ~dir:(Filename.concat root name) in
+    let@ supervision = supervision in
+    run_campaign ~resume:true ~root ~domains ~supervision obs spec
   in
   let doc =
     "Resume an interrupted campaign: journaled trials are skipped, the rest executed."
@@ -756,8 +738,7 @@ let campaign_resume_cmd =
   Cmd.v (Cmd.info "resume" ~doc)
     Term.(
       const run $ campaign_name_arg $ campaign_root_arg $ campaign_domains_arg
-      $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg $ adaptive_deadline_arg
-      $ progress_arg $ quiet_arg $ trace_arg)
+      $ supervision_term $ observe_term trace_arg)
 
 (* ---- distributed campaign: serve + worker ---- *)
 
@@ -811,96 +792,50 @@ let campaign_serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let run spec_file name protocol f t n kinds rates crashes crash_rates persistence
-      crash_seed trials seed root listen lease_trials lease_timeout hb_interval
-      max_workers resume status trace deadline max_retries quarantine_after adaptive
-      progress quiet =
-    let spec =
-      match spec_file with
-      | Some path -> Campaign.Spec.of_file path
-      | None ->
-          campaign_spec_of_flags ~name ~protocol ~f ~t ~n ~kinds ~rates ~crashes
-            ~crash_rates ~persistence ~crash_seed ~trials ~seed
+  let run spec root listen lease_trials lease_timeout hb_interval max_workers resume status
+      supervision obs =
+    let@ spec = spec in
+    let@ supervision = supervision in
+    let@ cfg =
+      validated (fun () ->
+          Dist.Coordinator.config ~lease_trials ~lease_timeout_s:lease_timeout
+            ~hb_interval_s:hb_interval ~max_workers ~supervision listen)
     in
-    let checked =
-      Result.bind spec (fun spec ->
-          (* validate the flag combination with the Pool builder, then
-             ship the raw values — workers rebuild the same record *)
-          Result.bind (supervision_of_flags ~deadline ~max_retries ~quarantine_after ~adaptive)
-            (fun _ ->
-              match
-                Dist.Coordinator.config ~lease_trials ~lease_timeout_s:lease_timeout
-                  ~hb_interval_s:hb_interval ~max_workers
-                  ~supervision:
-                    {
-                      Dist.Codec.deadline_s = deadline;
-                      max_retries;
-                      quarantine_after;
-                      adaptive_deadline = adaptive;
-                    }
-                  listen
-              with
-              | cfg -> Ok (spec, cfg)
-              | exception Invalid_argument m -> Error m))
+    Fmt.pr "%a@.grid: %d cells × %d trials = %d trials, serving on %a@." Campaign.Spec.pp
+      spec (Campaign.Grid.n_cells spec) spec.Campaign.Spec.trials
+      (Campaign.Grid.total_trials spec) Dist.Transport.pp_endpoint listen;
+    let result =
+      with_live obs spec (fun ~on_skip ~observe ~on_warn ->
+          Dist.Coordinator.serve ~resume ~root ~on_skip ~observe ~on_warn
+            ~on_event:(fun m -> if not obs.quiet then Fmt.epr "[serve] %s@." m)
+            ?status cfg spec)
     in
-    match checked with
-    | Error m ->
-        Fmt.epr "error: %s@." m;
-        1
-    | Ok (spec, cfg) ->
-        Fmt.pr "%a@.grid: %d cells × %d trials = %d trials, serving on %a@."
-          Campaign.Spec.pp spec (Campaign.Grid.n_cells spec) spec.Campaign.Spec.trials
-          (Campaign.Grid.total_trials spec)
-          Dist.Transport.pp_endpoint listen;
-        let live = Campaign.Live.create spec in
-        let reporter =
-          if show_progress ~progress ~quiet then
-            Some
-              (Telemetry.Progress.start ~oc:stderr
-                 ~render:(fun () -> Campaign.Live.render live)
-                 ())
-          else None
-        in
-        Option.iter (fun _ -> Telemetry.Tracer.enable ()) trace;
-        let result =
-          Dist.Coordinator.serve ~resume ~root
-            ~on_skip:(fun () -> Campaign.Live.on_skip live)
-            ~observe:(fun r -> Campaign.Live.on_record live r)
-            ~on_warn:(fun m -> Fmt.epr "warning: %s@." m)
-            ~on_event:(fun m -> if not quiet then Fmt.epr "[serve] %s@." m)
-            ?status cfg spec
-        in
-        Option.iter Telemetry.Progress.stop reporter;
-        (match result with
-        | Error m ->
-            Fmt.epr "error: %s@." m;
-            1
-        | Ok s ->
-            Fmt.pr "%a@." Campaign.Pool.pp_summary s.Dist.Coordinator.pool;
-            Fmt.pr
-              "leases: %d granted, %d completed, %d expired; %d worker(s)@.artifacts: %s@."
-              s.Dist.Coordinator.leases_granted s.Dist.Coordinator.leases_completed
-              s.Dist.Coordinator.leases_expired
-              (List.length s.Dist.Coordinator.workers)
-              (Campaign.Checkpoint.campaign_dir ~root spec);
-            Option.iter
-              (fun path ->
-                (* one pid row per process: the coordinator's own spans
-                   plus whatever each worker shipped on its heartbeats *)
-                let rows =
-                  ( "coordinator",
-                    Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) )
-                  :: s.Dist.Coordinator.worker_spans
-                in
-                let oc = open_out path in
-                output_string oc
-                  (Campaign.Json.to_string (Campaign.Trace_merge.merge rows));
-                close_out oc;
-                Fmt.pr
-                  "trace: %s (%d process row(s)) — open in chrome://tracing or Perfetto@."
-                  path (List.length rows))
-              trace;
-            0)
+    match result with
+    | Error m -> fail m
+    | Ok s ->
+        Fmt.pr "%a@." Campaign.Pool.pp_summary s.Dist.Coordinator.pool;
+        Fmt.pr
+          "leases: %d granted, %d completed, %d expired; %d worker(s)@.artifacts: %s@."
+          s.Dist.Coordinator.leases_granted s.Dist.Coordinator.leases_completed
+          s.Dist.Coordinator.leases_expired
+          (List.length s.Dist.Coordinator.workers)
+          (Campaign.Checkpoint.campaign_dir ~root spec);
+        Option.iter
+          (fun path ->
+            (* one pid row per process: the coordinator's own spans
+               plus whatever each worker shipped on its heartbeats *)
+            let rows =
+              ( "coordinator",
+                Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) )
+              :: s.Dist.Coordinator.worker_spans
+            in
+            let oc = open_out path in
+            output_string oc (Campaign.Json.to_string (Campaign.Trace_merge.merge rows));
+            close_out oc;
+            Fmt.pr "trace: %s (%d process row(s)) — open in chrome://tracing or Perfetto@."
+              path (List.length rows))
+          obs.trace;
+        0
   in
   let doc =
     "Coordinate a distributed campaign: shard the grid into leases served to ffault \
@@ -909,13 +844,9 @@ let campaign_serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ spec_file_arg $ campaign_name_arg $ protocol_arg $ f_list_arg
-      $ t_list_arg $ n_list_arg $ kinds_arg $ rates_arg $ crashes_arg $ crash_rates_arg
-      $ persistence_arg $ crash_seed_arg $ trials_arg $ seed_arg
-      $ campaign_root_arg $ listen_arg $ lease_trials_arg $ lease_timeout_arg
-      $ hb_interval_arg $ max_workers_arg $ resume_serve_arg $ status_arg
-      $ serve_trace_arg $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg
-      $ adaptive_deadline_arg $ progress_arg $ quiet_arg)
+      const run $ spec_term $ campaign_root_arg $ listen_arg $ lease_trials_arg
+      $ lease_timeout_arg $ hb_interval_arg $ max_workers_arg $ resume_serve_arg
+      $ status_arg $ supervision_term $ observe_term serve_trace_arg)
 
 let worker_cmd =
   let connect_arg =
@@ -937,30 +868,23 @@ let worker_cmd =
   in
   let run connect name domains trace quiet =
     let domains = resolve_domains domains in
-    match Dist.Worker.config ?name ~domains connect with
-    | exception Invalid_argument m ->
-        Fmt.epr "error: %s@." m;
-        1
-    | cfg -> (
-        Option.iter (fun _ -> Telemetry.Tracer.enable ()) trace;
-        match
-          Dist.Worker.run
-            ~on_event:(fun m -> if not quiet then Fmt.epr "[worker] %s@." m)
-            ~on_warn:(fun m -> Fmt.epr "[worker] warn: %s@." m)
-            ?trace_path:trace cfg
-        with
-        | Error m ->
-            Fmt.epr "error: %s@." m;
-            1
-        | Ok s ->
-            Fmt.pr
-              "worker %s: %d lease(s), %d trial(s) run, %d already journaled, \
-               %d reconnect(s) — %s@."
-              cfg.Dist.Worker.name s.Dist.Worker.leases_run s.Dist.Worker.trials_run
-              s.Dist.Worker.trials_skipped s.Dist.Worker.reconnects
-              s.Dist.Worker.stop_reason;
-            Option.iter (fun path -> Fmt.pr "trace: %s@." path) trace;
-            0)
+    let@ cfg = validated (fun () -> Dist.Worker.config ?name ~domains connect) in
+    Option.iter (fun _ -> Telemetry.Tracer.enable ()) trace;
+    match
+      Dist.Worker.run
+        ~on_event:(fun m -> if not quiet then Fmt.epr "[worker] %s@." m)
+        ~on_warn:(fun m -> Fmt.epr "[worker] warn: %s@." m)
+        ?trace_path:trace cfg
+    with
+    | Error m -> fail m
+    | Ok s ->
+        Fmt.pr
+          "worker %s: %d lease(s), %d trial(s) run, %d already journaled, \
+           %d reconnect(s) — %s@."
+          cfg.Dist.Worker.name s.Dist.Worker.leases_run s.Dist.Worker.trials_run
+          s.Dist.Worker.trials_skipped s.Dist.Worker.reconnects s.Dist.Worker.stop_reason;
+        Option.iter (fun path -> Fmt.pr "trace: %s@." path) trace;
+        0
   in
   let doc =
     "Run trials for a distributed campaign coordinator (see ffault campaign serve)."
@@ -1065,11 +989,7 @@ let campaign_status_cmd =
     in
     match watch with
     | None -> (
-        match once () with
-        | Ok _ -> 0
-        | Error m ->
-            Fmt.epr "error: %s@." m;
-            1)
+        match once () with Ok _ -> 0 | Error m -> fail m)
     | Some interval ->
         (* a fetch error after at least one success is the coordinator
            finishing and going away — a clean end to the watch *)
@@ -1079,12 +999,7 @@ let campaign_status_cmd =
               Unix.sleepf (Float.max 0.1 interval);
               loop true
           | Ok false -> 0
-          | Error m ->
-              if polled then 0
-              else begin
-                Fmt.epr "error: %s@." m;
-                1
-              end
+          | Error m -> if polled then 0 else fail m
         in
         loop false
   in
@@ -1098,9 +1013,7 @@ let campaign_report_cmd =
   let run name root =
     let dir = Filename.concat root name in
     match Campaign.Report.of_dir ~dir with
-    | Error m ->
-        Fmt.epr "error: %s@." m;
-        1
+    | Error m -> fail m
     | Ok report ->
         Fmt.pr "%s" (Campaign.Report.to_markdown report);
         Campaign.Report.write ~dir report;
@@ -1128,9 +1041,7 @@ let campaign_diff_cmd =
   in
   let run dir_a dir_b tolerance =
     match (Campaign.Report.of_dir ~dir:dir_a, Campaign.Report.of_dir ~dir:dir_b) with
-    | Error m, _ | _, Error m ->
-        Fmt.epr "error: %s@." m;
-        2
+    | Error m, _ | _, Error m -> fail ~code:2 m
     | Ok a, Ok b ->
         let d = Campaign.Report.diff ~tolerance a b in
         Fmt.pr "%a" Campaign.Report.pp_diff d;
@@ -1200,6 +1111,7 @@ let lint_cmd =
     let doc = "Files or directories to lint (default: lib bin test bench examples)." in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
   in
+  let unknown_rule name = Fmt.str "unknown rule %S (see `ffault lint --list-rules')" name in
   let run format rules baseline write_baseline prune_baseline list_rules explain typed
       paths =
     if list_rules then begin
@@ -1216,9 +1128,7 @@ let lint_cmd =
       match explain with
       | Some name -> (
           match Lint.Rule.find name with
-          | None ->
-              Fmt.epr "error: unknown rule %S (see `ffault lint --list-rules')@." name;
-              2
+          | None -> fail ~code:2 (unknown_rule name)
           | Some r ->
               Fmt.pr "%s (%s rule, %s layer)@.@.  %s@.@.why@.  %s@.@.example@.  %s@."
                 r.Lint.Rule.name
@@ -1236,15 +1146,11 @@ let lint_cmd =
         | [] -> Ok None
         | rs -> (
             match List.find_opt (fun r -> Lint.Rule.find r = None) rs with
-            | Some bad ->
-                Error
-                  (Fmt.str "unknown rule %S (see `ffault lint --list-rules')" bad)
+            | Some bad -> Error (unknown_rule bad)
             | None -> Ok (Some rs))
       in
       match rules with
-      | Error m ->
-          Fmt.epr "error: %s@." m;
-          2
+      | Error m -> fail ~code:2 m
       | Ok rules -> (
           let paths =
             if paths = [] then
@@ -1260,9 +1166,7 @@ let lint_cmd =
           let result = Lint.Driver.run ?rules ~policy:Lint.Policy.default ~typed paths in
           if write_baseline then
             match baseline with
-            | None ->
-                Fmt.epr "error: --write-baseline requires --baseline FILE@.";
-                2
+            | None -> fail ~code:2 "--write-baseline requires --baseline FILE"
             | Some path ->
                 Lint.Baseline.save ~path (Lint.Baseline.of_findings result.Lint.Driver.findings);
                 Fmt.pr "wrote %d entr%s to %s@."
@@ -1272,14 +1176,10 @@ let lint_cmd =
                 0
           else if prune_baseline then
             match baseline with
-            | None ->
-                Fmt.epr "error: --prune-baseline requires --baseline FILE@.";
-                2
+            | None -> fail ~code:2 "--prune-baseline requires --baseline FILE"
             | Some path -> (
                 match Lint.Baseline.load ~path with
-                | Error m ->
-                    Fmt.epr "error: %s@." m;
-                    2
+                | Error m -> fail ~code:2 m
                 | Ok b ->
                     let kept, dropped =
                       Lint.Baseline.prune b result.Lint.Driver.findings
@@ -1297,9 +1197,7 @@ let lint_cmd =
               | Some path -> Lint.Baseline.load ~path
             in
             match baseline with
-            | Error m ->
-                Fmt.epr "error: %s@." m;
-                2
+            | Error m -> fail ~code:2 m
             | Ok baseline ->
                 let report = Lint.Report.make ~baseline result in
                 (match format with

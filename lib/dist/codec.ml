@@ -1,16 +1,11 @@
 module Json = Ffault_campaign.Json
 module Spec = Ffault_campaign.Spec
 module Journal = Ffault_campaign.Journal
+module Pool = Ffault_campaign.Pool
 
-type supervision = {
-  deadline_s : float option;
-  max_retries : int;
-  quarantine_after : int;
-  adaptive_deadline : bool;
-}
+type supervision = Pool.supervision
 
-let no_supervision =
-  { deadline_s = None; max_retries = 2; quarantine_after = 3; adaptive_deadline = false }
+let no_supervision = Pool.default_supervision
 
 type msg =
   | Hello of { version : int; name : string; domains : int; last_epoch : int }
@@ -46,29 +41,32 @@ let tag_of = function
   | Wait _ -> 'z'
   | Bye _ -> 'y'
 
-let supervision_to_json s =
+(* The wire carries the retry policy's [max_retries] alone: a worker
+   rebuilds the rest of the policy from the defaults. *)
+let supervision_to_json (s : supervision) =
   Json.Obj
     [
       ( "deadline_s",
-        match s.deadline_s with Some d -> Json.Float d | None -> Json.Null );
-      ("max_retries", Json.Int s.max_retries);
-      ("quarantine_after", Json.Int s.quarantine_after);
-      ("adaptive_deadline", Json.Bool s.adaptive_deadline);
+        match s.Pool.deadline_s with Some d -> Json.Float d | None -> Json.Null );
+      ("max_retries", Json.Int s.Pool.retry.Ffault_supervise.Retry.max_retries);
+      ("quarantine_after", Json.Int s.Pool.quarantine_after);
+      ("adaptive_deadline", Json.Bool s.Pool.adaptive_deadline);
     ]
 
+(* Absent fields take the defaults; values the Pool builder rejects are
+   a decode error, never an exception in the worker. *)
 let supervision_of_json j =
-  let int_field name d =
-    match Option.bind (Json.member name j) Json.get_int with Some i -> i | None -> d
-  in
-  {
-    deadline_s = Option.bind (Json.member "deadline_s" j) Json.get_float;
-    max_retries = int_field "max_retries" no_supervision.max_retries;
-    quarantine_after = int_field "quarantine_after" no_supervision.quarantine_after;
-    adaptive_deadline =
-      (match Option.bind (Json.member "adaptive_deadline" j) Json.get_bool with
-      | Some b -> b
-      | None -> false);
-  }
+  let get name get = Option.bind (Json.member name j) get in
+  match
+    Pool.supervision
+      ?deadline_s:(get "deadline_s" Json.get_float)
+      ?max_retries:(get "max_retries" Json.get_int)
+      ?quarantine_after:(get "quarantine_after" Json.get_int)
+      ?adaptive_deadline:(get "adaptive_deadline" Json.get_bool)
+      ()
+  with
+  | s -> Ok s
+  | exception Invalid_argument m -> Error ("codec: " ^ m)
 
 let payload_of = function
   | Hello { version; name; domains; last_epoch } ->
@@ -139,6 +137,7 @@ let of_frame { Wire.tag; payload } =
       let* spec_json = field "spec" Option.some j in
       let* spec = Spec.of_json spec_json in
       let* sup_json = field "supervision" Option.some j in
+      let* supervision = supervision_of_json sup_json in
       let* hb_interval_s = field "hb_interval_s" Json.get_float j in
       (* the rule Coordinator.config enforces: the worker's heartbeat
          thread sleeps this long between beats *)
@@ -151,7 +150,7 @@ let of_frame { Wire.tag; payload } =
                version;
                epoch = epoch_field "epoch" j;
                spec;
-               supervision = supervision_of_json sup_json;
+               supervision;
                hb_interval_s;
              })
   | 'r' -> Ok Request

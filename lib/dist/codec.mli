@@ -12,16 +12,15 @@ module Json = Ffault_campaign.Json
 module Spec = Ffault_campaign.Spec
 module Journal = Ffault_campaign.Journal
 
-(** The supervision settings a coordinator imposes on its workers —
-    the wire form of {!Ffault_campaign.Pool.supervision}. *)
-type supervision = {
-  deadline_s : float option;
-  max_retries : int;
-  quarantine_after : int;
-  adaptive_deadline : bool;
-}
+(** The supervision settings a coordinator imposes on its workers: the
+    record the workers' pools run under. A [Welcome] carries four of
+    its fields ([deadline_s], the retry policy's [max_retries],
+    [quarantine_after], [adaptive_deadline]); the decoder rebuilds the
+    rest of the retry policy from its defaults. *)
+type supervision = Ffault_campaign.Pool.supervision
 
 val no_supervision : supervision
+(** {!Ffault_campaign.Pool.default_supervision}: no deadline. *)
 
 type msg =
   | Hello of { version : int; name : string; domains : int; last_epoch : int }
@@ -71,7 +70,10 @@ val to_frame : msg -> Wire.frame
 val of_frame : Wire.frame -> (msg, string) result
 (** [Error] on an unknown tag, a malformed payload, a [Wait] whose
     [seconds] is negative or not finite, or a [Welcome] whose
-    [hb_interval_s] is not finite and positive. *)
+    [hb_interval_s] is not finite and positive or whose supervision
+    {!Ffault_campaign.Pool.supervision} rejects (a deadline that is not
+    finite and positive, [max_retries < 0], [quarantine_after < 1], an
+    adaptive deadline without a deadline). *)
 
 val pp : Format.formatter -> msg -> unit
 (** One-line rendering for logs (records and specs elided). *)

@@ -45,13 +45,6 @@ type summary = {
   stop_reason : string;
 }
 
-let supervision_of_wire (s : Codec.supervision) =
-  (* adaptive without a deadline is meaningless (and the Pool builder
-     rejects it); a coordinator never sends it, but the wire could *)
-  let adaptive = s.Codec.adaptive_deadline && s.Codec.deadline_s <> None in
-  Pool.supervision ?deadline_s:s.Codec.deadline_s ~max_retries:s.Codec.max_retries
-    ~quarantine_after:s.Codec.quarantine_after ~adaptive_deadline:adaptive ()
-
 (* The worker side of the protocol, as pure classification — shared by
    this blocking socket driver and the netsim worker actor, so the
    simulated worker cannot drift from the real one. *)
@@ -59,7 +52,7 @@ module Protocol = struct
   type welcome = {
     epoch : int;
     spec : Campaign.Spec.t;
-    supervision : Codec.supervision;
+    supervision : Pool.supervision;
     hb_interval_s : float;
   }
 
@@ -215,7 +208,6 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                   on_event
                     (Fmt.str "coordinator is now epoch %d (was %d)" epoch !last_epoch);
                 last_epoch := epoch;
-                let supervision = supervision_of_wire supervision in
                 let beat = piggyback ~keep in
                 let stop_hb = start_heartbeat conn ~interval_s:hb_interval_s ~beat in
                 let fin r =

@@ -65,7 +65,8 @@ module Protocol : sig
   type welcome = {
     epoch : int;  (** the coordinator incarnation granting from here on *)
     spec : Ffault_campaign.Spec.t;
-    supervision : Codec.supervision;
+    supervision : Ffault_campaign.Pool.supervision;
+        (** validated by the codec: the worker's pools run under it as is *)
     hb_interval_s : float;
   }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Coordinator chaos smoke: three workers grind a 40k-trial grid, the
+# Coordinator chaos smoke: three workers grind a 100k-trial grid, the
 # live COORDINATOR is SIGKILLed mid-campaign, and a `serve --resume` of
 # the same campaign must finish it — epoch-fenced against the dead
 # incarnation's leases, recovering the lease table from the journal.
@@ -17,8 +17,11 @@ BIN=_build/default/bin/main.exe
 SOCK="${TMPDIR:-/tmp}/ffault-coord-chaos-$$.sock"
 STATUS_SOCK="${TMPDIR:-/tmp}/ffault-coord-chaos-status-$$.sock"
 SCRAPES="$DIR/scrapes"
-# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 10000 trials.
-TOTAL=40000
+# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 25000 trials.
+# Sized so the resumed half runs for several seconds: it must outlast
+# the slowest worker's reconnect backoff (~2 s after the kill), or a
+# worker that reattaches late finds the campaign already over.
+TOTAL=100000
 
 serve() {
   # Identical flags both incarnations, plus whatever the caller adds
@@ -26,7 +29,7 @@ serve() {
   # stalling the resumed run; the heartbeat cadence bounds how long a
   # worker can go silent before the watchdog requeues its shard.
   "$BIN" campaign serve --name "$NAME" --protocol fig3 \
-    --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 10000 \
+    --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 25000 \
     --listen "unix:$SOCK" --status "unix:$STATUS_SOCK" \
     --lease-trials 500 --lease-timeout 2 \
     --hb-interval 0.5 --quiet "$@" &

@@ -179,12 +179,8 @@ let all_msgs =
         epoch = 1;
         spec = fixture_spec;
         supervision =
-          {
-            Codec.deadline_s = Some 2.5;
-            max_retries = 3;
-            quarantine_after = 5;
-            adaptive_deadline = true;
-          };
+          Campaign.Pool.supervision ~deadline_s:2.5 ~max_retries:3
+            ~quarantine_after:5 ~adaptive_deadline:true ();
         hb_interval_s = 2.0;
       };
     Codec.Welcome
@@ -273,6 +269,21 @@ let test_codec_rejects_garbage () =
       ("zero", welcome_payload 0.0);
       ("negative", welcome_payload (-1.0));
       ("infinite", replace ~sub:"0.125" ~by:"1e999" (welcome_payload 0.125));
+    ];
+  (* a supervision the Pool builder rejects is a decode error: the
+     worker must not raise on it *)
+  List.iter
+    (fun (sub, by) ->
+      match Codec.of_frame (frame 'w' (replace ~sub ~by (welcome_payload 0.5))) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "welcome with supervision %s accepted" by)
+    [
+      ("\"deadline_s\":null", "\"deadline_s\":0");
+      ("\"deadline_s\":null", "\"deadline_s\":-1.5");
+      ("\"deadline_s\":null", "\"deadline_s\":1e999");
+      ("\"quarantine_after\":3", "\"quarantine_after\":0");
+      ("\"max_retries\":2", "\"max_retries\":-1");
+      ("\"adaptive_deadline\":false", "\"adaptive_deadline\":true");
     ];
   (* fuzz: random tags and payloads error, never raise *)
   let state = ref 0x9E3779B9 in
