@@ -9,4 +9,4 @@ let () =
    @ Test_engine_edge.suites @ Test_conformance.suites @ Test_crash_tolerance.suites
    @ Test_experiments.suites @ Test_campaign.suites @ Test_telemetry.suites
    @ Test_lint.suites @ Test_supervise.suites @ Test_dist.suites @ Test_netsim.suites
-   @ Test_observability.suites @ Test_recover.suites)
+   @ Test_observability.suites @ Test_recover.suites @ Test_json.suites)

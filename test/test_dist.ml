@@ -216,6 +216,17 @@ let test_codec_roundtrip () =
           check Alcotest.bool (Fmt.str "%a round-trips" Codec.pp msg) true (msg = msg'))
     all_msgs
 
+(* [s] with its first [sub] replaced by [by]. *)
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in payload" sub
+    else if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
 let test_codec_rejects_garbage () =
   (match Codec.of_frame (frame '?' "{}") with
   | Error _ -> ()
@@ -249,16 +260,6 @@ let test_codec_rejects_garbage () =
             hb_interval_s = hb;
           }))
       .Wire.payload
-  in
-  let replace ~sub ~by s =
-    let n = String.length sub in
-    let rec go i =
-      if i + n > String.length s then Alcotest.failf "%S not in payload" sub
-      else if String.sub s i n = sub then
-        String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
-      else go (i + 1)
-    in
-    go 0
   in
   List.iter
     (fun (what, payload) ->
