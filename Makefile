@@ -1,6 +1,6 @@
 # Convenience targets for the ffault reproduction.
 
-.PHONY: all build test lint lint-json lint-baseline lint-prune experiments experiments-quick bench bench-smoke examples campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke check clean
+.PHONY: all build test lint lint-json experiments experiments-quick bench bench-smoke examples campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke check clean
 
 all: build
 
@@ -12,27 +12,17 @@ test:
 
 # Static analysis: the fault-injection / determinism invariants
 # (doc/LINT.md), parsetree AND typed-tree passes. Builds first —
-# @check leaves a cmt for every module, executables included — so
-# --typed=on can demand one per .ml. Fails on any finding not
-# suppressed in-source or grandfathered in lint-baseline.json.
+# @check leaves a cmt for every module, executables included — because
+# the typed pass demands a fresh one per .ml. Fails on any finding not
+# suppressed in-source.
 lint:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json
+	dune exec bin/main.exe -- lint
 
 # Same run, machine-readable; CI archives the output as lint.json.
 lint-json:
 	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --format json
-
-# Regenerate the grandfathering baseline from the current findings.
-lint-baseline:
-	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --write-baseline
-
-# Drop baseline entries that no longer match any current finding.
-lint-prune:
-	dune build @check
-	dune exec bin/main.exe -- lint --typed=on --baseline lint-baseline.json --prune-baseline
+	dune exec bin/main.exe -- lint --format json
 
 # The full local gate: what CI runs, minus the artifact uploads.
 check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke

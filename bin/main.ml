@@ -80,9 +80,8 @@ let protocol_arg =
    checker setup of trace, explore, replay, falsify and critical. *)
 let instance_term =
   let make name f t n =
-    Result.map
-      (fun protocol -> Check.setup protocol (Protocol.params ?t ~n_procs:n ~f ()))
-      (Campaign.Spec.resolve_protocol name)
+    Result.bind (Campaign.Spec.resolve_protocol name) (fun protocol ->
+        validated (fun () -> Check.setup protocol (Protocol.params ?t ~n_procs:n ~f ())))
   in
   Term.(const make $ protocol_arg $ f_arg $ t_arg $ n_arg)
 
@@ -1070,21 +1069,6 @@ let lint_cmd =
     let doc = "Run only this comma-separated subset of rules." in
     Arg.(value & opt string "" & info [ "rules" ] ~docv:"R,..." ~doc)
   in
-  let baseline_arg =
-    let doc = "Baseline file: findings listed there are grandfathered, not failed." in
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let write_baseline_arg =
-    let doc = "Rewrite the --baseline file from the current findings and exit 0." in
-    Arg.(value & flag & info [ "write-baseline" ] ~doc)
-  in
-  let prune_baseline_arg =
-    let doc =
-      "Rewrite the --baseline file with entries that no longer match any current \
-       finding removed, and exit 0."
-    in
-    Arg.(value & flag & info [ "prune-baseline" ] ~doc)
-  in
   let list_rules_arg =
     let doc = "List the rules (name, layer, severity, summary) and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
@@ -1095,25 +1079,12 @@ let lint_cmd =
     in
     Arg.(value & opt (some string) None & info [ "explain" ] ~docv:"RULE" ~doc)
   in
-  let typed_arg =
-    let doc =
-      "Typed-tree pass over cmt files: $(b,auto) runs it when a built tree exists \
-       and turns missing/stale cmts into notes; $(b,on) turns them into cmt-missing \
-       findings (the CI mode); $(b,off) skips the pass. Bare $(b,--typed) means \
-       $(b,on)."
-    in
-    Arg.(
-      value
-      & opt ~vopt:`On (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-      & info [ "typed" ] ~docv:"MODE" ~doc)
-  in
   let paths_arg =
     let doc = "Files or directories to lint (default: lib bin test bench examples)." in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
   in
   let unknown_rule name = Fmt.str "unknown rule %S (see `ffault lint --list-rules')" name in
-  let run format rules baseline write_baseline prune_baseline list_rules explain typed
-      paths =
+  let run format rules list_rules explain paths =
     if list_rules then begin
       List.iter
         (fun r ->
@@ -1151,73 +1122,29 @@ let lint_cmd =
       in
       match rules with
       | Error m -> fail ~code:2 m
-      | Ok rules -> (
+      | Ok rules ->
           let paths =
             if paths = [] then
               List.filter Sys.file_exists [ "lib"; "bin"; "test"; "bench"; "examples" ]
             else paths
           in
-          let typed =
-            match typed with
-            | `Auto -> Lint.Driver.Typed_auto
-            | `On -> Lint.Driver.Typed_on
-            | `Off -> Lint.Driver.Typed_off
-          in
-          let result = Lint.Driver.run ?rules ~policy:Lint.Policy.default ~typed paths in
-          if write_baseline then
-            match baseline with
-            | None -> fail ~code:2 "--write-baseline requires --baseline FILE"
-            | Some path ->
-                Lint.Baseline.save ~path (Lint.Baseline.of_findings result.Lint.Driver.findings);
-                Fmt.pr "wrote %d entr%s to %s@."
-                  (List.length result.Lint.Driver.findings)
-                  (if List.length result.Lint.Driver.findings = 1 then "y" else "ies")
-                  path;
-                0
-          else if prune_baseline then
-            match baseline with
-            | None -> fail ~code:2 "--prune-baseline requires --baseline FILE"
-            | Some path -> (
-                match Lint.Baseline.load ~path with
-                | Error m -> fail ~code:2 m
-                | Ok b ->
-                    let kept, dropped =
-                      Lint.Baseline.prune b result.Lint.Driver.findings
-                    in
-                    Lint.Baseline.save ~path kept;
-                    Fmt.pr "pruned %d expired entr%s from %s (%d kept)@."
-                      (List.length dropped)
-                      (if List.length dropped = 1 then "y" else "ies")
-                      path (List.length kept);
-                    0)
-          else
-            let baseline =
-              match baseline with
-              | None -> Ok Lint.Baseline.empty
-              | Some path -> Lint.Baseline.load ~path
-            in
-            match baseline with
-            | Error m -> fail ~code:2 m
-            | Ok baseline ->
-                let report = Lint.Report.make ~baseline result in
-                (match format with
-                | `Text -> Fmt.pr "%s" (Lint.Report.to_text report)
-                | `Json ->
-                    Fmt.pr "%s@."
-                      (Campaign.Json.to_string (Lint.Report.to_json report)));
-                Lint.Report.exit_code report))
+          let result = Lint.Driver.run ?rules ~policy:Lint.Policy.default paths in
+          (match format with
+          | `Text -> Fmt.pr "%s" (Lint.Report.to_text result)
+          | `Json ->
+              Fmt.pr "%s@." (Campaign.Json.to_string (Lint.Report.to_json result)));
+          Lint.Report.exit_code result)
   in
   let doc =
     "Statically check the fault-injection and determinism invariants over the source \
-     tree: a parsetree pass (raw-atomic, nondeterminism, toplevel-mutable, io-in-lib, \
-     catch-all, mli-required, obj-magic, effect-discipline) plus a typed-tree pass \
-     over cmt files (alias-escape, poly-compare-abstract, domain-unsafe-capture) \
-    that sees through aliases and opens. See `--list-rules' and `--explain RULE'."
+     tree: a typed-tree pass over the build's cmt files (raw-atomic, nondeterminism, \
+     io-in-lib, obj-magic, poly-compare-abstract, domain-unsafe-capture) that sees \
+     through aliases and opens, a parsetree pass (toplevel-mutable, catch-all, \
+     effect-discipline) and mli-required. Every .ml needs a fresh cmt: run \
+     `dune build @check' first. See `--list-rules' and `--explain RULE'."
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(
-      const run $ format_arg $ rules_arg $ baseline_arg $ write_baseline_arg
-      $ prune_baseline_arg $ list_rules_arg $ explain_arg $ typed_arg $ paths_arg)
+    Term.(const run $ format_arg $ rules_arg $ list_rules_arg $ explain_arg $ paths_arg)
 
 (* ---- netsim ---- *)
 

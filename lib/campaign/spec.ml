@@ -1,6 +1,7 @@
 module Fault_kind = Ffault_fault.Fault_kind
 module Consensus = Ffault_consensus
 module Persistence = Ffault_recover.Persistence
+module Check = Ffault_verify.Consensus_check
 
 type t = {
   name : string;
@@ -60,6 +61,23 @@ let name_ok s =
          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true | _ -> false)
        s
 
+(* The first (f, t, n) the spec sweeps that the protocol cannot be
+   built at, with the reason. Instantiates each cell's setup; runs no
+   trial. *)
+let unbuildable_cell protocol spec =
+  List.find_map
+    (fun f ->
+      List.find_map
+        (fun t ->
+          List.find_map
+            (fun n ->
+              match Check.setup protocol (Consensus.Protocol.params ?t ~n_procs:n ~f ()) with
+              | _ -> None
+              | exception Invalid_argument m -> Some (f, t, n, m))
+            spec.n_values)
+        spec.t_values)
+    spec.f_values
+
 let validate spec =
   let err fmt = Fmt.kstr (fun m -> Error m) fmt in
   if not (name_ok spec.name) then
@@ -67,7 +85,7 @@ let validate spec =
   else
     match resolve_protocol spec.protocol with
     | Error m -> Error m
-    | Ok _ ->
+    | Ok protocol ->
         if spec.f_values = [] then err "empty f list"
         else if List.exists (fun f -> f < 0) spec.f_values then err "f values must be >= 0"
         else if spec.t_values = [] then err "empty t list"
@@ -87,7 +105,13 @@ let validate spec =
           err "crash rates must lie in [0, 1]"
         else if spec.persistence = [] then err "empty persistence list"
         else if spec.trials < 1 then err "trials must be >= 1"
-        else Ok spec
+        else
+          match unbuildable_cell protocol spec with
+          | Some (f, t, n, m) ->
+              err "%s cannot run at f=%d, t=%s, n=%d: %s" spec.protocol f
+                (match t with Some t -> string_of_int t | None -> "unbounded")
+                n m
+          | None -> Ok spec
 
 let v ?(name = "campaign") ~protocol ?(f = [ 1 ]) ?(t = [ None ]) ?(n = [ 3 ])
     ?(kinds = [ Fault_kind.Overriding ]) ?(rates = [ 0.5 ]) ?(crashes = default_crashes)

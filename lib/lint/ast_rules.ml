@@ -1,7 +1,7 @@
-(* The Ast_iterator pass behind the six syntax-level rules. Findings
-   come back unfiltered: the driver applies {!Policy} scoping and
-   {!Suppress} afterwards, so this module stays a pure function of the
-   parsetree. *)
+(* The Ast_iterator pass behind the three shape rules (toplevel-mutable,
+   catch-all, effect-discipline). Findings come back unfiltered: the
+   driver applies {!Policy} scoping and {!Suppress} afterwards, so this
+   module stays a pure function of the parsetree. *)
 
 open Parsetree
 
@@ -11,45 +11,10 @@ let rec flatten = function
   | Longident.Ldot (l, s) -> flatten l @ [ s ]
   | Longident.Lapply _ -> []
 
-(* [Stdlib.Atomic.set] and [Atomic.set] are the same primitive. *)
+(* [Stdlib.Hashtbl.create] and [Hashtbl.create] are the same function. *)
 let strip_stdlib = function "Stdlib" :: rest -> rest | path -> path
 
-(* ---- rule tables ---- *)
-
-let atomic_mutators =
-  [ "compare_and_set"; "exchange"; "set"; "fetch_and_add"; "incr"; "decr" ]
-
-let nondet_idents =
-  [
-    [ "Sys"; "time" ];
-    [ "Unix"; "gettimeofday" ];
-    [ "Unix"; "time" ];
-    [ "Hashtbl"; "randomize" ];
-    [ "Random"; "self_init" ];
-  ]
-
-let io_idents =
-  [
-    [ "print_string" ]; [ "print_bytes" ]; [ "print_int" ]; [ "print_char" ];
-    [ "print_float" ]; [ "print_endline" ]; [ "print_newline" ];
-    [ "prerr_string" ]; [ "prerr_bytes" ]; [ "prerr_int" ]; [ "prerr_char" ];
-    [ "prerr_float" ]; [ "prerr_endline" ]; [ "prerr_newline" ]; [ "exit" ];
-    [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ];
-    [ "Format"; "printf" ]; [ "Format"; "eprintf" ];
-    [ "Format"; "print_string" ]; [ "Format"; "print_newline" ];
-    [ "Fmt"; "pr" ]; [ "Fmt"; "epr" ];
-  ]
-
-(* Socket-level syscalls: driver-layer territory. Library code that
-   opens, accepts or selects on sockets is doing transport work and
-   must live behind an allowlisted driver module (lib/dist). *)
-let socket_idents =
-  [
-    [ "Unix"; "socket" ]; [ "Unix"; "bind" ]; [ "Unix"; "listen" ];
-    [ "Unix"; "accept" ]; [ "Unix"; "connect" ]; [ "Unix"; "select" ];
-    [ "Unix"; "read" ]; [ "Unix"; "write" ]; [ "Unix"; "write_substring" ];
-    [ "Unix"; "single_write" ]; [ "Unix"; "sendto" ]; [ "Unix"; "recvfrom" ];
-  ]
+(* ---- rule table ---- *)
 
 (* Constructors whose result at module level is cross-run shared state. *)
 let mutable_makers =
@@ -65,20 +30,6 @@ let mutable_makers =
     [ "Mutex"; "create" ]; [ "Condition"; "create" ];
   ]
 
-(* Would the parsetree pass flag this longident as written? Used by
-   Typed_rules to report only the occurrences that *evade* this pass
-   (aliases, opens, includes) rather than double-reporting. *)
-let flags_ident lid =
-  let path = strip_stdlib (flatten lid) in
-  match path with
-  | [ "Atomic"; op ] -> List.mem op atomic_mutators
-  | "Random" :: _ -> path <> [ "Random" ]
-  | "Obj" :: _ :: _ -> true
-  | [ "Effect"; "Deep"; "try_with" ] | [ "Deep"; "try_with" ] -> true
-  | _ ->
-      List.mem path nondet_idents || List.mem path io_idents
-      || List.mem path socket_idents
-
 (* ---- the pass ---- *)
 
 let check ~file structure =
@@ -90,57 +41,17 @@ let check ~file structure =
   in
   let dotted path = String.concat "." path in
 
+  (* effect-discipline, first half: [Effect.Deep.try_with] installs no
+     retc/exnc, so a returning or raising body escapes the scheduler *)
   let check_ident loc lid =
-    let path = strip_stdlib (flatten lid) in
-    (match path with
-    | [ "Atomic"; op ] when List.mem op atomic_mutators ->
-        emit ~rule:"raw-atomic" loc
-          (Fmt.str
-             "raw Atomic.%s bypasses the injectable faulty-CAS substrate; route the \
-              operation through Ffault_runtime.Faulty_cas (or allowlist this file in \
-              the lint policy with a justification)"
-             op)
-    | "Random" :: _ when path <> [ "Random" ] ->
-        emit ~rule:"nondeterminism" loc
-          (Fmt.str
-             "%s draws from the global, seed-unstable PRNG; deterministic code must \
-              use Ffault_prng (splittable, seeded per trial)"
-             (dotted path))
-    | _ when List.mem path nondet_idents ->
-        emit ~rule:"nondeterminism" loc
-          (Fmt.str
-             "%s is nondeterministic across runs; simulator-reachable code must be a \
-              pure function of the seed (journal replay and campaign resume depend on \
-              it)"
-             (dotted path))
-    | _ when List.mem path io_idents ->
-        emit ~rule:"io-in-lib" loc
-          (Fmt.str
-             "%s performs direct terminal IO/exit from library code; return data, or \
-              go through Ffault_telemetry / the report layer"
-             (dotted path))
-    | _ when List.mem path socket_idents ->
-        emit ~rule:"io-in-lib" loc
-          (Fmt.str
-             "%s is socket-level IO from library code; transport work belongs in the \
-              dist driver layer (Transport/Http), which is allowlisted with a \
-              justification"
-             (dotted path))
+    match strip_stdlib (flatten lid) with
     | [ "Effect"; "Deep"; "try_with" ] | [ "Deep"; "try_with" ] ->
         emit ~rule:"effect-discipline" loc
           "Effect.Deep.try_with installs only an effect handler: a body that returns or \
            raises bypasses the scheduler's Step/Decide bookkeeping (no Decided/Crashed \
            status is recorded); use match_with with retc, exnc and effc all handling \
            the protocol"
-    | "Obj" :: _ :: _ ->
-        emit ~rule:"obj-magic" loc
-          (Fmt.str
-             "%s defeats the type system; if the representation trick is sound, \
-              suppress with [@@@@@@%s \"obj-magic\", \"why it is safe\"]"
-             (dotted path) Suppress.attr_name)
-    | _ -> ());
-    (* Bare [Random.<anything>] already matched above; nothing else. *)
-    ()
+    | _ -> ()
   in
 
   (* toplevel-mutable: walk a binding's RHS, stopping at lambdas (a
@@ -254,18 +165,6 @@ let check ~file structure =
           | Pexp_try (_, cases) -> check_cases ~what:`Try cases
           | Pexp_match (_, cases) -> check_cases ~what:`Match cases
           | Pexp_record (fields, _) -> check_handler_record fields
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when strip_stdlib (flatten txt) = [ "Hashtbl"; "create" ]
-                 && List.exists
-                      (fun (l, _) ->
-                        match l with
-                        | Asttypes.Labelled "random" | Asttypes.Optional "random" ->
-                            true
-                        | _ -> false)
-                      args ->
-              emit ~rule:"nondeterminism" e.pexp_loc
-                "Hashtbl.create ~random:true randomizes iteration order across runs; \
-                 deterministic code must not depend on randomized hashing"
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
       structure_item =

@@ -1,14 +1,11 @@
-(** The syntax-level rules, as one {!Ast_iterator} pass.
+(** The shape rules, as one {!Ast_iterator} pass.
 
-    Covers raw-atomic, nondeterminism, toplevel-mutable, io-in-lib,
-    catch-all and obj-magic. Returns every match unfiltered — the driver
-    applies {!Policy} scoping and {!Suppress} afterwards, keeping this a
-    pure function of the parsetree. *)
+    Covers toplevel-mutable, catch-all and effect-discipline: rules about
+    the shape of a binding, a handler or a record, not about which
+    identifier is called (those live in {!Typed_rules}). Returns every
+    match unfiltered — the driver applies {!Policy} scoping and
+    {!Suppress} afterwards, keeping this a pure function of the
+    parsetree. *)
 
 val check : file:string -> Parsetree.structure -> Finding.t list
 (** Findings in source order. *)
-
-val flags_ident : Longident.t -> bool
-(** Would this pass flag an identifier written exactly so? {!Typed_rules}
-    uses it to report only resolved occurrences whose surface syntax
-    evaded the parsetree tables (aliases, opens, includes). *)

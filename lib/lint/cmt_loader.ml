@@ -1,7 +1,6 @@
-(* Map source paths to the .cmt files dune left under _build, verify
-   freshness against the source digest, and degrade gracefully: every
-   failure mode is a [status] the driver turns into a note (--typed=auto)
-   or a cmt-missing finding (--typed=on) — never an exception.
+(* Map source paths to the .cmt files dune left under _build and verify
+   freshness against the source digest. Every failure mode is a [status]
+   the driver turns into a cmt-missing finding — never an exception.
 
    The index is built from filenames alone (no cmt is read until a
    source asks for it): a cmt at
@@ -62,27 +61,26 @@ let strip_prefix ~prefix s =
   let lp = String.length prefix and ls = String.length s in
   if lp <= ls && String.sub s 0 lp = prefix then String.sub s lp (ls - lp) else s
 
+(* A missing build dir is an empty index: Sys.is_directory raises on it,
+   and every source then resolves to No_cmt. *)
 let create ?(build_dir = default_build_dir) () =
-  if not (Sys.file_exists build_dir && Sys.is_directory build_dir) then None
-  else begin
-    let index = Hashtbl.create 64 in
-    let rec walk path =
-      match Sys.is_directory path with
-      | true -> Array.iter (fun e -> walk (Filename.concat path e)) (Sys.readdir path)
-      | false ->
-          if Filename.check_suffix path ".cmt" then begin
-            let rel = strip_prefix ~prefix:(build_dir ^ "/") path in
-            let dir = Policy.normalize (logical_dir (Filename.dirname rel)) in
-            let key = (dir, unit_name_of_cmt path) in
-            (* first wins: with byte and native flavours both present the
-               contents are equivalent *)
-            if not (Hashtbl.mem index key) then Hashtbl.add index key path
-          end
-      | exception Sys_error _ -> ()
-    in
-    walk build_dir;
-    if Hashtbl.length index = 0 then None else Some { index; build_dir }
-  end
+  let index = Hashtbl.create 64 in
+  let rec walk path =
+    match Sys.is_directory path with
+    | true -> Array.iter (fun e -> walk (Filename.concat path e)) (Sys.readdir path)
+    | false ->
+        if Filename.check_suffix path ".cmt" then begin
+          let rel = strip_prefix ~prefix:(build_dir ^ "/") path in
+          let dir = Policy.normalize (logical_dir (Filename.dirname rel)) in
+          let key = (dir, unit_name_of_cmt path) in
+          (* first wins: with byte and native flavours both present the
+             contents are equivalent *)
+          if not (Hashtbl.mem index key) then Hashtbl.add index key path
+        end
+    | exception Sys_error _ -> ()
+  in
+  walk build_dir;
+  { index; build_dir }
 
 let lookup t source =
   let norm = Policy.normalize source in
@@ -112,16 +110,13 @@ let for_source t source =
                     else
                       Stale
                         (Fmt.str
-                           "source changed since %s was built (rebuild: dune build)"
+                           "source changed since %s was built (rebuild: dune build @check)"
                            cmt_path))))
 
 let describe ~build_dir = function
   | Typed _ -> None
   | No_cmt ->
-      Some
-        (Fmt.str "no cmt found under %s (build first: dune build); typed rules \
-                  skipped for this file" build_dir)
-  | Stale m | Unreadable m ->
-      Some (Fmt.str "%s; typed rules skipped for this file" m)
+      Some (Fmt.str "no cmt found under %s (build first: dune build @check)" build_dir)
+  | Stale m | Unreadable m -> Some m
 
 let build_dir t = t.build_dir

@@ -7,8 +7,7 @@
     name) from filenames alone; {!for_source} maps a source path to its
     cmt, reads it, and verifies the cmt's recorded source digest against
     the file on disk. Every failure mode is a {!status} — never an
-    exception — so the driver can degrade per file: a note under
-    [--typed=auto], a [cmt-missing] finding under [--typed=on]. *)
+    exception — which the driver reports as a [cmt-missing] finding. *)
 
 type status =
   | Typed of Cmt_format.cmt_infos  (** fresh: typedtree available *)
@@ -21,16 +20,14 @@ type t
 val default_build_dir : string
 (** ["_build/default"]. *)
 
-val create : ?build_dir:string -> unit -> t option
-(** Scan [build_dir] for cmt files. [None] when the directory does not
-    exist or holds no cmts — the signal [--typed=auto] uses to skip the
-    typed pass entirely. *)
+val create : ?build_dir:string -> unit -> t
+(** Scan [build_dir] for cmt files; a missing directory indexes none. *)
 
 val for_source : t -> string -> status
 (** Resolve, read and freshness-check the cmt for a [.ml] source path.
     Non-[.ml] paths are [No_cmt]. *)
 
 val describe : build_dir:string -> status -> string option
-(** Human-readable note for a degraded status; [None] for [Typed]. *)
+(** Why a degraded status has no typedtree; [None] for [Typed]. *)
 
 val build_dir : t -> string

@@ -1,13 +1,12 @@
-(* Parse every .ml/.mli, run the AST rules, merge the typed-tree rules
-   for files whose cmt is fresh (Cmt_loader + Typed_rules), apply policy
-   and suppressions, and add the filesystem-level mli-required check. *)
+(* Parse every .ml/.mli, run the parsetree rules, merge the typed-tree
+   rules from each .ml's fresh cmt (Cmt_loader + Typed_rules), apply
+   policy and suppressions, and add the filesystem-level mli-required
+   check. *)
 
 type outcome = {
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
 }
-
-type typed_mode = Typed_off | Typed_auto | Typed_on
 
 let no_outcome = { findings = []; suppressed = [] }
 
@@ -98,7 +97,6 @@ type result = {
   typed_files : int;
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
-  notes : (string * string) list;
 }
 
 let read_file file =
@@ -111,60 +109,36 @@ let rule_enabled rules (f : Finding.t) =
   | None -> true
   | Some rs -> List.mem f.rule rs || Rule.is_meta f.rule
 
-(* The typed half of one file: its findings (merged into the outcome
-   pre-policy, so scoping and suppressions treat both layers the same),
-   or how it degraded. Under auto a degraded file is a note; under on it
-   is a cmt-missing finding, so a build regression cannot silently
-   shrink coverage in CI. *)
-type typed_file =
-  | T_skip
-  | T_findings of Finding.t list
-  | T_note of string
-  | T_missing of Finding.t
+(* The typed half of one .ml: its findings (merged into the outcome
+   pre-policy, so scoping and suppressions treat both passes the same),
+   or a cmt-missing finding, so a build regression cannot silently
+   shrink coverage. *)
+let typed_for_file ~loader ~build_dir file =
+  match Cmt_loader.for_source loader file with
+  | Cmt_loader.Typed cmt -> Ok (Typed_rules.check ~file cmt)
+  | degraded ->
+      Error
+        (Finding.v ~rule:"cmt-missing" ~severity:(Rule.severity "cmt-missing") ~file
+           ~line:1 ~col:0
+           (Option.value ~default:"no typedtree"
+              (Cmt_loader.describe ~build_dir degraded)))
 
-let typed_for_file ~mode ~loader ~build_dir ~policy file =
-  if mode = Typed_off || not (Filename.check_suffix file ".ml") then T_skip
-  else
-    let status =
-      match loader with
-      | Some l -> Cmt_loader.for_source l file
-      | None -> Cmt_loader.No_cmt
-    in
-    match status with
-    | Cmt_loader.Typed cmt -> T_findings (Typed_rules.check ~policy ~file cmt)
-    | degraded -> (
-        let msg =
-          Option.value ~default:"typed rules skipped"
-            (Cmt_loader.describe ~build_dir degraded)
-        in
-        match mode with
-        | Typed_on ->
-            T_missing
-              (Finding.v ~rule:"cmt-missing" ~severity:(Rule.severity "cmt-missing")
-                 ~file ~line:1 ~col:0 msg)
-        | _ -> T_note msg)
-
-let run ?rules ?(policy = Policy.default) ?(typed = Typed_auto)
-    ?(build_dir = Cmt_loader.default_build_dir) paths =
+let run ?rules ?(policy = Policy.default) ?(build_dir = Cmt_loader.default_build_dir)
+    paths =
   let files = collect_files paths in
-  let loader = if typed = Typed_off then None else Cmt_loader.create ~build_dir () in
-  (* auto: the typed layer exists only when a built tree does *)
-  let mode = if typed = Typed_auto && loader = None then Typed_off else typed in
+  let loader = Cmt_loader.create ~build_dir () in
   let typed_files = ref 0 in
-  let notes = ref [] in
   let outcomes =
     List.map
       (fun file ->
         let typed_findings =
-          match typed_for_file ~mode ~loader ~build_dir ~policy file with
-          | T_skip -> []
-          | T_findings fs ->
-              incr typed_files;
-              fs
-          | T_note msg ->
-              notes := (file, msg) :: !notes;
-              []
-          | T_missing f -> [ f ]
+          if not (Filename.check_suffix file ".ml") then []
+          else
+            match typed_for_file ~loader ~build_dir file with
+            | Ok fs ->
+                incr typed_files;
+                fs
+            | Error missing -> [ missing ]
         in
         match read_file file with
         | Error m ->
@@ -192,5 +166,4 @@ let run ?rules ?(policy = Policy.default) ?(typed = Typed_auto)
     typed_files = !typed_files;
     findings = List.sort Finding.compare (List.filter (rule_enabled rules) findings);
     suppressed;
-    notes = List.rev !notes;
   }

@@ -1,20 +1,12 @@
 (** The lint driver: parse sources, run {!Ast_rules}, merge
-    {!Typed_rules} for files with a fresh cmt, apply {!Policy} and
-    {!Suppress}, add the filesystem-level mli-required check. *)
+    {!Typed_rules} from each [.ml]'s fresh cmt (a missing or stale one is
+    a [cmt-missing] finding), apply {!Policy} and {!Suppress}, add the
+    filesystem-level mli-required check. *)
 
 type outcome = {
   findings : Finding.t list;
   suppressed : (Finding.t * Suppress.t) list;
 }
-
-type typed_mode =
-  | Typed_off  (** parsetree pass only *)
-  | Typed_auto
-      (** typed pass when a built tree exists; degraded files become
-          notes (never failures) *)
-  | Typed_on
-      (** typed pass required: a missing/stale cmt is a [cmt-missing]
-          finding — the CI mode *)
 
 val parse_impl :
   file:string -> string -> (Parsetree.structure, Finding.t) result
@@ -29,7 +21,7 @@ val lint_impl_source :
 (** Lint one implementation given as a string — the unit the fixture
     tests drive. [file] determines policy scoping. [typed] merges
     pre-computed typed-layer findings (see {!Typed_rules.check}) before
-    policy scoping and suppression, so both layers share the same
+    policy scoping and suppression, so both passes share the same
     [@@@ffault.lint.allow] machinery. *)
 
 val lint_intf_source : ?policy:Policy.t -> file:string -> string -> outcome
@@ -48,19 +40,10 @@ type result = {
   typed_files : int;  (** .ml files that got the typed pass *)
   findings : Finding.t list;  (** post policy + suppression, sorted *)
   suppressed : (Finding.t * Suppress.t) list;
-  notes : (string * string) list;
-      (** (file, message) for files the typed pass skipped under
-          [Typed_auto]; informational, never failing *)
 }
 
 val run :
-  ?rules:string list ->
-  ?policy:Policy.t ->
-  ?typed:typed_mode ->
-  ?build_dir:string ->
-  string list ->
-  result
+  ?rules:string list -> ?policy:Policy.t -> ?build_dir:string -> string list -> result
 (** Lint the given paths. [rules] restricts reporting to that subset
-    (meta rules always pass through). [typed] defaults to [Typed_auto];
-    [build_dir] (default [_build/default]) is where cmts are looked
-    up. *)
+    (meta rules always pass through). [build_dir] (default
+    [_build/default]) is where cmts are looked up. *)

@@ -82,12 +82,7 @@ let default =
         ("mli-required", [ "lib" ]);
         ("obj-magic", [ "lib" ]);
         ("effect-discipline", [ "lib/sim" ]);
-        (* typed layer: see doc/LINT.md "Typed rules". alias-escape is
-           additionally gated on the underlying rule's policy inside
-           Typed_rules, so an aliased clock read outside the
-           deterministic dirs still passes. *)
         ("poly-compare-abstract", [ "lib" ]);
-        ("alias-escape", [ "lib" ]);
         ("domain-unsafe-capture", [ "lib" ]);
       ];
     allows =

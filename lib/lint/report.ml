@@ -1,28 +1,6 @@
 module Json = Ffault_campaign.Json
 
-type t = {
-  files : int;
-  typed_files : int;
-  fresh : Finding.t list;  (** unsuppressed, unbaselined: these fail *)
-  baselined : Finding.t list;
-  suppressed : (Finding.t * Suppress.t) list;
-  expired : Baseline.entry list;
-  notes : (string * string) list;
-}
-
-let make ?(baseline = Baseline.empty) (r : Driver.result) =
-  let split = Baseline.apply baseline r.Driver.findings in
-  {
-    files = r.Driver.files;
-    typed_files = r.Driver.typed_files;
-    fresh = split.Baseline.fresh;
-    baselined = split.Baseline.baselined;
-    suppressed = r.Driver.suppressed;
-    expired = split.Baseline.expired;
-    notes = r.Driver.notes;
-  }
-
-let exit_code t = if t.fresh = [] then 0 else 1
+let exit_code (r : Driver.result) = if r.findings = [] then 0 else 1
 
 (* ---- text ---- *)
 
@@ -35,34 +13,21 @@ let by_rule findings =
     [] findings
   |> List.sort compare
 
-let to_text t =
+let to_text (r : Driver.result) =
   let buf = Buffer.create 1024 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  List.iter (fun f -> line "%a" Finding.pp f) t.fresh;
-  List.iter (fun f -> line "%a [baselined]" Finding.pp f) t.baselined;
-  List.iter
-    (fun (e : Baseline.entry) ->
-      line "%s:%d: note: expired baseline entry for %s (fixed or moved) — regenerate \
-            the baseline" e.Baseline.file e.Baseline.line e.Baseline.rule)
-    t.expired;
-  List.iter (fun (file, msg) -> line "%s:1: note: %s" file msg) t.notes;
-  if t.fresh <> [] then line "";
-  (match by_rule t.fresh with
+  List.iter (fun f -> line "%a" Finding.pp f) r.findings;
+  if r.findings <> [] then line "";
+  (match by_rule r.findings with
   | [] -> ()
   | counts ->
       line "findings by rule: %s"
-        (String.concat ", " (List.map (fun (r, n) -> Fmt.str "%s=%d" r n) counts)));
-  line "%d file%s checked (%d typed): %d finding%s, %d baselined, %d suppressed, %d \
-        expired baseline entr%s"
-    t.files
-    (if t.files = 1 then "" else "s")
-    t.typed_files
-    (List.length t.fresh)
-    (if List.length t.fresh = 1 then "" else "s")
-    (List.length t.baselined)
-    (List.length t.suppressed)
-    (List.length t.expired)
-    (if List.length t.expired = 1 then "y" else "ies");
+        (String.concat ", " (List.map (fun (rule, n) -> Fmt.str "%s=%d" rule n) counts)));
+  line "%d file%s checked (%d typed): %d finding%s, %d suppressed" r.files
+    (if r.files = 1 then "" else "s")
+    r.typed_files (List.length r.findings)
+    (if List.length r.findings = 1 then "" else "s")
+    (List.length r.suppressed);
   Buffer.contents buf
 
 (* ---- json ---- *)
@@ -80,29 +45,13 @@ let finding_to_json ?(extra = []) (f : Finding.t) =
      ]
     @ extra)
 
-let to_json t =
-  let counts = by_rule t.fresh in
+let to_json (r : Driver.result) =
   Json.Obj
     [
-      ("version", Json.Int 1);
-      ("files", Json.Int t.files);
-      ( "typed",
-        Json.Obj
-          [
-            ("files", Json.Int t.typed_files);
-            ( "notes",
-              Json.List
-                (List.map
-                   (fun (file, msg) ->
-                     Json.Obj [ ("file", Json.Str file); ("message", Json.Str msg) ])
-                   t.notes) );
-          ] );
-      ( "findings",
-        Json.List
-          (List.map (finding_to_json ~extra:[ ("baselined", Json.Bool false) ]) t.fresh
-          @ List.map
-              (finding_to_json ~extra:[ ("baselined", Json.Bool true) ])
-              t.baselined) );
+      ("version", Json.Int 2);
+      ("files", Json.Int r.files);
+      ("typed_files", Json.Int r.typed_files);
+      ("findings", Json.List (List.map finding_to_json r.findings));
       ( "suppressed",
         Json.List
           (List.map
@@ -110,26 +59,14 @@ let to_json t =
                finding_to_json
                  ~extra:[ ("justification", Json.Str s.Suppress.justification) ]
                  f)
-             t.suppressed) );
-      ( "expired_baseline",
-        Json.List
-          (List.map
-             (fun (e : Baseline.entry) ->
-               Json.Obj
-                 [
-                   ("rule", Json.Str e.Baseline.rule);
-                   ("file", Json.Str e.Baseline.file);
-                   ("line", Json.Int e.Baseline.line);
-                 ])
-             t.expired) );
+             r.suppressed) );
       ( "summary",
         Json.Obj
           [
-            ("fresh", Json.Int (List.length t.fresh));
-            ("baselined", Json.Int (List.length t.baselined));
-            ("suppressed", Json.Int (List.length t.suppressed));
-            ("expired", Json.Int (List.length t.expired));
+            ("findings", Json.Int (List.length r.findings));
+            ("suppressed", Json.Int (List.length r.suppressed));
             ( "by_rule",
-              Json.Obj (List.map (fun (r, n) -> (r, Json.Int n)) counts) );
+              Json.Obj (List.map (fun (rule, n) -> (rule, Json.Int n)) (by_rule r.findings))
+            );
           ] );
     ]

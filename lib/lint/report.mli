@@ -1,27 +1,13 @@
 (** Human and machine reporters over a lint run. *)
 
-type t = {
-  files : int;
-  typed_files : int;  (** .ml files the typed pass covered *)
-  fresh : Finding.t list;  (** unsuppressed, unbaselined: these fail *)
-  baselined : Finding.t list;
-  suppressed : (Finding.t * Suppress.t) list;
-  expired : Baseline.entry list;
-  notes : (string * string) list;
-      (** typed-pass degradations under auto; informational *)
-}
+val exit_code : Driver.result -> int
+(** 0 when there are no findings, 1 otherwise. Suppressed findings do
+    not fail. *)
 
-val make : ?baseline:Baseline.t -> Driver.result -> t
-
-val exit_code : t -> int
-(** 0 when there are no fresh findings, 1 otherwise. Baselined and
-    suppressed findings, and expired baseline entries, do not fail. *)
-
-val to_text : t -> string
+val to_text : Driver.result -> string
 (** file:line:col lines (grep-able) plus a one-line summary. *)
 
-val to_json : t -> Ffault_campaign.Json.t
-(** [{version; files; typed; findings; suppressed; expired_baseline;
-    summary}] — the shape CI archives as lint.json. Findings carry a
-    ["layer"] ([ast]/[typed]/[fs]) so the two passes stay
-    distinguishable. *)
+val to_json : Driver.result -> Ffault_campaign.Json.t
+(** [{version = 2; files; typed_files; findings; suppressed; summary}] —
+    the shape CI archives as lint.json. Findings carry a ["layer"]
+    ([ast]/[typed]/[fs]) naming the pass that produced them. *)

@@ -14,12 +14,13 @@ type t = {
 let v ?(layer = Ast) ~rationale ~example name severity summary =
   { name; severity; summary; layer; rationale; example }
 
-(* The substantive rules, in the order they are documented. The
-   [rationale] and [example] fields feed `ffault lint --explain RULE`;
-   the summary feeds `--list-rules`. *)
+(* The substantive rules, in the order they are documented. Each lives
+   in exactly one pass, its [layer]. The [rationale] and [example]
+   fields feed `ffault lint --explain RULE`; the summary feeds
+   `--list-rules`. *)
 let substantive =
   [
-    v "raw-atomic" Finding.Error
+    v "raw-atomic" Finding.Error ~layer:Typed
       "raw Atomic CAS/exchange/set outside the faulty-CAS substrate silently disables \
        fault injection (the overriding fault of \xc2\xa73.3), invalidating E1\xe2\x80\x93E8"
       ~rationale:
@@ -31,12 +32,13 @@ let substantive =
          executes against the real primitive, so the experiment verifies a \
          protocol against a fault model it never actually faces. Reads \
          (Atomic.get) and allocation (Atomic.make) carry no fault semantics and \
-         are fine."
+         are fine. The typed pass matches the resolved identity, so module A = \
+         Atomic, open Atomic or an eta-reduced A.set are caught the same way."
       ~example:
         "lib/consensus/protocol.ml:42:10: error raw-atomic: raw Atomic.set \
          bypasses the injectable faulty-CAS substrate; route the operation \
          through Ffault_runtime.Faulty_cas";
-    v "nondeterminism" Finding.Error
+    v "nondeterminism" Finding.Error ~layer:Typed
       "wall clocks, Random and randomized hashing under the simulator break seeded \
        reproducibility, journal replay and campaign resume"
       ~rationale:
@@ -45,7 +47,8 @@ let substantive =
          and require bit-identical outcomes. Wall-clock reads (Sys.time, \
          Unix.gettimeofday), the global Random state and randomized hashing \
          (Hashtbl.create ~random:true, Hashtbl.randomize) all vary across runs. \
-         Seeded randomness comes from Ffault_prng, split per trial."
+         Active in lib/sim, lib/consensus, lib/verify, lib/impossibility and \
+         lib/netsim. Seeded randomness comes from Ffault_prng, split per trial."
       ~example:
         "lib/sim/scheduler.ml:17:8: error nondeterminism: Random.int draws from \
          the global, seed-unstable PRNG; deterministic code must use Ffault_prng \
@@ -63,7 +66,7 @@ let substantive =
         "lib/verify/checker.ml:3:12: error toplevel-mutable: module-level \
          Hashtbl.create creates mutable state shared across every trial in the \
          process; allocate it per run (pass it in)";
-    v "io-in-lib" Finding.Error
+    v "io-in-lib" Finding.Error ~layer:Typed
       "direct stdout/stderr printing or exit in library code bypasses the telemetry \
        and report layers and corrupts machine-read output"
       ~rationale:
@@ -72,7 +75,7 @@ let substantive =
          JSON emitted on stdout for CI, and makes outcomes unobservable to the \
          report layer. Socket-level Unix syscalls are the same discipline one \
          level down: transport work belongs in the allowlisted dist driver \
-         modules. Return data, print to a caller-supplied formatter, or go \
+         modules (transport.ml, http.ml, coordinator.ml). Return data, print to a caller-supplied formatter, or go \
          through Ffault_telemetry."
       ~example:
         "lib/objects/vqueue.ml:88:2: error io-in-lib: print_endline performs \
@@ -104,7 +107,7 @@ let substantive =
         "lib/stats/quantiles.ml:1:0: error mli-required: quantiles.ml has no \
          interface: add quantiles.mli so the module's surface is committed and \
          reviewable";
-    v "obj-magic" Finding.Error
+    v "obj-magic" Finding.Error ~layer:Typed
       "Obj.* defeats the type system; unsafe representation tricks need an explicit, \
        justified suppression"
       ~rationale:
@@ -132,14 +135,14 @@ let substantive =
         "lib/sim/engine.ml:102:4: error effect-discipline: Effect.Deep.try_with \
          installs only an effect handler: a body that returns or raises \
          bypasses the scheduler's Step/Decide bookkeeping";
-    (* ---- typed layer (require cmt files; see doc/LINT.md) ---- *)
     v "poly-compare-abstract" Finding.Error ~layer:Typed
       "structural =/compare/Hashtbl.hash/List.mem at a lib-owned semantic type \
-       (Value.t, History.t) breaks the moment the type gains closures or mutable \
-       internals"
+       (Value.t, History.t, Op.t, ...) breaks the moment the type gains closures or \
+       mutable internals"
       ~rationale:
-        "Value.t and History.t own their comparison semantics (Value.equal is \
-         the comparison the CAS primitive runs). Polymorphic =, <>, compare, \
+        "Value.t, History.t, Op.t, Obj_id.t, Fault_kind.t, Spec.t and Packed.t \
+         own their comparison semantics (Value.equal is the comparison the CAS \
+         primitive runs). Polymorphic =, <>, compare, \
          Hashtbl.hash and List.mem compare representations instead: they raise \
          on closures, diverge from the semantic order on mutable internals, and \
          silently change meaning when the type grows a constructor. The typed \
@@ -151,24 +154,6 @@ let substantive =
         "lib/verify/oracle.ml:54:20: error poly-compare-abstract: polymorphic = \
          instantiated at Value.t; use Value.equal/compare instead of structural \
          comparison";
-    v "alias-escape" Finding.Error ~layer:Typed
-      "an alias, open, include or eta-reduced binding whose resolved identity lands \
-       in the raw-atomic / nondeterminism / io-in-lib ident sets evaded the \
-       parsetree rule"
-      ~rationale:
-        "The parsetree rules match surface syntax, so module A = Atomic, open \
-         Atomic, include Atomic, or Atomic.(set r 1) all evade them. The typed \
-         pass resolves every identifier to its definition site in the compiler's \
-         typedtree, so an occurrence that is really Atomic.set (or \
-         Unix.gettimeofday, or Printf.printf, ...) is flagged however it is \
-         written. Occurrences the parsetree pass already reports are skipped — \
-         this rule only surfaces the escapes. The underlying rule's \
-         per-directory policy applies: an aliased clock read outside the \
-         deterministic dirs is still fine."
-      ~example:
-        "lib/consensus/fig3.ml:9:14: error alias-escape: this identifier \
-         resolves to Atomic.set (raw-atomic territory) though written as \
-         `A.set'; aliasing does not evade the typed lint";
     v "domain-unsafe-capture" Finding.Warning ~layer:Typed
       "a ref, mutable field or non-atomic array allocated outside a Domain.spawn \
        closure and mutated inside it is a cross-domain data race (error in lib/sim)"
@@ -179,8 +164,8 @@ let substantive =
          under the OCaml memory model, and in the multicore experiments a way \
          to corrupt measurements without any fault being injected. Use Atomic, \
          keep the state domain-local, or pass results back through Domain.join. \
-         Heuristic: only literal closures are inspected, and only mutations of \
-         identifiers bound outside the closure are flagged. A warning \
+         Heuristic: literal closures and closures passed by name are inspected, \
+         and only mutations of identifiers bound outside the closure are flagged. A warning \
          elsewhere, an error under lib/sim (where nothing may share mutable \
          state with the simulated execution)."
       ~example:
@@ -211,16 +196,14 @@ let meta =
         "lib/fault/injector.ml:1:0: error suppression: suppressing \
          \"raw-atomic\" requires a justification string";
     v "cmt-missing" Finding.Error ~layer:Typed
-      "--typed=on requires a fresh cmt for every .ml; build first (dune build)"
+      "every .ml needs a fresh cmt for the typed pass; build first (dune build @check)"
       ~rationale:
-        "The typed rules read the compiler's .cmt output. Under --typed=auto a \
-         missing or stale cmt just downgrades that file to the parsetree pass \
-         (reported as a note); under --typed=on — the CI mode — it is this \
-         error, so a build-step regression cannot silently shrink lint \
-         coverage."
+        "The typed rules read the compiler's .cmt output. A .ml whose cmt is \
+         missing, stale or unreadable cannot be checked by them, so it is this \
+         error: a build-step regression cannot silently shrink lint coverage."
       ~example:
         "lib/netsim/net.ml:1:0: error cmt-missing: no cmt found under \
-         _build/default (build first: dune build)";
+         _build/default (build first: dune build @check)";
   ]
 
 let all = substantive @ meta

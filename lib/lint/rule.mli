@@ -2,8 +2,8 @@
     metadata behind [--list-rules] and [--explain]. *)
 
 type layer =
-  | Ast  (** parsetree pass: always available *)
-  | Typed  (** typed-tree pass: needs a fresh .cmt (see {!Cmt_loader}) *)
+  | Ast  (** parsetree pass: the shape rules *)
+  | Typed  (** typed-tree pass over a fresh .cmt (see {!Cmt_loader}) *)
   | Fs  (** filesystem-level (mli-required) *)
 
 val layer_to_string : layer -> string
@@ -19,10 +19,10 @@ type t = {
 }
 
 val substantive : t list
-(** The checked invariants: eight parsetree/filesystem rules
-    (raw-atomic, nondeterminism, toplevel-mutable, io-in-lib,
-    catch-all, mli-required, obj-magic, effect-discipline) and three
-    typed rules (poly-compare-abstract, alias-escape,
+(** The checked invariants, each produced by exactly one pass: three
+    parsetree rules (toplevel-mutable, catch-all, effect-discipline),
+    one filesystem rule (mli-required) and six typed rules (raw-atomic,
+    nondeterminism, io-in-lib, obj-magic, poly-compare-abstract,
     domain-unsafe-capture). *)
 
 val meta : t list

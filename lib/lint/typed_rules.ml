@@ -1,25 +1,17 @@
-(* The Tast_iterator pass behind the three typed rules. Where the
-   parsetree rules match surface syntax, this pass works on resolved
-   identities: every [Texp_ident] carries the value description of the
-   thing it denotes, and that description's [val_loc] names the .mli the
-   value was declared in — the same for [Atomic.set], [A.set] after
-   [module A = Atomic], a bare [set] after [open Atomic], and
+(* The Tast_iterator pass behind every identifier rule. It works on
+   resolved identities: every [Texp_ident] carries the value description
+   of the thing it denotes, and that description's [val_loc] names the
+   .mli the value was declared in — the same for [Atomic.set], [A.set]
+   after [module A = Atomic], a bare [set] after [open Atomic], and
    [W.set] after [include Atomic]. Matching on (declaration file, value
    name) is therefore alias-proof by construction.
 
-   Like {!Ast_rules}, findings come back unfiltered except for one
-   deliberate asymmetry: [alias-escape] consults the *underlying* rule's
-   policy (an aliased clock read where nondeterminism is not active is
-   not a finding), because the driver can only scope the alias-escape
-   rule itself. *)
+   Like {!Ast_rules}, findings come back unfiltered: the driver applies
+   {!Policy} scoping and {!Suppress} afterwards. *)
 
 open Typedtree
 
-(* ---- resolved-identity tables: (declaring .mli, value names) ---- *)
-
-(* Names as in Ast_rules; the declaring interface replaces the path. *)
-let atomic_mutators =
-  [ "compare_and_set"; "exchange"; "set"; "fetch_and_add"; "incr"; "decr" ]
+(* ---- resolved-identity table: (rule, declaring .mli, value names) ---- *)
 
 let io_stdlib =
   [
@@ -28,17 +20,22 @@ let io_stdlib =
     "prerr_char"; "prerr_float"; "prerr_endline"; "prerr_newline"; "exit";
   ]
 
-let io_unix_sockets =
+(* Socket-level syscalls: driver-layer territory. Library code that
+   opens, accepts or selects on sockets is doing transport work and
+   must live behind an allowlisted driver module (lib/dist). *)
+let unix_sockets =
   [
     "socket"; "bind"; "listen"; "accept"; "connect"; "select"; "read"; "write";
     "write_substring"; "single_write"; "sendto"; "recvfrom";
   ]
 
-(* underlying rule, declaring interface, names ([None] = every value
-   declared there). *)
-let ident_sets =
+(* rule, declaring interface, names ([None] = every value declared
+   there). Reads ([Atomic.get]) and allocation ([Atomic.make]) carry no
+   fault semantics and are absent. *)
+let ident_table =
   [
-    ("raw-atomic", "atomic.mli", Some atomic_mutators);
+    ("raw-atomic", "atomic.mli",
+     Some [ "compare_and_set"; "exchange"; "set"; "fetch_and_add"; "incr"; "decr" ]);
     ("nondeterminism", "random.mli", None);
     ("nondeterminism", "sys.mli", Some [ "time" ]);
     ("nondeterminism", "unix.mli", Some [ "gettimeofday"; "time" ]);
@@ -48,8 +45,43 @@ let ident_sets =
     ("io-in-lib", "format.mli",
      Some [ "printf"; "eprintf"; "print_string"; "print_newline" ]);
     ("io-in-lib", "fmt.mli", Some [ "pr"; "epr" ]);
-    ("io-in-lib", "unix.mli", Some io_unix_sockets);
+    ("io-in-lib", "unix.mli", Some unix_sockets);
+    ("obj-magic", "obj.mli", None);
   ]
+
+let ident_message ~rule ~decl name =
+  match (rule, decl) with
+  | "raw-atomic", _ ->
+      Fmt.str
+        "raw %s bypasses the injectable faulty-CAS substrate; route the operation \
+         through Ffault_runtime.Faulty_cas (or allowlist this file in the lint \
+         policy with a justification)"
+        name
+  | "nondeterminism", "random.mli" ->
+      Fmt.str
+        "%s draws from the global, seed-unstable PRNG; deterministic code must use \
+         Ffault_prng (splittable, seeded per trial)"
+        name
+  | "nondeterminism", _ ->
+      Fmt.str
+        "%s is nondeterministic across runs; simulator-reachable code must be a pure \
+         function of the seed (journal replay and campaign resume depend on it)"
+        name
+  | "io-in-lib", "unix.mli" ->
+      Fmt.str
+        "%s is socket-level IO from library code; transport work belongs in the dist \
+         driver layer (Transport/Http), which is allowlisted with a justification"
+        name
+  | "io-in-lib", _ ->
+      Fmt.str
+        "%s performs direct terminal IO/exit from library code; return data, or go \
+         through Ffault_telemetry / the report layer"
+        name
+  | _ (* obj-magic *) ->
+      Fmt.str
+        "%s defeats the type system; if the representation trick is sound, suppress \
+         with [@@@@@@%s \"obj-magic\", \"why it is safe\"]"
+        name Suppress.attr_name
 
 (* Types that own their comparison semantics: structural compare on them
    is representational, not semantic, and breaks the moment they gain
@@ -125,7 +157,7 @@ let ends_with ~suffix s =
 
 (* ---- the pass ---- *)
 
-let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
+let check ~file (cmt : Cmt_format.cmt_infos) =
   match cmt.Cmt_format.cmt_annots with
   | Cmt_format.Implementation structure ->
       let findings = ref [] in
@@ -135,7 +167,8 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
       in
 
       (* Local module aliases (module V = Ffault_objects.Value), so a
-         type written V.t still matches the semantic-type table. *)
+         type written V.t still matches the semantic-type table and an
+         identifier written A.set reads as Atomic.set in messages. *)
       let aliases = Hashtbl.create 8 in
       let record_alias (mb : module_binding) =
         match (mb.mb_id, mb.mb_expr.mod_desc) with
@@ -179,47 +212,28 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
         | _ -> None
       in
 
-      (* canonical rendering of a resolved identity, for messages *)
-      let canonical (decl, name) =
-        match decl with
-        | "stdlib.mli" -> name
-        | d -> String.capitalize_ascii (Filename.remove_extension d) ^ "." ^ name
-      in
-      let surface_of lid =
-        let rec flat = function
-          | Longident.Lident s -> [ s ]
-          | Longident.Ldot (l, s) -> flat l @ [ s ]
-          | Longident.Lapply _ -> []
-        in
-        String.concat "." (flat lid)
+      (* an identifier as a reader would write it: local module aliases
+         resolved, "__"-mangled unit names unmangled, [Stdlib.] dropped *)
+      let shown path =
+        let n = unmangle (resolve_head 0 (Path.name path)) in
+        let prefix = "Stdlib." in
+        if String.starts_with ~prefix n then
+          String.sub n (String.length prefix) (String.length n - String.length prefix)
+        else n
       in
 
-      let check_ident (e : expression) path lid vd =
+      let check_ident (e : expression) path vd =
         let decl = decl_file vd in
         let name = Path.last path in
-        (* alias-escape: resolved identity in a guarded set, surface
-           syntax invisible to the parsetree pass *)
         (match
            List.find_opt
              (fun (_, d, names) ->
                d = decl
                && match names with None -> true | Some ns -> List.mem name ns)
-             ident_sets
+             ident_table
          with
-        | Some (rule, _, _)
-          when (not (Ast_rules.flags_ident lid.Location.txt))
-               && Policy.applies policy ~rule ~file ->
-            emit ~rule:"alias-escape" e.exp_loc
-              (Fmt.str
-                 "this identifier resolves to %s (%s territory) though written as \
-                  `%s': aliasing, open and include do not evade the typed lint \
-                  \xe2\x80\x94 fix it as the %s rule directs, or allowlist with a \
-                  justification"
-                 (canonical (decl, name))
-                 rule
-                 (surface_of lid.Location.txt)
-                 rule)
-        | _ -> ());
+        | Some (rule, _, _) -> emit ~rule e.exp_loc (ident_message ~rule ~decl (shown path))
+        | None -> ());
         (* poly-compare-abstract: a polymorphic comparison entry point
            instantiated (applied or passed) at a semantic type *)
         if List.mem (decl, name) poly_compare_fns then
@@ -236,8 +250,7 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
                     representational and breaks the moment the type gains closures \
                     or mutable internals; use %s.equal/%s.compare (semantic, \
                     committed in the interface)"
-                   (canonical (decl, name))
-                   semantic owner owner)
+                   (shown path) semantic owner owner)
           | None -> ()
       in
 
@@ -306,7 +319,7 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
         in
         sub.expr sub closure
       in
-      let check_spawn (e : expression) =
+      let check_apply (e : expression) =
         match e.exp_desc with
         | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args)
           when resolve p vd = ("domain.mli", "spawn") -> (
@@ -324,6 +337,21 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
                 | Some closure -> scan_closure closure
                 | None -> ())
             | _ -> ())
+        (* nondeterminism: an omitted optional argument is still listed,
+           as a compiler-made [None] at a ghost location, so only a
+           [~random] written in the source fires *)
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, args)
+          when resolve p vd = ("hashtbl.mli", "create")
+               && List.exists
+                    (function
+                      | ( (Asttypes.Labelled "random" | Asttypes.Optional "random"),
+                          Some (a : expression) ) ->
+                          not a.exp_loc.Location.loc_ghost
+                      | _ -> false)
+                    args ->
+            emit ~rule:"nondeterminism" e.exp_loc
+              "Hashtbl.create ~random:true randomizes iteration order across runs; \
+               deterministic code must not depend on randomized hashing"
         | _ -> ()
       in
 
@@ -337,8 +365,8 @@ let check ?(policy = Policy.default) ~file (cmt : Cmt_format.cmt_infos) =
           expr =
             (fun it e ->
               (match e.exp_desc with
-              | Texp_ident (path, lid, vd) -> check_ident e path lid vd
-              | Texp_apply _ -> check_spawn e
+              | Texp_ident (path, _, vd) -> check_ident e path vd
+              | Texp_apply _ -> check_apply e
               | _ -> ());
               Tast_iterator.default_iterator.expr it e);
         }

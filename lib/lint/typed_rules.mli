@@ -1,28 +1,28 @@
 (** The typed-tree rules, as one {!Tast_iterator} pass over a cmt's
-    typedtree.
+    typedtree: every rule that matches an identifier lives here, on its
+    resolved identity, so aliases, [open], [include] and eta-reduced
+    bindings cannot evade it.
 
-    Covers [alias-escape] (resolved identities in the raw-atomic /
-    nondeterminism / io-in-lib sets whose surface syntax evaded the
-    parsetree pass), [poly-compare-abstract] (polymorphic [=]/[<>]/
-    [compare]/[Hashtbl.hash]/[List.mem] instantiated at a lib-owned
-    semantic type — seeded with [Value.t] and [History.t]), and
-    [domain-unsafe-capture] (a ref, mutable field or non-atomic array
-    allocated outside a [Domain.spawn] closure and mutated inside it;
-    warning, escalated to error under [lib/sim]).
+    Covers [raw-atomic], [nondeterminism], [io-in-lib] and [obj-magic]
+    (a table of (declaring [.mli], value names) per rule, plus
+    [Hashtbl.create] given a [~random] argument), [poly-compare-abstract]
+    (polymorphic [=]/[<>]/[compare]/[Hashtbl.hash]/[List.mem]
+    instantiated at a lib-owned semantic type, see {!semantic_types}),
+    and [domain-unsafe-capture] (a ref, mutable field or non-atomic
+    array allocated outside a [Domain.spawn] closure, literal or passed
+    by name, and mutated inside it; warning, escalated to error under
+    [lib/sim]).
 
-    Findings come back unfiltered like {!Ast_rules.check}, with one
-    exception: [alias-escape] consults the {e underlying} rule's policy
-    ([policy]), because only this pass knows which underlying rule an
-    escape belongs to. The driver still scopes and suppresses the
-    result as usual. *)
+    Findings come back unfiltered like {!Ast_rules.check}: the driver
+    scopes and suppresses them like any others. *)
 
-val check :
-  ?policy:Policy.t -> file:string -> Cmt_format.cmt_infos -> Finding.t list
+val check : file:string -> Cmt_format.cmt_infos -> Finding.t list
 (** Findings in source order; [[]] when the cmt is not an
     implementation (packs, interfaces). [file] is the source path used
-    for findings and policy decisions. *)
+    for findings. *)
 
 val semantic_types : string list
-(** The seeded table behind [poly-compare-abstract] (["Value.t"],
-    ["History.t"]), matched on the normalized head of the instantiated
-    type with file-local module aliases resolved. *)
+(** The seeded table behind [poly-compare-abstract] ([Value.t],
+    [History.t], [Op.t], [Obj_id.t], [Fault_kind.t], [Spec.t],
+    [Packed.t]), matched on the normalized head of the instantiated type
+    with file-local module aliases resolved. *)

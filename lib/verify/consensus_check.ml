@@ -45,6 +45,11 @@ let setup ?inputs ?(allowed_faults = [ Fault.Fault_kind.Overriding ]) ?(payload_
   | Some { crashes_per_proc; _ } when crashes_per_proc < 0 ->
       invalid_arg "Consensus_check.setup: crashes_per_proc < 0"
   | _ -> ());
+  (* The protocol's own parameter checks live in its objects and its
+     step bound (Fig. 3 needs f >= 1 and a bounded t): force them here,
+     so an unbuildable instance fails at setup, not mid-run. *)
+  ignore (Protocol.world protocol params);
+  ignore (protocol.Protocol.max_steps_hint params);
   { protocol; params; inputs; allowed_faults; payload_palette; victims; step_slack; recover }
 
 let crashes_per_proc s =

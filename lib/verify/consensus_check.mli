@@ -71,7 +71,9 @@ val setup :
   setup
 (** Defaults: [Protocol.default_inputs], overriding faults only, empty
     palette, no victim restriction, slack 2, no crashes.
-    @raise Invalid_argument on a negative [crashes_per_proc]. *)
+    @raise Invalid_argument on a negative [crashes_per_proc], or when the
+    protocol cannot be built at [params] (its objects or step bound
+    reject them, e.g. Fig. 3 with f = 0 or an unbounded t). *)
 
 val world : setup -> World.t
 

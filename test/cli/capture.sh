@@ -35,6 +35,11 @@ run trace --protocol bogus
 run replay --protocol bogus
 run falsify --protocol bogus
 run critical --protocol bogus
+run explore --protocol fig3
+run trace --protocol fig3
+run explore --protocol fig3 -f 0 -t 1
+run explore --protocol fig3 -t 0
+run explore --protocol fig1 -n 0
 run replay --decisions 1,x
 run experiment E99
 run campaign run --rates 2
@@ -48,12 +53,15 @@ run campaign run --deadline 1e999
 run campaign run --max-retries=-1
 run campaign run --quarantine-after 0
 run campaign run --adaptive-deadline
+run campaign run --protocol fig3
+run campaign run --protocol fig3 -f 0 -t 1
 run campaign resume --root missing-root --name missing
 run campaign serve --listen unix:x --hb-interval 0
 run campaign serve --listen unix:x --lease-trials 0
 run campaign serve --listen unix:x --rates 2
 run campaign serve --listen unix:x --deadline 0
 run campaign serve --listen unix:x --adaptive-deadline
+run campaign serve --listen unix:x --protocol fig3
 run campaign serve --listen bogus
 run campaign report --root missing-root --name missing
 run campaign diff missing-a missing-b

@@ -1,7 +1,7 @@
-(* Planted evasion: a module alias around Atomic. The parsetree rule
-   matches the literal path [Atomic.<op>], so [A.set] is invisible to
-   it; the typed pass resolves [A.set]'s value description to
-   atomic.mli and reports alias-escape. *)
+(* Planted evasion: a module alias around Atomic. A surface match on
+   the literal path [Atomic.<op>] cannot see [A.set]; the typed pass
+   resolves its value description to atomic.mli and reports
+   raw-atomic. *)
 
 module A = Atomic
 

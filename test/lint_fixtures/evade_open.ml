@@ -1,5 +1,5 @@
 (* Planted evasion: [open Random]. The surface identifier is a bare
-   [int] — no module path for the parsetree rule to match — but its
+   [int] — no module path for a surface match to see — but its
    resolved identity is random.mli's. *)
 
 open Random

@@ -104,7 +104,7 @@ let test_spec_text_format () =
   let text =
     "# an f x t sweep\n\
      name = sweep-test\n\
-     protocol = fig3\n\
+     protocol = fig2\n\
      f = 1..2   # inline comment\n\
      t = 1, unbounded\n\
      n = 3\n\

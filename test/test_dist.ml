@@ -299,6 +299,37 @@ let test_codec_rejects_garbage () =
     with e -> Alcotest.failf "codec raised: %s" (Printexc.to_string e)
   done
 
+(* A spec whose protocol cannot be built at some cell it sweeps (Fig. 3
+   needs a bounded t) is a decode error wherever it arrives from: a
+   manifest, a --spec file, or a Welcome. A worker handed one stops on
+   the codec error before it runs any trial. *)
+let test_codec_rejects_unbuildable_spec () =
+  let unbounded = replace ~sub:"\"t\":[1]" ~by:"\"t\":[null]" in
+  (match Json.of_string (unbounded (Json.to_string (Spec.to_json fixture_spec))) with
+  | Error m -> Alcotest.fail m
+  | Ok j -> (
+      match Spec.of_json j with
+      | Error m ->
+          check Alcotest.string "names the offending cell"
+            "fig3 cannot run at f=1, t=unbounded, n=3: Bounded_faults: requires a \
+             bounded t (faults per object)"
+            m
+      | Ok _ -> Alcotest.fail "fig3 spec with an unbounded t accepted"));
+  let welcome =
+    Codec.to_frame
+      (Codec.Welcome
+         {
+           version = Wire.version;
+           epoch = 1;
+           spec = fixture_spec;
+           supervision = Codec.no_supervision;
+           hb_interval_s = 0.5;
+         })
+  in
+  match Codec.of_frame { welcome with Wire.payload = unbounded welcome.Wire.payload } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "welcome carrying an unbuildable spec accepted"
+
 (* ---- transport endpoints ---- *)
 
 let test_endpoint_parse () =
@@ -902,7 +933,11 @@ let test_bye_ends_wait () =
   for t = lo to hi - 1 do
     send (Codec.Result (record_for spec t))
   done;
-  send (Codec.Complete { lease; epoch });
+  (* once the last Result lands the coordinator may complete the fully
+     journaled lease itself and close after its Bye, before this
+     Complete is written; like the worker's [bye_or], read the Bye
+     either way *)
+  ignore (Transport.send_msg raw (Codec.Complete { lease; epoch }));
   (match recv () with
   | Codec.Bye _ -> ()
   | m -> Alcotest.failf "expected bye, got %a" Codec.pp m);
@@ -942,6 +977,8 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "rejects an unbuildable spec" `Quick
+          test_codec_rejects_unbuildable_spec;
         Alcotest.test_case "endpoints" `Quick test_endpoint_parse;
         Alcotest.test_case "endpoint round-trip" `Quick test_endpoint_round_trip;
       ] );

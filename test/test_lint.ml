@@ -1,14 +1,17 @@
 (* Tests for the static-analysis pass: every rule firing and not firing,
-   policy scoping, suppression handling, baseline add/expire semantics,
-   and both reporters. Fixtures are inline sources pushed through
-   [Driver.lint_impl_source]; the filename picks the policy scope. *)
+   policy scoping, suppression handling and both reporters. Parsetree
+   rules are driven by inline sources pushed through
+   [Driver.lint_impl_source]; typed rules by the compiled corpus in
+   test/lint_fixtures, whose cmts dune builds next to this binary. The
+   filename a source is linted under picks the policy scope. *)
 
 module Lint = Ffault_lint
 module Finding = Lint.Finding
 module Driver = Lint.Driver
 module Policy = Lint.Policy
-module Baseline = Lint.Baseline
 module Report = Lint.Report
+module Cmt_loader = Lint.Cmt_loader
+module Typed_rules = Lint.Typed_rules
 module Json = Ffault_campaign.Json
 
 let check = Alcotest.check
@@ -41,44 +44,177 @@ let write_file path content =
   Ffault_campaign.Checkpoint.mkdir_p (Filename.dirname path);
   Out_channel.with_open_text path (fun oc -> output_string oc content)
 
+(* ---- the compiled fixture corpus ----
+
+   test/lint_fixtures is compiled as a library the test binary depends
+   on, so dune guarantees fresh cmts under the test cwd
+   (_build/default/test). A fixture is linted under a fake path, because
+   policy scoping keys on the reported file. *)
+
+let fixture_src name = "lint_fixtures/" ^ name ^ ".ml"
+
+let fixture_cmt name =
+  match Cmt_loader.for_source (Cmt_loader.create ~build_dir:"." ()) (fixture_src name) with
+  | Cmt_loader.Typed cmt -> cmt
+  | status ->
+      Alcotest.fail
+        (Option.value
+           ~default:(Fmt.str "fixture cmt unusable for %s" name)
+           (Cmt_loader.describe ~build_dir:"." status))
+
+let read_fixture name =
+  In_channel.with_open_text (fixture_src name) In_channel.input_all
+
+let typed_findings ~file name = Typed_rules.check ~file (fixture_cmt name)
+
+(* Both passes over a fixture, as the driver runs them on a real file. *)
+let lint_fixture ~file name =
+  Driver.lint_impl_source ~policy:Policy.default ~typed:(typed_findings ~file name) ~file
+    (read_fixture name)
+
+let count_typed rule fs =
+  List.length (List.filter (fun (f : Finding.t) -> f.Finding.rule = rule) fs)
+
+(* ---- the identifier corpus ----
+
+   Every identifier form the identifier rules match, and the rule it is
+   reported under ([None]: a negative control). Each entry is the text
+   after [let _ = ] on its own line of lint_fixtures/ident_corpus.ml. *)
+
+let sockets =
+  [ "Unix.socket"; "Unix.bind"; "Unix.listen"; "Unix.accept"; "Unix.connect";
+    "Unix.select"; "Unix.read"; "Unix.write"; "Unix.write_substring"; "Unix.single_write";
+    "Unix.sendto"; "Unix.recvfrom" ]
+
+let corpus =
+  List.map (fun use -> (use, Some "raw-atomic"))
+    [ "Atomic.compare_and_set"; "Atomic.exchange"; "Atomic.set"; "Atomic.fetch_and_add";
+      "Atomic.incr"; "Atomic.decr"; "Stdlib.Atomic.set" ]
+  @ List.map (fun use -> (use, Some "nondeterminism"))
+      [ "Sys.time"; "Unix.gettimeofday"; "Unix.time"; "Hashtbl.randomize";
+        "Random.self_init"; "Random.int"; "Random.State.make";
+        "Hashtbl.create ~random:true 8" ]
+  @ List.map (fun use -> (use, Some "io-in-lib"))
+      [ "print_string"; "print_bytes"; "print_int"; "print_char"; "print_float";
+        "print_endline"; "print_newline"; "prerr_string"; "prerr_bytes"; "prerr_int";
+        "prerr_char"; "prerr_float"; "prerr_endline"; "prerr_newline"; "exit";
+        "Printf.printf"; "Printf.eprintf"; "Format.printf"; "Format.eprintf";
+        "Format.print_string"; "Format.print_newline"; "Fmt.pr"; "Fmt.epr" ]
+  @ List.map (fun use -> (use, Some "io-in-lib")) sockets
+  @ List.map (fun use -> (use, Some "obj-magic")) [ "Obj.magic"; "Obj.repr" ]
+  @ List.map (fun use -> (use, None))
+      [ "Atomic.get"; "Atomic.make"; "Fmt.pf"; "Hashtbl.create 8";
+        "Ffault_prng.Splitmix.next_int" ]
+
+let is_socket use = List.mem use sockets
+let not_socket use = not (is_socket use)
+
+(* (line, use) for every [let _ = use] line of the corpus *)
+let corpus_uses =
+  lazy
+    (String.split_on_char '\n' (read_fixture "ident_corpus")
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter_map (fun (i, l) ->
+           let prefix = "let _ = " in
+           if String.starts_with ~prefix l then
+             let n = String.length prefix in
+             Some (i, String.sub l n (String.length l - n))
+           else None))
+
+let use_at line =
+  match List.assoc_opt line (Lazy.force corpus_uses) with
+  | Some use -> use
+  | None -> Fmt.str "line %d" line
+
+let ident_rules = [ "raw-atomic"; "nondeterminism"; "io-in-lib"; "obj-magic" ]
+
+(* (use, rule) for each identifier-rule finding: the use is the corpus
+   line the finding sits on, so a finding at the wrong line shows up as
+   the wrong use *)
+let ident_hits ?(rules = ident_rules) ?(keep = fun _ -> true) (o : Driver.outcome) =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      let use = use_at f.Finding.line in
+      if List.mem f.Finding.rule rules && keep use then Some (use, f.Finding.rule)
+      else None)
+    o.Driver.findings
+  |> List.sort compare
+
+let expected ?(rules = ident_rules) ?(keep = fun _ -> true) () =
+  List.filter_map
+    (fun (use, rule) ->
+      match rule with
+      | Some r when List.mem r rules && keep use -> Some (use, r)
+      | _ -> None)
+    corpus
+  |> List.sort compare
+
+let hits = Alcotest.(list (pair string string))
+let corpus_at file = lint_fixture ~file "ident_corpus"
+
+let test_ident_corpus () =
+  check
+    Alcotest.(list string)
+    "the corpus holds exactly the table's uses"
+    (List.sort compare (List.map fst corpus))
+    (List.sort compare (List.map snd (Lazy.force corpus_uses)));
+  (* every identifier rule is active in lib/sim: each use is reported
+     under its rule, at its line and column, and no control is *)
+  let o = corpus_at "lib/sim/ident_corpus.ml" in
+  check hits "one finding per use, none for the controls" (expected ()) (ident_hits o);
+  List.iter
+    (fun (f : Finding.t) ->
+      if List.mem f.Finding.rule ident_rules then
+        check Alcotest.int (Fmt.str "column of %s" (use_at f.Finding.line)) 8 f.Finding.col)
+    o.Driver.findings
+
 (* ---- raw-atomic ---- *)
 
 let test_raw_atomic_fires () =
-  let o =
-    lint ~file:"lib/consensus/fixture.ml"
-      "let f a = Atomic.compare_and_set a 0 1\nlet g a = Stdlib.Atomic.set a 2\n"
-  in
-  check Alcotest.int "two findings" 2 (count_rule "raw-atomic" o);
-  let f = List.hd o.Driver.findings in
-  check Alcotest.int "line of first" 1 f.Finding.line;
-  check Alcotest.string "severity" "error" (Finding.severity_to_string f.Finding.severity)
+  let o = corpus_at "lib/consensus/ident_corpus.ml" in
+  check hits "every mutator, Stdlib.-qualified too"
+    (expected ~rules:[ "raw-atomic" ] ())
+    (ident_hits ~rules:[ "raw-atomic" ] o);
+  List.iter
+    (fun (f : Finding.t) ->
+      if f.Finding.rule = "raw-atomic" then
+        check Alcotest.string "severity" "error"
+          (Finding.severity_to_string f.Finding.severity))
+    o.Driver.findings
 
 let test_raw_atomic_spared () =
   (* the substrate itself is allowlisted… *)
-  let o = lint ~file:"lib/runtime/fixture.ml" "let f a = Atomic.compare_and_set a 0 1\n" in
-  check Alcotest.int "runtime allowlisted" 0 (count_rule "raw-atomic" o);
+  check Alcotest.int "runtime allowlisted" 0
+    (count_rule "raw-atomic" (corpus_at "lib/runtime/ident_corpus.ml"));
   (* …and reads / allocation are not mutations *)
-  let o = lint ~file:"lib/consensus/fixture.ml" "let f a = Atomic.get a\n" in
-  check Alcotest.int "Atomic.get fine" 0 (count_rule "raw-atomic" o)
+  let found = ident_hits (corpus_at "lib/consensus/ident_corpus.ml") in
+  List.iter
+    (fun use ->
+      check Alcotest.bool (Fmt.str "%s fine" use) false (List.mem_assoc use found))
+    [ "Atomic.get"; "Atomic.make" ]
 
 (* ---- nondeterminism ---- *)
 
 let test_nondeterminism_fires () =
-  let o =
-    lint ~file:"lib/sim/fixture.ml"
-      "let f () = Random.int 5\n\
-       let g () = Unix.gettimeofday ()\n\
-       let h () = Hashtbl.create ~random:true 8\n"
-  in
-  check Alcotest.int "three findings" 3 (count_rule "nondeterminism" o)
+  check hits "clocks, Random, randomized hashing"
+    (expected ~rules:[ "nondeterminism" ] ())
+    (ident_hits ~rules:[ "nondeterminism" ] (corpus_at "lib/sim/ident_corpus.ml"));
+  (* the deterministic dirs include the network simulation *)
+  check hits "active in lib/netsim"
+    (expected ~rules:[ "nondeterminism" ] ())
+    (ident_hits ~rules:[ "nondeterminism" ] (corpus_at "lib/netsim/ident_corpus.ml"))
 
 let test_nondeterminism_spared () =
   (* out of the deterministic scope: campaign orchestration may read the clock *)
-  let o = lint ~file:"lib/campaign/fixture.ml" "let g () = Unix.gettimeofday ()\n" in
-  check Alcotest.int "campaign out of scope" 0 (count_rule "nondeterminism" o);
-  (* the repo's seeded PRNG is the sanctioned source *)
-  let o = lint ~file:"lib/sim/fixture.ml" "let f g = Ffault_prng.Splitmix.next_int g\n" in
-  check Alcotest.int "Ffault_prng fine" 0 (count_rule "nondeterminism" o)
+  check Alcotest.int "campaign out of scope" 0
+    (count_rule "nondeterminism" (corpus_at "lib/campaign/ident_corpus.ml"));
+  (* the repo's seeded PRNG is the sanctioned source, and a plain
+     Hashtbl.create (its ?random omitted) is deterministic *)
+  let found = ident_hits (corpus_at "lib/sim/ident_corpus.ml") in
+  List.iter
+    (fun use ->
+      check Alcotest.bool (Fmt.str "%s fine" use) false (List.mem_assoc use found))
+    [ "Ffault_prng.Splitmix.next_int"; "Hashtbl.create 8" ]
 
 (* ---- toplevel-mutable ---- *)
 
@@ -105,39 +241,32 @@ let test_toplevel_mutable_spared () =
 (* ---- io-in-lib ---- *)
 
 let test_io_in_lib_fires () =
-  let o =
-    lint ~file:"lib/objects/fixture.ml"
-      "let f () = print_endline \"hi\"\n\
-       let g () = Printf.printf \"%d\" 3\n\
-       let h () = exit 1\n\
-       let i () = Fmt.pr \"x\"\n"
-  in
-  check Alcotest.int "four findings" 4 (count_rule "io-in-lib" o)
+  check hits "terminal IO and exit"
+    (expected ~rules:[ "io-in-lib" ] ~keep:not_socket ())
+    (ident_hits ~rules:[ "io-in-lib" ] ~keep:not_socket
+       (corpus_at "lib/objects/ident_corpus.ml"))
 
 let test_io_in_lib_spared () =
   (* printing through a caller-supplied formatter is the sanctioned idiom *)
-  let o = lint ~file:"lib/objects/fixture.ml" "let pp ppf x = Fmt.pf ppf \"%d\" x\n" in
-  check Alcotest.int "ppf-based pp fine" 0 (count_rule "io-in-lib" o);
-  let o = lint ~file:"lib/telemetry/fixture.ml" "let f () = print_endline \"hi\"\n" in
-  check Alcotest.int "telemetry allowlisted" 0 (count_rule "io-in-lib" o)
+  check Alcotest.bool "Fmt.pf fine" false
+    (List.mem_assoc "Fmt.pf" (ident_hits (corpus_at "lib/objects/ident_corpus.ml")));
+  check Alcotest.int "telemetry allowlisted" 0
+    (count_rule "io-in-lib" (corpus_at "lib/telemetry/ident_corpus.ml"))
 
 let test_io_in_lib_sockets () =
-  (* socket syscalls are transport work: flagged anywhere in lib... *)
-  let src =
-    "let f () = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0\n\
-     let g fd = Unix.accept fd\n\
-     let h r = Unix.select r [] [] 0.1\n"
+  let sockets = expected ~rules:[ "io-in-lib" ] ~keep:is_socket () in
+  let socket_hits file =
+    ident_hits ~rules:[ "io-in-lib" ] ~keep:is_socket (corpus_at file)
   in
-  let o = lint ~file:"lib/campaign/fixture.ml" src in
-  check Alcotest.int "three findings" 3 (count_rule "io-in-lib" o);
+  (* socket syscalls are transport work: flagged anywhere in lib... *)
+  check hits "every socket call" sockets (socket_hits "lib/campaign/ident_corpus.ml");
   (* ...except the dist driver layer, allowlisted by file *)
-  let o = lint ~file:"lib/dist/http.ml" src in
-  check Alcotest.int "http driver allowlisted" 0 (count_rule "io-in-lib" o);
-  let o = lint ~file:"lib/dist/transport.ml" src in
-  check Alcotest.int "transport driver allowlisted" 0 (count_rule "io-in-lib" o);
+  check Alcotest.int "http driver allowlisted" 0
+    (count_rule "io-in-lib" (corpus_at "lib/dist/http.ml"));
+  check Alcotest.int "transport driver allowlisted" 0
+    (count_rule "io-in-lib" (corpus_at "lib/dist/transport.ml"));
   (* the pure responder stays covered: a socket call in status.ml fails *)
-  let o = lint ~file:"lib/dist/status.ml" src in
-  check Alcotest.int "status must stay pure" 3 (count_rule "io-in-lib" o)
+  check hits "status must stay pure" sockets (socket_hits "lib/dist/status.ml")
 
 (* ---- catch-all ---- *)
 
@@ -201,13 +330,14 @@ let test_effect_discipline_spared () =
 (* ---- obj-magic ---- *)
 
 let test_obj_magic_fires () =
-  let o = lint ~file:"lib/fault/fixture.ml" "let f x = Obj.magic x\n" in
-  check Alcotest.int "one finding" 1 (count_rule "obj-magic" o)
+  check hits "every Obj value"
+    (expected ~rules:[ "obj-magic" ] ())
+    (ident_hits ~rules:[ "obj-magic" ] (corpus_at "lib/fault/ident_corpus.ml"))
 
 let test_obj_magic_spared () =
   (* out of scope: tests may poke representations *)
-  let o = lint ~file:"test/fixture.ml" "let f x = Obj.magic x\n" in
-  check Alcotest.int "test tree out of scope" 0 (count_rule "obj-magic" o)
+  check Alcotest.int "test tree out of scope" 0
+    (count_rule "obj-magic" (corpus_at "test/ident_corpus.ml"))
 
 (* ---- mli-required ---- *)
 
@@ -234,9 +364,9 @@ let test_parse_error () =
 
 let test_suppress_file_level () =
   let o =
-    lint ~file:"lib/consensus/fixture.ml"
-      "[@@@ffault.lint.allow \"raw-atomic\", \"fixture: exercising the substrate\"]\n\
-       let f a = Atomic.set a 1\n"
+    lint ~file:"lib/campaign/fixture.ml"
+      "[@@@ffault.lint.allow \"catch-all\", \"fixture: exercising the substrate\"]\n\
+       let f g = try g () with _ -> None\n"
   in
   check Alcotest.int "no findings" 0 (List.length o.Driver.findings);
   check Alcotest.int "one suppressed" 1 (List.length o.Driver.suppressed);
@@ -246,23 +376,23 @@ let test_suppress_file_level () =
 
 let test_suppress_binding_scoped () =
   let o =
-    lint ~file:"lib/consensus/fixture.ml"
-      "let f a = Atomic.set a 1 [@@ffault.lint.allow \"raw-atomic\", \"first only\"]\n\
-       let g a = Atomic.set a 2\n"
+    lint ~file:"lib/campaign/fixture.ml"
+      "let f g = try g () with _ -> 0 [@@ffault.lint.allow \"catch-all\", \"first\"]\n\
+       let h g = try g () with _ -> 0\n"
   in
-  check Alcotest.int "second still fires" 1 (count_rule "raw-atomic" o);
+  check Alcotest.int "second still fires" 1 (count_rule "catch-all" o);
   check Alcotest.int "first suppressed" 1 (List.length o.Driver.suppressed);
   let f = List.hd o.Driver.findings in
   check Alcotest.int "surviving one is line 2" 2 f.Finding.line
 
 let test_suppress_missing_justification () =
   let o =
-    lint ~file:"lib/consensus/fixture.ml"
-      "[@@@ffault.lint.allow \"raw-atomic\"]\nlet f a = Atomic.set a 1\n"
+    lint ~file:"lib/campaign/fixture.ml"
+      "[@@@ffault.lint.allow \"catch-all\"]\nlet f g = try g () with _ -> None\n"
   in
   (* the malformed suppression is itself a finding, and suppresses nothing *)
   check Alcotest.int "suppression finding" 1 (count_rule "suppression" o);
-  check Alcotest.int "raw-atomic still fires" 1 (count_rule "raw-atomic" o)
+  check Alcotest.int "catch-all still fires" 1 (count_rule "catch-all" o)
 
 let test_suppress_unknown_rule () =
   let o =
@@ -280,8 +410,8 @@ let test_suppress_meta_rule_rejected () =
 
 let test_suppress_blank_justification () =
   let o =
-    lint ~file:"lib/consensus/fixture.ml"
-      "[@@@ffault.lint.allow \"raw-atomic\", \"  \"]\nlet f a = Atomic.set a 1\n"
+    lint ~file:"lib/campaign/fixture.ml"
+      "[@@@ffault.lint.allow \"catch-all\", \"  \"]\nlet f g = try g () with _ -> None\n"
   in
   check Alcotest.int "blank justification rejected" 1 (count_rule "suppression" o)
 
@@ -316,12 +446,20 @@ let test_rules_filter () =
   let root = tmp_root () in
   write_file
     (Filename.concat root "lib/fault/mixed.ml")
-    "let f x = Obj.magic x\nlet g () = print_endline \"hi\"\n";
-  write_file (Filename.concat root "lib/fault/mixed.mli") "val f : 'a -> 'b\nval g : unit -> unit\n";
-  let r = Driver.run ~rules:[ "obj-magic" ] ~policy:Policy.default [ root ] in
-  let rules = List.map (fun (f : Finding.t) -> f.Finding.rule) r.Driver.findings in
-  check Alcotest.bool "only obj-magic" true (List.for_all (( = ) "obj-magic") rules);
-  check Alcotest.int "one finding" 1 (List.length rules)
+    "let cache = Hashtbl.create 8\nlet f g = try g () with _ -> None\n";
+  write_file
+    (Filename.concat root "lib/fault/mixed.mli")
+    "val f : (unit -> 'a) -> 'a option\n";
+  let r = Driver.run ~rules:[ "catch-all" ] ~policy:Policy.default [ root ] in
+  (* meta rules pass through: this tree has no cmts, so cmt-missing
+     is reported too *)
+  let rules =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if Lint.Rule.is_meta f.Finding.rule then None else Some f.Finding.rule)
+      r.Driver.findings
+  in
+  check (Alcotest.list Alcotest.string) "only catch-all" [ "catch-all" ] rules
 
 let test_collect_skips_build_dirs () =
   let root = tmp_root () in
@@ -330,205 +468,85 @@ let test_collect_skips_build_dirs () =
   let files = Driver.collect_files [ root ] in
   check Alcotest.int "only the real source" 1 (List.length files)
 
-(* ---- baseline ---- *)
+(* ---- reporters ---- *)
 
 let finding ~rule ~file ~line =
   Finding.v ~rule ~severity:Finding.Error ~file ~line ~col:0 "fixture"
 
-let test_baseline_roundtrip () =
-  let root = tmp_root () in
-  let path = Filename.concat root "baseline.json" in
-  let b =
-    Baseline.of_findings
-      [ finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3;
-        finding ~rule:"catch-all" ~file:"lib/b.ml" ~line:7 ]
-  in
-  Baseline.save ~path b;
-  match Baseline.load ~path with
-  | Error m -> Alcotest.fail m
-  | Ok b' ->
-      check Alcotest.int "entries survive" 2 (List.length b');
-      check Alcotest.bool "identical" true (b = b')
-
-let test_baseline_add_expire () =
-  let a = finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 in
-  let b = finding ~rule:"catch-all" ~file:"lib/b.ml" ~line:7 in
-  let stale =
-    { Baseline.rule = "io-in-lib"; file = "lib/gone.ml"; line = 9; ctx = None; note = "" }
-  in
-  let base = Baseline.of_findings [ a ] @ [ stale ] in
-  let split = Baseline.apply base [ a; b ] in
-  check Alcotest.int "b is fresh" 1 (List.length split.Baseline.fresh);
-  check Alcotest.bool "fresh is b" true (List.hd split.Baseline.fresh == b);
-  check Alcotest.int "a grandfathered" 1 (List.length split.Baseline.baselined);
-  check Alcotest.int "stale expired" 1 (List.length split.Baseline.expired);
-  (* drift: the baselined file edited past the recorded line resurfaces *)
-  let moved = finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:4 in
-  let split = Baseline.apply base [ moved ] in
-  check Alcotest.int "moved finding is fresh" 1 (List.length split.Baseline.fresh)
-
-let test_baseline_missing_file () =
-  match Baseline.load ~path:"/nonexistent/baseline.json" with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error _ -> ()
-
-(* ---- fuzzy matching against real files ---- *)
-
-let flagged_line = "let f a = Atomic.compare_and_set a 0 1\n"
-
-let body =
-  "let a = 1\nlet b = 2\n" ^ flagged_line ^ "let c = 3\nlet d = 4\n"
-
-let test_baseline_fuzzy_survives_shift () =
-  let root = tmp_root () in
-  let file = Filename.concat root "shifty.ml" in
-  write_file file body;
-  let base = Baseline.of_findings [ finding ~rule:"raw-atomic" ~file ~line:3 ] in
-  (match base with
-  | [ e ] -> check Alcotest.bool "context recorded" true (e.Baseline.ctx <> None)
-  | _ -> Alcotest.fail "one entry expected");
-  (* a header lands above: the finding moves to line 6, context intact *)
-  write_file file ("(* new *)\n(* header *)\n(* lines *)\n" ^ body);
-  let split = Baseline.apply base [ finding ~rule:"raw-atomic" ~file ~line:6 ] in
-  check Alcotest.int "moved finding stays grandfathered" 1
-    (List.length split.Baseline.baselined);
-  check Alcotest.int "nothing fresh" 0 (List.length split.Baseline.fresh);
-  check Alcotest.int "nothing expired" 0 (List.length split.Baseline.expired)
-
-let test_baseline_fuzzy_edit_resurfaces () =
-  let root = tmp_root () in
-  let file = Filename.concat root "edited.ml" in
-  write_file file body;
-  let base = Baseline.of_findings [ finding ~rule:"raw-atomic" ~file ~line:3 ] in
-  (* the flagged region itself changes (same line count, same line
-     number): the context hash no longer matches and the debt surfaces *)
-  write_file file
-    ("let a = 1\nlet b' = 99\n" ^ flagged_line ^ "let c = 3\nlet d = 4\n");
-  let split = Baseline.apply base [ finding ~rule:"raw-atomic" ~file ~line:3 ] in
-  check Alcotest.int "edited finding is fresh" 1 (List.length split.Baseline.fresh);
-  check Alcotest.int "its entry expired" 1 (List.length split.Baseline.expired)
-
-let test_baseline_fuzzy_line_tiebreak () =
-  let root = tmp_root () in
-  let file = Filename.concat root "twins.ml" in
-  (* two identical flagged regions: colliding context hashes, the
-     recorded line must pair each entry with its nearest finding *)
-  let block = "let a = 1\nlet a = 1\n" ^ flagged_line ^ "let a = 1\nlet a = 1\n" in
-  write_file file (block ^ block);
-  let base =
-    Baseline.of_findings
-      [ finding ~rule:"raw-atomic" ~file ~line:3;
-        finding ~rule:"raw-atomic" ~file ~line:8 ]
-  in
-  let split =
-    Baseline.apply base
-      [ finding ~rule:"raw-atomic" ~file ~line:3; finding ~rule:"raw-atomic" ~file ~line:8 ]
-  in
-  check Alcotest.int "both grandfathered" 2 (List.length split.Baseline.baselined);
-  check Alcotest.int "one-to-one, none expired" 0 (List.length split.Baseline.expired)
-
-let test_baseline_v1_compat () =
-  let root = tmp_root () in
-  let file = Filename.concat root "legacy.ml" in
-  write_file file body;
-  (* a v1 baseline file: no version, no ctx — must load and match
-     exactly by line *)
-  let path = Filename.concat root "baseline.json" in
-  write_file path
-    (Fmt.str
-       "{\"entries\":[{\"rule\":\"raw-atomic\",\"file\":%S,\"line\":3,\"note\":\"old\"}]}\n"
-       (Policy.normalize file));
-  match Baseline.load ~path with
-  | Error m -> Alcotest.fail m
-  | Ok base ->
-      (match base with
-      | [ e ] -> check Alcotest.bool "v1 entry has no ctx" true (e.Baseline.ctx = None)
-      | _ -> Alcotest.fail "one entry expected");
-      let split = Baseline.apply base [ finding ~rule:"raw-atomic" ~file ~line:3 ] in
-      check Alcotest.int "exact line matches" 1 (List.length split.Baseline.baselined);
-      let split = Baseline.apply base [ finding ~rule:"raw-atomic" ~file ~line:4 ] in
-      check Alcotest.int "moved finding is fresh under v1" 1
-        (List.length split.Baseline.fresh)
-
-(* ---- reporters ---- *)
-
 let report_fixture () =
-  let fresh = finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 in
-  let based = finding ~rule:"catch-all" ~file:"lib/b.ml" ~line:7 in
-  let result =
-    { Driver.files = 2; typed_files = 0; findings = [ fresh; based ];
-      suppressed = []; notes = [] }
-  in
-  Report.make ~baseline:(Baseline.of_findings [ based ]) result
+  {
+    Driver.files = 2;
+    typed_files = 1;
+    findings =
+      [ finding ~rule:"catch-all" ~file:"lib/a.ml" ~line:3;
+        finding ~rule:"obj-magic" ~file:"lib/b.ml" ~line:7 ];
+    suppressed = [];
+  }
 
 let test_report_exit_codes () =
-  let r = report_fixture () in
-  check Alcotest.int "fresh finding fails" 1 (Report.exit_code r);
-  let clean =
-    Report.make
-      { Driver.files = 1; typed_files = 0; findings = []; suppressed = []; notes = [] }
-  in
+  check Alcotest.int "a finding fails" 1 (Report.exit_code (report_fixture ()));
+  let clean = { Driver.files = 1; typed_files = 1; findings = []; suppressed = [] } in
   check Alcotest.int "clean passes" 0 (Report.exit_code clean);
-  let all_baselined =
-    Report.make
-      ~baseline:(Baseline.of_findings [ finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 ])
-      { Driver.files = 1; typed_files = 0;
-        findings = [ finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 ];
-        suppressed = []; notes = [] }
+  let f = finding ~rule:"obj-magic" ~file:"lib/a.ml" ~line:3 in
+  let s =
+    {
+      Lint.Suppress.rule = "obj-magic";
+      justification = "audited";
+      scope = Lint.Suppress.File;
+      file = "lib/a.ml";
+      line = 1;
+    }
   in
-  check Alcotest.int "baselined does not fail" 0 (Report.exit_code all_baselined)
+  let all_suppressed = { clean with suppressed = [ (f, s) ] } in
+  check Alcotest.int "suppressed does not fail" 0 (Report.exit_code all_suppressed)
 
 let test_report_text () =
   let text = Report.to_text (report_fixture ()) in
   check Alcotest.bool "grep-able location" true
-    (contains ~sub:"lib/a.ml:3:0: error obj-magic" text);
-  check Alcotest.bool "baselined tagged" true (contains ~sub:"[baselined]" text);
+    (contains ~sub:"lib/a.ml:3:0: error catch-all" text);
   check Alcotest.bool "summary line" true (contains ~sub:"2 files checked" text);
-  let with_notes =
-    Report.make
-      { Driver.files = 3; typed_files = 2; findings = []; suppressed = [];
-        notes = [ ("lib/x.ml", "cmt stale; typed rules skipped") ] }
-  in
-  let text = Report.to_text with_notes in
-  check Alcotest.bool "typed count in summary" true (contains ~sub:"(2 typed)" text);
-  check Alcotest.bool "note rendered" true
-    (contains ~sub:"lib/x.ml:1: note: cmt stale" text)
+  check Alcotest.bool "typed count in summary" true (contains ~sub:"(1 typed)" text);
+  check Alcotest.bool "counts by rule" true
+    (contains ~sub:"findings by rule: catch-all=1, obj-magic=1" text)
 
 let test_report_json () =
   let json = Report.to_json (report_fixture ()) in
   match Json.of_string (Json.to_string json) with
   | Error m -> Alcotest.fail m
   | Ok j ->
-      check Alcotest.int "version" 1
-        (Option.get (Option.bind (Json.member "version" j) Json.get_int));
+      let int key j = Option.get (Option.bind (Json.member key j) Json.get_int) in
+      check Alcotest.int "version" 2 (int "version" j);
+      check Alcotest.int "typed_files" 1 (int "typed_files" j);
       let findings = Option.get (Option.bind (Json.member "findings" j) Json.get_list) in
-      check Alcotest.int "fresh + baselined listed" 2 (List.length findings);
-      let f = List.hd findings in
+      check Alcotest.int "findings listed" 2 (List.length findings);
       List.iter
         (fun key ->
           check Alcotest.bool (Fmt.str "finding has %s" key) true
-            (Json.member key f <> None))
-        [ "rule"; "layer"; "severity"; "file"; "line"; "col"; "message"; "baselined" ];
-      check Alcotest.string "findings carry their layer" "ast"
-        (Option.get (Option.bind (Json.member "layer" f) Json.get_str));
-      check Alcotest.bool "typed object present" true (Json.member "typed" j <> None);
+            (Json.member key (List.hd findings) <> None))
+        [ "rule"; "layer"; "severity"; "file"; "line"; "col"; "message" ];
+      (* each finding names the one pass that produced its rule *)
+      check
+        Alcotest.(list string)
+        "findings carry their layer" [ "ast"; "typed" ]
+        (List.map
+           (fun f -> Option.get (Option.bind (Json.member "layer" f) Json.get_str))
+           findings);
       let summary = Option.get (Json.member "summary" j) in
-      check Alcotest.int "summary.fresh" 1
-        (Option.get (Option.bind (Json.member "fresh" summary) Json.get_int));
-      let by_rule = Option.get (Json.member "by_rule" summary) in
+      check Alcotest.int "summary.findings" 2 (int "findings" summary);
+      check Alcotest.int "summary.suppressed" 0 (int "suppressed" summary);
       check Alcotest.int "by_rule.obj-magic" 1
-        (Option.get (Option.bind (Json.member "obj-magic" by_rule) Json.get_int))
+        (int "obj-magic" (Option.get (Json.member "by_rule" summary)))
 
 (* ---- the lint on this repo's own invariants ---- *)
 
 let test_rule_registry () =
-  check Alcotest.int "eleven substantive rules" 11 (List.length Lint.Rule.substantive);
+  check Alcotest.int "ten substantive rules" 10 (List.length Lint.Rule.substantive);
   List.iter
     (fun name ->
       check Alcotest.bool (Fmt.str "%s registered" name) true (Lint.Rule.find name <> None))
     [ "raw-atomic"; "nondeterminism"; "toplevel-mutable"; "io-in-lib"; "catch-all";
       "mli-required"; "obj-magic"; "effect-discipline"; "poly-compare-abstract";
-      "alias-escape"; "domain-unsafe-capture" ];
+      "domain-unsafe-capture" ];
   check Alcotest.bool "parse-error is meta" true (Lint.Rule.is_meta "parse-error");
   check Alcotest.bool "cmt-missing is meta" true (Lint.Rule.is_meta "cmt-missing");
   check Alcotest.bool "raw-atomic is not" false (Lint.Rule.is_meta "raw-atomic")
@@ -542,91 +560,56 @@ let test_rule_metadata () =
       check Alcotest.bool (Fmt.str "%s has an example" r.Lint.Rule.name) true
         (String.length r.Lint.Rule.example > 0))
     Lint.Rule.all;
-  check Alcotest.string "poly-compare is typed-layer" "typed"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "poly-compare-abstract"));
-  check Alcotest.string "mli-required is fs-layer" "fs"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "mli-required"));
-  check Alcotest.string "raw-atomic is ast-layer" "ast"
-    (Lint.Rule.layer_to_string (Lint.Rule.layer "raw-atomic"))
-
-(* ---- typed pass: the planted-evasion fixture corpus ----
-
-   test/lint_fixtures is compiled as a library the test binary depends
-   on, so dune guarantees fresh cmts under the test cwd
-   (_build/default/test). Each test asserts BOTH halves of the claim:
-   the parsetree pass misses the planted construct, the typed pass
-   catches it. Fixture paths are remapped into lib/ because the typed
-   rules' policy scoping keys on the reported file. *)
-
-module Cmt_loader = Lint.Cmt_loader
-module Typed_rules = Lint.Typed_rules
-
-let fixture_src name = "lint_fixtures/" ^ name ^ ".ml"
-
-let fixture_cmt name =
-  match Cmt_loader.create ~build_dir:"." () with
-  | None -> Alcotest.fail "no built tree next to the test binary"
-  | Some l -> (
-      match Cmt_loader.for_source l (fixture_src name) with
-      | Cmt_loader.Typed cmt -> cmt
-      | status ->
-          Alcotest.fail
-            (Option.value
-               ~default:(Fmt.str "fixture cmt unusable for %s" name)
-               (Cmt_loader.describe ~build_dir:"." status)))
-
-let read_fixture name =
-  In_channel.with_open_text (fixture_src name) In_channel.input_all
-
-let typed_findings ~file name = Typed_rules.check ~file (fixture_cmt name)
-
-let count_typed rule fs =
-  List.length (List.filter (fun (f : Finding.t) -> f.Finding.rule = rule) fs)
-
-(* the parsetree pass, run over the fixture's own source under a fake
-   lib path, must report nothing for [rules] — that is what makes the
-   fixture an *evasion* *)
-let assert_parsetree_misses ~fake ~rules name =
-  let o = lint ~file:fake (read_fixture name) in
+  (* each rule lives in exactly one pass *)
   List.iter
-    (fun r ->
-      check Alcotest.int (Fmt.str "%s: parsetree misses %s" name r) 0 (count_rule r o))
-    rules
+    (fun (layer, rules) ->
+      List.iter
+        (fun rule ->
+          check Alcotest.string (Fmt.str "%s is %s-layer" rule layer) layer
+            (Lint.Rule.layer_to_string (Lint.Rule.layer rule)))
+        rules)
+    [
+      ( "typed",
+        [ "raw-atomic"; "nondeterminism"; "io-in-lib"; "obj-magic"; "poly-compare-abstract";
+          "domain-unsafe-capture" ] );
+      ("ast", [ "toplevel-mutable"; "catch-all"; "effect-discipline" ]);
+      ("fs", [ "mli-required" ]);
+    ]
+
+(* ---- typed pass: the planted evasions ----
+
+   Each fixture hides the identifier or type it resolves to behind an
+   alias, an open, eta-reduction or a named closure; the typed pass
+   still reports it under the rule the resolved identity belongs to. *)
 
 let test_evasion_alias () =
-  assert_parsetree_misses ~fake:"lib/consensus/evade_alias.ml"
-    ~rules:[ "raw-atomic"; "alias-escape" ] "evade_alias";
   let fs = typed_findings ~file:"lib/consensus/evade_alias.ml" "evade_alias" in
   check Alcotest.int "typed catches the aliased Atomic.set" 1
-    (count_typed "alias-escape" fs);
-  let f = List.hd fs in
+    (count_typed "raw-atomic" fs);
   check Alcotest.bool "message names the resolved identity" true
-    (contains ~sub:"Atomic.set" f.Finding.message);
-  check Alcotest.bool "message names the surface syntax" true
-    (contains ~sub:"A.set" f.Finding.message)
+    (contains ~sub:"Atomic.set" (List.hd fs).Finding.message)
 
 let test_evasion_open () =
-  assert_parsetree_misses ~fake:"lib/sim/evade_open.ml"
-    ~rules:[ "nondeterminism"; "alias-escape" ] "evade_open";
-  let fs = typed_findings ~file:"lib/sim/evade_open.ml" "evade_open" in
   check Alcotest.int "typed catches the bare Random.int" 1
-    (count_typed "alias-escape" fs);
-  (* the underlying rule's policy still applies: nondeterminism is not
-     active outside the deterministic dirs, so neither is its escape *)
-  let fs = typed_findings ~file:"lib/campaign/evade_open.ml" "evade_open" in
-  check Alcotest.int "out of the underlying rule's scope" 0
-    (count_typed "alias-escape" fs)
+    (count_rule "nondeterminism" (lint_fixture ~file:"lib/sim/evade_open.ml" "evade_open"));
+  (* the rule's policy applies as to any finding: nondeterminism is not
+     active outside the deterministic dirs *)
+  check Alcotest.int "out of the rule's scope" 0
+    (count_rule "nondeterminism"
+       (lint_fixture ~file:"lib/campaign/evade_open.ml" "evade_open"))
 
 let test_evasion_eta () =
-  assert_parsetree_misses ~fake:"lib/consensus/evade_eta.ml"
-    ~rules:[ "raw-atomic"; "alias-escape" ] "evade_eta";
   let fs = typed_findings ~file:"lib/consensus/evade_eta.ml" "evade_eta" in
   check Alcotest.int "eta-reduced + partial application both caught" 2
-    (count_typed "alias-escape" fs)
+    (count_typed "raw-atomic" fs)
+
+let test_evasion_obj_alias () =
+  let fs = typed_findings ~file:"lib/fault/evade_obj_alias.ml" "evade_obj_alias" in
+  check Alcotest.int "O.magic is Obj.magic" 1 (count_typed "obj-magic" fs);
+  check Alcotest.bool "message names the resolved identity" true
+    (contains ~sub:"Obj.magic" (List.hd fs).Finding.message)
 
 let test_poly_compare_fixture () =
-  assert_parsetree_misses ~fake:"lib/hoare/poly_compare.ml"
-    ~rules:[ "poly-compare-abstract" ] "poly_compare";
   let fs = typed_findings ~file:"lib/hoare/poly_compare.ml" "poly_compare" in
   (* direct =, aliased compare, = at Value.t list, List.mem,
      Hashtbl.hash, = at Op.t — and NOT the int-typed negative control *)
@@ -675,15 +658,19 @@ let test_named_closure_fixture () =
     (List.exists (fun (f : Finding.t) -> contains ~sub:"counter" f.Finding.message) hits)
 
 let test_typed_findings_suppressible () =
-  (* typed findings merge before suppression, so the existing
-     [@@@ffault.lint.allow] machinery covers them unchanged *)
-  let src = "[@@@ffault.lint.allow \"alias-escape\", \"audited escape\"]\nlet x = 1\n" in
-  let typed = [ finding ~rule:"alias-escape" ~file:"lib/sim/a.ml" ~line:2 ] in
-  let o = Driver.lint_impl_source ~policy:Policy.default ~typed ~file:"lib/sim/a.ml" src in
-  check Alcotest.int "typed finding suppressed" 0 (count_rule "alias-escape" o);
+  (* typed findings merge before suppression, so the one
+     [@@@ffault.lint.allow] machinery covers both passes *)
+  let file = "lib/consensus/evade_alias.ml" in
+  let src =
+    "[@@@ffault.lint.allow \"raw-atomic\", \"audited escape\"]\n"
+    ^ read_fixture "evade_alias"
+  in
+  let typed = typed_findings ~file "evade_alias" in
+  let o = Driver.lint_impl_source ~policy:Policy.default ~typed ~file src in
+  check Alcotest.int "typed finding suppressed" 0 (count_rule "raw-atomic" o);
   check Alcotest.int "suppression recorded" 1 (List.length o.Driver.suppressed)
 
-(* ---- cmt loader: freshness and graceful degradation ---- *)
+(* ---- cmt loader: freshness ---- *)
 
 let copy_binary src dst =
   Ffault_campaign.Checkpoint.mkdir_p (Filename.dirname dst);
@@ -709,7 +696,7 @@ let staleness_root () =
 
 let test_cmt_loader_fresh_then_stale () =
   let _, src, bld = staleness_root () in
-  let l = Option.get (Cmt_loader.create ~build_dir:bld ()) in
+  let l = Cmt_loader.create ~build_dir:bld () in
   (match Cmt_loader.for_source l src with
   | Cmt_loader.Typed _ -> ()
   | s ->
@@ -722,55 +709,26 @@ let test_cmt_loader_fresh_then_stale () =
       check Alcotest.bool "says the source changed" true (contains ~sub:"source changed" m)
   | _ -> Alcotest.fail "expected Stale"
 
+let count_run rule (r : Driver.result) =
+  List.length (List.filter (fun (f : Finding.t) -> f.Finding.rule = rule) r.Driver.findings)
+
 let test_cmt_stale_degrades_to_note () =
   let root, src, bld = staleness_root () in
   write_file src (read_fixture "evade_alias" ^ "\nlet edited_after_build = ()\n");
-  (* auto: a per-file note, never a failure, and no typed findings from
-     the stale tree *)
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_auto ~build_dir:bld [ root ] in
-  check Alcotest.int "no typed findings from a stale cmt" 0
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "alias-escape") r.Driver.findings));
-  check Alcotest.int "no cmt-missing under auto" 0
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "cmt-missing") r.Driver.findings));
-  (match r.Driver.notes with
-  | [ (file, msg) ] ->
-      check Alcotest.bool "note names the file" true (contains ~sub:"evade_alias.ml" file);
-      check Alcotest.bool "note says why" true (contains ~sub:"source changed" msg)
-  | notes -> Alcotest.fail (Fmt.str "expected one note, got %d" (List.length notes)));
-  (* on: the same degradation is a finding — CI fails loudly *)
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_on ~build_dir:bld [ root ] in
-  check Alcotest.int "cmt-missing under on" 1
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "cmt-missing") r.Driver.findings))
+  (* a stale cmt yields no typed findings, and is itself an error, so a
+     build regression cannot silently shrink coverage *)
+  let r = Driver.run ~policy:Policy.default ~build_dir:bld [ root ] in
+  check Alcotest.int "no typed findings from a stale cmt" 0 (count_run "raw-atomic" r);
+  check Alcotest.int "cmt-missing" 1 (count_run "cmt-missing" r);
+  check Alcotest.int "no file typed" 0 r.Driver.typed_files
 
 let test_cmt_fresh_via_driver () =
   (* with an untouched source the driver runs the typed rules off the
      copied cmt and surfaces the planted escape *)
   let root, _, bld = staleness_root () in
-  let r = Driver.run ~policy:Policy.default ~typed:Driver.Typed_auto ~build_dir:bld [ root ] in
+  let r = Driver.run ~policy:Policy.default ~build_dir:bld [ root ] in
   check Alcotest.int "typed pass covered the file" 1 r.Driver.typed_files;
-  check Alcotest.int "planted escape surfaced" 1
-    (List.length
-       (List.filter (fun (f : Finding.t) -> f.Finding.rule = "alias-escape") r.Driver.findings))
-
-(* ---- baseline prune ---- *)
-
-let test_baseline_prune () =
-  let root = tmp_root () in
-  let file = Filename.concat root "keep.ml" in
-  write_file file body;
-  let live = finding ~rule:"raw-atomic" ~file ~line:3 in
-  let dead =
-    { Baseline.rule = "io-in-lib"; file = "lib/gone.ml"; line = 9; ctx = None; note = "" }
-  in
-  let base = Baseline.of_findings [ live ] @ [ dead ] in
-  let kept, dropped = Baseline.prune base [ live ] in
-  check Alcotest.int "one dropped" 1 (List.length dropped);
-  check Alcotest.int "one kept" 1 (List.length kept);
-  check Alcotest.string "kept the live entry" "raw-atomic" (List.hd kept).Baseline.rule;
-  check Alcotest.string "dropped the dead entry" "io-in-lib" (List.hd dropped).Baseline.rule
+  check Alcotest.int "planted escape surfaced" 1 (count_run "raw-atomic" r)
 
 let suites =
   [
@@ -801,6 +759,8 @@ let suites =
         Alcotest.test_case "evasion: alias" `Quick test_evasion_alias;
         Alcotest.test_case "evasion: open" `Quick test_evasion_open;
         Alcotest.test_case "evasion: eta/partial" `Quick test_evasion_eta;
+        Alcotest.test_case "evasion: module O = Obj" `Quick test_evasion_obj_alias;
+        Alcotest.test_case "identifier corpus" `Quick test_ident_corpus;
         Alcotest.test_case "poly-compare fixture" `Quick test_poly_compare_fixture;
         Alcotest.test_case "domain-capture fixture" `Quick test_domain_capture_fixture;
         Alcotest.test_case "named-closure fixture" `Quick test_named_closure_fixture;
@@ -828,18 +788,6 @@ let suites =
       [
         Alcotest.test_case "rules filter" `Quick test_rules_filter;
         Alcotest.test_case "skips _build" `Quick test_collect_skips_build_dirs;
-      ] );
-    ( "lint.baseline",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
-        Alcotest.test_case "add/expire" `Quick test_baseline_add_expire;
-        Alcotest.test_case "missing file" `Quick test_baseline_missing_file;
-        Alcotest.test_case "fuzzy: shift survives" `Quick test_baseline_fuzzy_survives_shift;
-        Alcotest.test_case "fuzzy: edit resurfaces" `Quick
-          test_baseline_fuzzy_edit_resurfaces;
-        Alcotest.test_case "fuzzy: line tiebreak" `Quick test_baseline_fuzzy_line_tiebreak;
-        Alcotest.test_case "v1 compat" `Quick test_baseline_v1_compat;
-        Alcotest.test_case "prune" `Quick test_baseline_prune;
       ] );
     ( "lint.report",
       [
