@@ -53,13 +53,24 @@ examples:
 
 # A 200-trial end-to-end campaign: run, report, and a self-diff that must
 # come back regression-free. Exercises the whole artifact pipeline in CI.
+# Then the supervised path: one herlihy grid run plain and under a
+# per-trial deadline must diff clean both ways at zero tolerance, so a
+# supervised run that loses or gains a single violation fails the step.
 campaign-smoke:
-	rm -rf _campaigns/ci-smoke
+	rm -rf _campaigns/ci-smoke _campaigns/ci-smoke-plain _campaigns/ci-smoke-deadline
 	dune exec bin/main.exe -- campaign run --name ci-smoke --protocol fig3 \
 	  -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2 \
 	  --trace _campaigns/ci-smoke/trace.json
 	dune exec bin/main.exe -- campaign report --name ci-smoke
 	dune exec bin/main.exe -- campaign diff _campaigns/ci-smoke _campaigns/ci-smoke
+	dune exec bin/main.exe -- campaign run --name ci-smoke-plain --protocol herlihy \
+	  -f 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2
+	dune exec bin/main.exe -- campaign run --name ci-smoke-deadline --protocol herlihy \
+	  -f 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2 --deadline 5 --max-retries 1
+	dune exec bin/main.exe -- campaign diff --tolerance 0 \
+	  _campaigns/ci-smoke-plain _campaigns/ci-smoke-deadline
+	dune exec bin/main.exe -- campaign diff --tolerance 0 \
+	  _campaigns/ci-smoke-deadline _campaigns/ci-smoke-plain
 
 # Crash-tolerance end to end: SIGKILL a live campaign mid-flight, resume
 # it, and assert the journal holds every trial exactly once.

@@ -768,7 +768,11 @@ let campaign_serve_cmd =
     Arg.(value & opt float 2.0 & info [ "hb-interval" ] ~docv:"SECONDS" ~doc)
   in
   let max_workers_arg =
-    let doc = "Maximum concurrent worker connections." in
+    let doc =
+      "Heartbeat slots: the first N connected workers each get one, and a worker whose \
+       slot stays silent past the lease timeout is dropped. Every connection is \
+       accepted; a worker beyond N is watched by lease expiry alone."
+    in
     Arg.(value & opt int 64 & info [ "max-workers" ] ~docv:"N" ~doc)
   in
   let resume_serve_arg =

@@ -7,8 +7,6 @@ module Value = Ffault_objects.Value
 module Metrics = Ffault_telemetry.Metrics
 module Tracer = Ffault_telemetry.Tracer
 module Stats = Ffault_stats.Summary
-module Heartbeat = Ffault_supervise.Heartbeat
-module Watchdog = Ffault_supervise.Watchdog
 module Retry = Ffault_supervise.Retry
 module Quarantine = Ffault_supervise.Quarantine
 
@@ -189,22 +187,6 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
     Quarantine.create ~threshold:supervision.quarantine_after
       ~cells:(Array.length cells) ()
   in
-  (* Heartbeats + watchdog only run on supervised (deadlined) campaigns:
-     without a deadline there is no stall bound to judge against. The
-     watchdog is the out-of-band backstop — the deadline normally fires
-     in-band through the engine's interrupt poll; if a worker wedges
-     somewhere that doesn't poll, the watchdog cancels its token. *)
-  let supervised =
-    match supervision.deadline_s with
-    | None -> None
-    | Some deadline_s ->
-        let hb = Heartbeat.create ~slots:domains () in
-        let stall_ns =
-          max (int_of_float (4.0 *. deadline_s *. 1e9)) 500_000_000
-        in
-        let wd = Watchdog.create ~heartbeat:hb ~stall_ns () in
-        Some (deadline_s, hb, wd)
-  in
   (* Per-cell trial durations, feeding the adaptive deadline. Guarded
      by a lock: Summary is single-writer, and percentile reads race
      with adds. The lock is per-completed-attempt, far off the engine's
@@ -234,20 +216,6 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
         in
         Mutex.unlock lock;
         d
-  in
-  (* Worker slots: run_tasks doesn't number its domains, so the first
-     beat from each domain claims the next free slot. *)
-  let slot_ids = Array.init domains (fun _ -> Atomic.make (-1)) in
-  let slot_of_self () =
-    let me = (Domain.self () :> int) in
-    let rec find i =
-      if i >= domains then 0 (* more domains than slots: share 0, still safe *)
-      else if Atomic.get slot_ids.(i) = me then i
-      else if Atomic.get slot_ids.(i) = -1 && Atomic.compare_and_set slot_ids.(i) (-1) me
-      then i
-      else find (i + 1)
-    in
-    find 0
   in
   let total = Grid.total_trials spec in
   let executed = ref 0 in
@@ -286,11 +254,21 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
     then begin
       Atomic.incr shrunk;
       Metrics.incr m_shrinks;
-      (* re-run with shrinking on; the recorded run is cheap relative to
-         the minimization it feeds *)
-      Tracer.with_span ~cat:"campaign" "shrink" (fun () ->
-          Shrink_on_fail.run_trial ~shrink:true ?interrupt ?crash_plan setup
-            ~rate:trial.Grid.cell.Grid.rate ~seed:trial.Grid.seed)
+      (* minimize the run's own decision vector: a failing trial runs
+         once, and its wall time covers the run plus the shrink *)
+      let shrink_started = Unix.gettimeofday () in
+      let witness =
+        Tracer.with_span ~cat:"campaign" "shrink" (fun () ->
+            match Shrink_on_fail.minimize setup res.Shrink_on_fail.decisions with
+            | Some (shrunk, _) -> shrunk
+            | None -> res.Shrink_on_fail.decisions)
+      in
+      let shrink_ns = int_of_float ((Unix.gettimeofday () -. shrink_started) *. 1e9) in
+      {
+        res with
+        Shrink_on_fail.witness = Some witness;
+        wall_ns = res.Shrink_on_fail.wall_ns + shrink_ns;
+      }
     end
     else { res with Shrink_on_fail.witness = Some res.Shrink_on_fail.decisions }
   in
@@ -302,22 +280,14 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
      budget classifies the cell's behavior deterministic-protocol and
      costs the cell a quarantine strike. *)
   let run_supervised trial =
-    match supervised with
+    match supervision.deadline_s with
     | None -> (run_attempt trial, 0)
-    | Some (deadline_s, hb, wd) ->
-        let slot = slot_of_self () in
+    | Some deadline_s ->
         let rec attempt failed =
-          Heartbeat.beat hb ~slot;
           let cancel =
             Cancel.after ~seconds:(deadline_for trial.Grid.cell_id deadline_s)
           in
-          Watchdog.attach wd ~slot cancel;
-          let res =
-            Fun.protect
-              ~finally:(fun () -> Watchdog.detach wd ~slot)
-              (fun () -> run_attempt ~interrupt:(fun () -> Cancel.cancelled cancel) trial)
-          in
-          Heartbeat.beat hb ~slot;
+          let res = run_attempt ~interrupt:(fun () -> Cancel.cancelled cancel) trial in
           if not res.Shrink_on_fail.report.Check.result.Engine.interrupted then begin
             note_duration trial.Grid.cell_id res.Shrink_on_fail.wall_ns;
             (match Retry.classify supervision.retry ~attempts_failed:failed ~succeeded:true with
@@ -378,12 +348,7 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
         if record.Journal.retries > 0 then retried := !retried + record.Journal.retries;
         on_record record
   in
-  let wd_handle =
-    Option.map (fun (_, _, wd) -> Watchdog.start ~interval_s:0.05 wd) supervised
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Watchdog.stop wd_handle)
-    (fun () -> Runner.run_tasks ~chunk ~domains ~total ~worker ~consume ());
+  Runner.run_tasks ~chunk ~domains ~total ~worker ~consume ();
   let wall_s = Unix.gettimeofday () -. started in
   {
     total;

@@ -15,7 +15,7 @@
 type supervision = {
   deadline_s : float option;
       (** per-trial wall-clock deadline; [None] disables supervision
-          (no heartbeats, watchdog, retries or strikes) *)
+          (no deadline, retries or strikes) *)
   retry : Ffault_supervise.Retry.policy;
   quarantine_after : int;  (** deterministic-protocol strikes to degrade a cell *)
   adaptive_deadline : bool;
@@ -104,8 +104,11 @@ val run_trials :
     a cell with [quarantine_after] strikes degrades, and its remaining
     trials journal [Quarantined] records without running — which is what
     bounds a campaign over pathological cells to finitely many deadline
-    waits. A watchdog thread backstops workers wedged outside the
-    engine's poll points by cancelling their attached token.
+    waits.
+
+    A failing trial runs once: its witness is minimized from that run's
+    decision vector (within the per-cell shrink budget), and its
+    [wall_us] covers the run plus the shrink.
     @raise Invalid_argument if the spec's protocol does not resolve or
     [domains]/[chunk] are out of range. *)
 

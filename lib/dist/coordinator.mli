@@ -7,8 +7,8 @@
 
     - a lease is only {e retired} once every one of its trials is
       journaled and the worker's [Complete] frame arrives;
-    - a worker death (socket EOF, error, or heartbeat silence judged by
-      {!Ffault_supervise.Watchdog}) merely requeues its shards, and the
+    - a worker death (socket EOF, error, or a heartbeat slot silent past
+      the lease timeout) merely requeues its shards, and the
       re-lease carries the trial ids already journaled so the next
       worker skips them;
     - a result for an already-journaled trial — a zombie worker
@@ -33,10 +33,14 @@ type config = {
   endpoint : Transport.endpoint;
   lease_trials : int;  (** trials per lease shard *)
   lease_timeout_s : float;
-      (** a lease silent this long expires; also the watchdog's stall
-          bound for worker connections *)
+      (** a lease silent this long expires; a connection whose
+          heartbeat slot is silent this long is dropped *)
   hb_interval_s : float;  (** heartbeat cadence imposed on workers *)
-  max_workers : int;  (** concurrent connections (heartbeat slots) *)
+  max_workers : int;
+      (** heartbeat slots: the first [max_workers] connected workers get
+          one, and their silence is judged on it. Every connection is
+          accepted; a worker beyond [max_workers] is watched by lease
+          expiry alone. *)
   supervision : Codec.supervision;  (** forwarded to every worker *)
 }
 
@@ -56,7 +60,7 @@ val config :
 (** Per-worker statistics, persisted as [workers.json] and rendered by
     [campaign report]'s Workers section. Workers are keyed by their
     hello name; a name reconnecting (its process restarted, or its
-    connection was dropped by the watchdog) counts a reconnect. *)
+    connection was dropped for heartbeat silence) counts a reconnect. *)
 type worker_stats = Core.worker_stats = {
   w_name : string;
   w_peer : string;  (** last known address *)

@@ -6,7 +6,6 @@ module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Grid = Campaign.Grid
 module Heartbeat = Ffault_supervise.Heartbeat
-module Watchdog = Ffault_supervise.Watchdog
 module Clock = Ffault_runtime.Clock
 module Metrics = Ffault_telemetry.Metrics
 
@@ -179,7 +178,6 @@ type 'c t = {
   on_drop : 'c client -> unit;
   leases : Lease.t;
   hb : Heartbeat.t;
-  wd : Watchdog.t;
   mutable free_slots : int list;
   mutable clients : 'c client list;
   wstats : (string, wstat) Hashtbl.t;
@@ -227,11 +225,6 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
       (Fmt.str "recovery: %d of %d shard(s) already complete in the journal"
          !recovered (Lease.n_shards leases));
   let hb = Heartbeat.create ~clock ~slots:max_workers () in
-  let wd =
-    Watchdog.create ~heartbeat:hb
-      ~stall_ns:(int_of_float (lease_timeout_s *. 1e9))
-      ()
-  in
   {
     io;
     append;
@@ -253,7 +246,6 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     on_drop;
     leases;
     hb;
-    wd;
     free_slots = List.init max_workers Fun.id;
     clients = [];
     wstats = Hashtbl.create 16;
@@ -328,7 +320,6 @@ let drop_client t ~why c =
         drop_leases_of t ~why name
     | None -> ());
     if c.slot >= 0 then begin
-      Watchdog.detach t.wd ~slot:c.slot;
       t.free_slots <- c.slot :: t.free_slots;
       c.slot <- -1
     end;
@@ -569,8 +560,8 @@ let deliver t c frame =
     | Error why -> drop_client t ~why c
 
 let tick t =
-  (* lease expiry by silence (the watchdog view feeds the same clock):
-     requeue, so the next Request re-issues the shard *)
+  (* lease expiry by silence: requeue, so the next Request re-issues
+     the shard *)
   List.iter
     (fun (owner, (l : Lease.lease)) ->
       let w = wstat_of t owner in
@@ -581,14 +572,18 @@ let tick t =
         (Fmt.str "lease #%d [%d,%d) of %s expired (no traffic for %gs)" l.Lease.id
            l.Lease.lo l.Lease.hi owner t.lease_timeout_s))
     (Lease.expire t.leases);
-  (* watchdog: drop connections whose heartbeat slot went silent *)
-  let stuck = Watchdog.poll t.wd in
-  if stuck <> [] then
-    List.iter
-      (fun c ->
-        if c.slot >= 0 && List.mem c.slot stuck then
-          drop_client t ~why:"heartbeat silence (watchdog)" c)
-      t.clients
+  (* drop connections whose heartbeat slot has been silent longer than
+     the lease timeout; a client without a slot is watched by lease
+     expiry alone *)
+  let silence_ns = int_of_float (t.lease_timeout_s *. 1e9) in
+  List.iter
+    (fun c ->
+      if c.slot >= 0 then
+        match Heartbeat.age_ns t.hb ~slot:c.slot with
+        | Some age when age > silence_ns ->
+            drop_client t ~why:"heartbeat silence (watchdog)" c
+        | Some _ | None -> ())
+    t.clients
 
 let finish t =
   (* the winning worker's [Complete] may still be in flight when the

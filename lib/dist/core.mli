@@ -183,8 +183,10 @@ val client_closed : 'c t -> 'c client -> why:string -> unit
 
 val tick : 'c t -> unit
 (** Time-based duties, driven by the engine's clock: expire silent
-    leases, drop connections the watchdog flags. The socket driver
-    calls it once per select round; netsim on a virtual timer. *)
+    leases, then drop every connected client whose heartbeat slot is
+    older than the lease timeout (in client order, reason
+    ["heartbeat silence (watchdog)"]). The socket driver calls it once
+    per select round; netsim on a virtual timer. *)
 
 val is_done : 'c t -> bool
 (** Every trial id journaled. *)

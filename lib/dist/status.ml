@@ -70,7 +70,7 @@ let workers_json (v : Core.view) =
   (* stale is judged by heartbeat age alone, not connectedness: a
      SIGKILLed worker's socket EOFs promptly on localhost but can
      linger on a real network, and either way the operator wants the
-     age-based verdict the watchdog will act on *)
+     age-based verdict the coordinator's silence check will act on *)
   let stale_after = 2.0 *. v.Core.vw_hb_interval_s in
   let worker (w : Core.wview) =
     Json.Obj

@@ -27,9 +27,9 @@
 
     A background thread heartbeats at the cadence the [Welcome]
     dictates, so a worker grinding through a slow trial range never
-    looks dead to the coordinator's watchdog. Results are sent from the
-    engine's serialized [on_record] path and heartbeats from the
-    thread; the connection's send mutex interleaves them safely.
+    looks silent to the coordinator's heartbeat check. Results are sent
+    from the engine's serialized [on_record] path and heartbeats from
+    the thread; the connection's send mutex interleaves them safely.
 
     Each beat piggybacks this process's telemetry snapshot and — when
     {!Ffault_telemetry.Tracer} is enabled — the span events recorded

@@ -4,7 +4,7 @@
     Events execute in [(time, insertion-seq)] order — ties broken by
     who scheduled first — and the {!Ffault_runtime.Clock.Virtual} clock
     is set to each event's timestamp before it runs, so every timeout,
-    lease expiry and watchdog decision made by code reading
+    lease expiry and heartbeat-silence decision made by code reading
     {!clock} is a pure function of the event sequence. Nothing here
     reads the wall clock. *)
 

@@ -415,7 +415,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let total_limit_hit = ref false in
   let interrupted = ref false in
   (* Poll the interrupt hook every 2^8 steps: cheap enough to leave on in
-     the innermost loop, fine-grained enough that a watchdog deadline
+     the innermost loop, fine-grained enough that a trial deadline
      lands within microseconds of tripping. Step 0 polls, so an
      already-tripped token cancels before any work. *)
   let poll_interrupt () =

@@ -97,8 +97,8 @@ type config = {
       (** cooperative cancellation hook, polled every 256 steps from the
           main loop; once it returns [true] the run stops, marks runnable
           processes [Cancelled] and sets [interrupted]. Must be cheap and
-          thread-safe (typically [Cancel.cancelled] on a token a watchdog
-          may trip). *)
+          thread-safe (typically [Cancel.cancelled] on a per-trial
+          deadline token). *)
   persistence : Ffault_recover.Persistence.mode;
       (** what shared state survives a crash-restart (doc/RECOVERY.md);
           irrelevant when no crashes can occur *)

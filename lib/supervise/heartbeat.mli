@@ -1,8 +1,10 @@
 (** Per-worker liveness beacons.
 
-    Each worker slot (a campaign pool domain, a multicore trial) calls
-    {!beat} at natural progress points — trial boundaries, retry loops —
-    and the {!Watchdog} judges staleness from the recorded timestamps.
+    Each slot (a multicore trial's domain, a coordinator's connected
+    worker) calls {!beat} at natural progress points — before each CAS,
+    on each received frame — and staleness is judged from the recorded
+    timestamps: by a {!Watchdog} for multicore domains, by a direct
+    {!age_ns} read in the coordinator.
     Beating is one atomic store on the slot's own word plus a sharded
     counter bump; it is safe from any domain or thread.
 

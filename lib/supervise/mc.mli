@@ -1,11 +1,12 @@
 (** Watchdog-supervised multicore consensus: {!Ffault_runtime.Consensus_mc}
     with a liveness beacon per domain.
 
-    A deadline alone only helps a domain that still reaches a poll
-    point; a domain wedged inside a nonresponsive CAS (the [Hang]
-    style, or a genuine scheduler pathology) never polls. Here every
-    domain heartbeats into its own {!Heartbeat} slot — at domain start
-    and before each CAS, via the runtime's [on_progress] hook — and a
+    A deadline bounds the whole trial: every CAS polls the trial's
+    token, and so does a domain inside a nonresponsive CAS
+    ([Faulty_cas.hang] checks it on every spin). What the watchdog adds
+    is a bound on per-step silence below the deadline. Every domain
+    heartbeats into its own {!Heartbeat} slot — at domain start and
+    before each CAS, via the runtime's [on_progress] hook — and a
     {!Watchdog} thread watches the slots: a domain silent past the
     stall bound is flagged and the {e whole trial's} shared token is
     cancelled (consensus is all-or-nothing — a stuck domain starves its
@@ -14,7 +15,9 @@
 
     The stall bound defaults to [max 0.5s, 4 × deadline]: generous
     enough that a merely slow domain beats again first, so a flag means
-    wedged, not busy. *)
+    wedged, not busy. That default is never below the deadline, so only
+    an explicit [watchdog_stall_s] under the deadline lets the watchdog
+    fire first. *)
 
 type result = {
   mc : Ffault_runtime.Consensus_mc.result;

@@ -36,7 +36,6 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let attach t ~slot token = with_lock t (fun () -> t.tokens.(slot) <- Some token)
-let detach t ~slot = with_lock t (fun () -> t.tokens.(slot) <- None)
 
 (* The reference timestamp of a slot's current epoch: its last beat, or
    the watchdog's birth if it never beat (a worker wedged before its

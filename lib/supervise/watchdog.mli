@@ -27,9 +27,6 @@ val attach : t -> slot:int -> Ffault_runtime.Cancel.t -> unit
 (** Register [slot]'s current trial token; the next flagging of [slot]
     cancels it. Replaces any previous token for the slot. *)
 
-val detach : t -> slot:int -> unit
-(** Clear [slot]'s token (trial finished on its own). *)
-
 val poll : t -> int list
 (** Flag newly stuck slots: cancel their attached tokens and return
     their indices (ascending). Slots already flagged and still silent

@@ -86,7 +86,7 @@ let check_result s (r : Engine.result) =
       | Engine.Hung | Engine.Exhausted _ | Engine.Step_limited | Engine.Crashed _ ->
           add (Wait_freedom { proc; outcome })
       | Engine.Cancelled ->
-          (* The harness truncated the run (deadline/watchdog), so no
+          (* The harness truncated the run (a deadline), so no
              verdict can be drawn about the protocol: not a violation.
              Callers must consult [result.interrupted] and report the run
              as timed out, never as passing. *)

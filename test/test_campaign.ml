@@ -449,6 +449,78 @@ let test_supervision_validation () =
   | _ -> Alcotest.fail "negative retries must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* A failing trial's engine runs once: its witness is minimized from the
+   decision vector of that one recorded run. Every engine run is then
+   either a trial, a shrink candidate, or the shrink's final replay of
+   the minimized vector. A generous deadline changes nothing. *)
+let test_pool_failing_trial_runs_once () =
+  let spec =
+    Spec.v ~name:"runs-once" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.3; 0.5 ]
+      ~trials:100 ()
+  in
+  let counter name =
+    Option.value ~default:0
+      (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ()) name)
+  in
+  let collect supervision =
+    let records = ref [] in
+    let summary =
+      Pool.run_trials ~domains:1 ?supervision
+        ~on_record:(fun r -> records := r :: !records)
+        spec
+    in
+    (summary, List.rev !records)
+  in
+  let runs0 = counter "sim.runs" and trials0 = counter "campaign.trials" in
+  let iterations0 = counter "shrink.iterations" and shrinks0 = counter "campaign.shrinks" in
+  let summary, records = collect None in
+  let runs = counter "sim.runs" - runs0 and trials = counter "campaign.trials" - trials0 in
+  let iterations = counter "shrink.iterations" - iterations0 in
+  let shrinks = counter "campaign.shrinks" - shrinks0 in
+  check Alcotest.int "every trial counted" (Grid.total_trials spec) trials;
+  check Alcotest.bool "some failures shrunk" true (summary.Pool.shrunk > 0);
+  check Alcotest.int "shrinks counted" summary.Pool.shrunk shrinks;
+  check Alcotest.int "runs = trials + shrink candidates + final replays"
+    (trials + iterations + shrinks) runs;
+  (* on one domain the per-cell shrink budget goes to each cell's first
+     failures in trial order *)
+  let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
+  let cells = Grid.cells spec in
+  let budget = Array.make (Array.length cells) Pool.default_max_shrinks_per_cell in
+  List.iter
+    (fun (r : Journal.record) ->
+      if r.Journal.outcome = Journal.Violation then begin
+        let trial = Grid.trial_of_cells spec cells r.Journal.trial in
+        let setup = Grid.setup trial.Grid.cell protocol in
+        let _, decisions =
+          Shrink_on_fail.run_recorded setup ~rate:trial.Grid.cell.Grid.rate
+            ~seed:trial.Grid.seed
+        in
+        let expected =
+          if budget.(trial.Grid.cell_id) > 0 then begin
+            budget.(trial.Grid.cell_id) <- budget.(trial.Grid.cell_id) - 1;
+            Option.map fst (Shrink_on_fail.minimize setup decisions)
+          end
+          else Some decisions
+        in
+        check
+          Alcotest.(option (array int))
+          (Fmt.str "trial %d witness" r.Journal.trial)
+          expected r.Journal.witness
+      end)
+    records;
+  let _, supervised = collect (Some (Pool.supervision ~deadline_s:5.0 ())) in
+  List.iter2
+    (fun (a : Journal.record) (b : Journal.record) ->
+      check Alcotest.bool
+        (Fmt.str "trial %d journals the same under a deadline" a.Journal.trial)
+        true
+        (a.Journal.trial = b.Journal.trial
+        && a.Journal.outcome = b.Journal.outcome
+        && a.Journal.steps = b.Journal.steps
+        && a.Journal.witness = b.Journal.witness))
+    records supervised
+
 (* ---- adaptive deadlines ---- *)
 
 let test_adaptive_deadline_math () =
@@ -732,6 +804,8 @@ let suites =
         Alcotest.test_case "quarantined survive resume" `Quick
           test_run_dir_supervised_resume_noop;
         Alcotest.test_case "validation" `Quick test_supervision_validation;
+        Alcotest.test_case "a failing trial runs once" `Quick
+          test_pool_failing_trial_runs_once;
         Alcotest.test_case "adaptive deadline math" `Quick test_adaptive_deadline_math;
         Alcotest.test_case "adaptive needs a cap" `Quick test_adaptive_requires_deadline;
         Alcotest.test_case "adaptive matches unsupervised" `Quick

@@ -672,6 +672,57 @@ let test_stale_complete_fenced_results_deduped () =
   let v = Core.view core in
   check Alcotest.int "requeued shard re-granted" 2 v.Core.vw_leases_outstanding
 
+(* Heartbeat silence at the engine, in virtual time: a connected client
+   whose slot has been silent longer than the lease timeout is dropped
+   on the next tick, in client order, while a client that keeps sending
+   frames stays. Idle slots are nobody's silence. *)
+let test_silent_client_dropped () =
+  let spec = Spec.v ~name:"silence" ~protocol:"fig1" ~trials:32 () in
+  let st = Checkpoint.fresh ~total:(Grid.total_trials spec) in
+  let clock, advance = fake_clock 0 in
+  let flags () =
+    Option.value ~default:0
+      (Ffault_telemetry.Metrics.find_counter
+         (Ffault_telemetry.Metrics.snapshot ())
+         "supervise.watchdog_flags")
+  in
+  let flags_before = flags () in
+  let events = ref [] and dropped = ref [] in
+  let core =
+    Core.create ~clock ~io:fake_io
+      ~append:(fun _ -> ())
+      ~on_event:(fun e -> events := e :: !events)
+      ~on_drop:(fun c -> dropped := Core.conn c :: !dropped)
+      ~st ~spec ~lease_trials:16 ~lease_timeout_s:2.0 ~hb_interval_s:0.5
+      ~max_workers:4 ~supervision:Codec.no_supervision ()
+  in
+  let join name =
+    let cl = Core.add_client core name in
+    Core.deliver core cl
+      (Codec.to_frame
+         (Codec.Hello { version = Wire.version; name; domains = 1; last_epoch = 0 }));
+    cl
+  in
+  let chatty = join "w-chatty" in
+  let silent = join "w-silent" in
+  for _ = 1 to 4 do
+    advance 500_000_000;
+    Core.deliver core chatty
+      (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = None }));
+    Core.tick core
+  done;
+  check (Alcotest.list Alcotest.string) "nothing dropped at 2 s" [] !dropped;
+  advance 1;
+  Core.tick core;
+  check (Alcotest.list Alcotest.string) "only the silent client dropped" [ "w-silent" ]
+    !dropped;
+  check Alcotest.bool "silent client dropped" true (Core.dropped silent);
+  check Alcotest.bool "chatty client kept" false (Core.dropped chatty);
+  check Alcotest.bool "drop reason" true
+    (List.mem "worker w-silent left (heartbeat silence (watchdog))" !events);
+  check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected;
+  check Alcotest.int "no watchdog flags" flags_before (flags ())
+
 let test_coordinator_config_validation () =
   let ep = Transport.Unix_sock "/tmp/x.sock" in
   raises_invalid "lease_trials" (fun () -> Dist.Coordinator.config ~lease_trials:0 ep);
@@ -998,6 +1049,8 @@ let suites =
           test_restart_recovers_torn_journal;
         Alcotest.test_case "stale complete fenced, results deduped" `Quick
           test_stale_complete_fenced_results_deduped;
+        Alcotest.test_case "silent client dropped at the lease timeout" `Quick
+          test_silent_client_dropped;
         Alcotest.test_case "exactly-once over a socket" `Quick test_serve_exactly_once;
         Alcotest.test_case "bye ends a worker's wait" `Quick test_bye_ends_wait;
       ] );

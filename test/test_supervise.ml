@@ -79,17 +79,6 @@ let test_watchdog_beat_unflags () =
   advance 150;
   check (Alcotest.list Alcotest.int) "a second stall is a new flag" [ 0 ] (Watchdog.poll wd)
 
-let test_watchdog_detach () =
-  let clock, advance = fake_clock 0 in
-  let hb = Heartbeat.create ~clock ~slots:1 () in
-  let wd = Watchdog.create ~heartbeat:hb ~stall_ns:100 () in
-  let token = Cancel.create ~now:(fun () -> Clock.now_ns clock) () in
-  Watchdog.attach wd ~slot:0 token;
-  Watchdog.detach wd ~slot:0;
-  advance 150;
-  ignore (Watchdog.poll wd);
-  check Alcotest.bool "detached token survives the flag" false (Cancel.cancelled token)
-
 let test_watchdog_validation () =
   let hb = Heartbeat.create ~slots:1 () in
   raises_invalid "stall_ns < 1" (fun () -> Watchdog.create ~heartbeat:hb ~stall_ns:0 ())
@@ -212,7 +201,6 @@ let suites =
       [
         Alcotest.test_case "flags and cancels" `Quick test_watchdog_flags_and_cancels;
         Alcotest.test_case "beat unflags" `Quick test_watchdog_beat_unflags;
-        Alcotest.test_case "detach" `Quick test_watchdog_detach;
         Alcotest.test_case "validation" `Quick test_watchdog_validation;
       ] );
     ( "supervise.retry",
