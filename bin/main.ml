@@ -170,7 +170,7 @@ let trace_cmd =
     let report =
       Check.run setup ~scheduler:(Sim.Scheduler.random ~seed:seed64) ~injector ()
     in
-    Fmt.pr "%s under %a, seed %d:@.@." report.Check.setup_name Protocol.pp_params
+    Fmt.pr "%s under %a, seed %d:@.@." (Check.setup_name setup) Protocol.pp_params
       setup.Check.params seed;
     print_checked ~clean:"No violations: all processes decided consistently." setup report
   in
@@ -428,8 +428,8 @@ let multicore_cmd =
   let stall_arg =
     let doc =
       "Watchdog stall bound in seconds: a domain with no CAS progress for this long is \
-       flagged and the run is cancelled. Defaults to max(0.5, 4 x deadline) when a \
-       deadline is set, else the watchdog is off."
+       flagged and the run is cancelled. Without it the watchdog is off, and only \
+       --deadline ends a stuck run."
     in
     Arg.(value & opt (some float) None & info [ "watchdog-stall" ] ~docv:"SECONDS" ~doc)
   in

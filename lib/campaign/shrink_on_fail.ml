@@ -5,6 +5,7 @@ module Shrink = Ffault_verify.Shrink
 module Dfs = Ffault_verify.Dfs
 module Injector = Ffault_fault.Injector
 module Crash_plan = Ffault_recover.Crash_plan
+module Protocol = Ffault_consensus.Protocol
 
 (* One trial = one engine run driven by a recorded random decision
    vector. Recording follows the Dfs convention exactly — an index into
@@ -41,10 +42,10 @@ let run_recorded ?interrupt ?crash_plan setup ~rate ~seed =
   (* Per-process operation counters: the crash plan keys its schedule on
      (proc, k) with k the process's 0-based op index, so every outcome
      choice — branchable or forced — advances the counter. *)
-  let op_counts = Hashtbl.create 8 in
+  let op_counts = Array.make setup.Check.params.Protocol.n_procs 0 in
   let next_k proc =
-    let k = Option.value (Hashtbl.find_opt op_counts proc) ~default:0 in
-    Hashtbl.replace op_counts proc (k + 1);
+    let k = op_counts.(proc) in
+    op_counts.(proc) <- k + 1;
     k
   in
   let driver =

@@ -19,6 +19,10 @@ let m_reconnects = Metrics.counter "dist.worker_reconnects"
 let m_stale_completes = Metrics.counter "dist.stale_completes"
 let g_workers = Metrics.gauge "dist.workers_connected"
 
+(* Heartbeat frames received. Every frame renews its sender's liveness
+   slot, but only a [Codec.Heartbeat] counts here. *)
+let m_heartbeats = Metrics.counter "supervise.heartbeats"
+
 type 'c io = {
   peer : 'c -> string;
   send : 'c -> Codec.msg -> (unit, string) result;
@@ -540,6 +544,7 @@ let handle_msg t c msg =
                    missing)
             end)
   | Codec.Heartbeat { snapshot; spans } -> (
+      Metrics.incr m_heartbeats;
       (* the piggybacked observability payload: latest snapshot wins,
          span batches accumulate for the merged trace *)
       match stat_of_client t c with

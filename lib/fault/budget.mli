@@ -8,7 +8,12 @@
     Optionally a victim set restricts which objects are even allowed to
     fault (used to stage specific adversarial scenarios: "objects O₁ and
     O₃ are the bad ones"). Budgets are mutable per-execution records; use
-    {!copy} for exploration snapshots. *)
+    {!copy} for exploration snapshots.
+
+    Charges are stored in two dense int arrays, one indexed by object id
+    and one by process id, each grown when a charge first lands past its
+    end, plus a count of faulty objects: {!can_fault}, which the engine
+    asks on every step, is a few array reads and no hashing. *)
 
 open Ffault_objects
 
@@ -37,9 +42,10 @@ val none : unit -> t
 
 val copy : t -> t
 (** Deep copy of the mutable charge state — both the per-object fault
-    table and the per-process crash table. Exploration snapshots rely on
-    this: replaying a crash after restoring a snapshot must charge the
-    snapshot's own table, never double-charge a shared one. *)
+    array and the per-process crash array are copied, never shared.
+    Exploration snapshots rely on this: replaying a crash after restoring
+    a snapshot must charge the snapshot's own array, never double-charge a
+    shared one. *)
 
 val f : t -> int
 val t_bound : t -> int option
@@ -69,7 +75,7 @@ val can_crash : t -> proc:int -> bool
 
 val charge_crash : t -> proc:int -> unit
 (** Record one crash-restart of [proc].
-    @raise Invalid_argument if [can_crash] is false. *)
+    @raise Invalid_argument if [can_crash] is false or [proc < 0]. *)
 
 val crashes_on : t -> int -> int
 (** Crashes charged to a process so far. *)

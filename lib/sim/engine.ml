@@ -131,6 +131,56 @@ type status =
 let outcome_differs (a : Semantics.outcome) (b : Semantics.outcome) =
   not (Value.equal a.post_state b.post_state && Value.equal a.response b.response)
 
+let faulty_differs fk ~payload ~kind ~op ~pre ~correct =
+  match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
+  | Ok (Faulty_semantics.Outcome o) -> outcome_differs o correct
+  | Ok Faulty_semantics.Hangs -> true
+  | Error _ -> false
+
+(* The observable fault options of one step, consed onto [tail] in
+   [kinds] order, and in palette order within a payload-carrying kind.
+   [palette] holds the payloads already wrapped in [Some]. *)
+let rec faults_onto tail kinds ~palette ~kind ~op ~pre ~correct =
+  match kinds with
+  | [] -> tail
+  | fk :: rest -> (
+      let tail = faults_onto tail rest ~palette ~kind ~op ~pre ~correct in
+      match fk with
+      | Fault_kind.Overriding | Fault_kind.Silent ->
+          if faulty_differs fk ~payload:None ~kind ~op ~pre ~correct then Inject (fk, None) :: tail
+          else tail
+      | Fault_kind.Nonresponsive -> Inject (fk, None) :: tail
+      | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation ->
+          payloads_onto tail fk palette ~kind ~op ~pre ~correct)
+
+and payloads_onto tail fk palette ~kind ~op ~pre ~correct =
+  match palette with
+  | [] -> tail
+  | payload :: rest ->
+      let tail = payloads_onto tail fk rest ~kind ~op ~pre ~correct in
+      if faulty_differs fk ~payload ~kind ~op ~pre ~correct then Inject (fk, payload) :: tail
+      else tail
+
+(* Menus are immutable, so the crash tails and the menus without a fault
+   option are built once and shared by every step that offers them. *)
+let crash_vanish = [ Crash_point Crash_plan.Vanish ]
+let crash_both = [ Crash_point Crash_plan.Vanish; Crash_point Crash_plan.Linearize ]
+let menu_correct = [ Correct_outcome ]
+let menu_vanish = Correct_outcome :: crash_vanish
+let menu_both = Correct_outcome :: crash_both
+
+(* Membership tests for the step path, written out so that no partial
+   application is allocated per test. *)
+let rec mem_choice c = function
+  | [] -> false
+  | x :: rest -> equal_outcome_choice c x || mem_choice c rest
+
+let rec mem_kind fk = function
+  | [] -> false
+  | k :: rest -> Fault_kind.equal fk k || mem_kind fk rest
+
+let rec mem_proc p = function [] -> false | q :: rest -> Int.equal p q || mem_proc p rest
+
 let run_with_driver ?recovery cfg driver ~bodies =
   let world = cfg.world in
   let n = World.n_procs world in
@@ -141,9 +191,11 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let obj_states = Array.init n_objs (fun i -> World.init_of world (Obj_id.of_int i)) in
   let statuses = Array.make n (Failed "not started") in
   let steps_taken = Array.make n 0 in
+  let lossy = Persistence.lossy cfg.persistence in
+  let palette = List.map Option.some cfg.payload_palette in
   (* Per-process most recent completed state-changing op (object index,
      pre, post): the write the lossy persistence mode may drop when that
-     process crashes. *)
+     process crashes. Kept only in that mode, its one reader. *)
   let last_write = Array.make n None in
   let trace_rev = ref [] in
   let step_counter = ref 0 in
@@ -154,32 +206,47 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let cas_attempts = ref 0 in
   let emit ev = trace_rev := ev :: !trace_rev in
 
-  (* Launch a body; it runs to its first operation (captured as Pending),
-     to completion, or to an exception. Resumptions via
+  (* One effect handler per process, built once per run. An operation
+     parks its object and op in the process's slots and hands back the
+     process's preallocated hook, which records the continuation, so a
+     [perform] allocates no closure. Resumptions via
      [Effect.Deep.continue] re-enter the same handler. *)
-  let start proc body =
-    let open Effect.Deep in
-    match_with body ()
-      {
-        retc = (fun v -> statuses.(proc) <- Finished v);
-        exnc = (fun e -> statuses.(proc) <- Failed (Printexc.to_string e));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Proc.Invoke (obj, op) ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    statuses.(proc) <- Pending { obj; op; k })
-            | _ -> None);
-      }
+  let parked_obj = Array.make n (Obj_id.of_int 0) in
+  let parked_op = Array.make n Op.Read in
+  let handler proc =
+    let park =
+      Some
+        (fun (k : (Value.t, unit) Effect.Deep.continuation) ->
+          statuses.(proc) <- Pending { obj = parked_obj.(proc); op = parked_op.(proc); k })
+    in
+    {
+      Effect.Deep.retc = (fun v -> statuses.(proc) <- Finished v);
+      exnc = (fun e -> statuses.(proc) <- Failed (Printexc.to_string e));
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Proc.Invoke (obj, op) ->
+              parked_obj.(proc) <- obj;
+              parked_op.(proc) <- op;
+              park
+          | _ -> None);
+    }
+  in
+  let handlers = Array.init n handler in
+  (* Launch a body; it runs to its first operation (captured as Pending),
+     to completion, or to an exception. *)
+  let start proc body = Effect.Deep.match_with body () handlers.(proc) in
+  (* Trace a process that has just decided or raised. *)
+  let settled proc =
+    match statuses.(proc) with
+    | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
+    | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
+    | Pending _ | Hung_at _ | Limited -> ()
   in
   Array.iteri
     (fun i body ->
       start i body;
-      match statuses.(i) with
-      | Finished v -> emit (Trace.Decided { step = !step_counter; proc = i; value = v })
-      | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc = i; error = msg })
-      | Pending _ | Hung_at _ | Limited -> ())
+      settled i)
     bodies;
 
   let enabled () =
@@ -196,70 +263,120 @@ let run_with_driver ?recovery cfg driver ~bodies =
      invoking process may crash here instead of completing — vanishing
      the op, or (when the persistence mode keeps committed effects and
      the op has one) linearizing it with the response lost. *)
-  let options_for proc obj op pre correct =
-    let kind = World.kind_of world obj in
-    let crash_options =
+  let options_for proc obj kind op pre correct =
+    let crash_tail =
       match recovery with
-      | None -> []
-      | Some _ ->
-          if not (Budget.can_crash cfg.budget ~proc) then []
-          else if
-            Persistence.lossy cfg.persistence
-            || Value.equal correct.Semantics.post_state pre
-          then [ Crash_point Crash_plan.Vanish ]
-          else [ Crash_point Crash_plan.Vanish; Crash_point Crash_plan.Linearize ]
+      | Some _ when Budget.can_crash cfg.budget ~proc ->
+          if lossy || Value.equal correct.Semantics.post_state pre then crash_vanish
+          else crash_both
+      | None | Some _ -> []
     in
-    let fault_options =
-      if not (Budget.can_fault cfg.budget obj) then []
-      else
-        let faulty_differs fk payload =
-          match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
-          | Ok (Faulty_semantics.Outcome o) -> outcome_differs o correct
-          | Ok Faulty_semantics.Hangs -> true
-          | Error _ -> false
-        in
-        let per_kind fk =
-          match fk with
-          | Fault_kind.Overriding | Fault_kind.Silent ->
-              if faulty_differs fk None then [ Inject (fk, None) ] else []
-          | Fault_kind.Nonresponsive -> [ Inject (fk, None) ]
-          | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation ->
-              List.filter_map
-                (fun payload ->
-                  if faulty_differs fk (Some payload) then Some (Inject (fk, Some payload))
-                  else None)
-                cfg.payload_palette
-        in
-        List.concat_map per_kind cfg.allowed_faults
+    let tail =
+      if Budget.can_fault cfg.budget obj then
+        faults_onto crash_tail cfg.allowed_faults ~palette ~kind ~op ~pre ~correct
+      else crash_tail
     in
-    (Correct_outcome :: fault_options) @ crash_options
+    match tail with
+    | [] -> menu_correct
+    | [ Crash_point Crash_plan.Vanish ] -> menu_vanish
+    | [ Crash_point Crash_plan.Vanish; Crash_point Crash_plan.Linearize ] -> menu_both
+    | _ -> Correct_outcome :: tail
   in
 
   (* A driver choice is honored if it is in the menu, or if it is a
      payload-carrying fault that the engine can validate directly (lets
      strategy-mode injectors use payloads outside the exploration
      palette). Anything else executes correctly. *)
-  let validate_choice choice options obj op pre correct =
+  let validate_choice choice options obj kind op pre correct =
     match choice with
     | Correct_outcome -> Correct_outcome
     | Crash_point _ ->
         (* Crash points are never validated out of band: the menu already
            encodes the budget, recovery-entry, and persistence gates. *)
-        if List.exists (equal_outcome_choice choice) options then choice else Correct_outcome
+        if mem_choice choice options then choice else Correct_outcome
     | Inject (fk, payload) -> (
-        if List.exists (equal_outcome_choice choice) options then choice
+        if mem_choice choice options then choice
         else
           match fk with
           | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation
-            when List.exists (Fault_kind.equal fk) cfg.allowed_faults
-                 && Budget.can_fault cfg.budget obj -> (
-              let kind = World.kind_of world obj in
+            when mem_kind fk cfg.allowed_faults && Budget.can_fault cfg.budget obj -> (
               match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
               | Ok (Faulty_semantics.Outcome o) when outcome_differs o correct -> choice
               | Ok _ | Error _ -> Correct_outcome)
           | Fault_kind.Overriding | Fault_kind.Silent | Fault_kind.Nonresponsive
           | Fault_kind.Invisible | Fault_kind.Arbitrary | Fault_kind.Relaxation ->
               Correct_outcome)
+  in
+
+  (* Complete the pending op of [proc] with [outcome] and run the process
+     to its next operation. *)
+  let continue_with proc oi obj op pre k (outcome : Semantics.outcome) injected =
+    let post = outcome.Semantics.post_state in
+    obj_states.(oi) <- post;
+    if lossy && not (Value.equal pre post) then last_write.(proc) <- Some (oi, pre, post);
+    emit
+      (Trace.Op_step
+         {
+           step = !step_counter;
+           proc;
+           obj;
+           op;
+           pre_state = pre;
+           post_state = post;
+           response = outcome.Semantics.response;
+           injected;
+         });
+    Effect.Deep.continue k outcome.Semantics.response;
+    settled proc
+  in
+
+  let crash_restart proc oi obj op pre (correct : Semantics.outcome) effect =
+    Budget.charge_crash cfg.budget ~proc;
+    Metrics.incr m_crashes;
+    let post =
+      match effect with
+      | Crash_plan.Vanish -> pre
+      | Crash_plan.Linearize -> correct.Semantics.post_state
+    in
+    obj_states.(oi) <- post;
+    (* The captured continuation is dropped, never resumed: that IS the
+       crash — program counter and locals are gone (same mechanism as a
+       nonresponsive hang, but the process comes back below). *)
+    emit
+      (Trace.Proc_crash
+         { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post; effect });
+    (* Lossy persistence: the crashing process's most recent completed
+       write may not have been flushed — roll it back if the object still
+       holds that exact value. *)
+    (if lossy then
+       match last_write.(proc) with
+       | Some (wi, wpre, wpost)
+         when Value.equal obj_states.(wi) wpost && not (Value.equal wpre wpost) ->
+           obj_states.(wi) <- wpre;
+           emit
+             (Trace.Nvm_loss
+                { step = !step_counter; obj = Obj_id.of_int wi; before = wpost; after = wpre })
+       | _ -> ());
+    (* Volatile objects (not NVM-tagged) do not survive the crash: they
+       revert to their initial value. *)
+    (match cfg.persistence with
+    | Persistence.Persist_only _ ->
+        for i = 0 to n_objs - 1 do
+          let id = Obj_id.of_int i in
+          if not (Persistence.survives cfg.persistence id) then begin
+            let before = obj_states.(i) in
+            let init = World.init_of world id in
+            if not (Value.equal before init) then begin
+              obj_states.(i) <- init;
+              emit (Trace.Nvm_loss { step = !step_counter; obj = id; before; after = init })
+            end
+          end
+        done
+    | Persistence.Persist_all | Persistence.Persist_lossy -> ());
+    last_write.(proc) <- None;
+    emit (Trace.Restart { step = !step_counter; proc });
+    start proc ((Option.get recovery) proc);
+    settled proc
   in
 
   let exec_step proc =
@@ -274,7 +391,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
             let error = Fmt.str "illegal operation: %a" Semantics.pp_error e in
             statuses.(proc) <- Failed error;
             emit (Trace.Crashed { step = !step_counter; proc; error })
-        | Ok correct ->
+        | Ok correct -> (
             let ctx =
               {
                 Injector.obj;
@@ -286,91 +403,13 @@ let run_with_driver ?recovery cfg driver ~bodies =
                 budget = cfg.budget;
               }
             in
-            let options = options_for proc obj op pre correct in
+            let options = options_for proc obj kind op pre correct in
             let choice = driver.choose_outcome ctx ~options in
-            let choice = validate_choice choice options obj op pre correct in
+            let choice = validate_choice choice options obj kind op pre correct in
             incr op_counter;
-            let continue_with outcome injected =
-              obj_states.(oi) <- outcome.Semantics.post_state;
-              if not (Value.equal pre outcome.Semantics.post_state) then
-                last_write.(proc) <- Some (oi, pre, outcome.Semantics.post_state);
-              emit
-                (Trace.Op_step
-                   {
-                     step = !step_counter;
-                     proc;
-                     obj;
-                     op;
-                     pre_state = pre;
-                     post_state = outcome.Semantics.post_state;
-                     response = outcome.Semantics.response;
-                     injected;
-                   });
-              Effect.Deep.continue k outcome.Semantics.response;
-              match statuses.(proc) with
-              | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
-              | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
-              | Pending _ | Hung_at _ | Limited -> ()
-            in
-            let crash_restart effect =
-              Budget.charge_crash cfg.budget ~proc;
-              Metrics.incr m_crashes;
-              let post =
-                match effect with
-                | Crash_plan.Vanish -> pre
-                | Crash_plan.Linearize -> correct.Semantics.post_state
-              in
-              obj_states.(oi) <- post;
-              (* The captured continuation [k] is dropped, never resumed:
-                 that IS the crash — program counter and locals are gone
-                 (same mechanism as a nonresponsive hang, but the process
-                 comes back below). *)
-              emit
-                (Trace.Proc_crash
-                   { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post;
-                     effect });
-              (* Lossy persistence: the crashing process's most recent
-                 completed write may not have been flushed — roll it back
-                 if the object still holds that exact value. *)
-              (if Persistence.lossy cfg.persistence then
-                 match last_write.(proc) with
-                 | Some (wi, wpre, wpost)
-                   when Value.equal obj_states.(wi) wpost && not (Value.equal wpre wpost) ->
-                     obj_states.(wi) <- wpre;
-                     emit
-                       (Trace.Nvm_loss
-                          { step = !step_counter; obj = Obj_id.of_int wi; before = wpost;
-                            after = wpre })
-                 | _ -> ());
-              (* Volatile objects (not NVM-tagged) do not survive the
-                 crash: they revert to their initial value. *)
-              (match cfg.persistence with
-              | Persistence.Persist_only _ ->
-                  for i = 0 to n_objs - 1 do
-                    let id = Obj_id.of_int i in
-                    if not (Persistence.survives cfg.persistence id) then begin
-                      let before = obj_states.(i) in
-                      let init = World.init_of world id in
-                      if not (Value.equal before init) then begin
-                        obj_states.(i) <- init;
-                        emit
-                          (Trace.Nvm_loss
-                             { step = !step_counter; obj = id; before; after = init })
-                      end
-                    end
-                  done
-              | Persistence.Persist_all | Persistence.Persist_lossy -> ());
-              last_write.(proc) <- None;
-              emit (Trace.Restart { step = !step_counter; proc });
-              start proc ((Option.get recovery) proc);
-              match statuses.(proc) with
-              | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
-              | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
-              | Pending _ | Hung_at _ | Limited -> ()
-            in
-            (match choice with
-            | Correct_outcome -> continue_with correct None
-            | Crash_point effect -> crash_restart effect
+            match choice with
+            | Correct_outcome -> continue_with proc oi obj op pre k correct None
+            | Crash_point effect -> crash_restart proc oi obj op pre correct effect
             | Inject (fk, payload) -> (
                 match Faulty_semantics.apply fk ?payload ~kind ~state:pre op with
                 | Error e ->
@@ -385,31 +424,26 @@ let run_with_driver ?recovery cfg driver ~bodies =
                 | Ok (Faulty_semantics.Outcome o) ->
                     Budget.charge cfg.budget obj;
                     Metrics.incr (m_fault_of fk);
-                    continue_with o (Some fk))))
+                    continue_with proc oi obj op pre k o (Some fk))))
     | Finished _ | Hung_at _ | Limited | Failed _ ->
         invalid_arg "Engine.exec_step: process not pending"
   in
 
+  let state_of id = obj_states.(Obj_id.to_int id) in
+  let corrupt { Data_fault.obj; value } =
+    let oi = Obj_id.to_int obj in
+    let before = obj_states.(oi) in
+    (* No-op corruptions are unobservable; over-budget ones throttle. *)
+    if (not (Value.equal before value)) && Budget.can_fault cfg.budget obj then begin
+      Budget.charge cfg.budget obj;
+      Metrics.incr m_corruptions;
+      obj_states.(oi) <- value;
+      emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
+    end
+  in
   let apply_data_faults () =
-    let ctx =
-      {
-        Data_fault.step = !step_counter;
-        state_of = (fun id -> obj_states.(Obj_id.to_int id));
-        budget = cfg.budget;
-      }
-    in
-    List.iter
-      (fun { Data_fault.obj; value } ->
-        let oi = Obj_id.to_int obj in
-        let before = obj_states.(oi) in
-        (* No-op corruptions are unobservable; over-budget ones throttle. *)
-        if (not (Value.equal before value)) && Budget.can_fault cfg.budget obj then begin
-          Budget.charge cfg.budget obj;
-          Metrics.incr m_corruptions;
-          obj_states.(oi) <- value;
-          emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
-        end)
-      (driver.after_step ctx)
+    List.iter corrupt
+      (driver.after_step { Data_fault.step = !step_counter; state_of; budget = cfg.budget })
   in
 
   let total_limit_hit = ref false in
@@ -432,7 +466,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
         else if poll_interrupt () then ()
         else begin
           let proc = driver.choose_proc ~enabled:en ~step:!step_counter in
-          if not (List.mem proc en) then
+          if not (mem_proc proc en) then
             invalid_arg (Fmt.str "Engine: scheduler picked disabled process p%d" proc);
           steps_taken.(proc) <- steps_taken.(proc) + 1;
           if steps_taken.(proc) > cfg.max_steps_per_proc then begin

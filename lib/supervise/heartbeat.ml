@@ -1,7 +1,4 @@
 module Clock = Ffault_runtime.Clock
-module Metrics = Ffault_telemetry.Metrics
-
-let m_beats = Metrics.counter "supervise.heartbeats"
 
 (* -1 = never beat. Plain int Atomics, one per slot: a beat is a single
    store on the slot's own word, so beacons never contend with each
@@ -16,9 +13,7 @@ let slots t = Array.length t.last
 
 let clock t = t.clock
 
-let beat t ~slot =
-  Atomic.set t.last.(slot) (Clock.now_ns t.clock);
-  Metrics.incr m_beats
+let beat t ~slot = Atomic.set t.last.(slot) (Clock.now_ns t.clock)
 
 let last_ns t ~slot =
   match Atomic.get t.last.(slot) with -1 -> None | ts -> Some ts

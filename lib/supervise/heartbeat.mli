@@ -5,8 +5,10 @@
     on each received frame — and staleness is judged from the recorded
     timestamps: by a {!Watchdog} for multicore domains, by a direct
     {!age_ns} read in the coordinator.
-    Beating is one atomic store on the slot's own word plus a sharded
-    counter bump; it is safe from any domain or thread.
+    Beating is one atomic store on the slot's own word and counts
+    nothing (a beat is a liveness tick, not a heartbeat message; the
+    coordinator counts those itself); it is safe from any domain or
+    thread.
 
     Timestamps come from {!Ffault_runtime.Clock.monotonic} by default;
     tests and the netsim scheduler inject a
@@ -26,8 +28,7 @@ val clock : t -> Ffault_runtime.Clock.t
     heartbeat must read the same one. *)
 
 val beat : t -> slot:int -> unit
-(** Record that [slot] is alive now. Bumps the [supervise.heartbeats]
-    counter. *)
+(** Record that [slot] is alive now. *)
 
 val last_ns : t -> slot:int -> int option
 (** Monotonic timestamp of [slot]'s last beat, or [None] if it never

@@ -7,23 +7,10 @@ type result = {
   watched : bool;
 }
 
-let default_stall_floor_s = 0.5
-let default_stall_factor = 4.0
-
-let stall_bound_s ~deadline_s ~override_s =
-  match override_s with
-  | Some s -> Some s
-  | None ->
-      Option.map
-        (fun d -> Float.max default_stall_floor_s (default_stall_factor *. d))
-        deadline_s
-
 let execute ?watchdog_stall_s ?cancel (cfg : Consensus_mc.config) =
-  (match watchdog_stall_s with
+  match watchdog_stall_s with
   | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
       invalid_arg "Mc.execute: watchdog_stall_s must be finite and positive"
-  | _ -> ());
-  match stall_bound_s ~deadline_s:cfg.Consensus_mc.deadline_s ~override_s:watchdog_stall_s with
   | None -> { mc = Consensus_mc.execute ?cancel cfg; stalls = 0; watched = false }
   | Some stall_s ->
       let n = cfg.Consensus_mc.n_domains in

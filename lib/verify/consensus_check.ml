@@ -19,7 +19,7 @@ let pp_violation ppf = function
   | Wait_freedom { proc; outcome } ->
       Fmt.pf ppf "wait-freedom: p%d did not decide (%a)" proc Engine.pp_proc_outcome outcome
 
-type report = { violations : violation list; result : Engine.result; setup_name : string }
+type report = { violations : violation list; result : Engine.result }
 
 let ok r = r.violations = []
 
@@ -34,6 +34,7 @@ type setup = {
   victims : Obj_id.t list option;
   step_slack : int;
   recover : recover_opts option;
+  world : World.t;
 }
 
 let setup ?inputs ?(allowed_faults = [ Fault.Fault_kind.Overriding ]) ?(payload_palette = [])
@@ -47,10 +48,12 @@ let setup ?inputs ?(allowed_faults = [ Fault.Fault_kind.Overriding ]) ?(payload_
   | _ -> ());
   (* The protocol's own parameter checks live in its objects and its
      step bound (Fig. 3 needs f >= 1 and a bounded t): force them here,
-     so an unbuildable instance fails at setup, not mid-run. *)
-  ignore (Protocol.world protocol params);
+     so an unbuildable instance fails at setup, not mid-run. The world is
+     immutable, so every run shares the one built here. *)
+  let world = Protocol.world protocol params in
   ignore (protocol.Protocol.max_steps_hint params);
-  { protocol; params; inputs; allowed_faults; payload_palette; victims; step_slack; recover }
+  { protocol; params; inputs; allowed_faults; payload_palette; victims; step_slack; recover;
+    world }
 
 let crashes_per_proc s =
   match s.recover with None -> 0 | Some r -> r.crashes_per_proc
@@ -58,7 +61,7 @@ let crashes_per_proc s =
 let persistence s =
   match s.recover with None -> Persistence.Persist_all | Some r -> r.persistence
 
-let world s = Protocol.world s.protocol s.params
+let world s = s.world
 
 let budget s =
   Fault.Budget.create ?victims:s.victims ~max_crashes_per_proc:(crashes_per_proc s)
@@ -73,7 +76,7 @@ let engine_config ?interrupt s =
   Engine.config ~allowed_faults:s.allowed_faults ~payload_palette:s.payload_palette
     ~max_steps_per_proc:per_proc
     ~max_total_steps:(per_proc * s.params.Protocol.n_procs)
-    ?interrupt ~persistence:(persistence s) ~world:(world s) ~budget:(budget s) ()
+    ?interrupt ~persistence:(persistence s) ~world:s.world ~budget:(budget s) ()
 
 let check_result s (r : Engine.result) =
   let violations = ref [] in
@@ -112,10 +115,10 @@ let run ?interrupt s ~scheduler ~injector ?data_faults () =
   let cfg = engine_config ?interrupt s in
   let bodies = Protocol.bodies s.protocol s.params ~inputs:s.inputs in
   let result = Engine.run cfg ~scheduler ~injector ?data_faults ~bodies () in
-  { violations = check_result s result; result; setup_name = setup_name s }
+  { violations = check_result s result; result }
 
 let run_with_driver ?interrupt s driver =
   let cfg = engine_config ?interrupt s in
   let bodies = Protocol.bodies s.protocol s.params ~inputs:s.inputs in
   let result = Engine.run_with_driver ?recovery:(recovery_of s) cfg driver ~bodies in
-  { violations = check_result s result; result; setup_name = setup_name s }
+  { violations = check_result s result; result }

@@ -3,10 +3,13 @@
 
     A {!setup} bundles a protocol instance with its fault setting; {!run}
     executes it once under a given scheduler and injector and reports
-    violations. The wait-freedom judgement is operational: a process that
-    exhausts the protocol's [max_steps_hint] (or the engine's total
-    budget) without deciding counts as a wait-freedom violation, and a
-    process swallowed by a nonresponsive fault counts likewise. *)
+    violations. A setup builds its protocol's world once, when it is
+    made, and every run shares it; a run allocates only its budget,
+    bodies and engine state. The wait-freedom judgement is operational:
+    a process that exhausts the protocol's [max_steps_hint] (or the
+    engine's total budget) without deciding counts as a wait-freedom
+    violation, and a process swallowed by a nonresponsive fault counts
+    likewise. *)
 
 open Ffault_objects
 open Ffault_sim
@@ -27,11 +30,10 @@ type violation =
 
 val pp_violation : Format.formatter -> violation -> unit
 
-type report = {
-  violations : violation list;
-  result : Engine.result;
-  setup_name : string;
-}
+type report = { violations : violation list; result : Engine.result }
+(** A report names no instance: a run is the trial path, and formatting
+    the instance there would cost a [Fmt.str] per trial. Callers that
+    print a heading ask {!setup_name} once. *)
 
 val ok : report -> bool
 
@@ -44,7 +46,7 @@ type recover_opts = {
     entry (the protocol's recovery section, or its body re-run from the
     top when it declares none) and a crash dimension in its budget. *)
 
-type setup = {
+type setup = private {
   protocol : Consensus.Protocol.t;
   params : Consensus.Protocol.params;
   inputs : Value.t array;
@@ -57,7 +59,10 @@ type setup = {
           wait-freedom failure *)
   recover : recover_opts option;
       (** crash-restart faults; [None] keeps runs crash-free *)
+  world : World.t;  (** the protocol's world at [params], built once by {!setup} *)
 }
+(** Private: only {!setup} makes one, so [world] always matches
+    [protocol] and [params]. *)
 
 val setup :
   ?inputs:Value.t array ->
@@ -76,6 +81,11 @@ val setup :
     reject them, e.g. Fig. 3 with f = 0 or an unbounded t). *)
 
 val world : setup -> World.t
+(** The setup's [world]; no new world is built. *)
+
+val setup_name : setup -> string
+(** The protocol name and its parameters, e.g.
+    ["fig3-bounded-faults (f=1, t=1, n=2)"], as a heading for output. *)
 
 val engine_config : ?interrupt:(unit -> bool) -> setup -> Engine.config
 (** A fresh configuration (fresh budget) for one run. [interrupt] is the

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Captures the ffault command-line surface: the plain help of every
 # command and subcommand, then the output and exit code of invocations
-# that are rejected before they read or write any campaign state.
+# that are rejected before they read or write any campaign state, and
+# last two seeded runs that write no files (a trace and a replay), which
+# pin the instance heading and the trace rendering.
 #   sh capture.sh path/to/main.exe > cli.out
 # The runtest rule diffs the capture against cli.expected; after an
 # intended change to the surface, `dune promote` accepts the new one.
@@ -68,3 +70,5 @@ run campaign diff missing-a missing-b
 run worker --connect bogus
 run lint --rules nope
 run lint --explain nope
+run trace --protocol fig3 -f 1 -t 1 -n 2 --seed 4 --rate 0.5
+run replay --protocol herlihy -f 1 -n 3 --decisions 1,0,1,1

@@ -723,6 +723,48 @@ let test_silent_client_dropped () =
   check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected;
   check Alcotest.int "no watchdog flags" flags_before (flags ())
 
+(* The coordinator's [supervise.heartbeats] counts Heartbeat frames, not
+   frames: a worker that says Hello, asks for a lease, returns results
+   and beats M times moves it by exactly M, while every one of those
+   frames still renews the worker's liveness. *)
+let test_heartbeat_count () =
+  let spec = Spec.v ~name:"beats" ~protocol:"fig1" ~trials:32 () in
+  let st = Checkpoint.fresh ~total:(Grid.total_trials spec) in
+  let clock, advance = fake_clock 0 in
+  let beats () =
+    Option.value ~default:0
+      (Ffault_telemetry.Metrics.find_counter
+         (Ffault_telemetry.Metrics.snapshot ())
+         "supervise.heartbeats")
+  in
+  let before = beats () in
+  let appended = ref 0 in
+  let core =
+    Core.create ~clock ~io:fake_io
+      ~append:(fun _ -> incr appended)
+      ~st ~spec ~lease_trials:16 ~lease_timeout_s:2.0 ~hb_interval_s:0.5
+      ~max_workers:4 ~supervision:Codec.no_supervision ()
+  in
+  let cl = Core.add_client core "w-beats" in
+  let send msg = Core.deliver core cl (Codec.to_frame msg) in
+  send (Codec.Hello { version = Wire.version; name = "w-beats"; domains = 1; last_epoch = 0 });
+  send Codec.Request;
+  let m = ref 0 in
+  for trial = 0 to 5 do
+    advance 400_000_000;
+    send (Codec.Result (record_for spec trial));
+    if trial mod 2 = 0 then begin
+      send (Codec.Heartbeat { snapshot = None; spans = None });
+      incr m
+    end;
+    Core.tick core
+  done;
+  check Alcotest.int "results journaled" 6 !appended;
+  check Alcotest.int "one count per Heartbeat frame" 3 !m;
+  check Alcotest.int "counter rose by the Heartbeat frames" !m (beats () - before);
+  (* 2.4 s of virtual time, never 2 s without a frame: still connected *)
+  check Alcotest.bool "every frame is liveness" false (Core.dropped cl)
+
 let test_coordinator_config_validation () =
   let ep = Transport.Unix_sock "/tmp/x.sock" in
   raises_invalid "lease_trials" (fun () -> Dist.Coordinator.config ~lease_trials:0 ep);
@@ -1051,6 +1093,7 @@ let suites =
           test_stale_complete_fenced_results_deduped;
         Alcotest.test_case "silent client dropped at the lease timeout" `Quick
           test_silent_client_dropped;
+        Alcotest.test_case "heartbeat count is Heartbeat frames" `Quick test_heartbeat_count;
         Alcotest.test_case "exactly-once over a socket" `Quick test_serve_exactly_once;
         Alcotest.test_case "bye ends a worker's wait" `Quick test_bye_ends_wait;
       ] );

@@ -262,6 +262,97 @@ let test_data_fault_probabilistic_bounds () =
     (fun e -> check value_testable "value from palette" (i 7) e.Data_fault.value)
     events
 
+(* ---- Budget against its reference ---- *)
+
+(* Seeded random operation sequences drive the library's Budget and the
+   reference copy of its former implementation in step, across budgets
+   made every way, copies charged apart from their originals, and object
+   ids far past any initial table size. Every result must agree, and
+   every over-charge must raise the same message. *)
+
+let attempt f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let test_budget_differential () =
+  let pp_attempt = Fmt.result ~ok:Fmt.nop ~error:Fmt.string in
+  for seed = 1 to 400 do
+    let g = Ffault_prng.Splitmix.create (Int64.of_int seed) in
+    let int bound = Ffault_prng.Splitmix.next_int g ~bound in
+    let same ~step what pp a b =
+      if a <> b then
+        Alcotest.failf "seed %d, op %d, %s: library %a, reference %a" seed step what pp a pp b
+    in
+    (* the first ids and procs, then some far past them *)
+    let obj () = oid (if int 4 = 0 then 8 + int 120 else int 8) in
+    let proc () = if int 4 = 0 then 6 + int 40 else int 6 in
+    (* occasionally out of range, so creation errors are compared too *)
+    let bound k = int k - if int 20 = 0 then 1 else 0 in
+    let f = bound 5 in
+    let t = if int 3 = 0 then None else Some (bound 4) in
+    let crash_cap = if int 3 = 0 then None else Some (bound 4) in
+    let victims = if int 3 = 0 then Some (List.init (int (f + 2)) (fun _ -> obj ())) else None in
+    let both make_lib make_ref =
+      let lib = attempt make_lib and rf = attempt make_ref in
+      same ~step:0 "create" pp_attempt (Result.map ignore lib) (Result.map ignore rf);
+      match (lib, rf) with Ok lib, Ok rf -> [| (lib, rf) |] | _ -> [||]
+    in
+    let live =
+      ref
+        (match int 4 with
+        | 0 -> both Budget.unlimited Budget_ref.unlimited
+        | 1 -> both Budget.none Budget_ref.none
+        | _ ->
+            both
+              (Budget.create ?victims ?max_crashes_per_proc:crash_cap ~max_faulty_objects:f
+                 ~max_faults_per_object:t)
+              (Budget_ref.create ?victims ?max_crashes_per_proc:crash_cap
+                 ~max_faulty_objects:f ~max_faults_per_object:t))
+    in
+    for step = 1 to (if Array.length !live = 0 then 0 else 80) do
+      let lib, rf = !live.(int (Array.length !live)) in
+      let same what pp a b = same ~step what pp a b in
+      match int 14 with
+      | 0 ->
+          let o = obj () in
+          same "can_fault" Fmt.bool (Budget.can_fault lib o) (Budget_ref.can_fault rf o)
+      | 1 | 2 | 3 ->
+          let o = obj () in
+          same "charge" pp_attempt
+            (attempt (fun () -> Budget.charge lib o))
+            (attempt (fun () -> Budget_ref.charge rf o))
+      | 4 ->
+          let o = obj () in
+          same "faults_on" Fmt.int (Budget.faults_on lib o) (Budget_ref.faults_on rf o)
+      | 5 ->
+          same "faulty_objects" Fmt.(Dump.list Obj_id.pp) (Budget.faulty_objects lib)
+            (Budget_ref.faulty_objects rf)
+      | 6 -> same "total_faults" Fmt.int (Budget.total_faults lib) (Budget_ref.total_faults rf)
+      | 7 ->
+          let proc = proc () in
+          same "can_crash" Fmt.bool (Budget.can_crash lib ~proc) (Budget_ref.can_crash rf ~proc)
+      | 8 | 9 ->
+          let proc = proc () in
+          same "charge_crash" pp_attempt
+            (attempt (fun () -> Budget.charge_crash lib ~proc))
+            (attempt (fun () -> Budget_ref.charge_crash rf ~proc))
+      | 10 ->
+          let proc = proc () in
+          same "crashes_on" Fmt.int (Budget.crashes_on lib proc) (Budget_ref.crashes_on rf proc)
+      | 11 -> same "total_crashes" Fmt.int (Budget.total_crashes lib) (Budget_ref.total_crashes rf)
+      | 12 -> live := Array.append !live [| (Budget.copy lib, Budget_ref.copy rf) |]
+      | _ ->
+          same "pp" Fmt.string (Fmt.str "%a" Budget.pp lib) (Fmt.str "%a" Budget_ref.pp rf);
+          same "bounds"
+            Fmt.(Dump.(pair int (pair (option int) int)))
+            (Budget.f lib, (Budget.t_bound lib, Budget.crash_bound lib))
+            (Budget_ref.f rf, (Budget_ref.t_bound rf, Budget_ref.crash_bound rf))
+    done;
+    Array.iter
+      (fun (lib, rf) ->
+        same ~step:max_int "final pp" Fmt.string (Fmt.str "%a" Budget.pp lib)
+          (Fmt.str "%a" Budget_ref.pp rf))
+      !live
+  done
+
 let suites =
   [
     ( "fault.kind",
@@ -291,6 +382,7 @@ let suites =
         Alcotest.test_case "over-charge raises" `Quick test_budget_charge_over;
         Alcotest.test_case "copy isolation" `Quick test_budget_copy;
         Alcotest.test_case "validation" `Quick test_budget_validation;
+        Alcotest.test_case "agrees with its reference" `Quick test_budget_differential;
       ] );
     ( "fault.injector",
       [

@@ -145,15 +145,17 @@ let test_quarantine_validation () =
 
 (* ---- multicore watchdog ---- *)
 
-let test_mc_stall_bound () =
-  check Alcotest.(option (float 1e-9)) "override wins" (Some 0.2)
-    (Mc.stall_bound_s ~deadline_s:(Some 10.0) ~override_s:(Some 0.2));
-  check Alcotest.(option (float 1e-9)) "4 x deadline" (Some 4.0)
-    (Mc.stall_bound_s ~deadline_s:(Some 1.0) ~override_s:None);
-  check Alcotest.(option (float 1e-9)) "floored at 0.5s" (Some 0.5)
-    (Mc.stall_bound_s ~deadline_s:(Some 0.01) ~override_s:None);
-  check Alcotest.(option (float 1e-9)) "unsupervised" None
-    (Mc.stall_bound_s ~deadline_s:None ~override_s:None)
+(* A deadline alone starts no watchdog: the run is plain
+   [Consensus_mc.execute], which enforces the deadline itself. *)
+let test_mc_deadline_unwatched () =
+  let cfg =
+    Consensus_mc.config ~n_domains:2 ~plan_for:(fun _ -> Faulty_cas.plan_never)
+      ~deadline_s:5.0 Consensus_mc.Single_cas
+  in
+  let r = Mc.execute cfg in
+  check Alcotest.bool "unwatched" false r.Mc.watched;
+  check Alcotest.int "no stalls" 0 r.Mc.stalls;
+  check Alcotest.bool "agreed" true r.Mc.mc.Consensus_mc.agreed
 
 let test_mc_unwatched_plain () =
   let cfg =
@@ -217,7 +219,7 @@ let suites =
       ] );
     ( "supervise.mc",
       [
-        Alcotest.test_case "stall bound" `Quick test_mc_stall_bound;
+        Alcotest.test_case "unwatched on deadline" `Quick test_mc_deadline_unwatched;
         Alcotest.test_case "unwatched is plain execute" `Quick test_mc_unwatched_plain;
         Alcotest.test_case "watchdog catches a hang" `Quick test_mc_watchdog_catches_hang;
         Alcotest.test_case "validation" `Quick test_mc_validation;
