@@ -25,7 +25,7 @@ lint-json:
 	dune exec bin/main.exe -- lint --format json
 
 # The full local gate: what CI runs, minus the artifact uploads.
-check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke
+check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke bench-smoke
 
 experiments:
 	dune exec bin/main.exe -- experiment

@@ -384,7 +384,7 @@ let dist_run ~workers ~status ~scrape =
             (fun () ->
               ignore
                 (Dist.Worker.run
-                   (Dist.Worker.config ~name:(Fmt.str "bw%d" i) ~domains:1 ~chunk:32
+                   (Dist.Worker.config ~name:(Fmt.str "bw%d" i) ~domains:1
                       (Dist.Transport.Unix_sock sock))))
             ())
     in

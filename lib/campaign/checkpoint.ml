@@ -81,36 +81,42 @@ let claim_ownership ~dir =
 
 (* ---- resume state ---- *)
 
-type t = { mask : Bytes.t; total : int; mutable completed : int; mutable failures : int }
+type t = { mask : Bytes.t; total : int; mutable completed : int }
 
-let fresh ~total =
-  { mask = Bytes.make ((total + 7) / 8) '\000'; total; completed = 0; failures = 0 }
+let fresh ~total = { mask = Bytes.make ((total + 7) / 8) '\000'; total; completed = 0 }
 
 let is_done st id =
   id >= 0 && id < st.total
   && Char.code (Bytes.get st.mask (id lsr 3)) land (1 lsl (id land 7)) <> 0
 
-let mark st id ~ok =
+let mark st id =
   if id >= 0 && id < st.total && not (is_done st id) then begin
     Bytes.set st.mask (id lsr 3)
       (Char.chr (Char.code (Bytes.get st.mask (id lsr 3)) lor (1 lsl (id land 7))));
-    st.completed <- st.completed + 1;
-    if not ok then st.failures <- st.failures + 1
+    st.completed <- st.completed + 1
   end
 
 let completed st = st.completed
-let failures st = st.failures
+
+let remaining st =
+  let ids = ref [] in
+  for id = st.total - 1 downto 0 do
+    if not (is_done st id) then ids := id :: !ids
+  done;
+  !ids
 
 let scan ~dir ~total =
   let st = fresh ~total in
   Journal.fold ~path:(journal_path ~dir) ~init:()
-    ~f:(fun () r -> mark st r.Journal.trial ~ok:r.Journal.ok);
+    ~f:(fun () r -> mark st r.Journal.trial);
   st
 
 (* The shared open/resume protocol of every campaign executor (the
    in-process pool and the distributed coordinator): manifest guard,
-   torn-tail repair, journal replay. *)
-let open_campaign ?(resume = false) ?(on_warn = fun _ -> ()) ~root spec =
+   torn-tail repair, journal replay, and the resumed trials announced
+   before the first new one. *)
+let open_campaign ?(resume = false) ?(on_skip = fun () -> ()) ?(on_warn = fun _ -> ())
+    ~root spec =
   let ( let* ) = Result.bind in
   let dir = campaign_dir ~root spec in
   let manifest_exists = Sys.file_exists (manifest_path ~dir) in
@@ -140,4 +146,7 @@ let open_campaign ?(resume = false) ?(on_warn = fun _ -> ()) ~root spec =
     Option.iter on_warn r.Journal.warning
   end;
   let st = if resume then scan ~dir ~total else fresh ~total in
+  for _ = 1 to st.completed do
+    on_skip ()
+  done;
   Ok (dir, st)

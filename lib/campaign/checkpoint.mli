@@ -7,7 +7,6 @@
     trial ids — already-journaled trials are never re-executed. *)
 
 val campaign_dir : root:string -> Spec.t -> string
-val manifest_path : dir:string -> string
 val journal_path : dir:string -> string
 
 val telemetry_path : dir:string -> string
@@ -19,11 +18,6 @@ val workers_path : dir:string -> string
     distributed coordinator ([ffault campaign serve]); {!Report.of_dir}
     renders it as the report's Workers section. Absent on
     single-process campaigns. *)
-
-val owner_path : dir:string -> string
-(** [owner.json] — the journal-ownership record of the distributed
-    coordinator: which incarnation (epoch) currently owns the right to
-    append. Absent on single-process campaigns. *)
 
 val mkdir_p : string -> unit
 
@@ -57,23 +51,24 @@ val claim_ownership : dir:string -> int
 (** {2 Resume state} *)
 
 type t
-(** A done-bitmask over the trial-id space plus completion counters.
+(** A done-bitmask over the trial-id space plus a completion counter.
     [mark] is idempotent per id, so duplicate journal records (possible
     if a run was killed between write and, say, an fsync of a copy)
     count once. Not thread-safe; the executor consults it only from the
     consume path, which is already serialized. *)
 
 val fresh : total:int -> t
-val scan : dir:string -> total:int -> t
-(** Replay the journal (missing file = empty). *)
-
 val is_done : t -> int -> bool
-val mark : t -> int -> ok:bool -> unit
+val mark : t -> int -> unit
 val completed : t -> int
-val failures : t -> int
+
+val remaining : t -> int list
+(** The trial ids not yet marked, ascending — what a resumed run still
+    has to execute. *)
 
 val open_campaign :
   ?resume:bool ->
+  ?on_skip:(unit -> unit) ->
   ?on_warn:(string -> unit) ->
   root:string ->
   Spec.t ->
@@ -84,5 +79,7 @@ val open_campaign :
     recorded spec), repair a crash-torn journal tail
     ({!Journal.recover}, surfaced through [on_warn]) {e before} the
     journal is reopened for append, and replay the journal into the
-    resume state. Returns the campaign directory and the done-mask
-    (empty for a fresh run). *)
+    resume state. [on_skip] is then called once per already-journaled
+    trial, before the executor runs its first trial — progress meters
+    use it to account for resume. Returns the campaign directory and
+    the done-mask (empty for a fresh run). *)

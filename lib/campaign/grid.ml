@@ -131,11 +131,3 @@ let cell_key c =
   Fmt.str "f=%d,t=%s,n=%d,kind=%s,rate=%.3f%s" c.f
     (match c.t with Some t -> string_of_int t | None -> "inf")
     c.n (Fault_kind.to_string c.kind) c.rate (crash_suffix c)
-
-let pp_cell ppf c =
-  Fmt.pf ppf "f=%d t=%s n=%d %s rate=%.2f" c.f
-    (match c.t with Some t -> string_of_int t | None -> "∞")
-    c.n (Fault_kind.to_string c.kind) c.rate;
-  if c.crashes > 0 then
-    Fmt.pf ppf " crashes=%d crash_rate=%.2f persist=%a" c.crashes c.crash_rate Persistence.pp
-      c.persistence

@@ -33,9 +33,6 @@ val cells : Spec.t -> cell array
 val n_cells : Spec.t -> int
 val total_trials : Spec.t -> int
 
-val seed_of : Spec.t -> int -> int64
-(** [seed_of spec id] — stateless, O(1). *)
-
 val crash_plan_seed : Spec.t -> int64 -> int64
 (** [crash_plan_seed spec trial_seed] — the seed of the trial's crash
     plan: the spec's [crash_seed] mixed into the trial seed, so varying
@@ -69,5 +66,3 @@ val cell_key : cell -> string
 (** Canonical axis string, the join key for campaign diffs. Crash-free
     cells render exactly as before the crash axes existed, so old and
     new journals keep joining. *)
-
-val pp_cell : Format.formatter -> cell -> unit

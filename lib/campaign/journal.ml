@@ -16,8 +16,6 @@ let outcome_of_string = function
   | "quarantined" -> Some Quarantined
   | _ -> None
 
-let pp_outcome ppf o = Fmt.string ppf (outcome_to_string o)
-
 type record = {
   trial : int;
   cell : Grid.cell;

@@ -30,10 +30,6 @@ type outcome =
           on the protocol, a wait-freedom loss for the harness *)
   | Quarantined  (** skipped: its cell was degraded before it ran *)
 
-val outcome_to_string : outcome -> string
-val outcome_of_string : string -> outcome option
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type record = {
   trial : int;  (** dense trial id, see {!Grid} *)
   cell : Grid.cell;

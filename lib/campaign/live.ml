@@ -37,9 +37,6 @@ let on_record t (r : Journal.record) =
 
 let on_skip t = Atomic.incr t.skipped
 
-let executed t = Atomic.get t.executed
-let failures t = Atomic.get t.failures
-
 let heat_width = 48
 
 let heat_glyph ~done_ ~fail =

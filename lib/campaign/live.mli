@@ -10,7 +10,7 @@
     live trials/s, an ETA extrapolated from the grid size, the running
     failure rate, and a per-cell heat line (one glyph per grid cell —
     ['.'] clean, ['1'..'9'] failure-rate deciles, ['?'] untouched;
-    grids wider than {!heat_width} aggregate adjacent cells). *)
+    grids wider than 48 glyphs aggregate adjacent cells). *)
 
 type t
 
@@ -22,13 +22,6 @@ val on_skip : t -> unit
 (** A trial the resume mask excluded (counts toward grid completion but
     not toward the trials/s rate). *)
 
-val executed : t -> int
-val failures : t -> int
-
-val heat_width : int
-(** 48 glyphs. *)
-
-val heat_line : t -> string
 val render : t -> string
 (** One line, no ['\n'], no ANSI escapes (the reporter adds those only
     on TTYs). *)

@@ -167,9 +167,9 @@ let quarantined_record trial =
     witness = None;
   }
 
-let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
+let run_trials ?(domains = 1) ?ids
     ?(max_shrinks_per_cell = default_max_shrinks_per_cell)
-    ?(supervision = default_supervision) ?(on_skip = fun () -> ()) ~on_record spec =
+    ?(supervision = default_supervision) ~on_record spec =
   let protocol =
     match Spec.resolve_protocol spec.Spec.protocol with
     | Ok p -> p
@@ -218,8 +218,15 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
         d
   in
   let total = Grid.total_trials spec in
+  (* task k runs trial [id_of k]; the whole grid needs no id array *)
+  let tasks, id_of =
+    match ids with
+    | None -> (total, Fun.id)
+    | Some ids ->
+        let ids = Array.of_list ids in
+        (Array.length ids, Array.get ids)
+  in
   let executed = ref 0 in
-  let skipped = ref 0 in
   let failures = ref 0 in
   let timeouts = ref 0 in
   let retried = ref 0 in
@@ -316,44 +323,38 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
         in
         attempt 0
   in
-  let worker id =
-    if skip id then None
-    else
-      Tracer.with_span ~cat:"campaign" "trial" (fun () ->
-          let trial = Grid.trial_of_cells spec cells id in
-          if Quarantine.degraded quarantine ~cell:trial.Grid.cell_id then
-            Some (quarantined_record trial)
-          else begin
-            let res, retries = run_supervised trial in
-            Metrics.incr m_trials;
-            Metrics.observe h_trial_us (res.Shrink_on_fail.wall_ns / 1000);
-            if
-              (not (Check.ok res.Shrink_on_fail.report))
-              && not res.Shrink_on_fail.report.Check.result.Engine.interrupted
-            then Metrics.incr m_failures;
-            Some (record_of_result ~retries trial res)
-          end)
+  let worker k =
+    Tracer.with_span ~cat:"campaign" "trial" (fun () ->
+        let trial = Grid.trial_of_cells spec cells (id_of k) in
+        if Quarantine.degraded quarantine ~cell:trial.Grid.cell_id then
+          quarantined_record trial
+        else begin
+          let res, retries = run_supervised trial in
+          Metrics.incr m_trials;
+          Metrics.observe h_trial_us (res.Shrink_on_fail.wall_ns / 1000);
+          if
+            (not (Check.ok res.Shrink_on_fail.report))
+            && not res.Shrink_on_fail.report.Check.result.Engine.interrupted
+          then Metrics.incr m_failures;
+          record_of_result ~retries trial res
+        end)
   in
-  let consume _id = function
-    | None ->
-        incr skipped;
-        on_skip ()
-    | Some record ->
-        incr executed;
-        (match record.Journal.outcome with
-        | Journal.Violation -> incr failures
-        | Journal.Timeout -> incr timeouts
-        | Journal.Quarantined -> incr quarantined
-        | Journal.Pass -> ());
-        if record.Journal.retries > 0 then retried := !retried + record.Journal.retries;
-        on_record record
+  let consume _k record =
+    incr executed;
+    (match record.Journal.outcome with
+    | Journal.Violation -> incr failures
+    | Journal.Timeout -> incr timeouts
+    | Journal.Quarantined -> incr quarantined
+    | Journal.Pass -> ());
+    if record.Journal.retries > 0 then retried := !retried + record.Journal.retries;
+    on_record record
   in
-  Runner.run_tasks ~chunk ~domains ~total ~worker ~consume ();
+  Runner.run_tasks ~domains ~total:tasks ~worker ~consume ();
   let wall_s = Unix.gettimeofday () -. started in
   {
     total;
     executed = !executed;
-    skipped = !skipped;
+    skipped = total - tasks;
     failures = !failures;
     shrunk = Atomic.get shrunk;
     timeouts = !timeouts;
@@ -363,15 +364,15 @@ let run_trials ?(domains = 1) ?(chunk = 64) ?(skip = fun _ -> false)
     trials_per_s = trials_rate ~executed:!executed ~wall_s;
   }
 
-let run_dir ?domains ?chunk ?max_shrinks_per_cell ?supervision ?(resume = false) ?on_skip
+let run_dir ?domains ?max_shrinks_per_cell ?supervision ?(resume = false) ?on_skip
     ?(observe = fun _ -> ()) ?(on_warn = fun _ -> ()) ~root spec =
   let ( let* ) = Result.bind in
-  let* dir, st = Checkpoint.open_campaign ~resume ~on_warn ~root spec in
+  let* dir, st = Checkpoint.open_campaign ~resume ?on_skip ~on_warn ~root spec in
+  let ids = if resume then Some (Checkpoint.remaining st) else None in
   let writer = Journal.create_writer ~path:(Checkpoint.journal_path ~dir) in
   let finally () = Journal.close_writer writer in
   match
-    run_trials ?domains ?chunk ?max_shrinks_per_cell ?supervision ?on_skip
-      ~skip:(fun id -> Checkpoint.is_done st id)
+    run_trials ?domains ?ids ?max_shrinks_per_cell ?supervision
       ~on_record:(fun r ->
         Journal.append writer r;
         observe r)

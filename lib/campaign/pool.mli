@@ -1,7 +1,7 @@
 (** The campaign executor: a work-stealing domain pool over the trial
     grid.
 
-    Trials are claimed in chunks from a shared counter
+    Trials are claimed in chunks of 64 from a shared counter
     ({!Ffault_runtime.Runner.run_tasks}), executed concurrently on
     OCaml 5 domains, and streamed — serialized — to the caller as
     {!Journal.record}s. Every record's outcome fields depend only on
@@ -55,7 +55,9 @@ val adaptive_deadline_s : p99_s:float -> cap_s:float -> float
 type summary = {
   total : int;  (** grid size *)
   executed : int;  (** trials run by this call (includes quarantine skips) *)
-  skipped : int;  (** trials the skip predicate excluded (resume) *)
+  skipped : int;
+      (** grid trials this call was not asked to run (on resume, the
+          already-journaled ones) *)
   failures : int;  (** violating trials among [executed] *)
   shrunk : int;  (** failures that got the full Shrink treatment *)
   timeouts : int;  (** trials whose every attempt hit the deadline *)
@@ -82,19 +84,18 @@ val default_max_shrinks_per_cell : int
 
 val run_trials :
   ?domains:int ->
-  ?chunk:int ->
-  ?skip:(int -> bool) ->
+  ?ids:int list ->
   ?max_shrinks_per_cell:int ->
   ?supervision:supervision ->
-  ?on_skip:(unit -> unit) ->
   on_record:(Journal.record -> unit) ->
   Spec.t ->
   summary
-(** In-memory engine: run every trial id for which [skip id] is false
-    (default none skipped) and hand each record to [on_record], which is
-    called under a single lock and need not synchronize. [on_skip] is
-    called (same lock) once per skipped trial — progress meters use it
-    to account for resume. Defaults: 1 domain, chunk 64,
+(** In-memory engine: run each trial id of [ids] (default every id of
+    the grid, [0 … total−1]) and hand each record to [on_record], which
+    is called under a single lock and need not synchronize. The ids must
+    be distinct; on 1 domain they run in list order. A distributed lease
+    passes its range minus the ids already journaled, a resumed
+    {!run_dir} the ids its journal lacks. Defaults: 1 domain,
     {!default_supervision} (unsupervised).
 
     With a deadline set, each trial runs under a cancellation token
@@ -109,12 +110,12 @@ val run_trials :
     A failing trial runs once: its witness is minimized from that run's
     decision vector (within the per-cell shrink budget), and its
     [wall_us] covers the run plus the shrink.
-    @raise Invalid_argument if the spec's protocol does not resolve or
-    [domains]/[chunk] are out of range. *)
+    @raise Invalid_argument if the spec's protocol does not resolve,
+    [domains < 1], or an id lies outside the grid — raised when that
+    id's turn comes, so the ids before it may already have run. *)
 
 val run_dir :
   ?domains:int ->
-  ?chunk:int ->
   ?max_shrinks_per_cell:int ->
   ?supervision:supervision ->
   ?resume:bool ->
@@ -128,10 +129,11 @@ val run_dir :
     appends every record to the journal (flushed per record), and — with
     [resume] (default false) — first repairs a crash-torn journal tail
     ({!Journal.recover}, reported through [on_warn], default silent),
-    then replays the journal and skips every already-completed trial.
+    then replays the journal and runs only the trial ids it lacks.
     [observe] sees each record right after its journal append
-    (serialized; live progress hooks in here), [on_skip] as in
-    {!run_trials}. On success also snapshots the process metrics to
-    [telemetry.json] ({!Telemetry_io}). Errors: the campaign already
-    exists (fresh run), or the on-disk manifest disagrees with [spec]
-    (resume). *)
+    (serialized; live progress hooks in here); [on_skip] is called once
+    per already-journaled trial, before the first trial runs
+    ({!Checkpoint.open_campaign}). On success also snapshots the process
+    metrics to [telemetry.json] ({!Telemetry_io}). Errors: the campaign
+    already exists (fresh run), or the on-disk manifest disagrees with
+    [spec] (resume). *)

@@ -76,9 +76,7 @@ val of_dir : dir:string -> (t, string) result
 (** Also scans the journal file's parse health ({!Journal.health}) into
     [health.journal]. *)
 
-val to_table : t -> Ffault_stats.Table.t
 val to_markdown : t -> string
-val to_json : t -> Json.t
 
 val write : dir:string -> t -> unit
 (** Write [report.md] and [report.json] into the campaign directory. *)
@@ -110,5 +108,4 @@ val diff : ?tolerance:float -> t -> t -> diff
     failures, B has some) or its failure rate rose by more than
     [tolerance]. *)
 
-val diff_table : diff -> Ffault_stats.Table.t
 val pp_diff : Format.formatter -> diff -> unit

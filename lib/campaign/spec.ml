@@ -48,10 +48,6 @@ let resolve_protocol name =
       | Some _ | None -> Error (Fmt.str "bad sweep object count in %S" s))
   | _ -> Error (Fmt.str "unknown protocol %S" name)
 
-let protocol_names =
-  [ "fig1"; "fig2"; "fig3"; "herlihy"; "silent-retry"; "tas"; "rec-cas"; "rec-tas"; "naive-tas";
-    "sweepN" ]
-
 (* ---- validation ---- *)
 
 let name_ok s =

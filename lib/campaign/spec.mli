@@ -94,9 +94,6 @@ val resolve_protocol : string -> (Ffault_consensus.Protocol.t, string) result
     tas, rec-cas, rec-tas, naive-tas (doc/RECOVERY.md), and sweepN (the
     Fig. 2 sweep over exactly N objects). Shared with the CLI. *)
 
-val protocol_names : string list
-(** For help text. *)
-
 (** Axis parsers, shared with the CLI flags. *)
 
 val ints_of_string : string -> (int list, string) result

@@ -50,8 +50,6 @@ type summary = Core.summary = {
   worker_spans : (string * Json.t list) list;
 }
 
-let workers_json = Core.workers_json
-
 (* Engine events are plain strings; grade them for the structured log
    by the trouble words the messages are built from (lease expiry,
    reclaim, holes, drops). Anything unrecognized is Info. *)
@@ -72,13 +70,13 @@ let classify msg =
 let io =
   { Core.peer = Transport.peer; send = Transport.send_msg; close = Transport.close }
 
-let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
-    ?(on_warn = fun _ -> ()) ?(on_event = fun _ -> ()) ?status ~root cfg spec =
+let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ -> ())
+    ?(on_event = fun _ -> ()) ?status ~root cfg spec =
   let ( let* ) = Result.bind in
   (* A worker dying mid-write must be an EPIPE in [send], not a fatal
      signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let* dir, st = Checkpoint.open_campaign ~resume ~on_warn ~root spec in
+  let* dir, st = Checkpoint.open_campaign ~resume ?on_skip ~on_warn ~root spec in
   (* Take journal ownership before listening: the epoch every grant of
      this incarnation carries is persisted first, so even if we crash
      right after, the next incarnation bumps past us and fences
@@ -140,7 +138,6 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
        (match status with
        | Some ep -> Fmt.str " (status on %s)" (Transport.endpoint_to_string ep)
        | None -> ""));
-  for _ = 1 to Checkpoint.completed st do on_skip () done;
   let started = Unix.gettimeofday () in
   let step () =
     let fds =
@@ -182,8 +179,11 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
     Events.set_sink events None;
     close_out_noerr ev_oc
   in
+  (* Serve past the last journaled Result until every lease is settled:
+     the finishing worker's flush beat and [Complete] follow its last
+     Result, and a silent holder's lease expires within the timeout. *)
   match
-    while not (Core.is_done core) do
+    while not (Core.settled core) do
       step ()
     done
   with
@@ -194,7 +194,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?(on_skip = fun () -> ())
       Campaign.Telemetry_io.write ~dir (Metrics.snapshot ());
       Checkpoint.write_atomic
         ~path:(Checkpoint.workers_path ~dir)
-        (Json.to_string (workers_json summary) ^ "\n");
+        (Json.to_string (Core.workers_json summary) ^ "\n");
       Ok summary
   | exception e ->
       finish ();

@@ -87,10 +87,6 @@ type summary = Core.summary = {
           name-sorted; feeds [ffault trace merge] *)
 }
 
-val workers_json : summary -> Ffault_campaign.Json.t
-(** The [workers.json] document ({!serve} writes it; exposed for
-    tests). *)
-
 val classify : string -> Ffault_telemetry.Events.severity
 (** Severity grade for an [on_event] message (lease expiry, reclaims,
     journal holes and drops are [Warn]; the rest [Info]). Exposed so
@@ -109,11 +105,15 @@ val serve :
   Ffault_campaign.Spec.t ->
   (summary, string) result
 (** Run the campaign to completion: listen, lease, journal, and return
-    once every trial id is journaled (workers get a [Bye] and the
-    listener closes). [observe] sees each record after its journal
-    append; [on_skip] fires once per already-journaled trial on resume
-    (both as in {!Ffault_campaign.Pool.run_dir}, so the live progress
-    line plugs in unchanged). [on_event] receives one-line
+    once every trial id is journaled and no lease is outstanding
+    ({!Core.settled}; workers get a [Bye] and the listener closes). The
+    finishing worker's flush beat and [Complete] are read before that,
+    so its last lease is in the fleet table; a holder that goes silent
+    instead costs at most the lease timeout. [observe] sees each record
+    after its journal append; [on_skip] fires once per already-journaled
+    trial on resume, before serving (both as in
+    {!Ffault_campaign.Pool.run_dir}, so the live progress line plugs in
+    unchanged). [on_event] receives one-line
     join/leave/lease lifecycle messages; the same messages also land,
     severity-graded, in a structured {!Ffault_telemetry.Events} log
     that is streamed to [<dir>/events.jsonl] and served by [/events].

@@ -297,6 +297,7 @@ let wstat_of t name =
 
 let stat_of_client t c = Option.map (wstat_of t) c.cname
 let is_done t = Checkpoint.completed t.st >= t.total
+let settled t = is_done t && Lease.outstanding t.leases = 0
 
 let drop_leases_of t ~why name =
   match Lease.fail t.leases ~owner:name with
@@ -481,7 +482,7 @@ let handle_msg t c msg =
       end
       else begin
         t.append r;
-        Checkpoint.mark t.st r.Journal.trial ~ok:r.Journal.ok;
+        Checkpoint.mark t.st r.Journal.trial;
         t.executed <- t.executed + 1;
         (match r.Journal.outcome with
         | Journal.Violation -> t.failures <- t.failures + 1

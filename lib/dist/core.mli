@@ -62,10 +62,6 @@ val workers_json : summary -> Campaign.Json.t
     any worker piggybacked telemetry, its last snapshot and a top-level
     ["fleet"] object summing the per-worker counters by name. *)
 
-val merge_counter_snapshots : Campaign.Json.t list -> (string * int) list
-(** Sum the ["counters"] objects of telemetry snapshots by counter name,
-    name-sorted — the fleet-wide totals. *)
-
 (** {2 Live inspection}
 
     A transport-free snapshot of the engine for the status endpoint:
@@ -190,6 +186,11 @@ val tick : 'c t -> unit
 
 val is_done : 'c t -> bool
 (** Every trial id journaled. *)
+
+val settled : 'c t -> bool
+(** {!is_done}, and no lease is outstanding: every holder has sent its
+    [Complete] (with the flush beat before it), been dropped, or let
+    its lease expire. {!Coordinator.serve} serves until then. *)
 
 val finish : 'c t -> unit
 (** Shutdown sweep: retire fully-journaled live leases whose [Complete]

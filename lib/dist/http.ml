@@ -56,8 +56,6 @@ let fds t =
   if t.s_closed then []
   else t.s_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.pendings []
 
-let owns t fd = fd = t.s_fd || Hashtbl.mem t.pendings fd
-
 let drop t (p : pending) =
   Hashtbl.remove t.pendings p.p_fd;
   try Unix.close p.p_fd with Unix.Unix_error _ -> ()

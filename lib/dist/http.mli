@@ -23,8 +23,6 @@ val fds : server -> Unix.file_descr list
 (** The listener plus any half-read client connections — merge these
     into the driver's [select] read set. Empty after {!close}. *)
 
-val owns : server -> Unix.file_descr -> bool
-
 val handle :
   server ->
   readable:Unix.file_descr list ->

@@ -20,23 +20,18 @@ type source = {
 
 type response = { code : int; content_type : string; body : string }
 
-val events_limit : int
-(** Newest events served by [/events] (256). *)
-
-val status_json : Core.view -> Ffault_campaign.Json.t
-(** The [/status] document: campaign identity, progress counts,
-    [elapsed_s]/[trials_per_s]/[eta_s] ([eta_s] is [null] when done or
-    rate-less), connected workers, and the lease table totals. *)
-
-val workers_json : Core.view -> Ffault_campaign.Json.t
-(** The [/workers] document: per-worker rows (name-sorted, disconnected
-    workers included) with [connected], [hb_age_s] ([null] before any
-    frame), and [stale] — heartbeat age above twice the heartbeat
-    interval, judged by age alone so a killed worker is flagged whether
-    or not its socket has EOFed yet. *)
-
 val respond : source -> string -> response
 (** Dispatch a request path ([/status], [/workers], [/metrics],
     [/events]; [/] aliases [/status]; query strings ignored) to its
     response. Unknown paths get a 404 JSON body listing the
-    endpoints. *)
+    endpoints.
+
+    - [/status]: campaign identity, progress counts,
+      [elapsed_s]/[trials_per_s]/[eta_s] ([eta_s] is [null] when done
+      or rate-less), connected workers, and the lease table totals.
+    - [/workers]: per-worker rows (name-sorted, disconnected workers
+      included) with [connected], [hb_age_s] ([null] before any frame),
+      and [stale] — heartbeat age above twice the heartbeat interval,
+      judged by age alone so a killed worker is flagged whether or not
+      its socket has EOFed yet.
+    - [/events]: the newest 256 events. *)

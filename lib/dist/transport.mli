@@ -36,11 +36,9 @@ val fd : conn -> Unix.file_descr
 val peer : conn -> string
 (** Human-readable peer address, for logs and the Workers report. *)
 
-val send : conn -> Wire.frame -> (unit, string) result
+val send_msg : conn -> Codec.msg -> (unit, string) result
 (** Blocking, serialized by the connection's mutex; [Error] on a broken
     pipe (the peer died — the caller drops the connection). *)
-
-val send_msg : conn -> Codec.msg -> (unit, string) result
 
 val recv_step :
   conn -> [ `Frames of Wire.frame list | `Closed | `Error of string ]

@@ -69,6 +69,4 @@ module Decoder = struct
             compact t;
             Ok (Some { tag; payload })
           end
-
-  let buffered = available
 end

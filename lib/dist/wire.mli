@@ -42,7 +42,4 @@ module Decoder : sig
       [Error] means the stream is torn (zero-length or oversized
       prefix); the decoder is poisoned and every later [next] returns
       the same error. *)
-
-  val buffered : t -> int
-  (** Bytes fed but not yet consumed by complete frames. *)
 end

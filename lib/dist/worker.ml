@@ -11,22 +11,16 @@ let m_leases = Metrics.counter "dist.worker_leases"
 let m_trials = Metrics.counter "dist.worker_trials"
 let m_reconnects = Metrics.counter "dist.reconnects"
 
-type config = {
-  endpoint : Transport.endpoint;
-  name : string;
-  domains : int;
-  chunk : int;
-}
+type config = { endpoint : Transport.endpoint; name : string; domains : int }
 
 let default_name () =
   let host = try Unix.gethostname () with Unix.Unix_error _ -> "worker" in
   Fmt.str "%s-%d" host (Unix.getpid ())
 
-let config ?name ?(domains = 1) ?(chunk = 64) endpoint =
+let config ?name ?(domains = 1) endpoint =
   if domains < 1 then invalid_arg "Worker.config: domains < 1";
-  if chunk < 1 then invalid_arg "Worker.config: chunk < 1";
   let name = match name with Some n -> n | None -> default_name () in
-  { endpoint; name; domains; chunk }
+  { endpoint; name; domains }
 
 (* Bounded backoff for (re)connecting to the coordinator — the same
    Retry machinery the trial engine uses, seeded by the worker name so
@@ -76,9 +70,15 @@ module Protocol = struct
     | Ignore
     | Unexpected of string
 
-  let lease_reply = function
+  let lease_reply spec = function
     | Codec.Lease { lease; epoch; lo; hi; done_ids } ->
-        Granted { lease; epoch; lo; hi; done_ids }
+        let total = Campaign.Grid.total_trials spec in
+        if 0 <= lo && lo <= hi && hi <= total then
+          Granted { lease; epoch; lo; hi; done_ids }
+        else
+          Unexpected
+            (Fmt.str "lease #%d [%d,%d) is outside the grid of %d trials" lease lo hi
+               total)
     | Codec.Wait { seconds } -> Backoff seconds
     | Codec.Bye { reason } -> Stop reason
     | Codec.Heartbeat _ -> Ignore (* tolerated, not expected *)
@@ -244,9 +244,6 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                   on_event
                     (Fmt.str "lease #%d [%d,%d): %d trial(s), %d already journaled" lease
                        lo hi (hi - lo) (List.length done_ids));
-                  let done_tbl = Hashtbl.create (List.length done_ids * 2 + 1) in
-                  List.iter (fun id -> Hashtbl.replace done_tbl id ()) done_ids;
-                  let skip id = id < lo || id >= hi || Hashtbl.mem done_tbl id in
                   (* if the coordinator vanishes mid-lease the sends
                      start failing; note the first error, let the
                      (bounded) range finish — buffering every record —
@@ -264,7 +261,8 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                       | Error e -> send_error := Some e
                   in
                   ignore
-                    (Pool.run_trials ~domains:cfg.domains ~chunk:cfg.chunk ~skip
+                    (Pool.run_trials ~domains:cfg.domains
+                       ~ids:(Protocol.ids_to_run ~lo ~hi ~done_ids)
                        ~supervision ~on_record spec);
                   incr leases_run;
                   Metrics.incr m_leases;
@@ -299,7 +297,7 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                   | Ok () -> reply (Transport.recv_msg conn)
                 and reply = function
                   | `Msg m -> (
-                      match Protocol.lease_reply m with
+                      match Protocol.lease_reply spec m with
                       | Protocol.Granted { lease; epoch; lo; hi; done_ids } -> (
                           match run_lease ~lease ~epoch ~lo ~hi ~done_ids with
                           | Ok () -> serve ()

@@ -2,11 +2,14 @@
 
     A worker owns no campaign state. It connects to a coordinator,
     introduces itself ([Hello]), learns the spec and supervision
-    settings from the [Welcome], then loops: request a lease, run its
-    trial range through the ordinary in-memory engine
-    ({!Ffault_campaign.Pool.run_trials} — domains, deadlines, retries,
-    quarantine and adaptive deadlines all behave exactly as in a local
-    run), stream one [Result] frame per record, and send [Complete].
+    settings from the [Welcome], then loops: request a lease, run the
+    lease's trial ids ({!Protocol.ids_to_run}) through one call of the
+    ordinary in-memory engine ({!Ffault_campaign.Pool.run_trials}),
+    stream one [Result] frame per record, and send [Complete]. Domains,
+    deadlines and retries behave as in a local run, but the state a pool
+    call keeps starts fresh per lease: each cell's shrink budget,
+    quarantine strikes and adaptive-deadline samples count only that
+    lease's trials.
     [Wait] (every shard is leased) bounds how long it idles before
     asking again; it idles watching its socket, so the [Bye] sent when
     the campaign completes (or a closed socket) ends it at once.
@@ -47,12 +50,11 @@ type config = {
   endpoint : Transport.endpoint;
   name : string;  (** identity shown in the coordinator's Workers report *)
   domains : int;  (** engine domains for each lease *)
-  chunk : int;  (** work-stealing chunk, as in [Pool.run_trials] *)
 }
 
-val config : ?name:string -> ?domains:int -> ?chunk:int -> Transport.endpoint -> config
-(** Default name [<hostname>-<pid>], 1 domain, chunk 64.
-    @raise Invalid_argument if [domains < 1] or [chunk < 1]. *)
+val config : ?name:string -> ?domains:int -> Transport.endpoint -> config
+(** Default name [<hostname>-<pid>], 1 domain.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val default_retry : Ffault_supervise.Retry.policy
 (** The default (re)connect backoff: 8 retries, 250 ms base, 5 s cap —
@@ -88,8 +90,10 @@ module Protocol : sig
     | Ignore  (** a stray [Heartbeat]: tolerated, request again *)
     | Unexpected of string
 
-  val lease_reply : Codec.msg -> reply
-  (** Classify the reply to [Request]. *)
+  val lease_reply : Ffault_campaign.Spec.t -> Codec.msg -> reply
+  (** Classify the reply to [Request] under the [Welcome]'s spec. A
+      [Lease] whose [\[lo, hi)] is not inside the spec's grid is
+      [Unexpected]: a protocol error, not work. *)
 
   val ids_to_run : lo:int -> hi:int -> done_ids:int list -> int list
   (** The trial ids of a lease still needing execution, ascending —

@@ -206,7 +206,7 @@ let run ?atoms cfg ~seed =
     List.iter
       (fun (r : Journal.record) ->
         if not (Checkpoint.is_done st r.Journal.trial) then
-          Checkpoint.mark st r.Journal.trial ~ok:r.Journal.ok)
+          Checkpoint.mark st r.Journal.trial)
       !records_rev;
     let co =
       Core.create ~clock:(Sched.clock sched) ~epoch:this_epoch
@@ -483,7 +483,7 @@ let run ?atoms cfg ~seed =
                 bump w;
                 arm_silence w))
     | Awaiting -> (
-        match Protocol.lease_reply msg with
+        match Protocol.lease_reply spec msg with
         | Protocol.Granted { lease; epoch; lo; hi; done_ids } ->
             run_lease w ~lease ~epoch ~ids:(Protocol.ids_to_run ~lo ~hi ~done_ids)
         | Protocol.Backoff s ->

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Distributed chaos smoke: a coordinator shards a 40k-trial grid to
+# Distributed chaos smoke: a coordinator shards a 100k-trial grid to
 # three worker processes over a Unix socket, one worker is SIGKILLed
 # mid-campaign, and the run must still finish with every trial
 # journaled exactly once — the killed worker's lease expires, its shard
@@ -16,8 +16,10 @@ BIN=_build/default/bin/main.exe
 SOCK="${TMPDIR:-/tmp}/ffault-dist-chaos-$$.sock"
 STATUS_SOCK="${TMPDIR:-/tmp}/ffault-dist-chaos-status-$$.sock"
 SCRAPES="$DIR/scrapes"
-# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 10000 trials.
-TOTAL=40000
+# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 25000 trials.
+# Sized so the campaign outlasts the kill and the post-kill scrapes of
+# the status endpoint, about 1.5 s in.
+TOTAL=100000
 
 dune build bin/main.exe
 rm -rf "$DIR"
@@ -27,7 +29,7 @@ rm -f "$SOCK" "$STATUS_SOCK"
 # on the worker process itself, not a wrapper that would orphan it.
 # Small leases + a short timeout keep the post-kill reclaim quick.
 "$BIN" campaign serve --name "$NAME" --protocol fig3 \
-  --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 10000 \
+  --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 25000 \
   --listen "unix:$SOCK" --status "unix:$STATUS_SOCK" \
   --lease-trials 500 --lease-timeout 2 \
   --hb-interval 0.5 --quiet &

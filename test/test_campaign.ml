@@ -305,10 +305,10 @@ let test_journal_tolerates_torn_line () =
 let outcome_fields (r : Journal.record) =
   (r.Journal.trial, r.Journal.ok, r.Journal.steps, r.Journal.max_steps, r.Journal.faults)
 
-let run_collect ?skip ~domains spec =
+let run_collect ?ids ~domains spec =
   let records = ref [] in
   let summary =
-    Pool.run_trials ?skip ~domains ~max_shrinks_per_cell:0
+    Pool.run_trials ?ids ~domains ~max_shrinks_per_cell:0
       ~on_record:(fun r -> records := r :: !records)
       spec
   in
@@ -328,13 +328,14 @@ let test_pool_domain_count_invariance () =
   check Alcotest.bool "identical outcome fields" true
     (List.map outcome_fields r1 = List.map outcome_fields r4)
 
-let test_pool_skip_predicate () =
+let test_pool_ids () =
   let spec = healthy_spec () in
-  let summary, records = run_collect ~skip:(fun id -> id mod 2 = 0) ~domains:2 spec in
+  let odd = List.filter (fun id -> id mod 2 = 1) (List.init (Grid.total_trials spec) Fun.id) in
+  let summary, records = run_collect ~ids:odd ~domains:2 spec in
   check Alcotest.int "half skipped" 20 summary.Pool.skipped;
   check Alcotest.int "half executed" 20 summary.Pool.executed;
-  check Alcotest.bool "only odd ids ran" true
-    (List.for_all (fun r -> r.Journal.trial mod 2 = 1) records)
+  check Alcotest.(list int) "exactly the odd ids ran" odd
+    (List.map (fun r -> r.Journal.trial) records)
 
 (* ---- run_dir + resume (the acceptance scenario) ---- *)
 
@@ -369,6 +370,48 @@ let test_run_dir_resume_after_kill () =
   match Pool.run_dir ~domains:2 ~resume:true ~root spec with
   | Error m -> Alcotest.fail m
   | Ok s -> check Alcotest.int "nothing left to run" 0 s.Pool.executed
+
+(* One domain, a journal torn mid-record and resumed: the result is the
+   uninterrupted run's journal line for line (but [wall_us]), and every
+   resumed trial is announced before the first new record. *)
+let test_run_dir_resume_matches_uninterrupted () =
+  let spec = failing_spec ~trials:40 ~name:"resume-1dom" () in
+  let journal root = Checkpoint.journal_path ~dir:(Checkpoint.campaign_dir ~root spec) in
+  let lines root =
+    List.map
+      (fun r -> Journal.to_line { r with Journal.wall_us = 0 })
+      (Journal.load ~path:(journal root))
+  in
+  let run ?resume ?on_skip ?observe root =
+    match
+      Pool.run_dir ~domains:1 ~max_shrinks_per_cell:0 ?resume ?on_skip ?observe ~root spec
+    with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let whole = tmp_root () and torn = tmp_root () in
+  ignore (run whole);
+  ignore (run torn);
+  (* keep 17 records and half of the 18th *)
+  let kept = In_channel.with_open_text (journal torn) In_channel.input_lines in
+  let half = List.nth kept 17 in
+  Out_channel.with_open_text (journal torn) (fun oc ->
+      List.iteri (fun i l -> if i < 17 then Out_channel.output_string oc (l ^ "\n")) kept;
+      Out_channel.output_string oc (String.sub half 0 (String.length half / 2)));
+  let events = ref [] in
+  let s =
+    run ~resume:true torn
+      ~on_skip:(fun () -> events := `Skip :: !events)
+      ~observe:(fun _ -> events := `Record :: !events)
+  in
+  check Alcotest.int "resumed trials skipped" 17 s.Pool.skipped;
+  check Alcotest.int "the rest executed" (Grid.total_trials spec - 17) s.Pool.executed;
+  let rec leading_skips = function `Skip :: rest -> 1 + leading_skips rest | _ -> 0 in
+  let events = List.rev !events in
+  check Alcotest.int "every on_skip before the first record" 17 (leading_skips events);
+  check Alcotest.int "no on_skip after it" 17
+    (List.length (List.filter (( = ) `Skip) events));
+  check Alcotest.(list string) "journal as uninterrupted" (lines whole) (lines torn)
 
 (* ---- supervised execution: deadline, retry, quarantine ---- *)
 
@@ -789,8 +832,10 @@ let suites =
     ( "campaign.pool",
       [
         Alcotest.test_case "domain-count invariance" `Quick test_pool_domain_count_invariance;
-        Alcotest.test_case "skip predicate" `Quick test_pool_skip_predicate;
+        Alcotest.test_case "runs the given ids" `Quick test_pool_ids;
         Alcotest.test_case "resume after kill" `Quick test_run_dir_resume_after_kill;
+        Alcotest.test_case "1-domain resume = whole" `Quick
+          test_run_dir_resume_matches_uninterrupted;
         Alcotest.test_case "resume after torn tail" `Quick test_resume_after_torn_tail;
         Alcotest.test_case "clobber + mismatch guards" `Quick
           test_run_dir_refuses_clobber_and_mismatch;

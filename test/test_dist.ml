@@ -575,7 +575,7 @@ let test_restart_recovers_torn_journal () =
   let st = Checkpoint.fresh ~total in
   Journal.fold ~path ~init:() ~f:(fun () r ->
       if not (Checkpoint.is_done st r.Journal.trial) then
-        Checkpoint.mark st r.Journal.trial ~ok:r.Journal.ok);
+        Checkpoint.mark st r.Journal.trial);
   let events = ref [] in
   let core =
     Core.create ~epoch ~io:fake_io
@@ -776,6 +776,11 @@ let test_coordinator_config_validation () =
 
 (* ---- end-to-end over a Unix socket ---- *)
 
+let runner_tasks () =
+  Option.value ~default:0
+    (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ())
+       "runner.tasks")
+
 (* One coordinator thread, one in-process worker, a real socket. The
    resume path is exercised by pre-journaling a prefix of the grid: the
    re-leases must carry those ids as done and the worker must skip them
@@ -840,6 +845,7 @@ let test_serve_exactly_once () =
     end
   in
   await 100;
+  let tasks_before = runner_tasks () in
   let worker =
     match
       Dist.Worker.run (Dist.Worker.config ~name:"w-test" ~domains:2 (Transport.Unix_sock sock))
@@ -847,6 +853,7 @@ let test_serve_exactly_once () =
     | Ok s -> s
     | Error m -> Alcotest.failf "worker: %s" m
   in
+  let tasks = runner_tasks () - tasks_before in
   Thread.join coordinator;
   match !serve_result with
   | Error m -> Alcotest.failf "serve: %s" m
@@ -866,6 +873,8 @@ let test_serve_exactly_once () =
         + summary.Dist.Coordinator.pool.Campaign.Pool.skipped);
       check Alcotest.int "worker ran the rest" (total - pre)
         worker.Dist.Worker.trials_run;
+      (* one runner task per trial of the worker's leases *)
+      check Alcotest.int "runner tasks = trials run" worker.Dist.Worker.trials_run tasks;
       (* recovery pre-retires the fully-journaled shards, so only the
          partially-done shard's ids travel as done_ids *)
       check Alcotest.int "worker skipped the done ids in live shards" (pre mod 16)
@@ -1055,6 +1064,174 @@ let test_bye_ends_wait () =
   Journal.fold ~path ~init:() ~f:(fun () r -> Hashtbl.replace ids r.Journal.trial ());
   check Alcotest.int "every id exactly once" total (Hashtbl.length ids)
 
+(* A lease-shaped pool call — a range minus the ids already journaled,
+   on one domain, as a worker runs it — gives those ids' records of a
+   full run, line for line but [wall_us], and one runner task per id. *)
+let test_lease_runs_its_ids () =
+  let spec =
+    Spec.v ~name:"lease-ids" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.9 ]
+      ~trials:40 ~seed:0xBADL ()
+  in
+  let lines ?ids () =
+    let out = ref [] in
+    ignore
+      (Campaign.Pool.run_trials ~domains:1 ?ids ~max_shrinks_per_cell:0
+         ~on_record:(fun r ->
+           out := (r.Journal.trial, Journal.to_line { r with Journal.wall_us = 0 }) :: !out)
+         spec);
+    List.rev !out
+  in
+  let full = lines () in
+  let ids = Dist.Worker.Protocol.ids_to_run ~lo:10 ~hi:30 ~done_ids:[ 12; 13; 29 ] in
+  let before = runner_tasks () in
+  let lease = lines ~ids () in
+  check Alcotest.int "one runner task per id" (List.length ids) (runner_tasks () - before);
+  check Alcotest.(list int) "the lease's ids, in order" ids (List.map fst lease);
+  check Alcotest.(list string) "records as in the full run"
+    (List.map (fun id -> List.assoc id full) ids)
+    (List.map snd lease)
+
+(* ---- the end of a campaign, against a scripted socket worker ---- *)
+
+(* [serve] on a one-lease grid, with a raw client playing the worker
+   from Transport and Codec frames: Hello, Request, one Result per trial
+   of the lease, then [tail] (which gets the lease's id and epoch) plays
+   the rest. Returns serve's summary and the seconds serve ran past the
+   last Result. *)
+let serve_scripted ~name ~lease_timeout_s ~hb_interval_s tail =
+  let root = tmp_root () in
+  let sock = Filename.concat root "coord.sock" in
+  let spec = Spec.v ~name ~protocol:"fig1" ~trials:8 () in
+  let cfg =
+    Dist.Coordinator.config ~lease_trials:(Grid.total_trials spec) ~lease_timeout_s
+      ~hb_interval_s (Transport.Unix_sock sock)
+  in
+  let serve_result = ref (Error "never ran") and serve_done = ref 0.0 in
+  let coordinator =
+    Thread.create
+      (fun () ->
+        serve_result := Dist.Coordinator.serve ~root cfg spec;
+        serve_done := Unix.gettimeofday ())
+      ()
+  in
+  let rec await n =
+    if not (Sys.file_exists sock) then
+      if n = 0 then Alcotest.fail "coordinator never listened"
+      else begin
+        Thread.delay 0.01;
+        await (n - 1)
+      end
+  in
+  await 500;
+  let raw =
+    match Transport.connect (Transport.Unix_sock sock) with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let send m =
+    match Transport.send_msg raw m with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  let recv () =
+    match Transport.recv_msg raw with
+    | `Msg m -> m
+    | `Closed -> Alcotest.fail "scripted worker: closed"
+    | `Error e -> Alcotest.fail e
+  in
+  send (Codec.Hello { version = Wire.version; name = "w-script"; domains = 1; last_epoch = 0 });
+  (match recv () with
+  | Codec.Welcome _ -> ()
+  | m -> Alcotest.failf "expected welcome, got %a" Codec.pp m);
+  send Codec.Request;
+  let lease, epoch, lo, hi =
+    match recv () with
+    | Codec.Lease { lease; epoch; lo; hi; _ } -> (lease, epoch, lo, hi)
+    | m -> Alcotest.failf "expected a lease, got %a" Codec.pp m
+  in
+  for t = lo to hi - 1 do
+    send (Codec.Result (record_for spec t))
+  done;
+  let last_result = Unix.gettimeofday () in
+  tail raw ~lease ~epoch;
+  Thread.join coordinator;
+  Transport.close raw;
+  match !serve_result with
+  | Error m -> Alcotest.failf "serve: %s" m
+  | Ok summary -> (summary, !serve_done -. last_result)
+
+let scripted_worker summary =
+  match
+    List.find_opt
+      (fun w -> w.Dist.Coordinator.w_name = "w-script")
+      summary.Dist.Coordinator.workers
+  with
+  | Some w -> w
+  | None -> Alcotest.fail "no stats for the scripted worker"
+
+(* The finishing worker's flush beat follows its last Result: serve must
+   read it (and the Complete after it) before returning, or the worker's
+   last lease is missing from workers.json. *)
+let test_serve_reads_flush_beat () =
+  let marker =
+    Json.Obj [ ("counters", Json.Obj [ ("test.flush_marker", Json.Int 7) ]) ]
+  in
+  let summary, _ =
+    serve_scripted ~name:"dist-flush" ~lease_timeout_s:10.0 ~hb_interval_s:0.5
+      (fun raw ~lease ~epoch ->
+        Thread.delay 0.2;
+        (* a coordinator that already left makes these sends fail; the
+           checks below report it *)
+        ignore
+          (Transport.send_msg raw (Codec.Heartbeat { snapshot = Some marker; spans = None }));
+        ignore (Transport.send_msg raw (Codec.Complete { lease; epoch }));
+        match Transport.recv_msg raw with
+        | `Msg (Codec.Bye _) | `Closed | `Error _ -> ()
+        | `Msg m -> Alcotest.failf "expected bye, got %a" Codec.pp m)
+  in
+  let w = scripted_worker summary in
+  check Alcotest.(option string) "the flush beat's snapshot is in the summary"
+    (Some (Json.to_string marker))
+    (Option.map Json.to_string w.Dist.Coordinator.w_telemetry);
+  check Alcotest.int "the lease completed" 1 w.Dist.Coordinator.w_completed;
+  check Alcotest.int "no lease expired" 0 summary.Dist.Coordinator.leases_expired
+
+(* A worker that goes silent after its last Result never sends its
+   Complete: serve still returns, within about the lease timeout, and
+   books the lease as expired. *)
+let test_serve_silent_holder_expires () =
+  let lease_timeout_s = 0.5 in
+  let summary, waited =
+    serve_scripted ~name:"dist-silent" ~lease_timeout_s ~hb_interval_s:0.2
+      (fun _raw ~lease:_ ~epoch:_ -> ())
+  in
+  check Alcotest.bool (Fmt.str "serve waited about the lease timeout (%.3fs)" waited) true
+    (waited >= 0.8 *. lease_timeout_s && waited < 5.0);
+  check Alcotest.int "the lease expired" 1 summary.Dist.Coordinator.leases_expired;
+  check Alcotest.int "booked to the silent worker" 1
+    (scripted_worker summary).Dist.Coordinator.w_expired
+
+(* A lease reaching outside the Welcome's grid is a protocol error the
+   worker stops on, not a range to clip. *)
+let test_protocol_rejects_lease_outside_grid () =
+  let spec = Spec.v ~name:"grid-bounds" ~protocol:"fig1" ~trials:8 () in
+  let total = Grid.total_trials spec in
+  let reply lo hi =
+    Dist.Worker.Protocol.lease_reply spec
+      (Codec.Lease { lease = 3; epoch = 1; lo; hi; done_ids = [] })
+  in
+  let granted (lo, hi) =
+    match reply lo hi with Dist.Worker.Protocol.Granted _ -> true | _ -> false
+  in
+  let unexpected (lo, hi) =
+    match reply lo hi with Dist.Worker.Protocol.Unexpected _ -> true | _ -> false
+  in
+  List.iter
+    (fun r -> check Alcotest.bool (Fmt.str "[%d,%d) granted" (fst r) (snd r)) true (granted r))
+    [ (0, total); (total - 1, total) ];
+  List.iter
+    (fun r ->
+      check Alcotest.bool (Fmt.str "[%d,%d) rejected" (fst r) (snd r)) true (unexpected r))
+    [ (0, total + 1); (total, total + 5); (-1, 4); (5, 4) ]
+
 let suites =
   [
     ( "dist.wire",
@@ -1081,6 +1258,10 @@ let suites =
         Alcotest.test_case "complete and done" `Quick test_lease_complete_and_done;
         Alcotest.test_case "fail owner" `Quick test_lease_fail_owner;
         Alcotest.test_case "validation" `Quick test_lease_validation;
+        Alcotest.test_case "worker rejects a lease outside the grid" `Quick
+          test_protocol_rejects_lease_outside_grid;
+        Alcotest.test_case "a lease runs its ids as a full run does" `Quick
+          test_lease_runs_its_ids;
       ] );
     ( "dist.coordinator",
       [
@@ -1096,6 +1277,8 @@ let suites =
         Alcotest.test_case "heartbeat count is Heartbeat frames" `Quick test_heartbeat_count;
         Alcotest.test_case "exactly-once over a socket" `Quick test_serve_exactly_once;
         Alcotest.test_case "bye ends a worker's wait" `Quick test_bye_ends_wait;
+        Alcotest.test_case "serve reads the flush beat" `Quick test_serve_reads_flush_beat;
+        Alcotest.test_case "silent holder expires" `Quick test_serve_silent_holder_expires;
       ] );
     ( "dist.transport",
       [
