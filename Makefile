@@ -38,7 +38,8 @@ bench:
 
 # One measurement per workload under a millisecond quota: proves every
 # bench still runs and emits its BENCH_<group>.json, without the cost of
-# real timing. CI runs this on every push.
+# real timing. The files go to _campaigns/bench-smoke/, so the committed
+# baselines at the root stay as they are. CI runs this on every push.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke campaign netsim dist recover b1 e1
 

@@ -532,10 +532,15 @@ let pretty ns =
   else if ns >= 1e3 then Fmt.str "%.2f \xc2\xb5s" (ns /. 1e3)
   else Fmt.str "%.0f ns" ns
 
+(* Where a smoke run's JSON goes: a gitignored directory, so a smoke
+   pass never overwrites the committed baselines with its one-shot
+   numbers. *)
+let smoke_dir = Filename.concat "_campaigns" "bench-smoke"
+
 (* Machine-readable sibling of the printed table: BENCH_<group>.json in
-   the working directory, one record per test. runs_per_s counts bench
-   runs, and one run is a whole test (often 128-256 trials): it is not
-   the campaign summary's trials/s. *)
+   the working directory (in [smoke_dir] under --smoke), one record per
+   test. runs_per_s counts bench runs, and one run is a whole test (often
+   128-256 trials): it is not the campaign summary's trials/s. *)
 let write_json gname rows =
   let module Json = Ffault_campaign.Json in
   let record (name, iters, ns) =
@@ -548,7 +553,14 @@ let write_json gname rows =
           if Float.is_nan ns || ns <= 0.0 then Json.Null else Json.Float (1e9 /. ns) );
       ]
   in
-  let path = Fmt.str "BENCH_%s.json" gname in
+  let file = Fmt.str "BENCH_%s.json" gname in
+  let path =
+    if !smoke then begin
+      Ffault_campaign.Checkpoint.mkdir_p smoke_dir;
+      Filename.concat smoke_dir file
+    end
+    else file
+  in
   Out_channel.with_open_text path (fun oc ->
       output_string oc
         (Json.to_string

@@ -33,47 +33,126 @@ type record = {
   witness : int array option;
 }
 
-(* ---- JSON codec ---- *)
+(* ---- printing ---- *)
 
-let to_json r =
-  let base =
-    [
-      ("trial", Json.Int r.trial);
-      ("f", Json.Int r.cell.Grid.f);
-      ("t", match r.cell.Grid.t with Some t -> Json.Int t | None -> Json.Null);
-      ("n", Json.Int r.cell.Grid.n);
-      ("kind", Json.Str (Fault_kind.to_string r.cell.Grid.kind));
-      ("rate", Json.Float r.cell.Grid.rate);
-      ("seed", Json.Str (Int64.to_string r.seed));
-      ("ok", Json.Bool r.ok);
-      ("outcome", Json.Str (outcome_to_string r.outcome));
-      ("retries", Json.Int r.retries);
-      ("violations", Json.List (List.map (fun v -> Json.Str v) r.violations));
-      ("steps", Json.Int r.steps);
-      ("max_steps", Json.Int r.max_steps);
-      ("stage", Json.Int r.stage);
-      ("faults", Json.Int r.faults);
-      ("wall_us", Json.Int r.wall_us);
-    ]
-  in
+(* A cell's fields as one record prints them: [head] from the comma after
+   the trial id through the key of "seed", and [crash] (crash cells
+   only) from the comma before "crashes" through the key of
+   "crash_faults". *)
+type cell_text = { key : Grid.cell; head : string; crash : string }
+
+let print_cell (c : Grid.cell) =
+  let b = Buffer.create 128 in
+  Buffer.add_string b ",\"f\":";
+  Json.add_int b c.f;
+  Buffer.add_string b ",\"t\":";
+  (match c.t with Some t -> Json.add_int b t | None -> Buffer.add_string b "null");
+  Buffer.add_string b ",\"n\":";
+  Json.add_int b c.n;
+  Buffer.add_string b ",\"kind\":";
+  Json.add_string b (Fault_kind.to_string c.kind);
+  Buffer.add_string b ",\"rate\":";
+  Json.add_float b c.rate;
+  Buffer.add_string b ",\"seed\":";
+  let head = Buffer.contents b in
   (* Crash fields only appear for crash cells: crash-free records stay
      byte-identical to pre-recovery journals. *)
   let crash =
-    if r.cell.Grid.crashes = 0 then []
-    else
-      [
-        ("crashes", Json.Int r.cell.Grid.crashes);
-        ("crash_rate", Json.Float r.cell.Grid.crash_rate);
-        ("persistence", Json.Str (Persistence.to_string r.cell.Grid.persistence));
-        ("crash_faults", Json.Int r.crash_faults);
-      ]
+    if c.crashes = 0 then ""
+    else begin
+      Buffer.clear b;
+      Buffer.add_string b ",\"crashes\":";
+      Json.add_int b c.crashes;
+      Buffer.add_string b ",\"crash_rate\":";
+      Json.add_float b c.crash_rate;
+      Buffer.add_string b ",\"persistence\":";
+      Json.add_string b (Persistence.to_string c.persistence);
+      Buffer.add_string b ",\"crash_faults\":";
+      Buffer.contents b
+    end
   in
-  let witness =
-    match r.witness with
-    | None -> []
-    | Some w -> [ ("witness", Json.List (Array.to_list (Array.map (fun d -> Json.Int d) w))) ]
-  in
-  Json.Obj (base @ crash @ witness)
+  { key = c; head; crash }
+
+(* Floats by their bits: [Float.equal 0.0 (-0.0)] holds, yet the two
+   print differently. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_cell (a : Grid.cell) (b : Grid.cell) =
+  a == b
+  || a.f = b.f
+     && Option.equal Int.equal a.t b.t
+     && a.n = b.n
+     && Fault_kind.equal a.kind b.kind
+     && same_float a.rate b.rate
+     && a.crashes = b.crashes
+     && same_float a.crash_rate b.crash_rate
+     && (a.persistence == b.persistence || Persistence.equal a.persistence b.persistence)
+
+(* The last cell printed on this domain. Its floats are most of a
+   record's encoding cost, and consecutive records mostly share a cell:
+   a pool consumes its trials in id order, chunk by chunk. *)
+let last_cell = Domain.DLS.new_key (fun () -> None)
+
+let cell_text cell =
+  match Domain.DLS.get last_cell with
+  | Some text when same_cell text.key cell -> text
+  | Some _ | None ->
+      let text = print_cell cell in
+      Domain.DLS.set last_cell (Some text);
+      text
+
+(* The record straight into one buffer, in the schema's key order, with
+   the leaf writers [Json.to_string] uses: the bytes of the record's
+   JSON object. *)
+let to_line (r : record) =
+  let cell = cell_text r.cell in
+  let b = Buffer.create 512 in
+  Buffer.add_string b "{\"trial\":";
+  Json.add_int b r.trial;
+  Buffer.add_string b cell.head;
+  (* decimal digits and a minus sign need no escape *)
+  Buffer.add_char b '"';
+  Buffer.add_string b (Int64.to_string r.seed);
+  Buffer.add_string b "\",\"ok\":";
+  Buffer.add_string b (Bool.to_string r.ok);
+  Buffer.add_string b ",\"outcome\":";
+  Json.add_string b (outcome_to_string r.outcome);
+  Buffer.add_string b ",\"retries\":";
+  Json.add_int b r.retries;
+  Buffer.add_string b ",\"violations\":[";
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      Json.add_string b v)
+    r.violations;
+  Buffer.add_string b "],\"steps\":";
+  Json.add_int b r.steps;
+  Buffer.add_string b ",\"max_steps\":";
+  Json.add_int b r.max_steps;
+  Buffer.add_string b ",\"stage\":";
+  Json.add_int b r.stage;
+  Buffer.add_string b ",\"faults\":";
+  Json.add_int b r.faults;
+  Buffer.add_string b ",\"wall_us\":";
+  Json.add_int b r.wall_us;
+  if r.cell.Grid.crashes <> 0 then begin
+    Buffer.add_string b cell.crash;
+    Json.add_int b r.crash_faults
+  end;
+  (match r.witness with
+  | None -> ()
+  | Some w ->
+      Buffer.add_string b ",\"witness\":[";
+      Array.iteri
+        (fun i d ->
+          if i > 0 then Buffer.add_char b ',';
+          Json.add_int b d)
+        w;
+      Buffer.add_char b ']');
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+(* ---- parsing ---- *)
 
 let of_json json =
   let ( let* ) = Result.bind in
@@ -187,8 +266,6 @@ let of_json json =
       wall_us;
       witness;
     }
-
-let to_line r = Json.to_string (to_json r)
 
 let of_line line =
   match Json.of_string line with Ok j -> of_json j | Error m -> Error m

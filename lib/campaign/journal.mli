@@ -47,11 +47,15 @@ type record = {
   witness : int array option;  (** minimized decision vector on failure *)
 }
 
-val to_json : record -> Json.t
-val of_json : Json.t -> (record, string) result
-
 val to_line : record -> string
-(** One JSONL line (no newline). *)
+(** One JSONL line (no newline): the record's JSON object in the schema's
+    key order, in the bytes {!Json.to_string} gives that object. This is
+    the only record printer: the distributed codec's [Result] frame
+    carries this line as its payload. It prints the fields a record
+    takes from its cell once per run of records from one cell, on each
+    domain. *)
+
+val of_json : Json.t -> (record, string) result
 
 val of_line : string -> (record, string) result
 

@@ -13,21 +13,12 @@ type t =
    skips the run-time interpretation of the format, same bytes. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-(* The decimal digits of [-n], for [n <= 0]: the non-positive side holds
-   [min_int] without overflow. *)
-let rec add_neg_digits b n =
-  if n <= -10 then add_neg_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
-
-let add_int b i =
-  if i < 0 then begin
-    Buffer.add_char b '-';
-    add_neg_digits b i
-  end
-  else add_neg_digits b (-i)
+(* Decimal digits straight into the buffer: one writer serves JSON and
+   the rendering of values. *)
+let add_int = Ffault_objects.Value.add_int
 
 (* Copies each run of bytes that need no escape in one blit. *)
-let escape_string b s =
+let add_string b s =
   Buffer.add_char b '"';
   let n = String.length s in
   let clean = ref 0 in
@@ -48,14 +39,16 @@ let escape_string b s =
   if n > !clean then Buffer.add_substring b s !clean (n - !clean);
   Buffer.add_char b '"'
 
+let add_float b f =
+  let fmt = if Float.is_integer f && Float.abs f < 1e15 then "%.1f" else "%.17g" in
+  Buffer.add_string b (format_float fmt f)
+
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Int i -> add_int b i
-  | Float f ->
-      let fmt = if Float.is_integer f && Float.abs f < 1e15 then "%.1f" else "%.17g" in
-      Buffer.add_string b (format_float fmt f)
-  | Str s -> escape_string b s
+  | Float f -> add_float b f
+  | Str s -> add_string b s
   | List items ->
       Buffer.add_char b '[';
       List.iteri
@@ -69,7 +62,7 @@ let rec write b = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
+          add_string b k;
           Buffer.add_char b ':';
           write b v)
         fields;

@@ -44,6 +44,19 @@ val to_string : t -> string
 (** Compact single-line rendering (never emits raw newlines, so one value
     per line is a valid JSONL record). *)
 
+(** The writers {!to_string} prints its leaves with, for a printer that
+    writes a value of known shape straight into a buffer (the journal's
+    record printer) in the same bytes as {!to_string} of its tree. *)
+
+val add_string : Buffer.t -> string -> unit
+(** A [Str] value or an object key: quoted and escaped. *)
+
+val add_int : Buffer.t -> int -> unit
+(** An [Int]. *)
+
+val add_float : Buffer.t -> float -> unit
+(** A [Float]. *)
+
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)
 

@@ -134,9 +134,7 @@ let record_of_result ?(retries = 0) trial (res : Shrink_on_fail.result) =
     outcome;
     retries;
     violations =
-      List.map
-        (Fmt.str "%a" Check.pp_violation)
-        res.Shrink_on_fail.report.Check.violations;
+      List.map Check.violation_to_string res.Shrink_on_fail.report.Check.violations;
     steps = result.Engine.total_steps;
     max_steps;
     stage;

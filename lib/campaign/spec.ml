@@ -74,6 +74,10 @@ let unbuildable_cell protocol spec =
         spec.t_values)
     spec.f_values
 
+(* NaN too: it fails every comparison, so [r < 0.0 || r > 1.0] let it
+   through into manifests and journal lines that no reader parses. *)
+let out_of_unit r = not (r >= 0.0 && r <= 1.0)
+
 let validate spec =
   let err fmt = Fmt.kstr (fun m -> Error m) fmt in
   if not (name_ok spec.name) then
@@ -92,12 +96,11 @@ let validate spec =
         else if List.exists (fun n -> n < 1) spec.n_values then err "n values must be >= 1"
         else if List.is_empty spec.kinds then err "empty fault-kind list"
         else if spec.rates = [] then err "empty rate list"
-        else if List.exists (fun r -> r < 0.0 || r > 1.0) spec.rates then
-          err "rates must lie in [0, 1]"
+        else if List.exists out_of_unit spec.rates then err "rates must lie in [0, 1]"
         else if spec.crashes = [] then err "empty crashes list"
         else if List.exists (fun c -> c < 0) spec.crashes then err "crashes must be >= 0"
         else if spec.crash_rates = [] then err "empty crash-rate list"
-        else if List.exists (fun r -> r < 0.0 || r > 1.0) spec.crash_rates then
+        else if List.exists out_of_unit spec.crash_rates then
           err "crash rates must lie in [0, 1]"
         else if spec.persistence = [] then err "empty persistence list"
         else if spec.trials < 1 then err "trials must be >= 1"

@@ -75,10 +75,10 @@ val v :
 
 val validate : t -> (t, string) result
 (** Well-formedness: resolvable protocol, non-empty axes, f ≥ 0, bounded
-    t ≥ 1, n ≥ 1, rates in [0, 1], trials ≥ 1, filename-safe name, and
-    every (f, t, n) the spec sweeps instantiates the protocol (Fig. 3
-    needs f ≥ 1 and a bounded t). Builds each cell's checker setup; runs
-    no trial. *)
+    t ≥ 1, n ≥ 1, rates and crash rates in [0, 1] (NaN is not), trials
+    ≥ 1, filename-safe name, and every (f, t, n) the spec sweeps
+    instantiates the protocol (Fig. 3 needs f ≥ 1 and a bounded t).
+    Builds each cell's checker setup; runs no trial. *)
 
 val parse : string -> (t, string) result
 (** Parse the textual spec format above. *)

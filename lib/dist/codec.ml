@@ -68,9 +68,13 @@ let supervision_of_json j =
   | s -> Ok s
   | exception Invalid_argument m -> Error ("codec: " ^ m)
 
-let payload_of = function
+(* A [Result]'s payload is its journal line, printed by the journal's
+   own record printer; every other payload is a small JSON object. *)
+let payload_of msg =
+  let obj fields = Json.to_string (Json.Obj fields) in
+  match msg with
   | Hello { version; name; domains; last_epoch } ->
-      Json.Obj
+      obj
         [
           ("version", Json.Int version);
           ("name", Json.Str name);
@@ -78,7 +82,7 @@ let payload_of = function
           ("last_epoch", Json.Int last_epoch);
         ]
   | Welcome { version; epoch; spec; supervision; hb_interval_s } ->
-      Json.Obj
+      obj
         [
           ("version", Json.Int version);
           ("epoch", Json.Int epoch);
@@ -86,15 +90,15 @@ let payload_of = function
           ("supervision", supervision_to_json supervision);
           ("hb_interval_s", Json.Float hb_interval_s);
         ]
-  | Request -> Json.Obj []
+  | Request -> obj []
   | Heartbeat { snapshot; spans } ->
       (* both fields optional: a bare beat encodes as the legacy "{}",
          so old decoders never see an unknown shape *)
-      Json.Obj
+      obj
         ((match snapshot with Some s -> [ ("snapshot", s) ] | None -> [])
         @ match spans with Some s -> [ ("spans", s) ] | None -> [])
   | Lease { lease; epoch; lo; hi; done_ids } ->
-      Json.Obj
+      obj
         [
           ("lease", Json.Int lease);
           ("epoch", Json.Int epoch);
@@ -102,13 +106,12 @@ let payload_of = function
           ("hi", Json.Int hi);
           ("done", Json.List (List.map (fun i -> Json.Int i) done_ids));
         ]
-  | Result r -> Journal.to_json r
-  | Complete { lease; epoch } ->
-      Json.Obj [ ("lease", Json.Int lease); ("epoch", Json.Int epoch) ]
-  | Wait { seconds } -> Json.Obj [ ("seconds", Json.Float seconds) ]
-  | Bye { reason } -> Json.Obj [ ("reason", Json.Str reason) ]
+  | Result r -> Journal.to_line r
+  | Complete { lease; epoch } -> obj [ ("lease", Json.Int lease); ("epoch", Json.Int epoch) ]
+  | Wait { seconds } -> obj [ ("seconds", Json.Float seconds) ]
+  | Bye { reason } -> obj [ ("reason", Json.Str reason) ]
 
-let to_frame msg = { Wire.tag = tag_of msg; payload = Json.to_string (payload_of msg) }
+let to_frame msg = { Wire.tag = tag_of msg; payload = payload_of msg }
 
 let ( let* ) = Result.bind
 

@@ -2,8 +2,9 @@
     {!Wire.frame} encoding.
 
     Payloads are {!Ffault_campaign.Json} objects, reusing the campaign's
-    spec and journal-record serializers verbatim — a [Result] frame
-    carries exactly the JSONL line the coordinator will journal. Every
+    spec serializer verbatim. A [Result] frame's payload is
+    {!Ffault_campaign.Journal.to_line} of its record, the only record
+    printer: exactly the JSONL line the coordinator will journal. Every
     decoder is total: an unknown tag or malformed payload is an
     [Error], never an exception (the fuzz tests in [test_dist]
     hold this). *)

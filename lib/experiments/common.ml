@@ -24,8 +24,7 @@ let render_trace setup (report : Check.report) =
 
 let trace_note setup report =
   let violations =
-    String.concat "; "
-      (List.map (Fmt.str "%a" Check.pp_violation) report.Check.violations)
+    String.concat "; " (List.map Check.violation_to_string report.Check.violations)
   in
   Fmt.str "%s — witness trace:@.%s" violations (render_trace setup report)
 

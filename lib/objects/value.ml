@@ -47,15 +47,50 @@ let rec hash v =
   | Pair (a, b) -> (hash a * 31) + hash b + 47
   | Staged { value; stage } -> (hash value * 31) + (stage * 131) + 53
 
-let rec pp ppf = function
-  | Bottom -> Fmt.string ppf "\xe2\x8a\xa5" (* ⊥ *)
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.pf ppf "%S" s
-  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
-  | Staged { value; stage } -> Fmt.pf ppf "\xe2\x9f\xa8%a,%d\xe2\x9f\xa9" pp value stage
+(* Built without Format or Printf: violations are rendered on the trial
+   path. *)
 
-let to_string v = Fmt.str "%a" pp v
+(* The decimal digits of [-n], for [n <= 0]: the non-positive side holds
+   [min_int] without overflow. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b i
+  end
+  else add_neg_digits b (-i)
+
+let rec add b = function
+  | Bottom -> Buffer.add_string b "\xe2\x8a\xa5" (* ⊥ *)
+  | Bool v -> Buffer.add_string b (Bool.to_string v)
+  | Int i -> add_int b i
+  | Str s ->
+      (* OCaml's own quoting, as Printf's %S *)
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Pair (x, y) ->
+      Buffer.add_char b '(';
+      add b x;
+      Buffer.add_string b ", ";
+      add b y;
+      Buffer.add_char b ')'
+  | Staged { value; stage } ->
+      Buffer.add_string b "\xe2\x9f\xa8" (* ⟨ *);
+      add b value;
+      Buffer.add_char b ',';
+      add_int b stage;
+      Buffer.add_string b "\xe2\x9f\xa9" (* ⟩ *)
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add b v;
+  Buffer.contents b
+
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let is_bottom = function Bottom -> true | _ -> false
 

@@ -28,10 +28,20 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Structural hash consistent with {!equal}. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering: [⊥], [42], ["s"], [⟨v,3⟩], [(a, b)]. *)
-
 val to_string : t -> string
+(** Human-readable rendering: [⊥], [42], ["s"] (quoted as OCaml quotes a
+    string literal), [⟨v,3⟩], [(a, b)]. Built without [Format] or
+    [Printf]. *)
+
+val add : Buffer.t -> t -> unit
+(** Appends {!to_string}. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends the decimal digits of an int, as {!to_string} writes an
+    [Int]: for renderers that write ints beside values. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 val is_bottom : t -> bool
 

@@ -67,13 +67,15 @@ type proc_outcome =
   | Cancelled
   | Crashed of string
 
-let pp_proc_outcome ppf = function
-  | Decided v -> Fmt.pf ppf "decided %a" Value.pp v
-  | Hung -> Fmt.string ppf "hung"
-  | Exhausted { steps; budget } -> Fmt.pf ppf "exhausted (%d steps, budget %d)" steps budget
-  | Step_limited -> Fmt.string ppf "step-limited"
-  | Cancelled -> Fmt.string ppf "cancelled"
-  | Crashed msg -> Fmt.pf ppf "crashed: %s" msg
+let proc_outcome_to_string = function
+  | Decided v -> "decided " ^ Value.to_string v
+  | Hung -> "hung"
+  | Exhausted { steps; budget } -> Printf.sprintf "exhausted (%d steps, budget %d)" steps budget
+  | Step_limited -> "step-limited"
+  | Cancelled -> "cancelled"
+  | Crashed msg -> "crashed: " ^ msg
+
+let pp_proc_outcome ppf o = Fmt.string ppf (proc_outcome_to_string o)
 
 type result = {
   outcomes : proc_outcome array;

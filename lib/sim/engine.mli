@@ -64,7 +64,13 @@ type proc_outcome =
   | Cancelled  (** still runnable when the [interrupt] hook tripped *)
   | Crashed of string  (** the body raised *)
 
+val proc_outcome_to_string : proc_outcome -> string
+(** ["decided 1"], ["hung"], ["exhausted (9 steps, budget 8)"],
+    ["step-limited"], ["cancelled"], ["crashed: <message>"]. Built
+    without [Format]. *)
+
 val pp_proc_outcome : Format.formatter -> proc_outcome -> unit
+(** Prints {!proc_outcome_to_string}. *)
 
 type result = {
   outcomes : proc_outcome array;

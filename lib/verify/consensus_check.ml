@@ -10,14 +10,34 @@ type violation =
   | Consistency of { proc_a : int; val_a : Value.t; proc_b : int; val_b : Value.t }
   | Wait_freedom of { proc : int; outcome : Engine.proc_outcome }
 
-let pp_violation ppf = function
+let violation_to_string v =
+  let b = Buffer.create 64 in
+  let text = Buffer.add_string b in
+  (match v with
   | Validity { proc; decided } ->
-      Fmt.pf ppf "validity: p%d decided %a, which is no process's input" proc Value.pp decided
+      text "validity: p";
+      Value.add_int b proc;
+      text " decided ";
+      Value.add b decided;
+      text ", which is no process's input"
   | Consistency { proc_a; val_a; proc_b; val_b } ->
-      Fmt.pf ppf "consistency: p%d decided %a but p%d decided %a" proc_a Value.pp val_a proc_b
-        Value.pp val_b
+      text "consistency: p";
+      Value.add_int b proc_a;
+      text " decided ";
+      Value.add b val_a;
+      text " but p";
+      Value.add_int b proc_b;
+      text " decided ";
+      Value.add b val_b
   | Wait_freedom { proc; outcome } ->
-      Fmt.pf ppf "wait-freedom: p%d did not decide (%a)" proc Engine.pp_proc_outcome outcome
+      text "wait-freedom: p";
+      Value.add_int b proc;
+      text " did not decide (";
+      text (Engine.proc_outcome_to_string outcome);
+      text ")");
+  Buffer.contents b
+
+let pp_violation ppf v = Fmt.string ppf (violation_to_string v)
 
 type report = { violations : violation list; result : Engine.result }
 

@@ -28,7 +28,13 @@ type violation =
           check [result.interrupted] and report such runs as timed out,
           never as passing. *)
 
+val violation_to_string : violation -> string
+(** The rendering a journal record carries, e.g. ["consistency: p0
+    decided 1 but p1 decided 2"]. Built without [Format]: a campaign
+    renders every violation it journals. *)
+
 val pp_violation : Format.formatter -> violation -> unit
+(** Prints {!violation_to_string}. *)
 
 type report = { violations : violation list; result : Engine.result }
 (** A report names no instance: a run is the trial path, and formatting

@@ -46,6 +46,8 @@ run replay --decisions 1,x
 run experiment E99
 run campaign run --rates 2
 run campaign run --rates 2 --deadline 0
+run campaign run --protocol herlihy -f 1 -n 2 --rates nan --trials 5
+run campaign run --protocol herlihy -f 1 -n 2 --crash-rates nan --trials 5
 run campaign run --kinds bogus
 run campaign run -f x
 run campaign run --persistence bogus

@@ -139,6 +139,42 @@ let test_spec_text_errors () =
       "protocol = fig3\ntrials = 0\n";
     ]
 
+(* A rate outside [0, 1] is rejected, NaN included: NaN fails both
+   comparisons of a naive range test and would reach the manifest and
+   every journal line as a bare [nan], which no reader parses. -0.0 is
+   in range. *)
+let test_spec_rate_range () =
+  let spec = healthy_spec () in
+  let verdict spec =
+    match Spec.validate spec with Ok _ -> "ok" | Error m -> m
+  in
+  let rates r = verdict { spec with Spec.rates = [ 0.3; r ] } in
+  let crash_rates r = verdict { spec with Spec.crash_rates = [ r ] } in
+  List.iter
+    (fun r ->
+      check Alcotest.string (Fmt.str "rate %h" r) "rates must lie in [0, 1]" (rates r);
+      check Alcotest.string (Fmt.str "crash rate %h" r) "crash rates must lie in [0, 1]"
+        (crash_rates r))
+    [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; -0.1; 1.5 ];
+  List.iter
+    (fun r ->
+      check Alcotest.string (Fmt.str "rate %h" r) "ok" (rates r);
+      check Alcotest.string (Fmt.str "crash rate %h" r) "ok" (crash_rates r))
+    [ 0.0; -0.0; 1.0; 0.5 ];
+  (* the text format and a manifest go through the same check *)
+  check Alcotest.bool "spec text" true
+    (Result.is_error (Spec.parse "protocol = herlihy\nrates = nan\n"));
+  let manifest =
+    match Spec.to_json spec with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "rates" then (k, Json.List [ Json.Float Float.nan ]) else (k, v))
+             fields)
+    | _ -> Alcotest.fail "a spec prints as an object"
+  in
+  check Alcotest.bool "manifest" true (Result.is_error (Spec.of_json manifest))
+
 let test_spec_json_roundtrip () =
   let spec = healthy_spec () in
   match Spec.of_json (Spec.to_json spec) with
@@ -807,6 +843,7 @@ let suites =
         Alcotest.test_case "text format" `Quick test_spec_text_format;
         Alcotest.test_case "text errors" `Quick test_spec_text_errors;
         Alcotest.test_case "json roundtrip" `Quick test_spec_json_roundtrip;
+        Alcotest.test_case "rates in [0, 1], NaN out" `Quick test_spec_rate_range;
       ] );
     ( "campaign.grid",
       [
