@@ -88,6 +88,19 @@ let same_cell (a : Grid.cell) (b : Grid.cell) =
      && same_float a.crash_rate b.crash_rate
      && (a.persistence == b.persistence || Persistence.equal a.persistence b.persistence)
 
+(* The cell fields a line carries: the crash axes only when [a] has
+   crashes, since a crash-free line omits them and reads back with
+   their defaults. *)
+let same_line_cell (a : Grid.cell) (b : Grid.cell) =
+  a.f = b.f
+  && Option.equal Int.equal a.t b.t
+  && a.n = b.n
+  && Fault_kind.equal a.kind b.kind
+  && same_float a.rate b.rate
+  && a.crashes = b.crashes
+  && (a.crashes = 0
+     || same_float a.crash_rate b.crash_rate && Persistence.equal a.persistence b.persistence)
+
 (* The last cell printed on this domain. Its floats are most of a
    record's encoding cost, and consecutive records mostly share a cell:
    a pool consumes its trials in id order, chunk by chunk. *)
@@ -154,121 +167,129 @@ let to_line (r : record) =
 
 (* ---- parsing ---- *)
 
-let of_json json =
-  let ( let* ) = Result.bind in
-  let field key project =
-    match Option.bind (Json.member key json) project with
-    | Some v -> Ok v
-    | None -> Error (Fmt.str "journal record: missing or malformed %S" key)
-  in
-  let* trial = field "trial" Json.get_int in
-  let* f = field "f" Json.get_int in
-  let* t =
-    field "t" (function Json.Null -> Some None | j -> Option.map Option.some (Json.get_int j))
-  in
-  let* n = field "n" Json.get_int in
-  let* kind = field "kind" (fun j -> Option.bind (Json.get_str j) Fault_kind.of_string) in
-  let* rate = field "rate" Json.get_float in
-  let* seed = field "seed" (fun j -> Option.bind (Json.get_str j) Int64.of_string_opt) in
-  let* ok = field "ok" Json.get_bool in
-  (* Both supervision fields default for pre-supervision journals (PR 1-3):
-     outcome is inferred from ok, retries from absence. *)
-  let* outcome =
-    match Json.member "outcome" json with
-    | None -> Ok (if ok then Pass else Violation)
-    | Some j -> (
-        match Option.bind (Json.get_str j) outcome_of_string with
-        | Some o -> Ok o
-        | None -> Error "journal record: malformed outcome")
-  in
-  let* retries =
-    match Json.member "retries" json with
-    | None -> Ok 0
-    | Some j -> (
-        match Json.get_int j with
-        | Some r when r >= 0 -> Ok r
-        | Some _ | None -> Error "journal record: malformed retries")
-  in
-  let* violations =
-    field "violations" (fun j ->
-        Option.bind (Json.get_list j) (fun items ->
-            let vs = List.filter_map Json.get_str items in
-            if List.length vs = List.length items then Some vs else None))
-  in
-  let* steps = field "steps" Json.get_int in
-  let* max_steps = field "max_steps" Json.get_int in
-  let* stage = field "stage" Json.get_int in
-  let* faults = field "faults" Json.get_int in
-  let* wall_us = field "wall_us" Json.get_int in
-  (* Crash fields default for crash-free records (and pre-recovery
-     journals, which predate the crash axes entirely). *)
-  let* crashes =
-    match Json.member "crashes" json with
-    | None -> Ok 0
-    | Some j -> (
-        match Json.get_int j with
-        | Some c when c >= 0 -> Ok c
-        | Some _ | None -> Error "journal record: malformed crashes")
-  in
-  let* crash_rate =
-    match Json.member "crash_rate" json with
-    | None -> Ok 0.0
-    | Some j -> (
-        match Json.get_float j with
-        | Some r -> Ok r
-        | None -> Error "journal record: malformed crash_rate")
-  in
-  let* persistence =
-    match Json.member "persistence" json with
-    | None -> Ok Persistence.Persist_all
-    | Some j -> (
-        match Json.get_str j with
-        | Some s -> (
-            match Persistence.of_string s with
-            | Ok m -> Ok m
-            | Error _ -> Error "journal record: malformed persistence")
-        | None -> Error "journal record: malformed persistence")
-  in
-  let* crash_faults =
-    match Json.member "crash_faults" json with
-    | None -> Ok 0
-    | Some j -> (
-        match Json.get_int j with
-        | Some c when c >= 0 -> Ok c
-        | Some _ | None -> Error "journal record: malformed crash_faults")
-  in
-  let* witness =
-    match Json.member "witness" json with
-    | None -> Ok None
-    | Some j -> (
-        match
-          Option.bind (Json.get_list j) (fun items ->
-              let vs = List.filter_map Json.get_int items in
-              if List.length vs = List.length items then Some vs else None)
-        with
-        | Some vs -> Ok (Some (Array.of_list vs))
-        | None -> Error "journal record: malformed witness")
-  in
-  Ok
-    {
-      trial;
-      cell = { Grid.f; t; n; kind; rate; crashes; crash_rate; persistence };
-      seed;
-      ok;
-      outcome;
-      retries;
-      violations;
-      steps;
-      max_steps;
-      stage;
-      faults;
-      crash_faults;
-      wall_us;
-      witness;
-    }
+(* Every key a record's checks read, in the order they read them. *)
+let keys =
+  [|
+    "trial"; "f"; "t"; "n"; "kind"; "rate"; "seed"; "ok"; "outcome"; "retries"; "violations";
+    "steps"; "max_steps"; "stage"; "faults"; "wall_us"; "crashes"; "crash_rate"; "persistence";
+    "crash_faults"; "witness";
+  |]
 
+exception Malformed of string
+
+(* A field's value through its projection: a key absent, or a value the
+   projection refuses, is malformed. *)
+let[@inline] field key project value =
+  match Option.bind value project with
+  | Some v -> v
+  | None -> raise (Malformed (Fmt.str "journal record: missing or malformed %S" key))
+
+(* A field older journals may lack: [default] when absent. *)
+let[@inline] optional what project ~default = function
+  | None -> default
+  | Some j -> (
+      match project j with
+      | Some v -> v
+      | None -> raise (Malformed ("journal record: malformed " ^ what)))
+
+let non_negative j = match Json.get_int j with Some c when c >= 0 -> Some c | Some _ | None -> None
+
+(* every item through [project] ([rev] those done so far), or [None] if
+   one is refused *)
+let rec all project rev = function
+  | [] -> Some (List.rev rev)
+  | item :: items -> (
+      match project item with Some v -> all project (v :: rev) items | None -> None)
+
+(* The checks, given the first value of each of [keys] (what
+   [Json.member] would find in the line's object), in the order they
+   read them: the first to fail names the error. *)
+let of_values values =
+  match values with
+  | [|
+   trial; f; t; n; kind; rate; seed; ok; outcome; retries; violations; steps; max_steps; stage;
+   faults; wall_us; crashes; crash_rate; persistence; crash_faults; witness;
+  |] ->
+      let trial = field "trial" Json.get_int trial in
+      let f = field "f" Json.get_int f in
+      let t =
+        field "t" (function Json.Null -> Some None | j -> Option.map Option.some (Json.get_int j)) t
+      in
+      let n = field "n" Json.get_int n in
+      let kind = field "kind" (fun j -> Option.bind (Json.get_str j) Fault_kind.of_string) kind in
+      let rate = field "rate" Json.get_float rate in
+      let seed = field "seed" (fun j -> Option.bind (Json.get_str j) Int64.of_string_opt) seed in
+      let ok = field "ok" Json.get_bool ok in
+      (* Both supervision fields default for pre-supervision journals (PR 1-3):
+         outcome is inferred from ok, retries from absence. *)
+      let outcome =
+        optional "outcome"
+          (fun j -> Option.bind (Json.get_str j) outcome_of_string)
+          ~default:(if ok then Pass else Violation)
+          outcome
+      in
+      let retries = optional "retries" non_negative ~default:0 retries in
+      let violations =
+        field "violations" (fun j -> Option.bind (Json.get_list j) (all Json.get_str [])) violations
+      in
+      let steps = field "steps" Json.get_int steps in
+      let max_steps = field "max_steps" Json.get_int max_steps in
+      let stage = field "stage" Json.get_int stage in
+      let faults = field "faults" Json.get_int faults in
+      let wall_us = field "wall_us" Json.get_int wall_us in
+      (* Crash fields default for crash-free records (and pre-recovery
+         journals, which predate the crash axes entirely). *)
+      let crashes = optional "crashes" non_negative ~default:0 crashes in
+      let crash_rate = optional "crash_rate" Json.get_float ~default:0.0 crash_rate in
+      let persistence =
+        optional "persistence"
+          (fun j ->
+            Option.bind (Json.get_str j) (fun s -> Result.to_option (Persistence.of_string s)))
+          ~default:Persistence.Persist_all persistence
+      in
+      let crash_faults = optional "crash_faults" non_negative ~default:0 crash_faults in
+      let witness =
+        optional "witness"
+          (fun j ->
+            Option.map (fun vs -> Some (Array.of_list vs))
+              (Option.bind (Json.get_list j) (all Json.get_int [])))
+          ~default:None witness
+      in
+      {
+        trial;
+        cell = { Grid.f; t; n; kind; rate; crashes; crash_rate; persistence };
+        seed;
+        ok;
+        outcome;
+        retries;
+        violations;
+        steps;
+        max_steps;
+        stage;
+        faults;
+        crash_faults;
+        wall_us;
+        witness;
+      }
+  | _ -> invalid_arg "Journal.of_values: one value per key"
+
+(* One pass over the line: the top-level object's known keys are matched
+   in place and keep their first value; every other value is parsed and
+   dropped at its depth. The checks run once the whole line has parsed,
+   so a syntax error anywhere wins over a malformed field, as it does
+   for the tree [Json.of_string] builds. A line that is not an object
+   parses whole and has no fields. *)
 let of_line line =
-  match Json.of_string line with Ok j -> of_json j | Error m -> Error m
+  let read c =
+    match Json.members ~depth:0 c keys with
+    | Some values -> values
+    | None ->
+        ignore (Json.value ~depth:0 c);
+        Array.make (Array.length keys) None
+  in
+  match Json.parse line read with
+  | Error m -> Error m
+  | Ok values -> ( match of_values values with r -> Ok r | exception Malformed m -> Error m)
 
 (* ---- append writer (shared by all worker domains) ---- *)
 

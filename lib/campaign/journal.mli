@@ -55,9 +55,19 @@ val to_line : record -> string
     takes from its cell once per run of records from one cell, on each
     domain. *)
 
-val of_json : Json.t -> (record, string) result
+val same_line_cell : Grid.cell -> Grid.cell -> bool
+(** The two cells print the same fields on a journal line: [f], [t],
+    [n], [kind] and [rate] always, and the crash axes when the cells have
+    crashes. Floats are compared by their bits, as they print. *)
 
 val of_line : string -> (record, string) result
+(** The one record reader: a journal line, or a [Result] frame's payload,
+    read in one pass into its record, with no JSON tree built. It accepts
+    exactly what {!Json.of_string} accepts, with the same error text.
+    Of a key given twice the first value counts, as {!Json.member} finds
+    it; unknown keys are parsed and skipped. Fields absent from older
+    journals take their defaults: [outcome] follows [ok], [retries] is 0,
+    and a record without crash fields is crash-free. *)
 
 (** {2 Writing} *)
 

@@ -73,184 +73,289 @@ let to_string v =
   write b v;
   Buffer.contents b
 
-(* ---- parsing: plain recursive descent ---- *)
+(* ---- parsing: recursive descent on a cursor ---- *)
+
+type cursor = { s : string; n : int; mutable pos : int }
 
 exception Parse_error of string
 
 let max_depth = 64
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let next_is c = !pos < n && Char.equal (String.unsafe_get s !pos) c in
-  let rec skip_ws () =
-    if !pos < n then
-      match String.unsafe_get s !pos with
-      | ' ' | '\t' | '\n' | '\r' ->
-          incr pos;
-          skip_ws ()
-      | _ -> ()
-  in
-  let expect c = if next_is c then incr pos else fail (Printf.sprintf "expected %C" c) in
-  let literal word v =
-    let l = String.length word in
-    let rec matches i =
-      i = l || (Char.equal (String.unsafe_get s (!pos + i)) word.[i] && matches (i + 1))
-    in
-    if !pos + l <= n && matches 0 then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  (* the offset of the first closing quote or backslash at or after [i],
-     or [n] *)
-  let rec string_stop i =
-    if i < n then match String.unsafe_get s i with '"' | '\\' -> i | _ -> string_stop (i + 1)
-    else n
-  in
-  let parse_string () =
-    expect '"';
-    let start = !pos in
-    let stop = string_stop start in
-    if stop < n && Char.equal (String.unsafe_get s stop) '"' then begin
-      pos := stop + 1;
-      String.sub s start (stop - start)
-    end
+let fail c msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
+let[@inline] next_is c ch = c.pos < c.n && Char.equal (String.unsafe_get c.s c.pos) ch
+
+let[@inline] skip_ws c =
+  while
+    c.pos < c.n
+    && match String.unsafe_get c.s c.pos with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done
+
+let expected c ch = fail c (Printf.sprintf "expected %C" ch)
+let[@inline] expect c ch = if next_is c ch then c.pos <- c.pos + 1 else expected c ch
+
+(* [key] from its byte [i] on is at [s]'s byte [start + i]; the caller
+   checked that it fits *)
+let rec equal_from s start key i =
+  i = String.length key
+  || Char.equal (String.unsafe_get s (start + i)) (String.unsafe_get key i)
+     && equal_from s start key (i + 1)
+
+(* [text] is the [len] bytes of [s] at [start] *)
+let[@inline] is_text s start len text = String.length text = len && equal_from s start text 0
+
+let literal c word v =
+  let l = String.length word in
+  if c.pos + l <= c.n && equal_from c.s c.pos word 0 then begin
+    c.pos <- c.pos + l;
+    v
+  end
+  else fail c (Printf.sprintf "expected %s" word)
+
+(* the offset of the first closing quote or backslash at or after [i],
+   or the end of the text *)
+let[@inline] string_stop c i =
+  let i = ref i in
+  while !i < c.n && match String.unsafe_get c.s !i with '"' | '\\' -> false | _ -> true do
+    incr i
+  done;
+  !i
+
+(* The string whose first byte after the opening quote is at [start],
+   holding an escape or missing its closing quote (the first backslash
+   or the end is at [stop]): decoded into a buffer, copying the runs
+   between escapes whole. *)
+let decode_string c start stop =
+  let s = c.s and n = c.n in
+  let b = Buffer.create (stop - start + 16) in
+  let rec go stop =
+    Buffer.add_substring b s c.pos (stop - c.pos);
+    c.pos <- stop;
+    if c.pos >= n then fail c "unterminated string";
+    let ch = String.unsafe_get s c.pos in
+    c.pos <- c.pos + 1;
+    if Char.equal ch '"' then Buffer.contents b
     else begin
-      (* escapes (or no closing quote): decode into a buffer, copying
-         the runs between escapes whole *)
-      let b = Buffer.create (stop - start + 16) in
-      let rec go stop =
-        Buffer.add_substring b s !pos (stop - !pos);
-        pos := stop;
-        if !pos >= n then fail "unterminated string";
-        let c = String.unsafe_get s !pos in
-        incr pos;
-        if Char.equal c '"' then Buffer.contents b
-        else begin
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          incr pos;
-          (match e with
-          | '"' | '\\' | '/' -> Buffer.add_char b e
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code =
-                try int_of_string ("0x" ^ String.sub s !pos 4)
-                with Failure _ -> fail "bad \\u escape"
-              in
-              pos := !pos + 4;
-              (* encode the code point as UTF-8 (BMP only; our own
-                 encoder never emits \u for non-control characters) *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | _ -> fail "bad escape");
-          go (string_stop !pos)
-        end
-      in
-      pos := start;
-      go stop
+      if c.pos >= n then fail c "unterminated escape";
+      let e = s.[c.pos] in
+      c.pos <- c.pos + 1;
+      (match e with
+      | '"' | '\\' | '/' -> Buffer.add_char b e
+      | 'n' -> Buffer.add_char b '\n'
+      | 't' -> Buffer.add_char b '\t'
+      | 'r' -> Buffer.add_char b '\r'
+      | 'b' -> Buffer.add_char b '\b'
+      | 'f' -> Buffer.add_char b '\012'
+      | 'u' ->
+          if c.pos + 4 > n then fail c "truncated \\u escape";
+          let code =
+            try int_of_string ("0x" ^ String.sub s c.pos 4)
+            with Failure _ -> fail c "bad \\u escape"
+          in
+          c.pos <- c.pos + 4;
+          (* encode the code point as UTF-8 (BMP only; our own
+             encoder never emits \u for non-control characters) *)
+          if code < 0x80 then Buffer.add_char b (Char.chr code)
+          else if code < 0x800 then begin
+            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+          end
+          else begin
+            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+          end
+      | _ -> fail c "bad escape");
+      go (string_stop c c.pos)
     end
   in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    let continue = ref true in
-    while !continue && !pos < n do
-      match String.unsafe_get s !pos with
-      | '0' .. '9' | '-' | '+' -> incr pos
-      | '.' | 'e' | 'E' ->
-          is_float := true;
-          incr pos
-      | _ -> continue := false
-    done;
-    let text = String.sub s start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt text with Some f -> Float f | None -> fail "bad number"
+  c.pos <- start;
+  go stop
+
+let[@inline] read_string c =
+  expect c '"';
+  let start = c.pos in
+  let stop = string_stop c start in
+  if stop < c.n && Char.equal (String.unsafe_get c.s stop) '"' then begin
+    c.pos <- stop + 1;
+    String.sub c.s start (stop - start)
+  end
+  else decode_string c start stop
+
+(* the index of the first entry of [keys] from [i] on that is the [len]
+   bytes of [s] at [start], or -1 *)
+let rec index_at s start len keys i =
+  if i >= Array.length keys then -1
+  else if is_text s start len (Array.unsafe_get keys i) then i
+  else index_at s start len keys (i + 1)
+
+(* The key at [start], just after its opening quote, is [keys.(i)]
+   followed by the closing quote. *)
+let[@inline] is_key c start keys i =
+  i < Array.length keys
+  &&
+  let key = Array.unsafe_get keys i in
+  let stop = start + String.length key in
+  stop < c.n && Char.equal (String.unsafe_get c.s stop) '"' && equal_from c.s start key 0
+
+(* Reads a field's key and its colon, and answers the index of the
+   entry of [keys] equal to the key, or -1, trying [next] first (the
+   entries are distinct). *)
+let key c keys next =
+  skip_ws c;
+  expect c '"';
+  let start = c.pos in
+  let i =
+    if is_key c start keys next then begin
+      c.pos <- start + String.length (Array.unsafe_get keys next) + 1;
+      next
+    end
     else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with Some f -> Float f | None -> fail "bad number")
+      let stop = string_stop c start in
+      if stop < c.n && Char.equal (String.unsafe_get c.s stop) '"' then begin
+        c.pos <- stop + 1;
+        index_at c.s start (stop - start) keys 0
+      end
+      else
+        let k = decode_string c start stop in
+        index_at k 0 (String.length k) keys 0
   in
-  let open_container depth =
-    if depth >= max_depth then fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
-    incr pos;
-    skip_ws ()
-  in
-  let rec parse_value depth =
-    skip_ws ();
-    if !pos >= n then fail "unexpected end of input";
-    match String.unsafe_get s !pos with
-    | '"' -> Str (parse_string ())
-    | 'n' -> literal "null" Null
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | '-' | '0' .. '9' -> parse_number ()
-    | '[' ->
-        open_container depth;
-        if next_is ']' then begin
-          incr pos;
-          List []
-        end
-        else begin
-          let items = ref [ parse_value (depth + 1) ] in
-          skip_ws ();
-          while next_is ',' do
-            incr pos;
-            items := parse_value (depth + 1) :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          List (List.rev !items)
-        end
-    | '{' ->
-        open_container depth;
-        if next_is '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value (depth + 1) in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while next_is ',' do
-            incr pos;
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
-    | c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
-  match parse_value 0 with
+  skip_ws c;
+  expect c ':';
+  i
+
+(* The last two float lexemes this domain read, with their values: the
+   records of a journal repeat their cell's rate and crash rate, and
+   converting a float's text is most of what reading a number costs. *)
+let recent_floats = Domain.DLS.new_key (fun () -> [| ("", Null); ("", Null) |])
+
+let float_lexeme c start len =
+  let recent = Domain.DLS.get recent_floats in
+  let text0, v0 = recent.(0) and text1, v1 = recent.(1) in
+  if is_text c.s start len text0 then v0
+  else if is_text c.s start len text1 then v1
+  else
+    let text = String.sub c.s start len in
+    match float_of_string_opt text with
+    | None -> fail c "bad number"
+    | Some f ->
+        let v = Float f in
+        recent.(1) <- recent.(0);
+        recent.(0) <- (text, v);
+        v
+
+let[@inline] read_number c =
+  let s = c.s and n = c.n in
+  let start = c.pos in
+  let first = if Char.equal (String.unsafe_get s start) '-' then start + 1 else start in
+  (* the leading digits, converted as they are read *)
+  let v = ref 0 and i = ref first in
+  while !i < n && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false do
+    v := (!v * 10) + (Char.code (String.unsafe_get s !i) - 48);
+    incr i
+  done;
+  let digits_end = !i in
+  (* the rest of the lexeme *)
+  let is_float = ref false in
+  while
+    !i < n
+    &&
+    match String.unsafe_get s !i with
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
+        is_float := true;
+        true
+    | _ -> false
+  do
+    incr i
+  done;
+  c.pos <- !i;
+  (* A plain integer, -?[0-9]{1,18}, cannot overflow: it is converted
+     already. Any other lexeme goes through the string conversions. *)
+  let digits = digits_end - first in
+  if digits_end = !i && digits >= 1 && digits <= 18 then Int (if first > start then - !v else !v)
+  else if !is_float then float_lexeme c start (!i - start)
+  else
+    let text = String.sub s start (!i - start) in
+    match int_of_string_opt text with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt text with Some f -> Float f | None -> fail c "bad number")
+
+let open_container c depth =
+  if depth >= max_depth then fail c (Printf.sprintf "nesting deeper than %d levels" max_depth);
+  c.pos <- c.pos + 1;
+  skip_ws c
+
+(* The elements (or fields) of the container just opened, up to and
+   including its [close]: [item ()] reads each one. *)
+let items c close item =
+  if next_is c close then c.pos <- c.pos + 1
+  else begin
+    item ();
+    skip_ws c;
+    while next_is c ',' do
+      c.pos <- c.pos + 1;
+      item ();
+      skip_ws c
+    done;
+    expect c close
+  end
+
+let rec value ~depth c =
+  skip_ws c;
+  if c.pos >= c.n then fail c "unexpected end of input";
+  match String.unsafe_get c.s c.pos with
+  | '"' -> Str (read_string c)
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '-' | '0' .. '9' -> read_number c
+  | '[' ->
+      open_container c depth;
+      let rev = ref [] in
+      items c ']' (fun () -> rev := value ~depth:(depth + 1) c :: !rev);
+      List (List.rev !rev)
+  | '{' ->
+      open_container c depth;
+      let rev = ref [] in
+      items c '}' (fun () ->
+          skip_ws c;
+          let k = read_string c in
+          skip_ws c;
+          expect c ':';
+          rev := (k, value ~depth:(depth + 1) c) :: !rev);
+      Obj (List.rev !rev)
+  | ch -> fail c (Printf.sprintf "unexpected character %C" ch)
+
+let members ~depth c keys =
+  skip_ws c;
+  if not (next_is c '{') then None
+  else begin
+    open_container c depth;
+    let values = Array.make (Array.length keys) None in
+    (* keys met in the table's order match at the first try *)
+    let last = ref (-1) in
+    items c '}' (fun () ->
+        let i = key c keys (!last + 1) in
+        let v = value ~depth:(depth + 1) c in
+        if i >= 0 then begin
+          last := i;
+          if Option.is_none values.(i) then values.(i) <- Some v
+        end);
+    Some values
+  end
+
+let parse s read =
+  let c = { s; n = String.length s; pos = 0 } in
+  match read c with
   | v ->
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos) else Ok v
+      skip_ws c;
+      if c.pos <> c.n then Error (Printf.sprintf "trailing garbage at offset %d" c.pos) else Ok v
   | exception Parse_error msg -> Error msg
+
+let of_string s = parse s (value ~depth:0)
 
 (* ---- accessors ---- *)
 

@@ -60,6 +60,35 @@ val add_float : Buffer.t -> float -> unit
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; trailing non-whitespace is an error. *)
 
+(** {2 Reading without a tree}
+
+    The cursor {!of_string} is built on: [of_string s] is
+    [parse s (value ~depth:0)]. A reader of a value whose shape it knows
+    (the journal's record reader) walks the text with it and keeps only
+    what it needs, under the same syntax, the same nesting limit and the
+    same error texts as {!of_string}. *)
+
+type cursor
+
+val parse : string -> (cursor -> 'a) -> ('a, string) result
+(** [parse s read] runs [read] on a cursor at the start of [s], then
+    requires that only whitespace remain. A syntax error met by [read],
+    or trailing text, is an [Error] with {!of_string}'s message. *)
+
+val value : depth:int -> cursor -> t
+(** The next value, inside [depth] enclosing containers. *)
+
+val members : depth:int -> cursor -> string array -> t option array option
+(** Skips whitespace. If an object starts there, reads it through its
+    closing brace, as a container inside [depth] others, and answers the
+    first value of each key of the table ([None] for a key it lacks), as
+    {!member} finds them in the object's tree; the values of other keys
+    are parsed and dropped. Otherwise leaves the cursor for {!value} and
+    answers [None]. The table's entries must be distinct and hold no
+    quote or backslash. Keys without escapes are compared in place, with
+    no string built, and keys met in the table's order match at the
+    first comparison, in one pass over their bytes. *)
+
 (** Accessors: shape-checked projections, [None] on mismatch. *)
 
 val member : string -> t -> t option

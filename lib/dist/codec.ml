@@ -127,7 +127,8 @@ let field name get j =
 let epoch_field name j =
   match Option.bind (Json.member name j) Json.get_int with Some e -> e | None -> 0
 
-let of_frame { Wire.tag; payload } =
+(* Every payload but a Result's is a small JSON object. *)
+let of_object tag payload =
   let* j = Json.of_string payload in
   match tag with
   | 'h' ->
@@ -166,9 +167,6 @@ let of_frame { Wire.tag; payload } =
       if List.length done_ids <> List.length done_list then
         Error "codec: non-integer trial id in done list"
       else Ok (Lease { lease; epoch = epoch_field "epoch" j; lo; hi; done_ids })
-  | 'R' ->
-      let* r = Journal.of_json j in
-      Ok (Result r)
   | 'c' ->
       let* lease = field "lease" Json.get_int j in
       Ok (Complete { lease; epoch = epoch_field "epoch" j })
@@ -187,6 +185,12 @@ let of_frame { Wire.tag; payload } =
       let* reason = field "reason" Json.get_str j in
       Ok (Bye { reason })
   | c -> Error (Printf.sprintf "codec: unknown message tag %C" c)
+
+(* A Result's payload is a journal line: the journal's reader decodes it
+   in one pass. *)
+let of_frame { Wire.tag; payload } =
+  if Char.equal tag 'R' then Result.map (fun r -> Result r) (Journal.of_line payload)
+  else of_object tag payload
 
 let pp ppf = function
   | Hello { version; name; domains; last_epoch } ->

@@ -4,10 +4,11 @@
     Payloads are {!Ffault_campaign.Json} objects, reusing the campaign's
     spec serializer verbatim. A [Result] frame's payload is
     {!Ffault_campaign.Journal.to_line} of its record, the only record
-    printer: exactly the JSONL line the coordinator will journal. Every
-    decoder is total: an unknown tag or malformed payload is an
-    [Error], never an exception (the fuzz tests in [test_dist]
-    hold this). *)
+    printer: exactly the JSONL line the coordinator will journal; it
+    decodes through {!Ffault_campaign.Journal.of_line}, the one record
+    reader, in one pass and without a JSON tree. Every decoder is total:
+    an unknown tag or malformed payload is an [Error], never an
+    exception (the fuzz tests in [test_dist] hold this). *)
 
 module Json = Ffault_campaign.Json
 module Spec = Ffault_campaign.Spec

@@ -52,18 +52,27 @@ type summary = Core.summary = {
 
 (* Engine events are plain strings; grade them for the structured log
    by the trouble words the messages are built from (lease expiry,
-   reclaim, holes, drops). Anything unrecognized is Info. *)
-let classify msg =
-  let contains sub =
-    let n = String.length msg and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-    go 0
-  in
-  if
-    List.exists contains
-      [ "expired"; "reclaimed"; "requeued"; "unjournaled"; "left"; "mismatch"; "fenced" ]
-  then Events.Warn
-  else Events.Info
+   reclaim, holes, drops). Anything unrecognized is Info. The bytes are
+   compared in place: nothing is allocated per message. *)
+let trouble_words =
+  [ "expired"; "reclaimed"; "requeued"; "unjournaled"; "left"; "mismatch"; "fenced" ]
+
+(* [word] from its byte [j] on is at [msg]'s byte [i + j]; the caller
+   checked that it fits *)
+let rec matches msg i word j =
+  j = String.length word
+  || Char.equal (String.unsafe_get msg (i + j)) (String.unsafe_get word j)
+     && matches msg i word (j + 1)
+
+let rec occurs msg word i =
+  i + String.length word <= String.length msg
+  && (matches msg i word 0 || occurs msg word (i + 1))
+
+let rec any_occurs msg = function
+  | [] -> false
+  | word :: words -> occurs msg word 0 || any_occurs msg words
+
+let classify msg = if any_occurs msg trouble_words then Events.Warn else Events.Info
 
 (* ---- the serve loop: a socket driver around the Core engine ---- *)
 

@@ -166,6 +166,7 @@ type 'c t = {
   append : Journal.record -> unit;
   st : Checkpoint.t;
   spec : Spec.t;
+  cells : Grid.cell array;
   clock : Clock.t;
   created_ns : int;  (* clock at create: elapsed time base for rates *)
   total : int;
@@ -234,6 +235,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     append;
     st;
     spec;
+    cells = Grid.cells spec;
     clock;
     created_ns = Clock.now_ns clock;
     total;
@@ -296,6 +298,14 @@ let wstat_of t name =
       w
 
 let stat_of_client t c = Option.map (wstat_of t) c.cname
+
+(* The record carries its trial's seed and, as far as a journal line
+   carries a cell, its trial's cell. *)
+let is_own_trial t (r : Journal.record) =
+  let trial = Grid.trial_of_cells t.spec t.cells r.Journal.trial in
+  Int64.equal r.Journal.seed trial.Grid.seed
+  && Journal.same_line_cell trial.Grid.cell r.Journal.cell
+
 let is_done t = Checkpoint.completed t.st >= t.total
 let settled t = is_done t && Lease.outstanding t.leases = 0
 
@@ -473,6 +483,13 @@ let handle_msg t c msg =
         (* out-of-grid id: protocol violation, not data *)
         drop_client t
           ~why:(Fmt.str "result for trial %d outside the grid" r.Journal.trial)
+          c
+      else if not (is_own_trial t r) then
+        (* a worker built from another grid enumeration, or a buggy one:
+           journaled, the record would count in another trial's cell *)
+        drop_client t
+          ~why:(Fmt.str "result for trial %d carries another trial's cell or seed"
+                  r.Journal.trial)
           c
       else if Checkpoint.is_done t.st r.Journal.trial then begin
         (* zombie worker still streaming an expired lease, or a

@@ -56,14 +56,17 @@ type t = {
   all_coord_crashes : (int * int) list;
   mutable fired_rev : atom list;
   seen : (int * int, unit) Hashtbl.t;  (* frame queries already recorded *)
+  frame_label : Rng.label;  (* "<seed>/frame/", hashed once *)
+  latency_label : Rng.label;  (* "<seed>/latency/" *)
 }
 
-(* Each decision gets its own generator keyed by a stable label, so any
-   frame's fate is computable without replaying the stream before it. *)
-let rng_of t label = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/%s" t.seed label))
+(* Each decision gets its own generator, seeded by the FNV hash of a
+   stable label "<seed>/<what>", so any frame's fate is computable
+   without replaying the stream before it. *)
+let rng_of seed what = Rng.make ~seed:(Rng.label_seed (Rng.label seed ("/" ^ what)))
 
 let derive_params seed =
-  let g = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/params" seed)) in
+  let g = rng_of seed "params" in
   {
     (* bounded so schedules stay live: the reconnect-on-silence worker
        and lease expiry recover from any loss rate under ~1 *)
@@ -75,7 +78,7 @@ let derive_params seed =
   }
 
 let derive_partitions seed ~workers =
-  let g = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/partitions" seed)) in
+  let g = rng_of seed "partitions" in
   let n = Rng.int g 3 in
   List.init n (fun _ ->
       let at_ns = Rng.int g 3_000_000_000 in
@@ -85,7 +88,7 @@ let derive_partitions seed ~workers =
       (at_ns, heal_ns, group))
 
 let derive_crashes seed ~workers =
-  let g = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/crashes" seed)) in
+  let g = rng_of seed "crashes" in
   let n = Rng.int g 3 in
   List.init n (fun _ ->
       let worker = Rng.int g workers in
@@ -99,7 +102,7 @@ let derive_crashes seed ~workers =
    gain a coordinator crash on top. At most one window: a second crash
    of the same process adds no new interleaving class, only run time. *)
 let derive_coord_crashes seed =
-  let g = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/coordcrash" seed)) in
+  let g = rng_of seed "coordcrash" in
   let n = Rng.int g 2 in
   List.init n (fun _ ->
       let at_ns = Rng.int g 3_000_000_000 in
@@ -117,6 +120,8 @@ let generate ~seed ~workers =
       all_coord_crashes = derive_coord_crashes seed;
       fired_rev = [];
       seen = Hashtbl.create 256;
+      frame_label = Rng.label seed "/frame/";
+      latency_label = Rng.label seed "/latency/";
     }
   in
   (* windows are part of the schedule whether or not traffic crosses
@@ -162,7 +167,7 @@ let replay t ~atoms =
   }
 
 let sample_directive t ~link ~k =
-  let g = rng_of t (Printf.sprintf "frame/%d/%d" link k) in
+  let g = Rng.make ~seed:(Rng.label_seed_ints t.frame_label link k) in
   let p = t.params in
   if Rng.bernoulli g ~p:p.drop_p then Some Drop
   else if Rng.bernoulli g ~p:p.dup_p then Some Dup
@@ -189,7 +194,7 @@ let frame_fault t ~link ~k =
       | Some _ | None -> None)
 
 let latency_ns t ~link =
-  let g = rng_of t (Printf.sprintf "latency/%d" link) in
+  let g = Rng.make ~seed:(Rng.label_seed_int t.latency_label link) in
   50_000 + Rng.int g 2_000_000 (* 50us .. ~2ms *)
 
 let partitions t = t.all_partitions

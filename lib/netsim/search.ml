@@ -1,6 +1,6 @@
 module Rng = Ffault_prng.Rng
 
-let schedule_seed ~root i = Rng.seed_of_string (Printf.sprintf "%Ld#%d" root i)
+let schedule_seed ~root i = Rng.label_seed_int (Rng.label root "#") i
 
 let max_probes = 400
 

@@ -14,6 +14,8 @@
     can surface the bug earlier); both are reported. *)
 
 val schedule_seed : root:int64 -> int -> int64
+(** The FNV-1a hash of the label ["<root>#<i>"] ({!Ffault_prng.Rng.seed_of_string}
+    of it), computed from the label's parts. *)
 
 val shrink :
   config:Sim.config ->

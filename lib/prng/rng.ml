@@ -70,11 +70,40 @@ let weighted_index g w =
   in
   scan 0 0.0
 
-let seed_of_string s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+(* ---- keyed streams: FNV-1a over a label ---- *)
+
+let fnv_basis = 0xCBF29CE484222325L
+
+let[@inline] fnv h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L
+
+let[@inline] fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := fnv !h (String.unsafe_get s i)
+  done;
   !h
+
+(* The hash continued over the decimal digits of [n] as [%d] prints
+   them. The digits are taken from the non-positive value, so [min_int]
+   needs no negation. Inlined: a hash returned from a call is boxed. *)
+let[@inline] fnv_int h n =
+  let h = ref (if n < 0 then fnv h '-' else h) in
+  let m = if n < 0 then n else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    h := fnv !h (Char.unsafe_chr (48 - (m / !p mod 10)));
+    p := !p / 10
+  done;
+  !h
+
+let seed_of_string s = fnv_string fnv_basis s
+
+type label = int64
+
+let label seed s = fnv_string (fnv_string fnv_basis (Int64.to_string seed)) s
+let label_seed l = l
+let label_seed_int l n = fnv_int l n
+let label_seed_ints l a b = fnv_int (fnv (fnv_int l a) '/') b

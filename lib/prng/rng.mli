@@ -64,3 +64,28 @@ val weighted_index : t -> float array -> int
 val seed_of_string : string -> int64
 (** Deterministic 64-bit seed derived from a string label (FNV-1a), so
     experiments can be named rather than numbered. *)
+
+(** {2 Keyed streams}
+
+    A keyed stream's seed is {!seed_of_string} of its label, which starts
+    with a decimal seed and a constant text and ends with one or two
+    ints. A {!label} hashes that prefix once; each stream then continues
+    the hash over its ints' decimal digits, exactly as [%d] prints them,
+    negative numbers and [min_int] included. No label string is built. *)
+
+type label
+(** The hash state after a label's constant prefix. *)
+
+val label : int64 -> string -> label
+(** [label seed s] has hashed the label prefix [Printf.sprintf "%Ld%s" seed s]. *)
+
+val label_seed : label -> int64
+(** The seed of the prefix alone: [seed_of_string (Printf.sprintf "%Ld%s" seed s)]. *)
+
+val label_seed_int : label -> int -> int64
+(** [label_seed_int (label seed s) n] is
+    [seed_of_string (Printf.sprintf "%Ld%s%d" seed s n)]. *)
+
+val label_seed_ints : label -> int -> int -> int64
+(** [label_seed_ints (label seed s) a b] is
+    [seed_of_string (Printf.sprintf "%Ld%s%d/%d" seed s a b)]. *)

@@ -7,26 +7,25 @@ let equal_crash_effect (a : crash_effect) b = a = b
 let crash_effect_to_string = function Vanish -> "vanish" | Linearize -> "linearize"
 let pp_crash_effect ppf e = Fmt.string ppf (crash_effect_to_string e)
 
-type t = { seed : int64; rate : float }
+type t = { seed : int64; rate : float; label : Rng.label }
 
+(* One stateless stream per (proc, op-index) atom, keyed like netsim's
+   Fault_plan: the stream of operation [k] of [proc] is seeded by the
+   FNV hash of the label "<seed>/crash/<proc>/<k>", so neighbouring
+   atoms are decorrelated and adding new labels later leaves every
+   existing schedule untouched. The plan hashes "<seed>/crash/" once. *)
 let make ~seed ~rate =
   if not (Float.is_finite rate) || rate < 0.0 || rate > 1.0 then
     invalid_arg "Crash_plan.make: rate must be in [0, 1]";
-  { seed; rate }
+  { seed; rate; label = Rng.label seed "/crash/" }
 
 let seed t = t.seed
 let rate t = t.rate
 
-(* One stateless stream per (proc, op-index) atom, keyed exactly like
-   netsim's Fault_plan: the label goes through an FNV mix of the plan
-   seed, so neighbouring atoms are decorrelated and adding new labels
-   later leaves every existing schedule untouched. *)
-let rng_of t ~proc ~k = Rng.make ~seed:(Rng.seed_of_string (Printf.sprintf "%Ld/crash/%d/%d" t.seed proc k))
-
 let decide t ~proc ~k =
   if t.rate <= 0.0 then None
   else
-    let g = rng_of t ~proc ~k in
+    let g = Rng.make ~seed:(Rng.label_seed_ints t.label proc k) in
     if not (Rng.bernoulli g ~p:t.rate) then None
     else Some (if Rng.bernoulli g ~p:0.5 then Vanish else Linearize)
 

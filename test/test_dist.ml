@@ -528,12 +528,14 @@ let fake_io : string Core.io =
     close = (fun _ -> ());
   }
 
+(* A passing record of [trial], with its own cell and seed, as a worker
+   of the same grid sends it. *)
 let record_for spec trial =
-  let cells = Grid.cells spec in
+  let tr = Grid.trial spec trial in
   {
     Journal.trial;
-    cell = cells.(trial / spec.Spec.trials);
-    seed = 0L;
+    cell = tr.Grid.cell;
+    seed = tr.Grid.seed;
     ok = true;
     outcome = Journal.Pass;
     retries = 0;
@@ -671,6 +673,115 @@ let test_stale_complete_fenced_results_deduped () =
   Core.deliver core b (Codec.to_frame Codec.Request);
   let v = Core.view core in
   check Alcotest.int "requeued shard re-granted" 2 v.Core.vw_leases_outstanding
+
+(* The grade every engine message reaches events.jsonl and /events
+   with: one rendered message per [on_event] call site of core.ml and
+   coordinator.ml, then each trouble word where a scan can go wrong. *)
+let test_classify_events () =
+  let module Events = Ffault_telemetry.Events in
+  let grade = Alcotest.testable Fmt.(using Events.severity_to_string string) ( = ) in
+  List.iter
+    (fun (severity, msg) -> check grade msg severity (Dist.Coordinator.classify msg))
+    [
+      (Events.Info, "recovery: 2 of 7 shard(s) already complete in the journal");
+      (Events.Warn, "lease #3 [96,128) reclaimed from w1 (heartbeat silence (watchdog))");
+      (Events.Warn, "worker w1 left (connection closed)");
+      (Events.Info, "lease #3 [96,128) of w1 retired at request (complete lost in flight)");
+      ( Events.Warn,
+        "lease #3 [96,128) of w1 reconciled at request: 4 trial(s) unjournaled \xe2\x80\x94 \
+         requeued" );
+      (Events.Info, "worker w1 joined from unix:/tmp/c.sock (2 domains)");
+      ( Events.Info,
+        "worker w1 joined from unix:/tmp/c.sock (2 domains) \xe2\x80\x94 reconnect #1 \xe2\x80\x94 \
+         returning from epoch 1" );
+      (Events.Info, "lease #4 [128,160) -> w2");
+      (Events.Warn, "complete #0 fenced: grant epoch 1, coordinator epoch 2 (from w-b)");
+      (Events.Warn, "lease #4 completed with 3 trial(s) unjournaled \xe2\x80\x94 requeued");
+      (Events.Warn, "lease #4 [128,160) of w2 expired (no traffic for 30s)");
+      (Events.Warn, "worker w1 left (version mismatch)");
+      (Events.Warn, "worker w1 left (result for trial 5 carries another trial's cell or seed)");
+      ( Events.Info,
+        "serving fig3 on unix:/tmp/c.sock as epoch 2 (restart #1) (status on tcp:127.0.0.1:8080)" );
+      (Events.Info, "campaign complete");
+      (Events.Info, "");
+      (Events.Info, "lease #1 [0,32) -> w1 (nothing wrong here)");
+    ];
+  List.iter
+    (fun word ->
+      let cut = String.sub word 0 (String.length word - 1) in
+      List.iter
+        (fun (severity, msg) -> check grade msg severity (Dist.Coordinator.classify msg))
+        [
+          (Events.Warn, word);
+          (Events.Warn, word ^ " at the start");
+          (Events.Warn, "at the end " ^ word);
+          (Events.Warn, "in the " ^ word ^ " middle");
+          (Events.Info, cut);
+          (Events.Info, "cut short by the end " ^ cut);
+          (Events.Info, String.sub word 1 (String.length word - 1) ^ " is not it");
+        ])
+    [ "expired"; "reclaimed"; "requeued"; "unjournaled"; "left"; "mismatch"; "fenced" ]
+
+(* A Result whose cell or seed is not its trial's is a protocol
+   violation, like an out-of-grid id: not journaled, and its sender is
+   dropped with one event. A crash-free cell's record is judged by the
+   fields its line carries: in a spec with crashes [0; 1] the grid gives
+   crash-free cells the spec's crash rate, which their lines omit. *)
+let test_result_of_another_trial_dropped () =
+  let spec =
+    Spec.v ~name:"own" ~protocol:"rec-cas" ~n:[ 2 ] ~crashes:[ 0; 1 ] ~crash_rates:[ 0.2 ]
+      ~trials:4 ~seed:0x0E1L ()
+  in
+  let total = Grid.total_trials spec in
+  let st = Checkpoint.fresh ~total in
+  let appended = ref [] in
+  let events = ref [] in
+  let core =
+    Core.create ~io:fake_io
+      ~append:(fun r -> appended := r.Journal.trial :: !appended)
+      ~on_event:(fun e -> events := e :: !events)
+      ~st ~spec ~lease_trials:4 ~lease_timeout_s:10.0 ~hb_interval_s:0.5 ~max_workers:4
+      ~supervision:Codec.no_supervision ()
+  in
+  let deliver name record =
+    let cl = Core.add_client core name in
+    Core.deliver core cl
+      (Codec.to_frame
+         (Codec.Hello { version = Wire.version; name; domains = 1; last_epoch = 0 }));
+    let before = List.length !events in
+    Core.deliver core cl (Codec.to_frame (Codec.Result record));
+    (cl, List.filteri (fun i _ -> i < List.length !events - before) !events)
+  in
+  let rejected what record =
+    let cl, new_events = deliver what record in
+    check Alcotest.bool (what ^ ": client dropped") true (Core.dropped cl);
+    check Alcotest.(list int) (what ^ ": nothing journaled") [] !appended;
+    match new_events with
+    | [ e ] ->
+        check Alcotest.bool (what ^ ": the event names the trial") true
+          (String.starts_with ~prefix:(Fmt.str "worker %s left (result for trial 1 " what) e);
+        check Alcotest.bool (what ^ ": a warning") true
+          (Dist.Coordinator.classify e = Ffault_telemetry.Events.Warn)
+    | es -> Alcotest.failf "%s: %d events, expected one" what (List.length es)
+  in
+  let crash_free = record_for spec 1 and crash = record_for spec 5 in
+  check Alcotest.int "trial 1 is crash-free" 0 crash_free.Journal.cell.Grid.crashes;
+  check (Alcotest.float 0.0) "with the spec's crash rate" 0.2
+    crash_free.Journal.cell.Grid.crash_rate;
+  check Alcotest.int "trial 5 has crashes" 1 crash.Journal.cell.Grid.crashes;
+  rejected "wrong-cell" { crash_free with Journal.cell = crash.Journal.cell };
+  rejected "wrong-seed" { crash_free with Journal.seed = Int64.succ crash_free.Journal.seed };
+  rejected "wrong-rate"
+    { crash_free with Journal.cell = { crash_free.Journal.cell with Grid.rate = -0.0 } };
+  (* what a worker of the same grid sends: the crash-free record read
+     back from its line has crash rate 0.0 *)
+  (match Journal.of_line (Journal.to_line crash_free) with
+  | Ok r -> check (Alcotest.float 0.0) "read back crash rate" 0.0 r.Journal.cell.Grid.crash_rate
+  | Error m -> Alcotest.fail m);
+  let cl, _ = deliver "same-grid" crash_free in
+  let cl', _ = deliver "same-grid-crash" crash in
+  check Alcotest.bool "kept" false (Core.dropped cl || Core.dropped cl');
+  check Alcotest.(list int) "journaled" [ 5; 1 ] !appended
 
 (* Heartbeat silence at the engine, in virtual time: a connected client
    whose slot has been silent longer than the lease timeout is dropped
@@ -1272,6 +1383,9 @@ let suites =
           test_restart_recovers_torn_journal;
         Alcotest.test_case "stale complete fenced, results deduped" `Quick
           test_stale_complete_fenced_results_deduped;
+        Alcotest.test_case "event severities" `Quick test_classify_events;
+        Alcotest.test_case "result of another trial's cell or seed dropped" `Quick
+          test_result_of_another_trial_dropped;
         Alcotest.test_case "silent client dropped at the lease timeout" `Quick
           test_silent_client_dropped;
         Alcotest.test_case "heartbeat count is Heartbeat frames" `Quick test_heartbeat_count;

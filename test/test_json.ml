@@ -3,10 +3,11 @@
    journal and wire frame carried before the fast codec): equal printed
    bytes on generated trees and on a real campaign's records and every
    codec frame kind, equal parse results on printed text, its prefixes
-   and single-byte mutations. Golden digests pin a netsim schedule and a
-   local campaign journal across commits. Also the decoder's limits:
-   integers outside the int range and nesting past the depth bound are
-   errors. *)
+   and single-byte mutations, and on those the very trees and error
+   texts of the parser before it was rebuilt on a cursor. Golden digests
+   pin netsim schedules and a local campaign journal across commits.
+   Also the decoder's limits: integers outside the int range and nesting
+   past the depth bound are errors. *)
 
 module Campaign = Ffault_campaign
 module Json = Campaign.Json
@@ -47,9 +48,17 @@ let rec same_tree (a : Json.t) (b : Json_ref.t) =
       && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && same_tree v v') xs ys
   | _ -> false
 
-(* Both parsers accept with equal trees, or both reject. *)
+(* Both parsers accept with equal trees, or both reject; and the parser
+   gives the tree, or the error text, of the tree parser it was before it
+   was rebuilt on a cursor (kept in [Journal_ref]). *)
 let parses_alike text =
-  match (Json.of_string text, Json_ref.of_string text) with
+  let parsed = Json.of_string text in
+  (match (parsed, Journal_ref.Parse.of_string text) with
+  | Ok a, Ok b -> same_tree a (to_ref b)
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false)
+  &&
+  match (parsed, Json_ref.of_string text) with
   | Ok a, Ok b -> same_tree a b
   | Error _, Error _ -> true
   | Ok _, Error _ | Error _, Ok _ -> false
@@ -387,6 +396,42 @@ let test_golden_netsim () =
   pin "netsim trace" ~expected:"afcb8c3bc3c5f32cf60634d17f3b65b8"
     (hex (String.concat "\n" r.Sim.trace))
 
+(* Schedules 0..39 of the sweep root 7 at the [Sim.config] defaults:
+   every schedule's trace, journal bytes, fired atoms and status-probe
+   bodies. Between them they fire a partition, a worker crash, a
+   coordinator crash and every frame directive, so each keyed stream of
+   [Fault_plan] and [Search.schedule_seed] is pinned. *)
+let test_golden_netsim_sweep () =
+  let module Plan = Ffault_netsim.Fault_plan in
+  let cfg = Sim.config () in
+  let b = Buffer.create (1 lsl 20) in
+  let fired = ref [] in
+  for i = 0 to 39 do
+    let r = Sim.run cfg ~seed:(Ffault_netsim.Search.schedule_seed ~root:7L i) in
+    Buffer.add_string b (Fmt.str "schedule %d: %d events\n" i r.Sim.events);
+    let line l =
+      Buffer.add_string b l;
+      Buffer.add_char b '\n'
+    in
+    List.iter line r.Sim.trace;
+    Buffer.add_string b r.Sim.journal_bytes;
+    List.iter (fun a -> line (Plan.atom_to_string a)) r.Sim.fired;
+    List.iter
+      (fun (ns, path, body) -> Buffer.add_string b (Fmt.str "%d %s %s\n" ns path body))
+      r.Sim.status_probes;
+    fired := r.Sim.fired @ !fired
+  done;
+  let has what p = check Alcotest.bool what true (List.exists p !fired) in
+  has "a partition" (function Plan.Partition _ -> true | _ -> false);
+  has "a worker crash" (function Plan.Crash _ -> true | _ -> false);
+  has "a coordinator crash" (function Plan.CoordCrash _ -> true | _ -> false);
+  has "a drop" (function Plan.Frame { d = Plan.Drop; _ } -> true | _ -> false);
+  has "a dup" (function Plan.Frame { d = Plan.Dup; _ } -> true | _ -> false);
+  has "a delay" (function Plan.Frame { d = Plan.Delay _; _ } -> true | _ -> false);
+  has "a reorder" (function Plan.Frame { d = Plan.Reorder _; _ } -> true | _ -> false);
+  pin "netsim schedules 0..39 of root 7" ~expected:"9f275d471aa939f27fc23375c9783ac0"
+    (hex (Buffer.contents b))
+
 let test_golden_campaign () =
   pin "local campaign journal" ~expected:"ed349d1d4404ab600517404261c9826d"
     (hex (zero_wall_us (Lazy.force corpus_journal)))
@@ -483,6 +528,7 @@ let suites =
     ( "campaign.json-golden",
       [
         Alcotest.test_case "netsim schedule digest" `Quick test_golden_netsim;
+        Alcotest.test_case "netsim sweep digest" `Quick test_golden_netsim_sweep;
         Alcotest.test_case "campaign journal digest" `Quick test_golden_campaign;
       ] );
     ( "campaign.json-limits",

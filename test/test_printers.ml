@@ -2,9 +2,12 @@
    straight into a buffer and keeps each cell's fields printed; it must
    give the bytes [Json_ref.to_string] gives the reference tree of
    [Journal_ref] on every record, from any domain, whichever cell came
-   before. A Result frame's payload is that line. The Format-free
-   renderers of values, process outcomes and violations must give the
-   bytes [Fmt.str "%a"] gives with the reference printers of
+   before. A Result frame's payload is that line. [Journal.of_line]
+   reads a line in one pass; on any text it must give the record, or
+   the error text, of the reference reader in [Journal_ref] (the tree
+   parser and [of_json] it replaced), and so must a Result frame. The
+   Format-free renderers of values, process outcomes and violations must
+   give the bytes [Fmt.str "%a"] gives with the reference printers of
    [Render_ref]. *)
 
 module Campaign = Ffault_campaign
@@ -288,6 +291,253 @@ let test_result_frame_is_line () =
     (corpus @ generated);
   check Alcotest.bool "corpus has records" true (List.length corpus > 100)
 
+(* ---- the record reader ---- *)
+
+module Json = Campaign.Json
+
+(* Field by field, floats by their bits. *)
+let same_record (a : Journal.record) (b : Journal.record) =
+  let bits x = Int64.bits_of_float x in
+  let flat (r : Journal.record) =
+    { r with Journal.cell = { r.Journal.cell with Grid.rate = 0.0; crash_rate = 0.0 } }
+  in
+  Int64.equal (bits a.Journal.cell.Grid.rate) (bits b.Journal.cell.Grid.rate)
+  && Int64.equal (bits a.Journal.cell.Grid.crash_rate) (bits b.Journal.cell.Grid.crash_rate)
+  && flat a = flat b
+
+let show = function Ok r -> "record " ^ Journal_ref.to_line r | Error m -> "error " ^ m
+
+(* The reader, and the codec's Result decoder, give the reference
+   reader's record or its error text. *)
+let reads_alike what line =
+  let expected = Journal_ref.of_line line in
+  let agrees = function
+    | Ok a -> ( match expected with Ok b -> same_record a b | Error _ -> false)
+    | Error a -> ( match expected with Error b -> String.equal a b | Ok _ -> false)
+  in
+  let actual = Journal.of_line line in
+  if not (agrees actual) then
+    Alcotest.failf "%s: %S\n reference %s\n    reader %s" what line (show expected) (show actual);
+  match Codec.of_frame { Wire.tag = 'R'; payload = line } with
+  | Ok (Codec.Result r) when agrees (Ok r) -> ()
+  | Error m when agrees (Error m) -> ()
+  | Ok _ | Error _ -> Alcotest.failf "%s: the Result frame decodes otherwise: %S" what line
+
+(* [s] with its first [sub] replaced by [by], if [sub] occurs. *)
+let replace_first ~sub ~by s =
+  let n = String.length sub and len = String.length s in
+  let rec go i =
+    if i + n > len then None
+    else if String.equal (String.sub s i n) sub then
+      Some (String.sub s 0 i ^ by ^ String.sub s (i + n) (len - i - n))
+    else go (i + 1)
+  in
+  go 0
+
+let fields_of line =
+  match Json.of_string line with
+  | Ok (Json.Obj fields) -> fields
+  | Ok _ | Error _ -> Alcotest.failf "not a record line: %s" line
+
+let line_of fields = Json.to_string (Json.Obj fields)
+
+(* A tree printed with [ws] between every two tokens. *)
+let rec spaced ws = function
+  | Json.List items ->
+      "[" ^ ws ^ String.concat (ws ^ "," ^ ws) (List.map (spaced ws) items) ^ ws ^ "]"
+  | Json.Obj fields ->
+      let field (k, v) = Json.to_string (Json.Str k) ^ ws ^ ":" ^ ws ^ spaced ws v in
+      "{" ^ ws ^ String.concat (ws ^ "," ^ ws) (List.map field fields) ^ ws ^ "}"
+  | leaf -> Json.to_string leaf
+
+(* Lines of every shape the journal has written: the campaign corpus
+   (witnesses, violations, t = null, crash fields) and generated
+   records, NaN and infinite rates among them. *)
+let sample_lines () =
+  let rand = Random.State.make [| 0x11AE |] in
+  Test_json.corpus_lines ()
+  @ List.init 300 (fun _ -> Journal_ref.to_line (Gen.generate1 ~rand record))
+
+(* A few lines with every optional part between them. *)
+let probe_lines () =
+  let lines = Test_json.corpus_lines () in
+  let first p = List.find p lines in
+  let has sub line = Option.is_some (replace_first ~sub ~by:"" line) in
+  [
+    first (has "\"witness\"");
+    first (has "\"crashes\"");
+    first (has "\"t\":null");
+    first (fun l -> not (has "\"violations\":[]" l));
+    Journal_ref.to_line Test_dist.fixture_record;
+  ]
+
+let test_reader_corpus () =
+  List.iteri (fun i line -> reads_alike (Fmt.str "sample %d" i) line) (sample_lines ())
+
+(* Every prefix of the probe lines, and every single-byte deletion,
+   replacement and insertion, with the bytes the grammar turns on. *)
+let test_reader_mutations () =
+  let bytes = " \t\"\\,:{}[]0189-+.eEnutfx\000\255" in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      for i = 0 to n do
+        reads_alike "prefix" (String.sub line 0 i)
+      done;
+      for i = 0 to n - 1 do
+        let before = String.sub line 0 i and after k = String.sub line k (n - k) in
+        reads_alike "deletion" (before ^ after (i + 1));
+        String.iter
+          (fun c ->
+            let c = String.make 1 c in
+            reads_alike "replacement" (before ^ c ^ after (i + 1));
+            reads_alike "insertion" (before ^ c ^ after i))
+          bytes
+      done)
+    (probe_lines ())
+
+(* Field-level edits of the probe lines: reordered, dropped, duplicated
+   and unknown keys, foreign values, escapes, number spellings,
+   whitespace, the layouts of older journals, deep nesting and
+   top-level values that are not objects. *)
+let test_reader_edits () =
+  let deep k inner = String.make k '[' ^ inner ^ String.make k ']' in
+  List.iter
+    (fun line ->
+      let fields = fields_of line in
+      let alike what fields = reads_alike what (line_of fields) in
+      alike "reversed" (List.rev fields);
+      alike "rotated" (List.tl fields @ [ List.hd fields ]);
+      List.iter
+        (fun (k, v) ->
+          let others = List.filter (fun (k', _) -> not (String.equal k k')) fields in
+          alike ("without " ^ k) others;
+          List.iter
+            (fun v' ->
+              alike ("first " ^ k ^ " foreign") ((k, v') :: fields);
+              alike ("later " ^ k ^ " foreign") (fields @ [ (k, v') ]);
+              alike ("only " ^ k ^ " foreign") ((k, v') :: others))
+            [
+              Json.Null; Json.Bool true; Json.Int (-1); Json.Int 3; Json.Float 3.0; Json.Float 0.5;
+              Json.Str "pass"; Json.Str "overriding"; Json.Str "-17"; Json.Str "lossy";
+              Json.List []; Json.List [ Json.Int 1; Json.Float 2.0 ]; Json.List [ Json.Str "v" ];
+              Json.List [ Json.Int 1; Json.Str "x" ]; Json.Obj []; Json.Obj [ (k, v) ];
+            ])
+        fields;
+      List.iter
+        (fun (k, v) ->
+          alike ("unknown " ^ k) ((k, v) :: fields);
+          alike ("unknown " ^ k ^ " last") (fields @ [ (k, v) ]))
+        [
+          ("zz", Json.Obj [ ("trial", Json.Str "no") ]);
+          ("Trial", Json.Int 0);
+          ("", Json.List [ Json.Obj []; Json.Null ]);
+          ("trial ", Json.Null);
+          ("tria", Json.Null);
+          ("witnesses", Json.List [ Json.Str "x" ]);
+        ];
+      (* nesting inside an unknown key: the top-level object is one
+         level, so 63 more are allowed and the 64th is not *)
+      List.iter
+        (fun k ->
+          let text = line_of fields in
+          let body = String.sub text 1 (String.length text - 1) in
+          reads_alike (Fmt.str "%d deep" k) ("{\"zz\":" ^ deep k "1" ^ "," ^ body);
+          reads_alike (Fmt.str "%d deep, last" k)
+            (String.sub text 0 (String.length text - 1) ^ ",\"zz\":" ^ deep k "" ^ "}"))
+        [ 1; 62; 63; 64; 65; 200 ];
+      List.iter
+        (fun ws -> reads_alike (Fmt.str "spaced %S" ws) (spaced ws (Json.Obj fields)))
+        [ " "; "\t"; "\n"; "\r\n"; " \t\n\r " ];
+      reads_alike "spaced outside" (" \n" ^ line ^ "\t\r ");
+      (* older journals *)
+      let without ks = List.filter (fun (k, _) -> not (List.mem k ks)) fields in
+      alike "pre-supervision" (without [ "outcome"; "retries" ]);
+      alike "pre-recovery" (without [ "crashes"; "crash_rate"; "persistence"; "crash_faults" ]);
+      alike "pre-everything"
+        (without [ "outcome"; "retries"; "crashes"; "crash_rate"; "persistence"; "crash_faults" ]);
+      alike "empty object" [];
+      (* text-level spellings the printer never writes *)
+      let subst what ~sub ~by =
+        match replace_first ~sub ~by line with Some l -> reads_alike what l | None -> ()
+      in
+      List.iter
+        (fun (sub, by) -> subst ("escape " ^ by) ~sub ~by)
+        [
+          ("\"trial\":", "\"tri\\u0061l\":");
+          ("\"trial\":", "\"\\u0074rial\":");
+          ("\"kind\":", "\"\\u006bind\":");
+          ("\"f\":", "\"\\u0066\":");
+          ("\"t\":", "\"\\t\":");
+          ("\"seed\":\"", "\"seed\":\"\\u002d");
+          ("\"outcome\":\"", "\"outcome\":\"\\u0070");
+          ("\"overriding\"", "\"over\\u0072iding\"");
+          ("\"overriding\"", "\"over\\/riding\"");
+          ("\"pass\"", "\"p\\u0061ss\"");
+          ("\"all\"", "\"\\u0061ll\"");
+          ("\"violations\":[", "\"violations\":[\"\\u00e9\\u20ac\\n\\\"\",");
+          ("\"trial\":", "\"trial\\u0000\":");
+          ("\"trial\":", "\"trial\\uzzzz\":");
+          ("\"trial\":", "\"trial\\q\":");
+        ];
+      List.iter
+        (fun lexeme ->
+          List.iter
+            (fun key ->
+              match List.assoc_opt key fields with
+              | None -> ()
+              | Some v ->
+                  subst (key ^ " = " ^ lexeme)
+                    ~sub:("\"" ^ key ^ "\":" ^ Json.to_string v)
+                    ~by:("\"" ^ key ^ "\":" ^ lexeme))
+            [ "trial"; "f"; "n"; "rate"; "steps"; "stage"; "crashes"; "crash_rate"; "retries" ])
+        [
+          "1e2"; "1E2"; "-0"; "-0.0"; "007"; "00"; "3.0"; "0.5"; "1e19"; "-1e19"; "1e400";
+          "99999999999999999999"; "-99999999999999999999"; "999999999999999999";
+          "-999999999999999999"; "4611686018427387903"; "4611686018427387904";
+          "-4611686018427387904"; "-4611686018427387905"; "-"; "1-2"; "+1"; "1e"; "--1"; "1.";
+        ];
+      subst "witness spellings" ~sub:"\"witness\":[" ~by:"\"witness\":[1e2,-0,007,3.0,")
+    (probe_lines ());
+  List.iter
+    (fun text -> reads_alike "not an object" text)
+    [
+      ""; " "; "[]"; "[1]"; "1"; "-0"; "\"x\""; "null"; "true"; "[{\"trial\":1}]"; "{}"; "{ }";
+      "{\"trial\":1}"; "}"; "{"; "{\"trial\"}"; "{,}"; "nul"; "1 2"; deep 64 ""; deep 65 "";
+      "\"\\u12\"";
+    ]
+
+(* Random field-level edits of random records, printed with random
+   whitespace. *)
+let prop_reader_matches_reference =
+  let open Gen in
+  let edited fields =
+    let* order = shuffle_l fields in
+    let* fields = frequency [ (2, return fields); (1, return order) ] in
+    let* dropped = list_size (int_bound 2) (oneofl (List.map fst fields)) in
+    let fields = List.filter (fun (k, _) -> not (List.mem k dropped)) fields in
+    let* extra =
+      list_size (int_bound 3)
+        (pair (oneofl [ "trial"; "rate"; "kind"; "witness"; "outcome"; "zz"; "" ]) Test_json.tree)
+    in
+    let* front = bool in
+    let fields = if front then extra @ fields else fields @ extra in
+    let* ws = oneofl [ ""; ""; " "; "\n\t" ] in
+    return (if String.equal ws "" then line_of fields else spaced ws (Json.Obj fields))
+  in
+  let edit =
+    let* r = record in
+    let line = Journal_ref.to_line r in
+    match Json.of_string line with
+    | Ok (Json.Obj fields) -> edited fields
+    | Ok _ | Error _ -> (* a NaN or an infinite rate does not parse back *) return line
+  in
+  QCheck.Test.make ~name:"reader matches the reference on edited records" ~count:1000
+    (QCheck.make ~print:Fun.id edit)
+    (fun line ->
+      reads_alike "edited record" line;
+      true)
+
 (* ---- the renderers ---- *)
 
 let value =
@@ -417,6 +667,10 @@ let suites =
         Alcotest.test_case "edge records" `Quick test_edge_records;
         Alcotest.test_case "two domains, shared and re-decoded cells" `Quick test_two_domains;
         Alcotest.test_case "result frame payload is the line" `Quick test_result_frame_is_line;
+        Alcotest.test_case "reader: corpus and generated lines" `Quick test_reader_corpus;
+        Alcotest.test_case "reader: prefixes and byte mutations" `Quick test_reader_mutations;
+        Alcotest.test_case "reader: field edits and spellings" `Quick test_reader_edits;
+        qcheck prop_reader_matches_reference;
       ] );
     ( "verify.render-oracle",
       [

@@ -162,6 +162,83 @@ let test_seed_of_string () =
   check Alcotest.bool "labels separate" true
     (not (Int64.equal (Rng.seed_of_string "e1") (Rng.seed_of_string "e2")))
 
+(* ---- keyed streams: the label hash from its parts ---- *)
+
+(* The reference: FNV-1a over the formatted label, as every keyed
+   stream was seeded before labels were hashed from their parts. *)
+let ref_seed_of_string s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001B3L)
+    s;
+  !h
+
+(* 0, 9, 10, 99, 100, ..., each 10^k - 1 and 10^k up to 10^18, max_int,
+   and their negations with min_int. *)
+let label_ints =
+  let pows = List.init 19 (fun k -> int_of_float (10.0 ** float_of_int k)) in
+  let pos = 0 :: max_int :: List.concat_map (fun p -> [ p - 1; p ]) pows in
+  List.sort_uniq Int.compare (min_int :: pos @ List.map Int.neg pos)
+
+(* The edge seeds, then 10k hashed ones. *)
+let label_seeds =
+  [ 0L; -1L; Int64.min_int; Int64.max_int ]
+  @ List.init 10_000 (fun i -> Splitmix.hash (Int64.of_int i))
+
+let same what expected actual =
+  if not (Int64.equal expected actual) then
+    Alcotest.failf "%s: %Ld, reference %Ld" what actual expected
+
+(* Every label shape lib/ hashes: crash decisions, frame fates and
+   latencies, the per-schedule windows and the sweep's schedule seeds. *)
+let check_labels seed pairs =
+  List.iter
+    (fun what ->
+      let s = "/" ^ what in
+      same s
+        (ref_seed_of_string (Printf.sprintf "%Ld%s" seed s))
+        (Rng.label_seed (Rng.label seed s)))
+    [ "params"; "partitions"; "crashes"; "coordcrash" ];
+  let crash = Rng.label seed "/crash/"
+  and frame = Rng.label seed "/frame/"
+  and latency = Rng.label seed "/latency/" in
+  List.iter
+    (fun (a, b) ->
+      same "crash" (ref_seed_of_string (Printf.sprintf "%Ld/crash/%d/%d" seed a b))
+        (Rng.label_seed_ints crash a b);
+      same "frame" (ref_seed_of_string (Printf.sprintf "%Ld/frame/%d/%d" seed a b))
+        (Rng.label_seed_ints frame a b);
+      same "latency" (ref_seed_of_string (Printf.sprintf "%Ld/latency/%d" seed a))
+        (Rng.label_seed_int latency a);
+      same "schedule" (ref_seed_of_string (Printf.sprintf "%Ld#%d" seed a))
+        (Ffault_netsim.Search.schedule_seed ~root:seed a))
+    pairs
+
+let test_labels_match_reference () =
+  let ints = Array.of_list label_ints in
+  let n = Array.length ints in
+  List.iteri
+    (fun i seed ->
+      if i < 4 then
+        (* the edge seeds: every pair of ints *)
+        check_labels seed
+          (List.concat_map (fun a -> List.map (fun b -> (a, b)) label_ints) label_ints)
+      else
+        (* the hashed seeds: a few pairs each, walking the ints, and the
+           small ints a schedule meets *)
+        check_labels seed
+          [ (ints.(i mod n), ints.(i * 7 mod n)); (i mod 4, i mod 97); (i mod 6, i) ])
+    label_seeds;
+  List.iter
+    (fun s -> same (Printf.sprintf "%S" s) (ref_seed_of_string s) (Rng.seed_of_string s))
+    [ ""; "e1"; "\000\255"; String.make 300 'x' ]
+
+let prop_seed_of_string_matches_reference =
+  QCheck.Test.make ~name:"seed_of_string matches the reference" ~count:500 QCheck.string
+    (fun s -> Int64.equal (Rng.seed_of_string s) (ref_seed_of_string s))
+
 let suites =
   [
     ( "prng",
@@ -183,6 +260,9 @@ let suites =
         Alcotest.test_case "weighted_index distribution" `Quick
           test_weighted_index_distribution;
         Alcotest.test_case "seed_of_string" `Quick test_seed_of_string;
+        Alcotest.test_case "labels hash as their formatted strings" `Quick
+          test_labels_match_reference;
+        qcheck prop_seed_of_string_matches_reference;
         qcheck prop_next_int_in_range;
         qcheck prop_next_float_in_range;
         qcheck prop_shuffle_is_permutation;

@@ -81,6 +81,35 @@ let test_plan_streams_independent () =
   in
   check Alcotest.bool "proc 0 schedule independent of proc 1 queries" true (p0 = p0')
 
+(* Every decision of 64 plans (the edge seeds and 60 hashed ones) at
+   four rates, for processes 0..3 and operations 0..63, one byte each.
+   Pinned across commits: a crash cell's schedule is a pure function of
+   its seed. *)
+let test_plan_digest () =
+  let seeds =
+    [ 0L; -1L; Int64.min_int; Int64.max_int ]
+    @ List.init 60 (fun i -> Ffault_prng.Splitmix.hash (Int64.of_int i))
+  in
+  let b = Buffer.create (64 * 4 * 4 * 64) in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun rate ->
+          let plan = Crash_plan.make ~seed ~rate in
+          for proc = 0 to 3 do
+            for k = 0 to 63 do
+              Buffer.add_char b
+                (match Crash_plan.decide plan ~proc ~k with
+                | None -> '.'
+                | Some Crash_plan.Vanish -> 'v'
+                | Some Crash_plan.Linearize -> 'l')
+            done
+          done)
+        [ 0.0; 0.2; 0.4; 1.0 ])
+    seeds;
+  check Alcotest.string "crash-plan decisions" "699dcc219b2177c3c947d1a835b48a2d"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---- campaign-level determinism: same seed => identical journal ---- *)
 
 let run_records spec =
@@ -233,6 +262,7 @@ let suites =
       [
         Alcotest.test_case "crash-plan determinism" `Quick test_plan_determinism;
         Alcotest.test_case "crash-plan stream independence" `Quick test_plan_streams_independent;
+        Alcotest.test_case "crash-plan decision digest" `Quick test_plan_digest;
         Alcotest.test_case "campaign journal determinism" `Slow test_campaign_determinism;
         Alcotest.test_case "crash-seed re-rolls schedules" `Slow test_crash_seed_rerolls;
         Alcotest.test_case "recoverable-lin step shapes" `Quick test_recover_spec_shapes;
