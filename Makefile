@@ -57,8 +57,12 @@ examples:
 # Then the supervised path: one herlihy grid run plain and under a
 # per-trial deadline must diff clean both ways at zero tolerance, so a
 # supervised run that loses or gains a single violation fails the step.
+# Last, the plain grid again on 1 domain: its journal must equal the
+# 2-domain one line for line, witnesses included, once `wall_us` is
+# stripped and the lines sorted.
 campaign-smoke:
-	rm -rf _campaigns/ci-smoke _campaigns/ci-smoke-plain _campaigns/ci-smoke-deadline
+	rm -rf _campaigns/ci-smoke _campaigns/ci-smoke-plain _campaigns/ci-smoke-deadline \
+	  _campaigns/ci-smoke-1dom
 	dune exec bin/main.exe -- campaign run --name ci-smoke --protocol fig3 \
 	  -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2 \
 	  --trace _campaigns/ci-smoke/trace.json
@@ -72,6 +76,13 @@ campaign-smoke:
 	  _campaigns/ci-smoke-plain _campaigns/ci-smoke-deadline
 	dune exec bin/main.exe -- campaign diff --tolerance 0 \
 	  _campaigns/ci-smoke-deadline _campaigns/ci-smoke-plain
+	dune exec bin/main.exe -- campaign run --name ci-smoke-1dom --protocol herlihy \
+	  -f 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 1
+	sed -E 's/"wall_us":[0-9]+//' _campaigns/ci-smoke-plain/journal.jsonl | sort \
+	  > _campaigns/ci-smoke-plain/journal.sorted
+	sed -E 's/"wall_us":[0-9]+//' _campaigns/ci-smoke-1dom/journal.jsonl | sort \
+	  > _campaigns/ci-smoke-1dom/journal.sorted
+	cmp _campaigns/ci-smoke-plain/journal.sorted _campaigns/ci-smoke-1dom/journal.sorted
 
 # Crash-tolerance end to end: SIGKILL a live campaign mid-flight, resume
 # it, and assert the journal holds every trial exactly once.
@@ -93,7 +104,8 @@ coord-chaos-smoke:
 
 # The crash-restart subsystem end to end: the naive baseline must
 # violate recoverable linearizability under crash-only schedules (with
-# the violation crash-attributed and its witness shrunk), the
+# the violation crash-attributed, its witness journaled and a minimized
+# witness in the report), the
 # recoverable protocols must stay clean, and a crash-axis campaign must
 # survive SIGKILL+resume and the distributed serve/worker path with the
 # journal exactly-once. See doc/RECOVERY.md.

@@ -255,9 +255,7 @@ let recover_run ~protocol ~expect_clean ~domains =
   in
   fun () ->
     let s =
-      Ffault_campaign.Pool.run_trials ~domains ~max_shrinks_per_cell:0
-        ~on_record:(fun _ -> ())
-        spec
+      Ffault_campaign.Pool.run_trials ~domains ~on_record:(fun _ -> ()) spec
     in
     if expect_clean && s.Ffault_campaign.Pool.failures > 0 then
       failwith "bench: recoverable protocol violated under crash-only schedule"

@@ -76,8 +76,6 @@ let seed_of spec id =
    untouched. *)
 let crash_plan_seed spec trial_seed = Splitmix.hash (Int64.add trial_seed spec.Spec.crash_seed)
 
-let cell_of_id spec cell_id = (cells spec).(cell_id)
-
 let trial_of_cells spec cells id =
   if id < 0 || id >= Array.length cells * spec.Spec.trials then
     invalid_arg "Grid.trial: id out of range";

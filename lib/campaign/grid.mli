@@ -46,8 +46,6 @@ val trial_of_cells : Spec.t -> cell array -> int -> trial
 (** Like {!trial} with a pre-computed {!cells} array (the executor's hot
     path). *)
 
-val cell_of_id : Spec.t -> int -> cell
-
 val setup : cell -> Ffault_consensus.Protocol.t -> Ffault_verify.Consensus_check.setup
 (** The checker setup a cell's trials run under: the cell's (f, t, n)
     params with only the cell's fault kind allowed, and — when the cell

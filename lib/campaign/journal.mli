@@ -43,8 +43,11 @@ type record = {
   stage : int;  (** max Fig. 3 stage reached in final states; -1 if none *)
   faults : int;  (** observable faults charged *)
   crash_faults : int;  (** crash-restarts charged; 0 in crash-free cells *)
-  wall_us : int;  (** trial wall time, µs (includes shrinking) *)
-  witness : int array option;  (** minimized decision vector on failure *)
+  wall_us : int;  (** the journaled run's wall time, µs *)
+  witness : int array option;
+      (** on a [Violation], the raw decision vector of the trial's run,
+          so the line is the same whichever executor ran the trial;
+          {!Report} minimizes each cell's first failures *)
 }
 
 val to_line : record -> string

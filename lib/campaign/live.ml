@@ -26,13 +26,17 @@ let create spec =
     trials_per_cell = spec.Spec.trials;
   }
 
+(* A failure is a [Violation], as the pool's summary and the report
+   count it: a timeout or a quarantined trial says nothing about the
+   protocol. *)
 let on_record t (r : Journal.record) =
   Atomic.incr t.executed;
-  if not r.Journal.ok then Atomic.incr t.failures;
+  let failed = r.Journal.outcome = Journal.Violation in
+  if failed then Atomic.incr t.failures;
   let cell = r.Journal.trial / t.trials_per_cell in
   if cell >= 0 && cell < t.n_cells then begin
     Atomic.incr t.cell_done.(cell);
-    if not r.Journal.ok then Atomic.incr t.cell_fail.(cell)
+    if failed then Atomic.incr t.cell_fail.(cell)
   end
 
 let on_skip t = Atomic.incr t.skipped

@@ -8,9 +8,10 @@
 
     The rendered line packs: completed/total trials and percentage,
     live trials/s, an ETA extrapolated from the grid size, the running
-    failure rate, and a per-cell heat line (one glyph per grid cell —
-    ['.'] clean, ['1'..'9'] failure-rate deciles, ['?'] untouched;
-    grids wider than 48 glyphs aggregate adjacent cells). *)
+    failure rate ([Violation] records only, as {!Report} counts them),
+    and a per-cell heat line (one glyph per grid cell — ['.'] clean,
+    ['1'..'9'] failure-rate deciles, ['?'] untouched; grids wider than
+    48 glyphs aggregate adjacent cells). *)
 
 type t
 

@@ -12,7 +12,6 @@ module Quarantine = Ffault_supervise.Quarantine
 
 let m_trials = Metrics.counter "campaign.trials"
 let m_failures = Metrics.counter "campaign.failures"
-let m_shrinks = Metrics.counter "campaign.shrinks"
 let h_trial_us = Metrics.histogram "campaign.trial_us"
 let m_timeouts = Metrics.counter "supervise.timeouts"
 let m_retries = Metrics.counter "supervise.retries"
@@ -76,7 +75,6 @@ type summary = {
   executed : int;
   skipped : int;
   failures : int;
-  shrunk : int;
   timeouts : int;
   retried : int;
   quarantined : int;
@@ -107,12 +105,14 @@ let pp_summary ppf s =
         s.quarantined
   in
   Fmt.pf ppf
-    "%d/%d trials executed (%d already journaled), %d failures (%d witnesses shrunk)%s, \
-     %.2f s (%s)"
-    s.executed s.total s.skipped s.failures s.shrunk health s.wall_s rate
+    "%d/%d trials executed (%d already journaled), %d failures%s, %.2f s (%s)" s.executed
+    s.total s.skipped s.failures health s.wall_s rate
 
 let default_max_shrinks_per_cell = 5
 
+(* A violating trial journals the decision vector its run recorded, so
+   the line is a function of (spec, trial id) whichever executor ran it;
+   [Report.of_records] minimizes each cell's first failures. *)
 let record_of_result ?(retries = 0) trial (res : Shrink_on_fail.result) =
   let result = res.Shrink_on_fail.report.Check.result in
   let max_steps = Array.fold_left max 0 result.Engine.steps_taken in
@@ -141,7 +141,8 @@ let record_of_result ?(retries = 0) trial (res : Shrink_on_fail.result) =
     faults = Budget.total_faults result.Engine.budget;
     crash_faults = Budget.total_crashes result.Engine.budget;
     wall_us = res.Shrink_on_fail.wall_ns / 1000;
-    witness = res.Shrink_on_fail.witness;
+    witness =
+      (if outcome = Journal.Violation then Some res.Shrink_on_fail.decisions else None);
   }
 
 (* A trial skipped because its cell was degraded. Journaled like any
@@ -165,9 +166,7 @@ let quarantined_record trial =
     witness = None;
   }
 
-let run_trials ?(domains = 1) ?ids
-    ?(max_shrinks_per_cell = default_max_shrinks_per_cell)
-    ?(supervision = default_supervision) ~on_record spec =
+let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_record spec =
   let protocol =
     match Spec.resolve_protocol spec.Spec.protocol with
     | Ok p -> p
@@ -175,12 +174,6 @@ let run_trials ?(domains = 1) ?ids
   in
   let cells = Grid.cells spec in
   let setups = Array.map (fun c -> Grid.setup c protocol) cells in
-  (* Per-cell shrink budgets: minimizing every failure of a hopeless
-     cell would dwarf the campaign itself, so only the first few
-     failures per cell get the full Shrink treatment (raw decision
-     vectors are journaled for the rest). *)
-  let shrink_budget = Array.init (Array.length cells) (fun _ -> Atomic.make 0) in
-  let shrunk = Atomic.make 0 in
   let quarantine =
     Quarantine.create ~threshold:supervision.quarantine_after
       ~cells:(Array.length cells) ()
@@ -243,39 +236,8 @@ let run_trials ?(domains = 1) ?ids
     else None
   in
   let run_attempt ?interrupt trial =
-    let setup = setups.(trial.Grid.cell_id) in
-    let crash_plan = crash_plan_of trial in
-    let res =
-      Shrink_on_fail.run_trial ~shrink:false ?interrupt ?crash_plan setup
-        ~rate:trial.Grid.cell.Grid.rate ~seed:trial.Grid.seed
-    in
-    if
-      Check.ok res.Shrink_on_fail.report
-      || res.Shrink_on_fail.report.Check.result.Engine.interrupted
-    then res
-    else if
-      max_shrinks_per_cell > 0
-      && Atomic.fetch_and_add shrink_budget.(trial.Grid.cell_id) 1 < max_shrinks_per_cell
-    then begin
-      Atomic.incr shrunk;
-      Metrics.incr m_shrinks;
-      (* minimize the run's own decision vector: a failing trial runs
-         once, and its wall time covers the run plus the shrink *)
-      let shrink_started = Unix.gettimeofday () in
-      let witness =
-        Tracer.with_span ~cat:"campaign" "shrink" (fun () ->
-            match Shrink_on_fail.minimize setup res.Shrink_on_fail.decisions with
-            | Some (shrunk, _) -> shrunk
-            | None -> res.Shrink_on_fail.decisions)
-      in
-      let shrink_ns = int_of_float ((Unix.gettimeofday () -. shrink_started) *. 1e9) in
-      {
-        res with
-        Shrink_on_fail.witness = Some witness;
-        wall_ns = res.Shrink_on_fail.wall_ns + shrink_ns;
-      }
-    end
-    else { res with Shrink_on_fail.witness = Some res.Shrink_on_fail.decisions }
+    Shrink_on_fail.run_trial ~shrink:false ?interrupt ?crash_plan:(crash_plan_of trial)
+      setups.(trial.Grid.cell_id) ~rate:trial.Grid.cell.Grid.rate ~seed:trial.Grid.seed
   in
   (* The supervised attempt loop: run under a deadline token; a timed-out
      attempt is retried (seed unchanged — the trial is deterministic, so
@@ -328,13 +290,11 @@ let run_trials ?(domains = 1) ?ids
           quarantined_record trial
         else begin
           let res, retries = run_supervised trial in
+          let record = record_of_result ~retries trial res in
           Metrics.incr m_trials;
-          Metrics.observe h_trial_us (res.Shrink_on_fail.wall_ns / 1000);
-          if
-            (not (Check.ok res.Shrink_on_fail.report))
-            && not res.Shrink_on_fail.report.Check.result.Engine.interrupted
-          then Metrics.incr m_failures;
-          record_of_result ~retries trial res
+          Metrics.observe h_trial_us record.Journal.wall_us;
+          if record.Journal.outcome = Journal.Violation then Metrics.incr m_failures;
+          record
         end)
   in
   let consume _k record =
@@ -354,7 +314,6 @@ let run_trials ?(domains = 1) ?ids
     executed = !executed;
     skipped = total - tasks;
     failures = !failures;
-    shrunk = Atomic.get shrunk;
     timeouts = !timeouts;
     retried = !retried;
     quarantined = !quarantined;
@@ -362,15 +321,15 @@ let run_trials ?(domains = 1) ?ids
     trials_per_s = trials_rate ~executed:!executed ~wall_s;
   }
 
-let run_dir ?domains ?max_shrinks_per_cell ?supervision ?(resume = false) ?on_skip
-    ?(observe = fun _ -> ()) ?(on_warn = fun _ -> ()) ~root spec =
+let run_dir ?domains ?supervision ?(resume = false) ?on_skip ?(observe = fun _ -> ())
+    ?(on_warn = fun _ -> ()) ~root spec =
   let ( let* ) = Result.bind in
   let* dir, st = Checkpoint.open_campaign ~resume ?on_skip ~on_warn ~root spec in
   let ids = if resume then Some (Checkpoint.remaining st) else None in
   let writer = Journal.create_writer ~path:(Checkpoint.journal_path ~dir) in
   let finally () = Journal.close_writer writer in
   match
-    run_trials ?domains ?ids ?max_shrinks_per_cell ?supervision
+    run_trials ?domains ?ids ?supervision
       ~on_record:(fun r ->
         Journal.append writer r;
         observe r)

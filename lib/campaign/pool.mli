@@ -4,13 +4,13 @@
     Trials are claimed in chunks of 64 from a shared counter
     ({!Ffault_runtime.Runner.run_tasks}), executed concurrently on
     OCaml 5 domains, and streamed — serialized — to the caller as
-    {!Journal.record}s. Every record's outcome fields depend only on
-    (spec, trial id), so results are identical for any [domains] value;
-    only journal order — and which of a cell's failures win the
-    per-cell shrink budget — varies. The exception is a {e supervised}
-    run (a {!supervision} with a deadline): deadline, retry and
-    quarantine decisions are wall-clock dependent by nature, and records
-    they produce say so in their [outcome] field. *)
+    {!Journal.record}s. Every record but its [wall_us] depends only on
+    (spec, trial id), so records are identical for any [domains] value,
+    any split of the ids into calls, and any resume; only journal order
+    varies. The exception is a {e supervised} run (a {!supervision} with
+    a deadline): deadline, retry and quarantine decisions are wall-clock
+    dependent by nature, and records they produce say so in their
+    [outcome] field. *)
 
 type supervision = {
   deadline_s : float option;
@@ -59,7 +59,6 @@ type summary = {
       (** grid trials this call was not asked to run (on resume, the
           already-journaled ones) *)
   failures : int;  (** violating trials among [executed] *)
-  shrunk : int;  (** failures that got the full Shrink treatment *)
   timeouts : int;  (** trials whose every attempt hit the deadline *)
   retried : int;  (** total retry attempts across all trials *)
   quarantined : int;  (** trials skipped because their cell degraded *)
@@ -78,14 +77,13 @@ val trials_rate : executed:int -> wall_s:float -> float
     infinite rates. *)
 
 val default_max_shrinks_per_cell : int
-(** 5 — failures beyond this per cell journal their raw decision vector
-    unminimized (shrinking every failure of a hopeless cell would cost
-    more than the campaign). *)
+(** 5 — the failures per cell, lowest trial ids first, whose witnesses
+    {!Report.of_records} minimizes (minimizing every failure of a
+    hopeless cell would cost more than the campaign). *)
 
 val run_trials :
   ?domains:int ->
   ?ids:int list ->
-  ?max_shrinks_per_cell:int ->
   ?supervision:supervision ->
   on_record:(Journal.record -> unit) ->
   Spec.t ->
@@ -107,16 +105,15 @@ val run_trials :
     bounds a campaign over pathological cells to finitely many deadline
     waits.
 
-    A failing trial runs once: its witness is minimized from that run's
-    decision vector (within the per-cell shrink budget), and its
-    [wall_us] covers the run plus the shrink.
+    A failing trial runs once and journals that run's decision vector as
+    its witness; nothing is minimized here. [wall_us] covers the run
+    alone.
     @raise Invalid_argument if the spec's protocol does not resolve,
     [domains < 1], or an id lies outside the grid — raised when that
     id's turn comes, so the ids before it may already have run. *)
 
 val run_dir :
   ?domains:int ->
-  ?max_shrinks_per_cell:int ->
   ?supervision:supervision ->
   ?resume:bool ->
   ?on_skip:(unit -> unit) ->

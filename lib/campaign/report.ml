@@ -19,8 +19,8 @@ type cell_stats = {
   attr_primitive_only : int;
       (** violating trials with primitive faults but no crash *)
   attr_mixed : int;  (** violating trials with both *)
-  witnesses : int;
   min_witness_len : int option;
+  min_witness : (int * int array) option;
   mean_wall_us : float;
 }
 
@@ -56,10 +56,35 @@ type acc = {
   mutable a_attr_crash : int;
   mutable a_attr_prim : int;
   mutable a_attr_mixed : int;
-  mutable a_witnesses : int;
-  mutable a_min_wit : int option;
+  mutable a_first : (int * int array) list;
+      (* the witnesses of the cell's [first_failures] lowest-id
+         violations, by ascending id *)
+  mutable a_rest : (int * int array) option;  (* the best raw witness of the others *)
   mutable a_wall : float;
 }
+
+(* A cell's first failures get minimized: K of them, lowest trial ids
+   first, so the report is a function of the records, whatever their
+   order and whichever executor journaled them. *)
+let first_failures = Pool.default_max_shrinks_per_cell
+
+(* The shorter witness wins, the lower trial id on ties. *)
+let best a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some (i, w), Some (j, v) ->
+      let l = Array.length w and m = Array.length v in
+      if l < m || (l = m && i < j) then a else b
+
+(* Keep [(id, w)] among the cell's first failures if its id is low
+   enough; whatever that displaces competes raw. *)
+let add_witness a (id, w) =
+  let first = List.sort (fun (i, _) (j, _) -> compare i j) ((id, w) :: a.a_first) in
+  if List.length first <= first_failures then a.a_first <- first
+  else begin
+    a.a_first <- List.filteri (fun i _ -> i < first_failures) first;
+    a.a_rest <- best a.a_rest (Some (List.nth first first_failures))
+  end
 
 let of_records ?telemetry ?workers ?journal_health spec records =
   let protocol =
@@ -83,8 +108,8 @@ let of_records ?telemetry ?workers ?journal_health spec records =
           a_attr_crash = 0;
           a_attr_prim = 0;
           a_attr_mixed = 0;
-          a_witnesses = 0;
-          a_min_wit = None;
+          a_first = [];
+          a_rest = None;
           a_wall = 0.0;
         })
   in
@@ -104,6 +129,7 @@ let of_records ?telemetry ?workers ?journal_health spec records =
         | Journal.Violation -> (
             a.a_failures <- a.a_failures + 1;
             incr total_failures;
+            Option.iter (fun w -> add_witness a (r.Journal.trial, w)) r.Journal.witness;
             (* Attribute each violation to the fault dimensions that were
                actually charged in the violating run: crash-restarts,
                primitive faults, or both. *)
@@ -126,16 +152,16 @@ let of_records ?telemetry ?workers ?journal_health spec records =
           a.a_faults <- a.a_faults + r.Journal.faults;
           a.a_crashes <- a.a_crashes + r.Journal.crash_faults;
           a.a_wall <- a.a_wall +. float_of_int r.Journal.wall_us
-        end;
-        match r.Journal.witness with
-        | Some w ->
-            a.a_witnesses <- a.a_witnesses + 1;
-            let l = Array.length w in
-            a.a_min_wit <-
-              (match a.a_min_wit with Some m when m <= l -> Some m | _ -> Some l)
-        | None -> ()
+        end
       end)
     records;
+  (* A witness that does not minimize, or a protocol that does not
+     resolve, keeps the raw vector. *)
+  let minimized cell (id, w) =
+    match Option.bind protocol (fun p -> Shrink_on_fail.minimize (Grid.setup cell p) w) with
+    | Some (m, _) -> Some (id, m)
+    | None -> Some (id, w)
+  in
   let cell_stats =
     List.filter_map
       (fun cell_id ->
@@ -144,6 +170,9 @@ let of_records ?telemetry ?workers ?journal_health spec records =
         else
           let cell = cells.(cell_id) in
           let ran = a.a_trials - a.a_quarantined in
+          let min_witness =
+            List.fold_left (fun acc x -> best acc (minimized cell x)) a.a_rest a.a_first
+          in
           Some
             {
               cell;
@@ -161,8 +190,8 @@ let of_records ?telemetry ?workers ?journal_health spec records =
               attr_crash_only = a.a_attr_crash;
               attr_primitive_only = a.a_attr_prim;
               attr_mixed = a.a_attr_mixed;
-              witnesses = a.a_witnesses;
-              min_witness_len = a.a_min_wit;
+              min_witness_len = Option.map (fun (_, w) -> Array.length w) min_witness;
+              min_witness;
               mean_wall_us = (if ran = 0 then 0.0 else a.a_wall /. float_of_int ran);
             })
       (List.init n_cells Fun.id)
@@ -457,6 +486,16 @@ let to_json report =
                     ("faults", Json.Int c.total_faults);
                     ( "min_witness_len",
                       match c.min_witness_len with Some l -> Json.Int l | None -> Json.Null );
+                    ( "min_witness",
+                      match c.min_witness with
+                      | Some (trial, w) ->
+                          Json.Obj
+                            [
+                              ("trial", Json.Int trial);
+                              ( "witness",
+                                Json.List (Array.to_list (Array.map (fun d -> Json.Int d) w)) );
+                            ]
+                      | None -> Json.Null );
                     ("mean_wall_us", Json.Float c.mean_wall_us);
                   ]
                  @

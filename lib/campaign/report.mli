@@ -26,8 +26,13 @@ type cell_stats = {
   attr_primitive_only : int;
       (** violating trials with primitive faults but no crash *)
   attr_mixed : int;  (** violating trials charging both dimensions *)
-  witnesses : int;
-  min_witness_len : int option;
+  min_witness_len : int option;  (** the length of [min_witness] *)
+  min_witness : (int * int array) option;
+      (** [(trial, vector)]: the cell's shortest witness, the lowest
+          trial id on ties, or [None] without failures. The witnesses of
+          the cell's {!Pool.default_max_shrinks_per_cell} lowest-id
+          violations compete minimized ({!Shrink_on_fail.minimize} under
+          {!Grid.setup}; raw when that fails), every other one raw. *)
   mean_wall_us : float;  (** over trials that actually ran *)
 }
 (** Crash statistics render (markdown columns, JSON fields) only when
@@ -71,6 +76,9 @@ val of_records :
   Spec.t ->
   Journal.record list ->
   t
+(** [min_witness] and [min_witness_len] do not depend on the records'
+    order. Minimizes at most {!Pool.default_max_shrinks_per_cell}
+    witnesses per cell. *)
 
 val of_dir : dir:string -> (t, string) result
 (** Also scans the journal file's parse health ({!Journal.health}) into

@@ -1,14 +1,14 @@
-(** Trial execution with automatic witness minimization.
+(** Recorded trials and witness minimization.
 
     A campaign trial runs the cell's setup once under a seeded random
     driver that {e records} every branchable choice (scheduler pick,
     fault-menu pick) as a decision vector in the {!Ffault_verify.Dfs}
     convention. The trial is therefore exactly reproducible two ways:
     from its seed (re-record) and from its decision vector
-    ([Dfs.replay]) — and when it violates consensus, the vector feeds
-    straight into {!Ffault_verify.Shrink}, which greedily minimizes it
-    while re-replaying, yielding a locally-minimal witness that is
-    journaled alongside the trial. *)
+    ([Dfs.replay]). A violating trial journals that vector as its
+    witness; {!minimize} feeds it to {!Ffault_verify.Shrink}, which
+    greedily minimizes it while re-replaying — what [campaign report]
+    does for each cell's first failures ({!Report}). *)
 
 val run_recorded :
   ?interrupt:(unit -> bool) ->
@@ -49,7 +49,8 @@ val run_trial :
   seed:int64 ->
   result
 (** Run one trial; on violation (and [shrink], default true) minimize
-    the witness. An interrupted (cancelled) trial never shrinks and
+    the witness. The campaign pool passes [~shrink:false] and journals
+    [decisions]. An interrupted (cancelled) trial never shrinks and
     never carries a witness — its truncated decision vector is not
     deterministically replayable; check [report.result.interrupted]. *)
 

@@ -191,7 +191,6 @@ type 'c t = {
   mutable timeouts : int;
   mutable retried : int;
   mutable quarantined : int;
-  mutable shrunk : int;
   mutable stale_completes : int;  (* Completes fenced for a stale epoch *)
 }
 
@@ -260,7 +259,6 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     timeouts = 0;
     retried = 0;
     quarantined = 0;
-    shrunk = 0;
     stale_completes = 0;
   }
 
@@ -507,8 +505,6 @@ let handle_msg t c msg =
         | Journal.Quarantined -> t.quarantined <- t.quarantined + 1
         | Journal.Pass -> ());
         if r.Journal.retries > 0 then t.retried <- t.retried + r.Journal.retries;
-        if r.Journal.witness <> None && r.Journal.outcome = Journal.Violation then
-          t.shrunk <- t.shrunk + 1;
         Option.iter (fun w -> w.results <- w.results + 1) w;
         Metrics.incr m_results;
         t.observe r
@@ -632,7 +628,6 @@ let summary t ~wall_s =
       executed = t.executed;
       skipped = t.skipped;
       failures = t.failures;
-      shrunk = t.shrunk;
       timeouts = t.timeouts;
       retried = t.retried;
       quarantined = t.quarantined;

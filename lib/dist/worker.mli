@@ -6,10 +6,11 @@
     lease's trial ids ({!Protocol.ids_to_run}) through one call of the
     ordinary in-memory engine ({!Ffault_campaign.Pool.run_trials}),
     stream one [Result] frame per record, and send [Complete]. Domains,
-    deadlines and retries behave as in a local run, but the state a pool
-    call keeps starts fresh per lease: each cell's shrink budget,
-    quarantine strikes and adaptive-deadline samples count only that
-    lease's trials.
+    deadlines and retries behave as in a local run, and a lease's
+    records equal those of a local run apart from [wall_us]. The
+    supervision state a pool call keeps starts fresh per lease: each
+    cell's quarantine strikes and adaptive-deadline samples count only
+    that lease's trials.
     [Wait] (every shard is leased) bounds how long it idles before
     asking again; it idles watching its socket, so the [Bye] sent when
     the campaign completes (or a closed socket) ends it at once.

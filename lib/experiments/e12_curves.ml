@@ -8,15 +8,12 @@ module Bounded_faults = Consensus.Bounded_faults
    campaigns (Pool.run_trials over a declarative grid), and every data
    point is a cell of the aggregated report — the same pipeline
    `ffault campaign run` uses, so the figure-style series and the CLI
-   artifacts can never drift apart. Shrinking is disabled: the curves
-   want rates and costs, not witnesses. *)
+   artifacts can never drift apart. *)
 
 let campaign_report spec =
   let records = ref [] in
   let _ =
-    Campaign.Pool.run_trials ~max_shrinks_per_cell:0
-      ~on_record:(fun r -> records := r :: !records)
-      spec
+    Campaign.Pool.run_trials ~on_record:(fun r -> records := r :: !records) spec
   in
   Campaign.Report.of_records spec (List.rev !records)
 

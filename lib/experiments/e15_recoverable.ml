@@ -6,16 +6,12 @@ module Persistence = Ffault_recover.Persistence
    in-memory campaign over the CAS-fault-kind × crash-rate × persistence
    cross-product, aggregated by Campaign.Report — the same pipeline
    `ffault campaign run --crashes ...` (and the distributed serve/worker
-   pair) produces, so the experiment and the CLI artifacts cannot drift.
-   Shrinking is off: the sweep wants rates and attribution, not
-   witnesses. *)
+   pair) produces, so the experiment and the CLI artifacts cannot drift. *)
 
 let campaign_report spec =
   let records = ref [] in
   let _ =
-    Campaign.Pool.run_trials ~max_shrinks_per_cell:0
-      ~on_record:(fun r -> records := r :: !records)
-      spec
+    Campaign.Pool.run_trials ~on_record:(fun r -> records := r :: !records) spec
   in
   Campaign.Report.of_records spec (List.rev !records)
 

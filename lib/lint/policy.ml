@@ -111,14 +111,6 @@ let default =
              never part of a simulated execution";
         };
         {
-          prefix = "lib/campaign/pool.ml";
-          rules = [ "raw-atomic" ];
-          why =
-            "audited: shrink-budget and shrunk counters are orchestration tallies \
-             outside any simulated execution; trials themselves only touch CAS \
-             through Faulty_cas";
-        };
-        {
           prefix = "lib/dist/worker.ml";
           rules = [ "raw-atomic" ];
           why =

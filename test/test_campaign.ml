@@ -11,6 +11,7 @@ module Journal = Campaign.Journal
 module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Report = Campaign.Report
+module Live = Campaign.Live
 module Check = Ffault_verify.Consensus_check
 module Fault_kind = Ffault_fault.Fault_kind
 
@@ -234,7 +235,7 @@ let test_grid_envelope_kind_aware () =
 
 let failing_setup () =
   let spec = failing_spec () in
-  Grid.setup (Grid.cell_of_id spec 0) (Result.get_ok (Spec.resolve_protocol spec.Spec.protocol))
+  Grid.setup (Grid.cells spec).(0) (Result.get_ok (Spec.resolve_protocol spec.Spec.protocol))
 
 let test_trial_deterministic () =
   let setup = failing_setup () in
@@ -338,31 +339,65 @@ let test_journal_tolerates_torn_line () =
 
 (* ---- Pool ---- *)
 
-let outcome_fields (r : Journal.record) =
-  (r.Journal.trial, r.Journal.ok, r.Journal.steps, r.Journal.max_steps, r.Journal.faults)
+(* A whole journal line but its [wall_us], witness included: what a
+   trial journals whichever executor ran it. *)
+let line (r : Journal.record) = Journal.to_line { r with Journal.wall_us = 0 }
 
 let run_collect ?ids ~domains spec =
   let records = ref [] in
   let summary =
-    Pool.run_trials ?ids ~domains ~max_shrinks_per_cell:0
-      ~on_record:(fun r -> records := r :: !records)
-      spec
+    Pool.run_trials ?ids ~domains ~on_record:(fun r -> records := r :: !records) spec
   in
   let sorted =
     List.sort (fun a b -> compare a.Journal.trial b.Journal.trial) !records
   in
   (summary, sorted)
 
+(* Two cells that fail, over more than one 64-trial chunk: on 4 domains
+   the cells' failures run out of trial order. *)
+let two_failing_cells ?(rates = [ 0.3; 0.6 ]) name =
+  Spec.v ~name ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates ~trials:50 ()
+
+let failing_cells spec records =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (r : Journal.record) ->
+         if r.Journal.outcome = Journal.Violation then Some (r.Journal.trial / spec.Spec.trials)
+         else None)
+       records)
+
 let test_pool_domain_count_invariance () =
-  let spec = failing_spec ~trials:30 () in
+  let spec = two_failing_cells "invariance" in
   let s1, r1 = run_collect ~domains:1 spec in
   let s4, r4 = run_collect ~domains:4 spec in
-  check Alcotest.int "all executed (1 dom)" 30 s1.Pool.executed;
-  check Alcotest.int "all executed (4 dom)" 30 s4.Pool.executed;
-  check Alcotest.bool "some failures in this cell" true (s1.Pool.failures > 0);
+  check Alcotest.int "all executed (1 dom)" 100 s1.Pool.executed;
+  check Alcotest.int "all executed (4 dom)" 100 s4.Pool.executed;
+  check Alcotest.(list int) "both cells fail" [ 0; 1 ] (failing_cells spec r1);
   check Alcotest.int "same failure count" s1.Pool.failures s4.Pool.failures;
-  check Alcotest.bool "identical outcome fields" true
-    (List.map outcome_fields r1 = List.map outcome_fields r4)
+  check Alcotest.(list string) "identical lines" (List.map line r1) (List.map line r4)
+
+(* A worker runs each lease as one pool call on the lease's ids. Cut a
+   failing grid and a crash grid into consecutive calls of 7 ids on one
+   domain: the records are the whole run's. *)
+let test_pool_lease_split () =
+  List.iter
+    (fun spec ->
+      let _, whole = run_collect ~domains:1 spec in
+      let total = Grid.total_trials spec in
+      let lease lo = List.init (min 7 (total - lo)) (fun i -> lo + i) in
+      let split =
+        List.concat_map
+          (fun k -> snd (run_collect ~ids:(lease (7 * k)) ~domains:1 spec))
+          (List.init ((total + 6) / 7) Fun.id)
+      in
+      check Alcotest.bool (spec.Spec.name ^ " fails") true (failing_cells spec whole <> []);
+      check Alcotest.(list string) (spec.Spec.name ^ ": leases = whole")
+        (List.map line whole) (List.map line split))
+    [
+      failing_spec ();
+      Spec.v ~name:"lease-crash" ~protocol:"naive-tas" ~f:[ 0 ] ~n:[ 2 ] ~rates:[ 0.0 ]
+        ~crashes:[ 1 ] ~crash_rates:[ 0.4 ] ~trials:40 ();
+    ]
 
 let test_pool_ids () =
   let spec = healthy_spec () in
@@ -419,9 +454,7 @@ let test_run_dir_resume_matches_uninterrupted () =
       (Journal.load ~path:(journal root))
   in
   let run ?resume ?on_skip ?observe root =
-    match
-      Pool.run_dir ~domains:1 ~max_shrinks_per_cell:0 ?resume ?on_skip ?observe ~root spec
-    with
+    match Pool.run_dir ~domains:1 ?resume ?on_skip ?observe ~root spec with
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
@@ -528,10 +561,9 @@ let test_supervision_validation () =
   | _ -> Alcotest.fail "negative retries must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* A failing trial's engine runs once: its witness is minimized from the
-   decision vector of that one recorded run. Every engine run is then
-   either a trial, a shrink candidate, or the shrink's final replay of
-   the minimized vector. A generous deadline changes nothing. *)
+(* A failing trial's engine runs once, and its witness is the decision
+   vector of that run: a pool run minimizes nothing. A generous deadline
+   changes nothing. *)
 let test_pool_failing_trial_runs_once () =
   let spec =
     Spec.v ~name:"runs-once" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.3; 0.5 ]
@@ -551,42 +583,29 @@ let test_pool_failing_trial_runs_once () =
     (summary, List.rev !records)
   in
   let runs0 = counter "sim.runs" and trials0 = counter "campaign.trials" in
-  let iterations0 = counter "shrink.iterations" and shrinks0 = counter "campaign.shrinks" in
   let summary, records = collect None in
   let runs = counter "sim.runs" - runs0 and trials = counter "campaign.trials" - trials0 in
-  let iterations = counter "shrink.iterations" - iterations0 in
-  let shrinks = counter "campaign.shrinks" - shrinks0 in
   check Alcotest.int "every trial counted" (Grid.total_trials spec) trials;
-  check Alcotest.bool "some failures shrunk" true (summary.Pool.shrunk > 0);
-  check Alcotest.int "shrinks counted" summary.Pool.shrunk shrinks;
-  check Alcotest.int "runs = trials + shrink candidates + final replays"
-    (trials + iterations + shrinks) runs;
-  (* on one domain the per-cell shrink budget goes to each cell's first
-     failures in trial order *)
+  check Alcotest.bool "some failures" true (summary.Pool.failures > 0);
+  check Alcotest.int "one engine run per trial" trials runs;
   let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
   let cells = Grid.cells spec in
-  let budget = Array.make (Array.length cells) Pool.default_max_shrinks_per_cell in
   List.iter
     (fun (r : Journal.record) ->
-      if r.Journal.outcome = Journal.Violation then begin
-        let trial = Grid.trial_of_cells spec cells r.Journal.trial in
-        let setup = Grid.setup trial.Grid.cell protocol in
-        let _, decisions =
-          Shrink_on_fail.run_recorded setup ~rate:trial.Grid.cell.Grid.rate
-            ~seed:trial.Grid.seed
-        in
-        let expected =
-          if budget.(trial.Grid.cell_id) > 0 then begin
-            budget.(trial.Grid.cell_id) <- budget.(trial.Grid.cell_id) - 1;
-            Option.map fst (Shrink_on_fail.minimize setup decisions)
-          end
-          else Some decisions
-        in
-        check
-          Alcotest.(option (array int))
-          (Fmt.str "trial %d witness" r.Journal.trial)
-          expected r.Journal.witness
-      end)
+      let expected =
+        if r.Journal.outcome <> Journal.Violation then None
+        else
+          let trial = Grid.trial_of_cells spec cells r.Journal.trial in
+          let setup = Grid.setup trial.Grid.cell protocol in
+          Some
+            (snd
+               (Shrink_on_fail.run_recorded setup ~rate:trial.Grid.cell.Grid.rate
+                  ~seed:trial.Grid.seed))
+      in
+      check
+        Alcotest.(option (array int))
+        (Fmt.str "trial %d witness" r.Journal.trial)
+        expected r.Journal.witness)
     records;
   let _, supervised = collect (Some (Pool.supervision ~deadline_s:5.0 ())) in
   List.iter2
@@ -828,6 +847,130 @@ let test_report_diff_detects_regression () =
   let d' = Report.diff b a in
   check Alcotest.int "fixes are not regressions" 0 d'.Report.regressions
 
+(* The expected [min_witness] of a cell, worked out from the records:
+   the witnesses of its first [Pool.default_max_shrinks_per_cell]
+   violations in trial order, minimized, and every other one raw; the
+   shortest wins, the lowest trial id on ties. *)
+let expected_min_witness spec records cell_id =
+  let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
+  let setup = Grid.setup (Grid.cells spec).(cell_id) protocol in
+  let in_cell (r : Journal.record) =
+    r.Journal.outcome = Journal.Violation && r.Journal.trial / spec.Spec.trials = cell_id
+  in
+  let violations =
+    List.filter_map
+      (fun (r : Journal.record) ->
+        match r.Journal.witness with
+        | Some w when in_cell r -> Some (r.Journal.trial, w)
+        | _ -> None)
+      records
+    |> List.sort compare
+  in
+  List.mapi
+    (fun k (id, w) ->
+      if k >= Pool.default_max_shrinks_per_cell then (id, w)
+      else
+        match Shrink_on_fail.minimize setup w with Some (m, _) -> (id, m) | None -> (id, w))
+    violations
+  |> List.sort (fun (i, w) (j, v) -> compare (Array.length w, i) (Array.length v, j))
+  |> function
+  | [] -> None
+  | best :: _ -> Some best
+
+let cell_index spec (c : Report.cell_stats) =
+  let cells = Grid.cells spec in
+  let rec find i = if cells.(i) = c.Report.cell then i else find (i + 1) in
+  find 0
+
+(* On a failing grid and a crash grid, whose witnesses replay only under
+   their cell's setup. *)
+let test_report_min_witness () =
+  List.iter
+    (fun spec ->
+      let _, records = run_collect ~domains:1 spec in
+      let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
+      let report = Report.of_records spec records in
+      check Alcotest.bool "a cell with more failures than get minimized" true
+        (List.exists
+           (fun (c : Report.cell_stats) ->
+             c.Report.failures > Pool.default_max_shrinks_per_cell)
+           report.Report.cells);
+      List.iter
+        (fun (c : Report.cell_stats) ->
+          let cell_id = cell_index spec c in
+          check
+            Alcotest.(option (pair int (array int)))
+            (Fmt.str "%s cell %d min_witness" spec.Spec.name cell_id)
+            (expected_min_witness spec records cell_id)
+            c.Report.min_witness;
+          check
+            Alcotest.(option int)
+            "min_witness_len is its length"
+            (Option.map (fun (_, w) -> Array.length w) c.Report.min_witness)
+            c.Report.min_witness_len;
+          match c.Report.min_witness with
+          | None -> check Alcotest.int "no witness, no failure" 0 c.Report.failures
+          | Some (_, w) ->
+              check Alcotest.bool "min_witness replays to a violation" false
+                (Check.ok (Shrink_on_fail.replay (Grid.setup c.Report.cell protocol) w)))
+        report.Report.cells)
+    [
+      two_failing_cells ~rates:[ 0.3; 0.9 ] "report-witness";
+      Spec.v ~name:"report-crash" ~protocol:"naive-tas" ~f:[ 0 ] ~n:[ 2 ] ~rates:[ 0.0 ]
+        ~crashes:[ 1 ] ~crash_rates:[ 0.4 ] ~trials:100 ();
+    ]
+
+(* [min_witness] does not depend on the records' order (the Welford
+   means, float sums, may differ in their last bits). *)
+let test_report_order_independent () =
+  let spec = two_failing_cells ~rates:[ 0.3; 0.9 ] "report-order" in
+  let _, records = run_collect ~domains:1 spec in
+  let witnesses records =
+    List.map
+      (fun (c : Report.cell_stats) -> (c.Report.min_witness_len, c.Report.min_witness))
+      (Report.of_records spec records).Report.cells
+  in
+  let expected = witnesses records in
+  let rng = Random.State.make [| 21 |] in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun r -> (Random.State.bits rng, r)) l))
+  in
+  List.iter
+    (fun order ->
+      check Alcotest.bool "same min_witness in every cell" true (witnesses order = expected))
+    [ List.rev records; shuffle records; shuffle records ]
+
+(* ---- Live ---- *)
+
+(* One record of each outcome and a resumed trial: only the violation
+   is a failure, on the counter and on the heat line. *)
+let test_live_counts_violations () =
+  let spec =
+    Spec.v ~name:"live" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ]
+      ~rates:[ 0.1; 0.2; 0.3; 0.4; 0.5 ] ~trials:2 ()
+  in
+  let live = Live.create spec in
+  let record trial outcome =
+    { (sample_record ~trial ()) with Journal.outcome; ok = outcome = Journal.Pass }
+  in
+  List.iter
+    (fun (trial, outcome) -> Live.on_record live (record trial outcome))
+    [
+      (0, Journal.Pass);
+      (2, Journal.Violation);
+      (3, Journal.Pass);
+      (4, Journal.Timeout);
+      (6, Journal.Quarantined);
+    ];
+  Live.on_skip live;
+  let rendered = Live.render live in
+  check Alcotest.bool ("done/total in " ^ rendered) true
+    (Test_lint.contains ~sub:"6/10 trials (60.0%)" rendered);
+  check Alcotest.bool ("one failure of five in " ^ rendered) true
+    (Test_lint.contains ~sub:"fail 20.00% (1)" rendered);
+  check Alcotest.bool ("heat line in " ^ rendered) true
+    (String.ends_with ~suffix:"| .5..?" rendered)
+
 let suites =
   [
     ( "campaign.json",
@@ -869,6 +1012,7 @@ let suites =
     ( "campaign.pool",
       [
         Alcotest.test_case "domain-count invariance" `Quick test_pool_domain_count_invariance;
+        Alcotest.test_case "lease-split = whole" `Quick test_pool_lease_split;
         Alcotest.test_case "runs the given ids" `Quick test_pool_ids;
         Alcotest.test_case "resume after kill" `Quick test_run_dir_resume_after_kill;
         Alcotest.test_case "1-domain resume = whole" `Quick
@@ -897,5 +1041,9 @@ let suites =
       [
         Alcotest.test_case "aggregates" `Quick test_report_aggregates;
         Alcotest.test_case "diff regressions" `Quick test_report_diff_detects_regression;
+        Alcotest.test_case "first failures minimized" `Quick test_report_min_witness;
+        Alcotest.test_case "min_witness order-independent" `Quick
+          test_report_order_independent;
       ] );
+    ("campaign.live", [ Alcotest.test_case "violations only" `Quick test_live_counts_violations ]);
   ]

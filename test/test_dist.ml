@@ -1186,7 +1186,7 @@ let test_lease_runs_its_ids () =
   let lines ?ids () =
     let out = ref [] in
     ignore
-      (Campaign.Pool.run_trials ~domains:1 ?ids ~max_shrinks_per_cell:0
+      (Campaign.Pool.run_trials ~domains:1 ?ids
          ~on_record:(fun r ->
            out := (r.Journal.trial, Journal.to_line { r with Journal.wall_us = 0 }) :: !out)
          spec);

@@ -435,7 +435,9 @@ let test_policy_scoping () =
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/runtime/faulty_cas.ml");
   check Alcotest.bool "nondeterminism inactive in campaign" false
     (Policy.applies p ~rule:"nondeterminism" ~file:"lib/campaign/pool.ml");
-  check Alcotest.bool "pool.ml file-precise allow" false
+  check Alcotest.bool "live.ml file-precise allow" false
+    (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/live.ml");
+  check Alcotest.bool "pool.ml has no allow" true
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/pool.ml");
   check Alcotest.bool "campaign otherwise checked" true
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/journal.ml")

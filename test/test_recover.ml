@@ -114,7 +114,7 @@ let test_plan_digest () =
 
 let run_records spec =
   let records = ref [] in
-  let _ = Pool.run_trials ~domains:1 ~max_shrinks_per_cell:2 ~on_record:(fun r -> records := r :: !records) spec in
+  let _ = Pool.run_trials ~domains:1 ~on_record:(fun r -> records := r :: !records) spec in
   List.sort (fun a b -> compare a.Journal.trial b.Journal.trial) !records
 
 let normalize r = { r with Journal.wall_us = 0 }
@@ -228,7 +228,7 @@ let test_crash_campaign_resume_after_kill () =
   let root = tmp_root () in
   let spec = crashy_spec ~trials:10 ~name:"crashy-resume" () in
   let total = Grid.total_trials spec in
-  (match Pool.run_dir ~domains:2 ~max_shrinks_per_cell:0 ~root spec with
+  (match Pool.run_dir ~domains:2 ~root spec with
   | Error m -> Alcotest.fail m
   | Ok s -> check Alcotest.int "fresh run executes all" total s.Pool.executed);
   let dir = Checkpoint.campaign_dir ~root spec in
@@ -239,7 +239,7 @@ let test_crash_campaign_resume_after_kill () =
   in
   Out_channel.with_open_text path (fun oc ->
       List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) keep);
-  (match Pool.run_dir ~domains:2 ~max_shrinks_per_cell:0 ~resume:true ~root spec with
+  (match Pool.run_dir ~domains:2 ~resume:true ~root spec with
   | Error m -> Alcotest.fail m
   | Ok s ->
       check Alcotest.int "journaled trials skipped" 4 s.Pool.skipped;
