@@ -555,9 +555,9 @@ let quiet_arg =
 
 let trace_arg =
   let doc =
-    "Record a span trace of the whole campaign (pool chunks, trials, shrinks, journal \
-     writes) and write it to $(docv) as Chrome trace-event JSON — open it in \
-     chrome://tracing or https://ui.perfetto.dev."
+    "Record a span trace of the whole campaign (pool chunks, trials, journal writes) and \
+     write it to $(docv) as Chrome trace-event JSON — open it in chrome://tracing or \
+     https://ui.perfetto.dev."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

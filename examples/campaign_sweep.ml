@@ -5,8 +5,9 @@
      dune exec examples/campaign_sweep.exe
 
    Everything lands under _campaigns/fig3-sweep-example/: a manifest
-   (the spec), a JSONL journal (one flushed line per trial — the
-   durable source of truth), and report.md/report.json. *)
+   (the spec), a JSONL journal (one line per trial, written out in
+   groups of 64 — the durable source of truth), and report.md/
+   report.json. *)
 
 module Campaign = Ffault_campaign
 module Spec = Campaign.Spec
@@ -44,9 +45,9 @@ let () =
   | Ok s -> Fmt.pr "%a@.@." Pool.pp_summary s);
 
   (* Simulate a mid-run kill: throw away the tail of the journal. A real
-     interruption (Ctrl-C, OOM, power) leaves exactly this state — a
-     prefix of flushed records, possibly plus one torn line, which the
-     reader skips. *)
+     interruption (Ctrl-C, OOM) leaves exactly this state — the records
+     written out before the kill, possibly plus one torn line, which
+     resume repairs. *)
   Fmt.pr "== 2. simulate a kill: truncate the journal to 100 records ==@.";
   let path = Checkpoint.journal_path ~dir in
   let keep =

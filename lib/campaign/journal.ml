@@ -298,28 +298,44 @@ module Tracer = Ffault_telemetry.Tracer
 
 let m_flushes = Metrics.counter "campaign.journal.flushes"
 
-type writer = { oc : out_channel; lock : Mutex.t }
+(* Records per group write: [Runner.run_tasks]'s default chunk, so on 2
+   domains the last record of a consumed chunk completes a group. *)
+let group_size = 64
+
+(* [pending]: records in [oc]'s buffer since its last flush *)
+type writer = { oc : out_channel; lock : Mutex.t; mutable pending : int }
 
 let create_writer ~path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  { oc; lock = Mutex.create () }
+  { oc; lock = Mutex.create (); pending = 0 }
+
+let locked w f =
+  Mutex.lock w.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) f
+
+(* The group write; the caller holds [w.lock]. What a kill loses here,
+   resume re-runs (see the contract in journal.mli). *)
+let write_pending w =
+  if w.pending > 0 then begin
+    Tracer.with_span ~cat:"journal" "journal.flush" (fun () -> Stdlib.flush w.oc);
+    w.pending <- 0;
+    Metrics.incr m_flushes
+  end
 
 let append w r =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  locked w (fun () ->
       Tracer.with_span ~cat:"journal" "journal.append" (fun () ->
           output_string w.oc (to_line r);
           output_char w.oc '\n';
-          (* flush per record: a killed campaign must lose at most the
-             record being written, for resume to be sound *)
-          flush w.oc;
-          Metrics.incr m_flushes))
+          w.pending <- w.pending + 1;
+          if w.pending >= group_size then write_pending w))
+
+let flush w = locked w (fun () -> write_pending w)
 
 let close_writer w =
-  Mutex.lock w.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) (fun () -> close_out w.oc)
+  locked w (fun () ->
+      write_pending w;
+      close_out w.oc)
 
 (* ---- crash recovery ---- *)
 
@@ -328,10 +344,12 @@ type recovery = { dropped_bytes : int; interior_torn : int; warning : string opt
 let clean = { dropped_bytes = 0; interior_torn = 0; warning = None }
 
 (* Malformed newline-terminated lines. A crash can only tear the final
-   line (appends are sequential and flushed per record), so interior
-   damage means something else — filesystem corruption, a concurrent
-   writer, a hand-edited journal. [fold] skips such lines silently;
-   recovery and the report's health section must not. *)
+   line (appends are sequential, so what reached the file is a prefix
+   of the written bytes, even where the channel wrote out a full buffer
+   mid-line), so interior damage means something else — filesystem
+   corruption, a concurrent writer, a hand-edited journal. [fold] skips
+   such lines silently; recovery and the report's health section must
+   not. *)
 let count_interior_torn text =
   let torn = ref 0 in
   let next = ref 0 in
@@ -346,9 +364,10 @@ let count_interior_torn text =
   done;
   !torn
 
-(* A campaign killed mid-append leaves a torn final line: some prefix of
-   "record\n" (the per-record flush can be delivered partially by the
-   OS). Left in place, the next resume's append-mode writer would
+(* A campaign killed mid-write leaves a torn final line: the bytes that
+   reached the file are a prefix of the records written, and a group
+   write, or a full channel buffer written out mid-line, can stop inside
+   a record. Left in place, the next resume's append-mode writer would
    concatenate its first record onto the torn bytes, silently corrupting
    BOTH records for every later reader — so resume must repair the tail
    before reopening the file for append. A torn line that still parses

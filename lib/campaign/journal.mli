@@ -1,11 +1,24 @@
 (** The campaign journal: one JSONL record per completed trial.
 
-    The journal is the campaign's source of truth — durable (each record
-    is flushed as written, so a killed run loses at most the record
-    mid-write), append-only, and safe to write from many domains through
-    the mutexed {!writer}. {!Checkpoint} replays it to decide which
-    trials are already done; {!Report} aggregates it into per-cell
-    statistics.
+    The journal is the campaign's source of truth — append-only, safe to
+    write from many domains through the mutexed {!writer}, and durable
+    against process death by group commit: the writer flushes once per
+    64 records, on {!flush} and at close, so a killed writer loses at
+    most the records since its last flush. That bound keeps resume
+    sound:
+    - every trial is deterministic, so a lost record is re-run to the
+      same line, and the checkpoint scan re-runs every id the journal
+      lacks; nothing is journaled twice;
+    - appends are sequential, so only the tail can tear: what reached
+      the file is a prefix of the written bytes, even when the channel
+      writes out a full buffer mid-line. {!recover} repairs that tail;
+    - a pool loses fewer than 64 records; a coordinator, which flushes
+      once per loop turn, loses that turn's records, and the next epoch
+      re-leases them under grants that fence the dead one's.
+
+    Durability is against process death, not power loss: there is no
+    [fsync]. {!Checkpoint} replays the journal to decide which trials
+    are already done; {!Report} aggregates it into per-cell statistics.
 
     Record schema (see doc/CAMPAIGNS.md):
     {v
@@ -80,9 +93,17 @@ val create_writer : path:string -> writer
 (** Opens (creating or appending) the journal file. *)
 
 val append : writer -> record -> unit
-(** Serialized by an internal mutex; flushes each record. *)
+(** Serialized by an internal mutex. Puts the line in the channel's
+    buffer; every 64th record since the last flush writes the group out
+    (one [campaign.journal.flushes] and one [journal.flush] span). *)
+
+val flush : writer -> unit
+(** Writes out the pending records. With none pending it does nothing:
+    no system call, no counter. The coordinator calls it once per loop
+    turn. *)
 
 val close_writer : writer -> unit
+(** Flushes the pending records, as {!flush}, and closes the file. *)
 
 (** {2 Crash recovery} *)
 
@@ -90,16 +111,18 @@ type recovery = {
   dropped_bytes : int;
   interior_torn : int;
       (** malformed {e newline-terminated} records. A crash can only tear
-          the final line (appends are sequential, flushed per record), so
-          interior damage points at filesystem corruption, a concurrent
-          writer, or hand edits — surfaced here and in the report's
-          health section rather than silently skipped by {!fold}. *)
+          the final line (appends are sequential, so the file holds a
+          prefix of the written bytes, whether a group write or a full
+          channel buffer stopped mid-line), so interior damage points at
+          filesystem corruption, a concurrent writer, or hand edits —
+          surfaced here and in the report's health section rather than
+          silently skipped by {!fold}. *)
   warning : string option;
 }
 
 val recover : path:string -> recovery
-(** Repair the torn trailing line a killed run can leave (a partial
-    flush of ["record\n"]). A parseable tail that merely lost its
+(** Repair the torn trailing line a killed run can leave (a write that
+    stopped inside ["record\n"]). A parseable tail that merely lost its
     newline is completed in place; an unparseable tail is truncated
     away, so the checkpoint scan re-runs that trial. Also counts
     interior torn records (see {!recovery.interior_torn}); those are

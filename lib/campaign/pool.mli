@@ -123,7 +123,8 @@ val run_dir :
   Spec.t ->
   (summary, string) result
 (** Persistent campaign under [root/<spec name>/]: writes the manifest,
-    appends every record to the journal (flushed per record), and — with
+    appends every record to the journal (written out in groups of 64 and
+    at close, on every exit path; see {!Journal}), and — with
     [resume] (default false) — first repairs a crash-torn journal tail
     ({!Journal.recover}, reported through [on_warn], default silent),
     then replays the journal and runs only the trial ids it lacks.

@@ -178,7 +178,9 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
     (match http with
     | Some h -> Http.handle h ~readable ~respond
     | None -> ());
-    Core.tick core
+    Core.tick core;
+    (* group commit per turn: no record waits out the next select *)
+    Journal.flush writer
   in
   let finish () =
     Core.finish core;

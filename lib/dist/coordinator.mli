@@ -22,7 +22,10 @@
 
     The loop is single-threaded ([select] over the listener and every
     worker socket), so journal writes, lease bookkeeping and the
-    checkpoint mask need no further synchronization.
+    checkpoint mask need no further synchronization. Each turn of the
+    loop ends with one {!Ffault_campaign.Journal.flush}, so a record never
+    waits out the next [select]; a killed coordinator loses at most its
+    last turn's records, which the next epoch re-leases.
 
     All of the message handling lives in the transport-independent
     {!Core} engine; this module is the socket driver around it (the

@@ -337,6 +337,32 @@ let test_journal_tolerates_torn_line () =
   check Alcotest.int "missing file is empty" 0
     (Journal.count ~path:(Filename.concat root "absent.jsonl"))
 
+let journal_flushes () =
+  Option.value ~default:0
+    (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ())
+       "campaign.journal.flushes")
+
+(* Group commit: until [flush] or close, the file holds whole groups of
+   64 lines, each written out by one counted flush. *)
+let test_journal_group_commit () =
+  let root = tmp_root () in
+  let path = Filename.concat root "j.jsonl" in
+  let records = List.init 100 (fun i -> sample_record ~trial:i ~ok:(i mod 3 = 0) ()) in
+  let lines = List.map Journal.to_line records in
+  let on_disk () = In_channel.with_open_bin path In_channel.input_lines in
+  let before = journal_flushes () in
+  let w = Journal.create_writer ~path in
+  List.iter (Journal.append w) records;
+  check Alcotest.(list string) "the first group only" (List.filteri (fun i _ -> i < 64) lines)
+    (on_disk ());
+  Journal.flush w;
+  check Alcotest.(list string) "every record after a flush" lines (on_disk ());
+  check Alcotest.int "two group writes" 2 (journal_flushes () - before);
+  Journal.flush w;
+  Journal.close_writer w;
+  check Alcotest.int "nothing pending: no more writes" 2 (journal_flushes () - before);
+  check Alcotest.(list string) "close adds nothing" lines (on_disk ())
+
 (* ---- Pool ---- *)
 
 (* A whole journal line but its [wall_us], witness included: what a
@@ -481,6 +507,36 @@ let test_run_dir_resume_matches_uninterrupted () =
   check Alcotest.int "no on_skip after it" 17
     (List.length (List.filter (( = ) `Skip) events));
   check Alcotest.(list string) "journal as uninterrupted" (lines whole) (lines torn)
+
+exception Stop_observing
+
+(* An exception out of [observe] (as a set-up probe stops a run) ends a
+   1-domain run between group writes: the writer is closed on that path
+   too, so the journal holds every record appended, and a resume runs
+   exactly the rest. *)
+let test_run_dir_stopped_keeps_appends () =
+  let root = tmp_root () in
+  let spec = failing_spec ~trials:200 ~name:"stopped" () in
+  let total = Grid.total_trials spec in
+  let seen = ref 0 in
+  let observe _ =
+    incr seen;
+    if !seen = 100 then raise Stop_observing
+  in
+  (match Pool.run_dir ~domains:1 ~observe ~root spec with
+  | _ -> Alcotest.fail "the run outlived observe's exception"
+  | exception Stop_observing -> ());
+  let path = Checkpoint.journal_path ~dir:(Checkpoint.campaign_dir ~root spec) in
+  check Alcotest.(list int) "the 100 appended records, not one group"
+    (List.init 100 Fun.id)
+    (List.map (fun r -> r.Journal.trial) (Journal.load ~path));
+  (match Pool.run_dir ~domains:1 ~resume:true ~root spec with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      check Alcotest.int "journaled trials skipped" 100 s.Pool.skipped;
+      check Alcotest.int "only the rest executed" (total - 100) s.Pool.executed);
+  check Alcotest.(list int) "every trial exactly once" (List.init total Fun.id)
+    (List.sort compare (List.map (fun r -> r.Journal.trial) (Journal.load ~path)))
 
 (* ---- supervised execution: deadline, retry, quarantine ---- *)
 
@@ -1008,6 +1064,7 @@ let suites =
         Alcotest.test_case "recover torn tail" `Quick test_journal_recover_unit;
         Alcotest.test_case "interior torn + health" `Quick test_journal_interior_torn_and_health;
         Alcotest.test_case "legacy line compat" `Quick test_journal_legacy_line_compat;
+        Alcotest.test_case "group commit" `Quick test_journal_group_commit;
       ] );
     ( "campaign.pool",
       [
@@ -1018,6 +1075,8 @@ let suites =
         Alcotest.test_case "1-domain resume = whole" `Quick
           test_run_dir_resume_matches_uninterrupted;
         Alcotest.test_case "resume after torn tail" `Quick test_resume_after_torn_tail;
+        Alcotest.test_case "stopped run keeps its appends" `Quick
+          test_run_dir_stopped_keeps_appends;
         Alcotest.test_case "clobber + mismatch guards" `Quick
           test_run_dir_refuses_clobber_and_mismatch;
       ] );

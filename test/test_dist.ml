@@ -1206,9 +1206,9 @@ let test_lease_runs_its_ids () =
 
 (* [serve] on a one-lease grid, with a raw client playing the worker
    from Transport and Codec frames: Hello, Request, one Result per trial
-   of the lease, then [tail] (which gets the lease's id and epoch) plays
-   the rest. Returns serve's summary and the seconds serve ran past the
-   last Result. *)
+   of the lease, a wait until the journal file holds them all, then
+   [tail] (which gets the lease's id and epoch) plays the rest. Returns
+   serve's summary and the seconds serve ran past the last Result. *)
 let serve_scripted ~name ~lease_timeout_s ~hb_interval_s tail =
   let root = tmp_root () in
   let sock = Filename.concat root "coord.sock" in
@@ -1262,6 +1262,15 @@ let serve_scripted ~name ~lease_timeout_s ~hb_interval_s tail =
     send (Codec.Result (record_for spec t))
   done;
   let last_result = Unix.gettimeofday () in
+  (* serve flushes its journal once per loop turn, so the Results reach
+     the file before the worker sends anything more *)
+  let journal = Checkpoint.journal_path ~dir:(Checkpoint.campaign_dir ~root spec) in
+  let give_up = last_result +. 2.0 in
+  while Journal.count ~path:journal < hi - lo && Unix.gettimeofday () < give_up do
+    Thread.delay 0.01
+  done;
+  check Alcotest.int "the Results are on disk before the Complete" (hi - lo)
+    (Journal.count ~path:journal);
   tail raw ~lease ~epoch;
   Thread.join coordinator;
   Transport.close raw;
