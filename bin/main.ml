@@ -425,15 +425,7 @@ let multicore_cmd =
     in
     Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
   in
-  let stall_arg =
-    let doc =
-      "Watchdog stall bound in seconds: a domain with no CAS progress for this long is \
-       flagged and the run is cancelled. Without it the watchdog is off, and only \
-       --deadline ends a stuck run."
-    in
-    Arg.(value & opt (some float) None & info [ "watchdog-stall" ] ~docv:"SECONDS" ~doc)
-  in
-  let run f t domains runs rate kind deadline stall seed =
+  let run f t domains runs rate kind deadline seed =
     let module R = Ffault_runtime in
     let t = Option.value t ~default:1 in
     let protocol = R.Consensus_mc.Staged { f; t } in
@@ -445,33 +437,35 @@ let multicore_cmd =
           (* Hang without a deadline can never end; default rather than die. *)
           (R.Faulty_cas.Hang, Some (Option.value deadline ~default:1.0))
     in
+    let config i =
+      R.Consensus_mc.config
+        ~plan_for:(fun o ->
+          R.Faulty_cas.plan_probabilistic
+            ~seed:(Int64.of_int ((seed * 1_000_003) + (i * 31) + o))
+            ~p:rate)
+        ~style ?deadline_s ~n_domains:domains protocol
+    in
+    (* a run builds its plans lazily, so build one here to check the rate *)
+    let@ () =
+      validated (fun () ->
+          if runs < 1 then invalid_arg "--runs must be at least 1";
+          ignore ((config 1).R.Consensus_mc.plan_for 0))
+    in
     let violations = ref 0 in
     let timeouts = ref 0 in
     let faults = ref 0 in
-    let stalls = ref 0 in
     let started = Unix.gettimeofday () in
     for i = 1 to runs do
-      let cfg =
-        R.Consensus_mc.config
-          ~plan_for:(fun o ->
-            R.Faulty_cas.plan_probabilistic
-              ~seed:(Int64.of_int ((seed * 1_000_003) + (i * 31) + o))
-              ~p:rate)
-          ~style ?deadline_s ~n_domains:domains protocol
-      in
-      let r = Ffault_supervise.Mc.execute ?watchdog_stall_s:stall cfg in
-      let mc = r.Ffault_supervise.Mc.mc in
+      let mc = R.Consensus_mc.execute (config i) in
       if not (mc.R.Consensus_mc.agreed && mc.R.Consensus_mc.valid) then incr violations;
       timeouts := !timeouts + mc.R.Consensus_mc.timeouts;
-      stalls := !stalls + r.Ffault_supervise.Mc.stalls;
       faults := !faults + Array.fold_left ( + ) 0 mc.R.Consensus_mc.faults_per_object
     done;
     let elapsed = Unix.gettimeofday () -. started in
     Fmt.pr
-      "%a on %d domains: %d runs, %d violations, %d timed-out domain(s), %d watchdog \
-       stall(s), %d observable faults, %.2f s (%.0f decides/s)@."
-      R.Consensus_mc.pp_protocol protocol domains runs !violations !timeouts !stalls !faults
-      elapsed
+      "%a on %d domains: %d runs, %d violations, %d timed-out domain(s), %d observable \
+       faults, %.2f s (%.0f decides/s)@."
+      R.Consensus_mc.pp_protocol protocol domains runs !violations !timeouts !faults elapsed
       (float_of_int runs /. elapsed);
     if !violations = 0 then 0 else 1
   in
@@ -479,7 +473,7 @@ let multicore_cmd =
   Cmd.v (Cmd.info "multicore" ~doc)
     Term.(
       const run $ f_arg $ t_arg $ domains_arg $ runs_arg $ rate_arg $ kind_arg
-      $ deadline_arg $ stall_arg $ seed_arg)
+      $ deadline_arg $ seed_arg)
 
 (* ---- campaign ---- *)
 
@@ -503,8 +497,8 @@ let deadline_flag_arg =
   let doc =
     "Per-trial wall-clock deadline in seconds: a trial still running when it expires is \
      cancelled, retried (see --max-retries), and eventually journaled as a timeout. \
-     Required for campaigns over nonresponsive faults on the multicore substrate; \
-     without it trials run unsupervised (no watchdog, retries or quarantine)."
+     Without it a trial runs until it decides or its step budget ends it, with no \
+     retries or quarantine."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 

@@ -257,9 +257,7 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
           let res = run_attempt ~interrupt:(fun () -> Cancel.cancelled cancel) trial in
           if not res.Shrink_on_fail.report.Check.result.Engine.interrupted then begin
             note_duration trial.Grid.cell_id res.Shrink_on_fail.wall_ns;
-            (match Retry.classify supervision.retry ~attempts_failed:failed ~succeeded:true with
-            | Some Retry.Transient_infra -> Metrics.incr m_transient
-            | Some Retry.Deterministic_protocol | None -> ());
+            if failed > 0 then Metrics.incr m_transient;
             (res, failed)
           end
           else begin

@@ -5,7 +5,6 @@ module Journal = Campaign.Journal
 module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Grid = Campaign.Grid
-module Heartbeat = Ffault_supervise.Heartbeat
 module Clock = Ffault_runtime.Clock
 module Metrics = Ffault_telemetry.Metrics
 
@@ -157,7 +156,7 @@ let workers_json s =
 type 'c client = {
   c_conn : 'c;
   mutable cname : string option;  (* set by Hello *)
-  mutable slot : int;  (* heartbeat slot; -1 before Hello *)
+  mutable slot : int;  (* heartbeat slot; -1 before Hello, or with none free *)
   mutable c_dropped : bool;
 }
 
@@ -182,7 +181,10 @@ type 'c t = {
   on_requeue : string -> int -> unit;
   on_drop : 'c client -> unit;
   leases : Lease.t;
-  hb : Heartbeat.t;
+  beats : int array;
+      (* per heartbeat slot: the clock at its holder's last frame (a
+         slot is stamped when a Hello takes it), -1 = never held.
+         Single-threaded like the rest of the engine. *)
   mutable free_slots : int list;
   mutable clients : 'c client list;
   wstats : (string, wstat) Hashtbl.t;
@@ -200,6 +202,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     ~io ~append ~st ~spec ~lease_trials ~lease_timeout_s ~hb_interval_s
     ~max_workers ~supervision () =
   if epoch < 1 then invalid_arg "Core.create: epoch < 1";
+  if max_workers < 1 then invalid_arg "Core.create: max_workers < 1";
   let total = Grid.total_trials spec in
   let leases =
     Lease.create ~clock ~total ~lease_trials
@@ -228,7 +231,6 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     on_event
       (Fmt.str "recovery: %d of %d shard(s) already complete in the journal"
          !recovered (Lease.n_shards leases));
-  let hb = Heartbeat.create ~clock ~slots:max_workers () in
   {
     io;
     append;
@@ -250,7 +252,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     on_requeue;
     on_drop;
     leases;
-    hb;
+    beats = Array.make max_workers (-1);
     free_slots = List.init max_workers Fun.id;
     clients = [];
     wstats = Hashtbl.create 16;
@@ -400,8 +402,9 @@ let handle_msg t c msg =
   (* any frame is liveness *)
   (match c.cname with
   | Some name ->
-      if c.slot >= 0 then Heartbeat.beat t.hb ~slot:c.slot;
-      (wstat_of t name).last_seen_ns <- Clock.now_ns t.clock;
+      let now = Clock.now_ns t.clock in
+      if c.slot >= 0 then t.beats.(c.slot) <- now;
+      (wstat_of t name).last_seen_ns <- now;
       Lease.renew t.leases ~owner:name
   | None -> ());
   match (msg : Codec.msg) with
@@ -430,7 +433,7 @@ let handle_msg t c msg =
         | slot :: rest ->
             t.free_slots <- rest;
             c.slot <- slot;
-            Heartbeat.beat t.hb ~slot
+            t.beats.(slot) <- Clock.now_ns t.clock
         | [] -> () (* more workers than slots: liveness by lease expiry only *));
         t.on_event
           (Fmt.str "worker %s joined from %s (%d domains)%s%s" name w.peer domains
@@ -593,15 +596,14 @@ let tick t =
     (Lease.expire t.leases);
   (* drop connections whose heartbeat slot has been silent longer than
      the lease timeout; a client without a slot is watched by lease
-     expiry alone *)
+     expiry alone. The reason keeps its "(watchdog)" suffix, which
+     netsim traces and the /events goldens carry. *)
   let silence_ns = int_of_float (t.lease_timeout_s *. 1e9) in
+  let now = Clock.now_ns t.clock in
   List.iter
     (fun c ->
-      if c.slot >= 0 then
-        match Heartbeat.age_ns t.hb ~slot:c.slot with
-        | Some age when age > silence_ns ->
-            drop_client t ~why:"heartbeat silence (watchdog)" c
-        | Some _ | None -> ())
+      if c.slot >= 0 && now - t.beats.(c.slot) > silence_ns then
+        drop_client t ~why:"heartbeat silence (watchdog)" c)
     t.clients
 
 let finish t =

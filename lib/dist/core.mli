@@ -144,6 +144,11 @@ val create :
     table of the previous incarnation is lost with its process and
     deliberately not trusted.
 
+    [max_workers] (at least 1) is the number of heartbeat slots: a
+    worker takes a free one at its [Hello] and holds it until dropped,
+    and a freed slot goes to the next [Hello]. A worker that joins with
+    none free is watched by lease expiry alone.
+
     [epoch] (default 1, must be positive) is this incarnation's fencing
     token, from {!Campaign.Checkpoint.claim_ownership}: every [Welcome]
     and [Lease] carries it, and a [Complete] whose grant epoch differs

@@ -103,12 +103,11 @@ let default =
              line that owns the terminal";
         };
         {
-          prefix = "lib/supervise";
+          prefix = "lib/supervise/quarantine.ml";
           rules = [ "raw-atomic" ];
           why =
-            "the supervision layer's own shared state: heartbeat beacons, watchdog \
-             flags and quarantine strike counters are cross-domain infrastructure, \
-             never part of a simulated execution";
+            "audited: per-cell strike counters shared by the pool's domains are \
+             cross-domain infrastructure, never part of a simulated execution";
         };
         {
           prefix = "lib/dist/worker.ml";

@@ -51,5 +51,3 @@ let reason t = if cancelled t then Atomic.get t.state else None
 let check t =
   if cancelled t then
     raise (Cancelled (Option.value (Atomic.get t.state) ~default:"cancelled"))
-
-let deadline_ns t = if t.deadline = max_int then None else Some t.deadline

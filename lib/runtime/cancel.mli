@@ -1,8 +1,8 @@
 (** Cooperative cancellation tokens: a deadline plus an external cancel.
 
     A token is a single word of shared state polled from spin paths
-    ({!Faulty_cas}), trial loops ({!Consensus_mc}) and supervision
-    threads. Cancellation is level-triggered and sticky: once a token
+    ({!Faulty_cas}) and the campaign pool's engine interrupt hook.
+    Cancellation is level-triggered and sticky: once a token
     trips — explicitly via {!cancel}, or implicitly when its deadline
     passes — every later {!cancelled}/{!check} observes it, with the
     first reason recorded.
@@ -45,6 +45,3 @@ val check : t -> unit
 
 val reason : t -> string option
 (** The recorded reason, if tripped. *)
-
-val deadline_ns : t -> int option
-(** The absolute monotonic deadline, if any (introspection/tests). *)

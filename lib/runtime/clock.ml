@@ -1,6 +1,5 @@
 type t = { now_ns : unit -> int }
 
-let of_fun now_ns = { now_ns }
 let monotonic = { now_ns = Ffault_telemetry.Clock.now_ns }
 let now_ns t = t.now_ns ()
 let now_s t = float_of_int (t.now_ns ()) /. 1e9

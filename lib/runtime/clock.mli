@@ -1,18 +1,15 @@
 (** The clock interface shared by everything that judges time.
 
-    Supervision (heartbeats, watchdogs), lease expiry and the netsim
+    The coordinator's heartbeat slots, lease expiry and the netsim
     scheduler all consume the same [t]: a monotonic nanosecond source.
     Production code uses {!monotonic} (the
     [clock_gettime(CLOCK_MONOTONIC)] external from
     {!Ffault_telemetry.Clock}); unit tests and the deterministic
     network simulator substitute a {!Virtual} clock they advance by
-    hand, so expiry and stall decisions become pure functions of the
+    hand, so expiry and silence decisions become pure functions of the
     event sequence. *)
 
 type t
-
-val of_fun : (unit -> int) -> t
-(** Wrap an arbitrary nanosecond source. *)
 
 val monotonic : t
 (** The process monotonic clock ({!Ffault_telemetry.Clock.now_ns}). *)
@@ -24,9 +21,9 @@ val now_s : t -> float
 (** {2 Virtual time}
 
     A hand-advanced clock: reads return the last value set. Used by the
-    fake-clock unit tests (watchdog, lease expiry) and as the time
-    source of the netsim event scheduler, where the scheduler sets it
-    to each event's timestamp. *)
+    fake-clock unit tests (heartbeat silence, lease expiry) and as the
+    time source of the netsim event scheduler, where the scheduler sets
+    it to each event's timestamp. *)
 
 module Virtual : sig
   type clock := t

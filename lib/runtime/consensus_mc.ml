@@ -22,12 +22,16 @@ type config = {
   style : Faulty_cas.style;
   t_bound : int option;
   deadline_s : float option;
-  on_progress : (int -> unit) option;
 }
 
-let config ?plan_for ?(style = Faulty_cas.Override) ?t_bound ?inputs ?deadline_s
-    ?on_progress ~n_domains protocol =
+let config ?plan_for ?(style = Faulty_cas.Override) ?t_bound ?inputs ?deadline_s ~n_domains
+    protocol =
   if n_domains < 1 then invalid_arg "Consensus_mc.config: n_domains < 1";
+  (match protocol with
+  | Sweep m when m < 1 -> invalid_arg "Consensus_mc.config: Sweep needs m >= 1"
+  | Staged { f; t } when f < 1 || t < 1 ->
+      invalid_arg "Consensus_mc.config: Staged needs f >= 1 and t >= 1"
+  | Single_cas | Sweep _ | Staged _ | Silent_retry -> ());
   if style = Faulty_cas.Hang && deadline_s = None then
     invalid_arg "Consensus_mc.config: Hang style requires a deadline (the trial cannot end)";
   (match deadline_s with
@@ -46,7 +50,7 @@ let config ?plan_for ?(style = Faulty_cas.Override) ?t_bound ?inputs ?deadline_s
     | None, (Single_cas | Sweep _ | Silent_retry) -> None
   in
   let plan_for = Option.value plan_for ~default:(fun _ -> Faulty_cas.plan_never) in
-  { protocol; n_domains; inputs; plan_for; style; t_bound; deadline_s; on_progress }
+  { protocol; n_domains; inputs; plan_for; style; t_bound; deadline_s }
 
 type outcome = Decided of Packed.t | Timed_out of string
 
@@ -67,15 +71,7 @@ module type DECIDERS = sig
   val silent_retry_decide : input:Packed.t -> Packed.t
 end
 
-(* Which domain is executing, for the per-op progress hook: the cas
-   wrapper in [deciders] is shared by every domain, so the executing
-   id travels in domain-local storage, set by [execute]'s [run]. *)
-let slot_key = Domain.DLS.new_key (fun () -> -1)
-
-let deciders ?on_op cells : (module DECIDERS) =
-  let note =
-    match on_op with Some f -> f | None -> fun () -> ()
-  in
+let deciders cells : (module DECIDERS) =
   (module Algorithms.Make (struct
     type value = Packed.t
 
@@ -85,32 +81,20 @@ let deciders ?on_op cells : (module DECIDERS) =
     let stage_of = Packed.stage_of
     let unstage = Packed.unstage
 
-    let cas i ~expected ~desired =
-      note ();
-      Faulty_cas.cas cells.(i) ~expected ~desired
+    let cas i ~expected ~desired = Faulty_cas.cas cells.(i) ~expected ~desired
   end))
 
-let execute ?cancel cfg =
+let execute cfg =
   let n_objects = objects_needed cfg.protocol in
   let cancel =
-    match cancel, cfg.deadline_s with
-    | Some c, _ -> c
-    | None, Some s -> Cancel.after ~seconds:s
-    | None, None -> Cancel.never
+    match cfg.deadline_s with Some s -> Cancel.after ~seconds:s | None -> Cancel.never
   in
   let cells =
     Array.init n_objects (fun i ->
         Faulty_cas.make ~plan:(cfg.plan_for i) ~style:cfg.style ?t_bound:cfg.t_bound ~cancel
           ~init:Packed.bottom ())
   in
-  let on_op =
-    Option.map
-      (fun f () ->
-        let me = Domain.DLS.get slot_key in
-        if me >= 0 then f me)
-      cfg.on_progress
-  in
-  let (module D) = deciders ?on_op cells in
+  let (module D) = deciders cells in
   let decide me =
     let input = Packed.of_int cfg.inputs.(me) in
     match cfg.protocol with
@@ -121,8 +105,6 @@ let execute ?cancel cfg =
     | Silent_retry -> D.silent_retry_decide ~input
   in
   let run me =
-    Domain.DLS.set slot_key me;
-    (match cfg.on_progress with Some f -> f me | None -> ());
     match decide me with
     | v -> Decided v
     | exception Cancel.Cancelled reason -> Timed_out reason

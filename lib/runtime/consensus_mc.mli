@@ -15,8 +15,6 @@ type protocol =
 
 val pp_protocol : Format.formatter -> protocol -> unit
 
-val objects_needed : protocol -> int
-
 type config = {
   protocol : protocol;
   n_domains : int;
@@ -25,11 +23,6 @@ type config = {
   style : Faulty_cas.style;  (** overriding, silent or nonresponsive *)
   t_bound : int option;  (** per-object observable-fault cap *)
   deadline_s : float option;  (** wall-clock trial deadline, seconds *)
-  on_progress : (int -> unit) option;
-      (** liveness hook, called with the executing domain's id at each
-          domain start and before every CAS — a watchdog heartbeats from
-          here ({!Ffault_supervise.Mc}); must be cheap and safe from any
-          domain *)
 }
 
 val config :
@@ -38,22 +31,22 @@ val config :
   ?t_bound:int ->
   ?inputs:int array ->
   ?deadline_s:float ->
-  ?on_progress:(int -> unit) ->
   n_domains:int ->
   protocol ->
   config
 (** Defaults: no faults, overriding style, unbounded t, inputs 100, 101,
     …, no deadline. For [Staged] protocols [t_bound] defaults to the
     protocol's t.
-    @raise Invalid_argument if [style] is {!Faulty_cas.Hang} without a
-    deadline (such a trial could never end), or if [deadline_s] is not
-    finite and positive. *)
+    @raise Invalid_argument if [n_domains < 1], if a [Sweep] has no
+    object or a [Staged] protocol has [f < 1] or [t < 1], if [style] is
+    {!Faulty_cas.Hang} without a deadline (such a trial could never
+    end), or if [deadline_s] is not finite and positive. *)
 
 type outcome =
   | Decided of Packed.t
   | Timed_out of string
-      (** the domain's trial was cancelled mid-protocol; carries the
-          cancellation reason (deadline or external cancel) *)
+      (** the trial's deadline passed mid-protocol; carries the
+          cancellation reason *)
 
 type result = {
   outcomes : outcome array;  (** per-domain outcome *)
@@ -67,8 +60,9 @@ type result = {
   timeouts : int;  (** domains that timed out — wait-freedom losses *)
 }
 
-val execute : ?cancel:Cancel.t -> config -> result
+val execute : config -> result
 (** One full parallel consensus: spawn the domains, decide, audit.
-    The trial's cancellation token is [cancel] when given (so an external
-    watchdog can abort the trial), else one derived from
-    [cfg.deadline_s], else {!Cancel.never}. *)
+    The trial's one cancellation token is {!Cancel.after} [cfg.deadline_s],
+    or {!Cancel.never} without a deadline. Every CAS polls it, and so
+    does a domain inside a nonresponsive CAS, so the deadline bounds
+    every wait of the trial. *)

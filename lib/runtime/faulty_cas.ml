@@ -4,15 +4,21 @@ let plan_never = { plan_name = "never"; fire = (fun ~op_index:_ -> false) }
 let plan_always = { plan_name = "always"; fire = (fun ~op_index:_ -> true) }
 
 let plan_probabilistic ~seed ~p =
-  let threshold = Int64.of_float (p *. 9.223372036854775807e18) in
-  {
-    plan_name = Printf.sprintf "p=%.3f" p;
-    fire =
-      (fun ~op_index ->
-        let h = Ffault_prng.Splitmix.hash (Int64.add seed (Int64.of_int op_index)) in
-        (* use the low 63 bits as a uniform non-negative draw *)
-        Int64.shift_right_logical h 1 < threshold);
-  }
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Faulty_cas.plan_probabilistic: p must lie in [0, 1]";
+  let plan_name = Printf.sprintf "p=%.3f" p in
+  (* p · 2^63 overflows at p = 1, so that plan skips the draw *)
+  if p = 1.0 then { plan_always with plan_name }
+  else
+    let threshold = Int64.of_float (p *. 9.223372036854775807e18) in
+    {
+      plan_name;
+      fire =
+        (fun ~op_index ->
+          let h = Ffault_prng.Splitmix.hash (Int64.add seed (Int64.of_int op_index)) in
+          (* use the low 63 bits as a uniform non-negative draw *)
+          Int64.shift_right_logical h 1 < threshold);
+    }
 
 let plan_first_n n = { plan_name = Printf.sprintf "first-%d" n; fire = (fun ~op_index -> op_index < n) }
 

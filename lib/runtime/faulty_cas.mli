@@ -26,7 +26,9 @@ val plan_always : plan
 
 val plan_probabilistic : seed:int64 -> p:float -> plan
 (** Fires on each op independently with probability [p], decided by a
-    stateless hash — deterministic given (seed, op index). *)
+    stateless hash — deterministic given (seed, op index). [p = 1]
+    fires on every op.
+    @raise Invalid_argument if [p] is NaN or outside [\[0, 1\]]. *)
 
 val plan_first_n : int -> plan
 val plan_every_kth : int -> plan

@@ -9,8 +9,6 @@ let create ?(threshold = 3) ~cells () =
   if cells < 0 then invalid_arg "Quarantine.create: cells < 0";
   { threshold; strikes = Array.init cells (fun _ -> Atomic.make 0) }
 
-let threshold t = t.threshold
-
 let strike t ~cell =
   let after = Atomic.fetch_and_add t.strikes.(cell) 1 + 1 in
   (* Exactly one racing striker observes the crossing count. *)

@@ -1,11 +1,3 @@
-type classification = Transient_infra | Deterministic_protocol
-
-let pp_classification ppf = function
-  | Transient_infra -> Fmt.string ppf "transient-infra"
-  | Deterministic_protocol -> Fmt.string ppf "deterministic-protocol"
-
-let classification_to_string = Fmt.to_to_string pp_classification
-
 type policy = { max_retries : int; base_backoff_ns : int; max_backoff_ns : int }
 
 let default_policy =
@@ -34,9 +26,3 @@ let backoff_ns p ~seed ~attempt =
     int_of_float (float_of_int nominal *. (0.5 +. (float_of_int frac /. 1073741824.0)))
   in
   min p.max_backoff_ns (max 1 perturbed)
-
-let classify p ~attempts_failed ~succeeded =
-  if attempts_failed = 0 then None
-  else if succeeded then Some Transient_infra
-  else if attempts_failed > p.max_retries then Some Deterministic_protocol
-  else None

@@ -1,25 +1,11 @@
-(** Bounded retry with seed-perturbed exponential backoff, and the
-    transient-infra / deterministic-protocol failure taxonomy.
+(** Bounded retry with seed-perturbed exponential backoff.
 
-    A timed-out or crashed trial is retried up to [max_retries] times.
-    Between attempts the worker backs off exponentially, with the delay
-    perturbed by a hash of (seed, attempt) — deterministic given the
-    trial seed, yet decorrelated across trials, so a pool of workers
-    retrying the same pathological cell does not thundering-herd.
-
-    Classification is outcome-based: a trial that eventually succeeds on
-    retry failed {e transiently} (scheduling starvation, machine load —
-    infrastructure, not protocol); a trial whose every attempt fails is
-    {e deterministic} — the protocol genuinely livelocks or hangs under
-    that cell's fault plan, and re-running it is pointless (it becomes a
-    quarantine strike). *)
-
-type classification =
-  | Transient_infra  (** a retry of the same trial succeeded *)
-  | Deterministic_protocol  (** every attempt failed — the trial itself is the problem *)
-
-val pp_classification : Format.formatter -> classification -> unit
-val classification_to_string : classification -> string
+    The campaign pool retries a timed-out trial, and a worker its
+    failed connect, up to [max_retries] times. Between attempts the
+    caller backs off exponentially, with the delay perturbed by a hash
+    of (seed, attempt) — deterministic given the seed, yet decorrelated
+    across trials, so a pool of workers retrying the same pathological
+    cell does not thundering-herd. *)
 
 type policy = {
   max_retries : int;  (** extra attempts after the first failure *)
@@ -38,9 +24,3 @@ val backoff_ns : policy -> seed:int64 -> attempt:int -> int
 (** Delay before retry [attempt] (1-based): [base · 2^(attempt-1)],
     perturbed to [0.5×..1.5×] by a hash of (seed, attempt), capped at
     [max_backoff_ns]. Pure. *)
-
-val classify : policy -> attempts_failed:int -> succeeded:bool -> classification option
-(** Judge a finished retry sequence: [None] while undecided (no failure
-    at all), [Some Transient_infra] if it failed then succeeded,
-    [Some Deterministic_protocol] if it burned every attempt
-    ([attempts_failed > max_retries]) without success. *)

@@ -2,7 +2,7 @@
     timestamps, optional key/value fields, JSONL rendering.
 
     Where {!Metrics} counts and {!Tracer} times, [Events] narrates:
-    worker joins, lease churn, watchdog verdicts — the discrete
+    worker joins, lease churn, heartbeat-silence drops — the discrete
     lifecycle facts an operator greps for. Each log is an instance (the
     coordinator owns one per campaign) with an injectable clock, so the
     netsim driver can feed one under virtual time and the resulting

@@ -14,11 +14,19 @@ set -eu
 ROOT=_campaigns
 BIN=_build/default/bin/main.exe
 # grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 10000 trials.
-# Big enough that the sleep below reliably interrupts it mid-flight
-# (the engine clears ~25k trials/s on a fast machine).
 TOTAL=40000
+# The kill lands once the journal holds KILL_AT lines (16 groups of 64),
+# however fast the host: a kill on a timer would miss the run on a host
+# fast enough to finish first.
+KILL_AT=1024
+WAIT_S=60
 
 dune build bin/main.exe
+
+# Lines in the current leg's journal (0 before the run creates it).
+journaled() {
+  if [ -f "$DIR/journal.jsonl" ]; then wc -l <"$DIR/journal.jsonl"; else echo 0; fi
+}
 
 # kill_and_resume NAME DOMAINS
 kill_and_resume() {
@@ -31,11 +39,19 @@ kill_and_resume() {
   "$BIN" campaign run --name "$NAME" --protocol fig3 \
     -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 10000 --domains "$2" --quiet &
   PID=$!
-  sleep 0.3
+  GIVE_UP=$(($(date +%s) + WAIT_S))
+  while [ "$(journaled)" -lt "$KILL_AT" ] && kill -0 "$PID" 2>/dev/null; do
+    if [ "$(date +%s)" -gt "$GIVE_UP" ]; then
+      kill -9 "$PID" 2>/dev/null || true
+      echo "chaos-smoke FAILED ($2-domain leg): the journal held under $KILL_AT lines after ${WAIT_S}s" >&2
+      exit 1
+    fi
+    sleep 0.01
+  done
   kill -9 "$PID" 2>/dev/null || true
   wait "$PID" 2>/dev/null || true
 
-  BEFORE=$(wc -l <"$DIR/journal.jsonl" 2>/dev/null || echo 0)
+  BEFORE=$(journaled)
   if [ "$BEFORE" -ge "$TOTAL" ]; then
     echo "chaos-smoke FAILED ($2-domain leg): campaign finished before the kill ($BEFORE trials); raise --trials" >&2
     exit 1

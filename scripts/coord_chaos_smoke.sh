@@ -27,7 +27,8 @@ serve() {
   # Identical flags both incarnations, plus whatever the caller adds
   # (--resume). Short lease timeout keeps the epoch-1 leases from
   # stalling the resumed run; the heartbeat cadence bounds how long a
-  # worker can go silent before the watchdog requeues its shard.
+  # worker can go silent before the heartbeat-silence drop requeues its
+  # shard.
   "$BIN" campaign serve --name "$NAME" --protocol fig3 \
     --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 25000 \
     --listen "unix:$SOCK" --status "unix:$STATUS_SOCK" \

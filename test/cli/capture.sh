@@ -44,6 +44,12 @@ run explore --protocol fig3 -t 0
 run explore --protocol fig1 -n 0
 run replay --decisions 1,x
 run experiment E99
+run multicore --deadline 0
+run multicore --domains 0
+run multicore --runs 0
+run multicore --rate 2
+run multicore -f 0
+run multicore -t 0
 run campaign run --rates 2
 run campaign run --rates 2 --deadline 0
 run campaign run --protocol herlihy -f 1 -n 2 --rates nan --trials 5

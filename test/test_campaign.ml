@@ -547,6 +547,12 @@ let test_pool_supervised_deadline_quarantine () =
   let spec = healthy_spec ~trials:20 ~name:"supervised" () in
   let n_cells = Grid.n_cells spec in
   let supervision = Pool.supervision ~deadline_s:1e-9 ~max_retries:1 ~quarantine_after:2 () in
+  let counter name =
+    Option.value ~default:0
+      (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ()) name)
+  in
+  let deterministic0 = counter "supervise.deterministic_protocol" in
+  let transient0 = counter "supervise.transient_infra" in
   let records = ref [] in
   let summary =
     Pool.run_trials ~domains:1 ~supervision
@@ -555,6 +561,9 @@ let test_pool_supervised_deadline_quarantine () =
   in
   (* per cell (sequential on 1 domain): 2 give-ups of 1 retry each, then
      the remaining 18 trials quarantined *)
+  check Alcotest.int "a give-up per strike" (2 * n_cells)
+    (counter "supervise.deterministic_protocol" - deterministic0);
+  check Alcotest.int "no retry succeeded" 0 (counter "supervise.transient_infra" - transient0);
   check Alcotest.int "every trial accounted" (Grid.total_trials spec) summary.Pool.executed;
   check Alcotest.int "no protocol verdicts" 0 summary.Pool.failures;
   check Alcotest.int "2 timeouts per cell" (2 * n_cells) summary.Pool.timeouts;

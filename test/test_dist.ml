@@ -791,13 +791,6 @@ let test_silent_client_dropped () =
   let spec = Spec.v ~name:"silence" ~protocol:"fig1" ~trials:32 () in
   let st = Checkpoint.fresh ~total:(Grid.total_trials spec) in
   let clock, advance = fake_clock 0 in
-  let flags () =
-    Option.value ~default:0
-      (Ffault_telemetry.Metrics.find_counter
-         (Ffault_telemetry.Metrics.snapshot ())
-         "supervise.watchdog_flags")
-  in
-  let flags_before = flags () in
   let events = ref [] and dropped = ref [] in
   let core =
     Core.create ~clock ~io:fake_io
@@ -831,8 +824,100 @@ let test_silent_client_dropped () =
   check Alcotest.bool "chatty client kept" false (Core.dropped chatty);
   check Alcotest.bool "drop reason" true
     (List.mem "worker w-silent left (heartbeat silence (watchdog))" !events);
-  check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected;
-  check Alcotest.int "no watchdog flags" flags_before (flags ())
+  check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected
+
+(* A Core over [fake_io] with a 2 s lease timeout and [max_workers]
+   heartbeat slots, on [clock]; [dropped] collects dropped clients,
+   newest first. *)
+let slot_core ?clock ~dropped ~max_workers () =
+  let spec = Spec.v ~name:"slots" ~protocol:"fig1" ~trials:32 () in
+  let st = Checkpoint.fresh ~total:(Grid.total_trials spec) in
+  Core.create ?clock ~io:fake_io
+    ~append:(fun _ -> ())
+    ~on_drop:(fun c -> dropped := Core.conn c :: !dropped)
+    ~st ~spec ~lease_trials:16 ~lease_timeout_s:2.0 ~hb_interval_s:0.5 ~max_workers
+    ~supervision:Codec.no_supervision ()
+
+let say_hello core cl =
+  Core.deliver core cl
+    (Codec.to_frame
+       (Codec.Hello { version = Wire.version; name = Core.conn cl; domains = 1; last_epoch = 0 }))
+
+let say_heartbeat core cl =
+  Core.deliver core cl (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = None }))
+
+(* The heartbeat-slot rules with a single slot, in virtual time: a worker
+   that joins while the slot is held gets none, so its silence drops
+   nothing; once the holder is dropped, the next worker to say Hello
+   takes the freed slot and is dropped when silent past the lease
+   timeout, while the slotless worker stays. *)
+let test_core_heartbeat_slots () =
+  let clock, advance = fake_clock 0 in
+  let dropped = ref [] in
+  let core = slot_core ~clock ~dropped ~max_workers:1 () in
+  let join name =
+    let cl = Core.add_client core name in
+    say_hello core cl;
+    cl
+  in
+  let holder = join "w-holder" in
+  let slotless = join "w-slotless" in
+  for _ = 1 to 10 do
+    advance 500_000_000;
+    say_heartbeat core holder;
+    Core.tick core
+  done;
+  check (Alcotest.list Alcotest.string) "a slotless silence drops nothing" [] !dropped;
+  advance 2_000_000_001;
+  Core.tick core;
+  check (Alcotest.list Alcotest.string) "the silent holder dropped" [ "w-holder" ] !dropped;
+  let next = join "w-next" in
+  advance 2_000_000_000;
+  Core.tick core;
+  check Alcotest.bool "the next Hello holds the freed slot" false (Core.dropped next);
+  advance 1;
+  Core.tick core;
+  check (Alcotest.list Alcotest.string) "its silence drops it" [ "w-next"; "w-holder" ]
+    !dropped;
+  check Alcotest.bool "the slotless worker stays" false (Core.dropped slotless);
+  check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected
+
+(* Heartbeats live in Core as one clock stamp per slot. The Hello that
+   takes a slot stamps it, every later frame re-stamps it, and [tick]
+   drops a holder whose stamp is older than the lease timeout: 1 ns
+   past it, no sooner. A client that never said Hello holds no slot and
+   is never judged, and each slot ages on its own. *)
+let test_heartbeat_beats_and_ages () =
+  let clock, advance = fake_clock 1_000 in
+  let dropped = ref [] in
+  let core = slot_core ~clock ~dropped ~max_workers:2 () in
+  let tick_drops what expected =
+    Core.tick core;
+    check (Alcotest.list Alcotest.string) what expected !dropped
+  in
+  let a = Core.add_client core "w-a" in
+  advance 10_000_000_000;
+  tick_drops "never beat, never judged" [];
+  say_hello core a;
+  advance 250_000_000;
+  let b = Core.add_client core "w-b" in
+  say_hello core b;
+  advance 1_750_000_000;
+  tick_drops "an age of exactly the timeout is not silence" [];
+  say_heartbeat core a;
+  advance 250_000_000;
+  tick_drops "the other slot still at the timeout" [];
+  advance 1;
+  tick_drops "the other slot ages on its own" [ "w-b" ];
+  advance 1_749_999_999;
+  tick_drops "the re-beat reset the age" [ "w-b" ];
+  advance 1;
+  tick_drops "aged from the re-beat" [ "w-a"; "w-b" ]
+
+let test_heartbeat_validation () =
+  let dropped = ref [] in
+  raises_invalid "no slots" (fun () -> slot_core ~dropped ~max_workers:0 ());
+  raises_invalid "negative slots" (fun () -> slot_core ~dropped ~max_workers:(-1) ())
 
 (* The coordinator's [supervise.heartbeats] counts Heartbeat frames, not
    frames: a worker that says Hello, asks for a lease, returns results
@@ -1402,6 +1487,14 @@ let suites =
         Alcotest.test_case "bye ends a worker's wait" `Quick test_bye_ends_wait;
         Alcotest.test_case "serve reads the flush beat" `Quick test_serve_reads_flush_beat;
         Alcotest.test_case "silent holder expires" `Quick test_serve_silent_holder_expires;
+      ] );
+    ("dist.core", [ Alcotest.test_case "heartbeat slots" `Quick test_core_heartbeat_slots ]);
+    (* named for lib/supervise, where the heartbeat lived before Core
+       took it over as per-slot stamps *)
+    ( "supervise.heartbeat",
+      [
+        Alcotest.test_case "beats and ages" `Quick test_heartbeat_beats_and_ages;
+        Alcotest.test_case "validation" `Quick test_heartbeat_validation;
       ] );
     ( "dist.transport",
       [

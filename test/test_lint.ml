@@ -439,6 +439,10 @@ let test_policy_scoping () =
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/live.ml");
   check Alcotest.bool "pool.ml has no allow" true
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/pool.ml");
+  check Alcotest.bool "quarantine.ml file-precise allow" false
+    (Policy.applies p ~rule:"raw-atomic" ~file:"lib/supervise/quarantine.ml");
+  check Alcotest.bool "retry.ml has no allow" true
+    (Policy.applies p ~rule:"raw-atomic" ~file:"lib/supervise/retry.ml");
   check Alcotest.bool "campaign otherwise checked" true
     (Policy.applies p ~rule:"raw-atomic" ~file:"lib/campaign/journal.ml")
 

@@ -128,7 +128,19 @@ let test_plan_probabilistic_rate () =
     if p.Faulty_cas.fire ~op_index:k then incr hits
   done;
   let rate = float_of_int !hits /. float_of_int n in
-  check Alcotest.bool "rate near 0.25" true (rate > 0.22 && rate < 0.28)
+  check Alcotest.bool "rate near 0.25" true (rate > 0.22 && rate < 0.28);
+  (* p = 1 is certainty, not an overflowed threshold that never fires *)
+  let certain = Faulty_cas.plan_probabilistic ~seed:11L ~p:1.0 in
+  for k = 0 to n - 1 do
+    if not (certain.Faulty_cas.fire ~op_index:k) then
+      Alcotest.failf "p = 1 skipped op %d" k
+  done;
+  List.iter
+    (fun p ->
+      match Faulty_cas.plan_probabilistic ~seed:11L ~p with
+      | _ -> Alcotest.failf "p = %g must be rejected" p
+      | exception Invalid_argument _ -> ())
+    [ 1.5; Float.nan ]
 
 (* ---- Runner ---- *)
 
@@ -338,6 +350,16 @@ let test_mc_config_validation () =
    with
   | _ -> Alcotest.fail "Hang without a deadline must be rejected"
   | exception Invalid_argument _ -> ());
+  List.iter
+    (fun protocol ->
+      match Consensus_mc.config ~n_domains:2 protocol with
+      | _ -> Alcotest.failf "%a must be rejected" Consensus_mc.pp_protocol protocol
+      | exception Invalid_argument _ -> ())
+    [
+      Consensus_mc.Sweep 0;
+      Consensus_mc.Staged { f = 0; t = 1 };
+      Consensus_mc.Staged { f = 2; t = 0 };
+    ];
   match Consensus_mc.config ~deadline_s:0.0 ~n_domains:2 Consensus_mc.Single_cas with
   | _ -> Alcotest.fail "non-positive deadline must be rejected"
   | exception Invalid_argument _ -> ()
@@ -363,26 +385,11 @@ let test_mc_hang_times_out () =
        0 r.Consensus_mc.outcomes);
   (* agreed/valid quantify over the decided subset only *)
   check Alcotest.bool "no verdict from truncated domains" true
-    (r.Consensus_mc.agreed && r.Consensus_mc.valid)
-
-let test_mc_external_cancel () =
-  (* An external token (the watchdog's lever) aborts the trial even with
-     no deadline configured. *)
-  let cancel = Cancel.create () in
-  Cancel.cancel cancel ~reason:"harness abort";
-  let cfg =
-    Consensus_mc.config
-      ~plan_for:(fun _ -> Faulty_cas.plan_always)
-      ~n_domains:2
-      (Consensus_mc.Staged { f = 1; t = 1 })
-  in
-  let r = Consensus_mc.execute ~cancel cfg in
-  check Alcotest.bool "every faulting domain observed the cancel or decided" true
-    (r.Consensus_mc.timeouts >= 0);
+    (r.Consensus_mc.agreed && r.Consensus_mc.valid);
   Array.iter
     (function
       | Consensus_mc.Timed_out reason ->
-          check Alcotest.string "carries the external reason" "harness abort" reason
+          check Alcotest.string "carries the token's reason" "deadline exceeded" reason
       | Consensus_mc.Decided _ -> ())
     r.Consensus_mc.outcomes
 
@@ -437,6 +444,5 @@ let suites =
         Alcotest.test_case "naive breaks" `Slow test_mc_naive_breaks;
         Alcotest.test_case "config validation" `Quick test_mc_config_validation;
         Alcotest.test_case "hang times out" `Quick test_mc_hang_times_out;
-        Alcotest.test_case "external cancel" `Quick test_mc_external_cancel;
       ] );
   ]
