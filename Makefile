@@ -1,6 +1,6 @@
 # Convenience targets for the ffault reproduction.
 
-.PHONY: all build test lint lint-json experiments experiments-quick bench bench-smoke examples campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke check clean
+.PHONY: all build test lint lint-json experiments experiments-quick bench bench-smoke examples campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke mem-smoke check clean
 
 all: build
 
@@ -25,7 +25,7 @@ lint-json:
 	dune exec bin/main.exe -- lint --format json
 
 # The full local gate: what CI runs, minus the artifact uploads.
-check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke bench-smoke
+check: build test lint campaign-smoke chaos-smoke dist-chaos-smoke coord-chaos-smoke netsim-smoke recover-smoke mem-smoke bench-smoke
 
 experiments:
 	dune exec bin/main.exe -- experiment
@@ -112,6 +112,14 @@ coord-chaos-smoke:
 # journal exactly-once. See doc/RECOVERY.md.
 recover-smoke:
 	sh scripts/recover_smoke.sh
+
+# Memory stays flat over a long crash or hang campaign: the engine
+# unwinds every process it abandons. A crash grid and a hang grid each
+# run twice on 2 domains, the second time ten times as long; a leg
+# fails when the longer run's peak RSS (telemetry.json's
+# `process.peak_rss_kb`) exceeds the shorter one's by over 16 MiB.
+mem-smoke:
+	sh scripts/mem_smoke.sh
 
 # The fencing self-test sweep stops at its first catch (seed 2 hits at
 # schedule 7); the 50-schedule bound is headroom, not the usual cost.

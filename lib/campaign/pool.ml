@@ -336,7 +336,7 @@ let run_dir ?domains ?supervision ?(resume = false) ?on_skip ?(observe = fun _ -
   | summary ->
       finally ();
       (* persist the run's metrics so `campaign report` can embed them *)
-      Telemetry_io.write ~dir (Ffault_telemetry.Metrics.snapshot ());
+      Telemetry_io.write ~dir (Telemetry_io.snapshot ());
       Ok summary
   | exception e ->
       finally ();

@@ -1,5 +1,27 @@
 module Metrics = Ffault_telemetry.Metrics
 
+let g_peak_rss = Metrics.gauge "process.peak_rss_kb"
+
+(* The [VmHWM:] line of /proc/self/status ("VmHWM:\t   23384 kB"); 0 where
+   the file cannot be read or holds no such line. *)
+let peak_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0
+  | status ->
+      String.split_on_char '\n' status
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ "VmHWM"; v ] -> (
+                 match String.split_on_char ' ' (String.trim v) with
+                 | kb :: _ -> int_of_string_opt kb
+                 | [] -> None)
+             | _ -> None)
+      |> Option.value ~default:0
+
+let snapshot () =
+  Metrics.set_gauge g_peak_rss (peak_rss_kb ());
+  Metrics.snapshot ()
+
 let to_json (s : Metrics.snapshot) =
   Json.Obj
     [

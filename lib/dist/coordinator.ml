@@ -202,7 +202,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
       Events.emit events ~scope:"dist" "campaign complete";
       finish ();
       let summary = Core.summary core ~wall_s:(Unix.gettimeofday () -. started) in
-      Campaign.Telemetry_io.write ~dir (Metrics.snapshot ());
+      Campaign.Telemetry_io.write ~dir (Campaign.Telemetry_io.snapshot ());
       Checkpoint.write_atomic
         ~path:(Checkpoint.workers_path ~dir)
         (Json.to_string (Core.workers_json summary) ^ "\n");

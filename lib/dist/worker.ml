@@ -93,13 +93,14 @@ module Protocol = struct
 end
 
 (* The observability payload of one beat: the current metrics snapshot
-   (cheap — a few hundred counter reads) and, when tracing, whatever
+   (cheap — a few hundred counter reads and one read of
+   /proc/self/status for the peak-RSS gauge) and, when tracing, whatever
    spans accumulated since the last beat (pid-less Chrome shape — the
    coordinator's merge assigns the pid row). [keep] also records the
    spans locally so [--trace] can write this worker's own file at the
    end. *)
 let piggyback ~keep () =
-  let snapshot = Some (Telemetry_io.to_json (Metrics.snapshot ())) in
+  let snapshot = Some (Telemetry_io.to_json (Telemetry_io.snapshot ())) in
   let spans =
     if not (Tracer.enabled ()) then None
     else

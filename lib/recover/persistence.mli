@@ -1,9 +1,11 @@
 (** The memory split under crash-restart faults.
 
     A crash wipes the crashing process's {e private} state — its
-    continuation, locals, and program counter — unconditionally. What
-    happens to the {e shared} [Ffault_objects] state is the persistence
-    mode:
+    continuation, locals, and program counter — unconditionally: the
+    engine unwinds the old incarnation (its stack is freed, and nothing
+    it does while unwinding is recorded) before the recovery section
+    starts. What happens to the {e shared} [Ffault_objects] state is the
+    persistence mode:
 
     - {!Persist_all}: every shared object is NVM-persistent; crashes
       cannot lose committed shared writes (Golab's full-persistence

@@ -183,6 +183,16 @@ let rec mem_kind fk = function
 
 let rec mem_proc p = function [] -> false | q :: rest -> Int.equal p q || mem_proc p rest
 
+(* Raised into a process the engine abandons, so that its fiber unwinds
+   and gives its stack back: a continuation that is never resumed keeps
+   its stack until the program exits. Private to the engine. *)
+exception Unwind
+
+(* What an unwinding process's operations get: nothing. The continuation
+   is dropped, so a body that catches [Unwind] and invokes again ends its
+   unwinding there instead of looping the engine. *)
+let drop = Some (fun (_ : (Value.t, unit) Effect.Deep.continuation) -> ())
+
 let run_with_driver ?recovery cfg driver ~bodies =
   let world = cfg.world in
   let n = World.n_procs world in
@@ -215,6 +225,10 @@ let run_with_driver ?recovery cfg driver ~bodies =
      [Effect.Deep.continue] re-enter the same handler. *)
   let parked_obj = Array.make n (Obj_id.of_int 0) in
   let parked_op = Array.make n Op.Read in
+  (* The process being unwound, or -1. Its handler records nothing while
+     it unwinds: [retc] and [exnc] write no status, and its operations
+     are dropped. *)
+  let unwinding = ref (-1) in
   let handler proc =
     let park =
       Some
@@ -222,19 +236,33 @@ let run_with_driver ?recovery cfg driver ~bodies =
           statuses.(proc) <- Pending { obj = parked_obj.(proc); op = parked_op.(proc); k })
     in
     {
-      Effect.Deep.retc = (fun v -> statuses.(proc) <- Finished v);
-      exnc = (fun e -> statuses.(proc) <- Failed (Printexc.to_string e));
+      Effect.Deep.retc = (fun v -> if !unwinding <> proc then statuses.(proc) <- Finished v);
+      exnc =
+        (fun e -> if !unwinding <> proc then statuses.(proc) <- Failed (Printexc.to_string e));
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
           | Proc.Invoke (obj, op) ->
-              parked_obj.(proc) <- obj;
-              parked_op.(proc) <- op;
-              park
+              if !unwinding = proc then drop
+              else begin
+                parked_obj.(proc) <- obj;
+                parked_op.(proc) <- op;
+                park
+              end
           | _ -> None);
     }
   in
   let handlers = Array.init n handler in
+  (* Unwind [proc] if it is parked at an operation; its status stays as
+     it was. *)
+  let abandon proc =
+    match statuses.(proc) with
+    | Pending { k; _ } ->
+        unwinding := proc;
+        Effect.Deep.discontinue k Unwind;
+        unwinding := -1
+    | Finished _ | Hung_at _ | Limited | Failed _ -> ()
+  in
   (* Launch a body; it runs to its first operation (captured as Pending),
      to completion, or to an exception. *)
   let start proc body = Effect.Deep.match_with body () handlers.(proc) in
@@ -341,9 +369,6 @@ let run_with_driver ?recovery cfg driver ~bodies =
       | Crash_plan.Linearize -> correct.Semantics.post_state
     in
     obj_states.(oi) <- post;
-    (* The captured continuation is dropped, never resumed: that IS the
-       crash — program counter and locals are gone (same mechanism as a
-       nonresponsive hang, but the process comes back below). *)
     emit
       (Trace.Proc_crash
          { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post; effect });
@@ -377,7 +402,12 @@ let run_with_driver ?recovery cfg driver ~bodies =
     | Persistence.Persist_all | Persistence.Persist_lossy -> ());
     last_write.(proc) <- None;
     emit (Trace.Restart { step = !step_counter; proc });
-    start proc ((Option.get recovery) proc);
+    let recover = (Option.get recovery) proc in
+    (* The captured continuation is unwound, never resumed: that IS the
+       crash — program counter and locals are gone (same mechanism as a
+       nonresponsive hang, but the process comes back here). *)
+    abandon proc;
+    start proc recover;
     settled proc
   in
 
@@ -421,6 +451,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
                 | Ok Faulty_semantics.Hangs ->
                     Budget.charge cfg.budget obj;
                     Metrics.incr (m_fault_of fk);
+                    abandon proc;
                     statuses.(proc) <- Hung_at { obj; op };
                     emit (Trace.Hang { step = !step_counter; proc; obj; op })
                 | Ok (Faulty_semantics.Outcome o) ->
@@ -472,6 +503,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
             invalid_arg (Fmt.str "Engine: scheduler picked disabled process p%d" proc);
           steps_taken.(proc) <- steps_taken.(proc) + 1;
           if steps_taken.(proc) > cfg.max_steps_per_proc then begin
+            abandon proc;
             statuses.(proc) <- Limited;
             emit (Trace.Step_limit_hit { step = !step_counter; proc })
           end
@@ -483,7 +515,12 @@ let run_with_driver ?recovery cfg driver ~bodies =
   in
   Fun.protect
     ~finally:(fun () ->
-      (* flush even when an injector/scheduler raises through the loop *)
+      (* Runs whether the loop ended or an injector/scheduler raised
+         through it: unwind every process still parked (its status stays
+         [Pending]), and flush the counters. *)
+      for i = 0 to n - 1 do
+        abandon i
+      done;
       if !step_counter > 0 then Metrics.add m_steps !step_counter;
       if !cas_attempts > 0 then Metrics.add m_cas !cas_attempts)
     loop;

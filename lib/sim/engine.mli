@@ -15,7 +15,20 @@
     Two entry points: {!run} (strategy mode: a {!Scheduler.t} plus an
     {!Ffault_fault.Injector.t} drive the nondeterminism) and
     {!run_with_driver} (the model checker supplies every choice and sees
-    every branch point). *)
+    every branch point).
+
+    {b Abandoned processes are unwound.} The engine gives up on a
+    process at a crash-restart (the old incarnation), at a nonresponsive
+    hang, at the per-process step limit, and, when the run ends or an
+    exception leaves it, on every process still parked at an operation.
+    It raises an exception private to the engine at the process's
+    pending operation, so the process's stack unwinds ([Fun.protect]
+    finalizers run) and its memory is freed; a process left suspended
+    would keep its stack until the program exits. Nothing an unwinding
+    process does is recorded: a value it returns or an exception it
+    raises sets no outcome, and an operation it invokes is dropped, never
+    executed or resumed. A body that catches every exception therefore
+    changes nothing, and cannot keep the run going. *)
 
 open Ffault_objects
 module Fault = Ffault_fault
@@ -131,8 +144,8 @@ val run_with_driver :
     engine start.
 
     [recovery i] is process i's {e recovery section}: the program a
-    crash-restarted process re-enters (its original continuation is gone
-    with the crash). Supplying it arms crash-restart faults — the driver's
+    crash-restarted process re-enters (its old incarnation is unwound
+    first, as above). Supplying it arms crash-restart faults — the driver's
     outcome menus gain [Crash_point] entries wherever the budget's
     per-process crash cap ([Fault.Budget.crash_bound]) has headroom. Without
     it no crash is ever offered and behaviour is exactly as before.

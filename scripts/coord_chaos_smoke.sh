@@ -1,5 +1,5 @@
 #!/bin/sh
-# Coordinator chaos smoke: three workers grind a 100k-trial grid, the
+# Coordinator chaos smoke: three workers grind a 300k-trial grid, the
 # live COORDINATOR is SIGKILLed mid-campaign, and a `serve --resume` of
 # the same campaign must finish it — epoch-fenced against the dead
 # incarnation's leases, recovering the lease table from the journal.
@@ -17,11 +17,32 @@ BIN=_build/default/bin/main.exe
 SOCK="${TMPDIR:-/tmp}/ffault-coord-chaos-$$.sock"
 STATUS_SOCK="${TMPDIR:-/tmp}/ffault-coord-chaos-status-$$.sock"
 SCRAPES="$DIR/scrapes"
-# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 25000 trials.
-# Sized so the resumed half runs for several seconds: it must outlast
-# the slowest worker's reconnect backoff (~2 s after the kill), or a
-# worker that reattaches late finds the campaign already over.
-TOTAL=100000
+# grid: f in 1..2 (2) x rates 0.3,0.6 (2) = 4 cells x 75000 trials.
+TOTAL=300000
+# The kill lands once the journal holds KILL_AT lines and all three
+# workers are attached, however fast the host. The resumed half then
+# runs the rest (about 285,000 trials), which must take longer than a worker's
+# worst-case reconnect wait: under Worker.default_retry's backoff
+# (250 ms doubling, each delay drawn from 0.5x to 1.5x) the third retry
+# fires up to ~2.6 s after the session is lost, and a worker that
+# reattaches after the campaign ended fails the check below. On a
+# 2-CPU host the resumed half took 4.7–5.1 s (four runs).
+KILL_AT=10000
+WAIT_S=60
+
+SERVE_PID=
+W1=
+W2=
+W3=
+# On every exit path: no coordinator or worker outlives the script.
+cleanup() {
+  for pid in $SERVE_PID $W1 $W2 $W3; do
+    kill -9 "$pid" 2>/dev/null || true
+  done
+  rm -f "$SOCK" "$STATUS_SOCK"
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM HUP
 
 serve() {
   # Identical flags both incarnations, plus whatever the caller adds
@@ -30,7 +51,7 @@ serve() {
   # worker can go silent before the heartbeat-silence drop requeues its
   # shard.
   "$BIN" campaign serve --name "$NAME" --protocol fig3 \
-    --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 25000 \
+    --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 75000 \
     --listen "unix:$SOCK" --status "unix:$STATUS_SOCK" \
     --lease-trials 500 --lease-timeout 2 \
     --hb-interval 0.5 --quiet "$@" &
@@ -38,6 +59,17 @@ serve() {
 
 status_get() {
   "$BIN" campaign status --connect "unix:$STATUS_SOCK" --get "$1"
+}
+
+# Lines in the journal (0 before the coordinator creates it).
+journaled() {
+  if [ -f "$DIR/journal.jsonl" ]; then wc -l <"$DIR/journal.jsonl"; else echo 0; fi
+}
+
+# Whether the /workers scrape $1 lists all three workers.
+all_attached() {
+  grep -q '"name":"chaos-w1"' "$1" && grep -q '"name":"chaos-w2"' "$1" \
+    && grep -q '"name":"chaos-w3"' "$1"
 }
 
 dune build bin/main.exe
@@ -53,7 +85,6 @@ while [ ! -S "$SOCK" ]; do
   tries=$((tries + 1))
   if [ "$tries" -gt 100 ]; then
     echo "coord-chaos-smoke FAILED: coordinator never listened on $SOCK" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
     exit 1
   fi
   sleep 0.1
@@ -68,9 +99,20 @@ W2=$!
 "$BIN" worker --connect "unix:$SOCK" --name chaos-w3 --domains 2 --quiet > "$SCRAPES/w3.out" &
 W3=$!
 
-# Let the campaign get moving, then snapshot epoch 1: the ownership
+# Let the campaign get moving until the journal holds KILL_AT lines and
+# every worker holds a session, then snapshot epoch 1: the ownership
 # file and a live scrape.
-sleep 0.8
+GIVE_UP=$(($(date +%s) + WAIT_S))
+until [ "$(journaled)" -ge "$KILL_AT" ] \
+  && status_get /workers > "$SCRAPES/workers-epoch1.json" 2>/dev/null \
+  && all_attached "$SCRAPES/workers-epoch1.json"; do
+  if ! kill -0 "$SERVE_PID" 2>/dev/null; then break; fi
+  if [ "$(date +%s)" -gt "$GIVE_UP" ]; then
+    echo "coord-chaos-smoke FAILED: after ${WAIT_S}s the journal held $(journaled) lines (want $KILL_AT) or a worker was not attached" >&2
+    exit 1
+  fi
+  sleep 0.01
+done
 status_get /status > "$SCRAPES/status-epoch1.json"
 cp "$DIR/owner.json" "$SCRAPES/owner-epoch1.json"
 if ! grep -q '"epoch":1' "$SCRAPES/status-epoch1.json"; then
@@ -80,19 +122,21 @@ if ! grep -q '"epoch":1' "$SCRAPES/status-epoch1.json"; then
 fi
 
 # Murder the coordinator mid-campaign.
-BEFORE=$(grep -c '"trial":' "$DIR/journal.jsonl" 2>/dev/null || echo 0)
+kill -9 "$SERVE_PID" 2>/dev/null || true
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=
+BEFORE=$(journaled)
 if [ "$BEFORE" -ge "$TOTAL" ]; then
   echo "coord-chaos-smoke FAILED: campaign finished before the kill ($BEFORE trials); raise --trials" >&2
   exit 1
 fi
-kill -9 "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
 echo "killed coordinator after ~$BEFORE journaled trials"
 
 # Leave the workers in the dark for a moment — they must be retrying,
-# not dead — then restart the campaign as the next incarnation.
+# not dead — then restart the campaign as the next incarnation. Its
+# summary line times the resumed half.
 sleep 0.5
-serve --resume
+serve --resume > "$SCRAPES/serve-epoch2.out"
 SERVE_PID=$!
 
 # The stale socket file survives the SIGKILL, so poll the status
@@ -130,36 +174,39 @@ tries=0
 while [ "$tries" -le 60 ] && kill -0 "$SERVE_PID" 2>/dev/null; do
   tries=$((tries + 1))
   if status_get /workers > "$SCRAPES/workers-postrestart.json" 2>/dev/null \
-    && grep -q '"name":"chaos-w1"' "$SCRAPES/workers-postrestart.json" \
-    && grep -q '"name":"chaos-w2"' "$SCRAPES/workers-postrestart.json" \
-    && grep -q '"name":"chaos-w3"' "$SCRAPES/workers-postrestart.json"; then
+    && all_attached "$SCRAPES/workers-postrestart.json"; then
     attached=1
     break
   fi
   sleep 0.1
 done
-SERVE_REAPED=0
 if [ "$attached" -ne 1 ]; then
   wait "$SERVE_PID"
-  SERVE_REAPED=1
+  SERVE_PID=
   cp "$DIR/workers.json" "$SCRAPES/workers-postrestart.json" 2>/dev/null || true
 fi
 for w in chaos-w1 chaos-w2 chaos-w3; do
   if ! grep -q "\"name\":\"$w\"" "$SCRAPES/workers-postrestart.json"; then
     echo "coord-chaos-smoke FAILED: $w not attached to the resumed coordinator" >&2
     cat "$SCRAPES/workers-postrestart.json" >&2
+    grep 'trials executed' "$SCRAPES/serve-epoch2.out" >&2 || true
     exit 1
   fi
 done
 
 # The resumed coordinator and the original worker processes must
 # converge on a complete journal.
-if [ "$SERVE_REAPED" -ne 1 ]; then wait "$SERVE_PID"; fi
+if [ -n "$SERVE_PID" ]; then
+  wait "$SERVE_PID"
+  SERVE_PID=
+fi
 WFAIL=0
 wait "$W1" || { echo "coord-chaos-smoke FAILED: chaos-w1 exited non-zero" >&2; WFAIL=1; }
 wait "$W2" || { echo "coord-chaos-smoke FAILED: chaos-w2 exited non-zero" >&2; WFAIL=1; }
 wait "$W3" || { echo "coord-chaos-smoke FAILED: chaos-w3 exited non-zero" >&2; WFAIL=1; }
-rm -f "$SOCK" "$STATUS_SOCK"
+W1=
+W2=
+W3=
 if [ "$WFAIL" -ne 0 ]; then
   cat "$SCRAPES"/w*.out >&2 || true
   exit 1
@@ -199,4 +246,5 @@ if ! grep -q 'Coordinator epoch 2: 1 restart(s)' "$DIR/report.md"; then
 fi
 
 echo "coord-chaos-smoke OK: $TOTAL trials exactly once; coordinator SIGKILLed at ~$BEFORE and resumed as epoch 2; 3 workers reattached without restarting"
+echo "  resumed half: $(grep 'trials executed' "$SCRAPES/serve-epoch2.out")"
 grep -o '[0-9]* reconnect(s)' "$SCRAPES"/w*.out | sed 's/^/  /'

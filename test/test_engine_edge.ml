@@ -444,27 +444,29 @@ let spin p () =
   in
   loop 0
 
+let spin_cfg ?interrupt ~max_steps_per_proc ~max_total_steps () =
+  let interrupt =
+    Option.map
+      (fun trip_at ->
+        let polls = ref 0 in
+        fun () ->
+          incr polls;
+          !polls >= trip_at)
+      interrupt
+  in
+  Engine.config
+    ~allowed_faults:Fault_kind.[ Overriding; Silent ]
+    ~max_steps_per_proc ~max_total_steps ?interrupt ~world:spin_world
+    ~budget:(Budget.create ~max_faulty_objects:1 ~max_faults_per_object:(Some 2) ())
+    ()
+
 let spin_runs ~max_steps_per_proc ~max_total_steps ?interrupt () =
   List.map
     (fun seed ppf ->
-      let budget = Budget.create ~max_faulty_objects:1 ~max_faults_per_object:(Some 2) () in
-      let interrupt =
-        match interrupt with
-        | None -> None
-        | Some trip_at ->
-            let polls = ref 0 in
-            Some
-              (fun () ->
-                incr polls;
-                !polls >= trip_at)
-      in
-      let cfg =
-        Engine.config
-          ~allowed_faults:Fault_kind.[ Overriding; Silent ]
-          ~max_steps_per_proc ~max_total_steps ?interrupt ~world:spin_world ~budget ()
-      in
       let r =
-        Engine.run_with_driver cfg (logging_driver ppf ~seed ~rate:0.3)
+        Engine.run_with_driver
+          (spin_cfg ?interrupt ~max_steps_per_proc ~max_total_steps ())
+          (logging_driver ppf ~seed ~rate:0.3)
           ~bodies:(Array.init 3 spin)
       in
       pp_result ~world:spin_world ppf r)
@@ -530,6 +532,163 @@ let test_engine_golden (name, runs, expected) () =
        change must keep these bytes; re-pin only for an intended change of behaviour."
       name actual expected
 
+(* ---- abandoned processes unwind ---- *)
+
+(* The engine gives up on a process at a crash-restart, a nonresponsive
+   hang, a step limit, an interrupt, or when its driver raises. Each such
+   incarnation must be unwound exactly once, and nothing it does while
+   unwinding may show in the run. The bodies below raise nothing of their
+   own, so an incarnation that leaves by an exception was unwound. *)
+
+type tally = { mutable started : int; mutable returned : int; mutable unwound : int }
+
+let counted tally work () =
+  tally.started <- tally.started + 1;
+  let returned = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !returned then tally.unwound <- tally.unwound + 1)
+    (fun () ->
+      let v = work () in
+      returned := true;
+      tally.returned <- tally.returned + 1;
+      v)
+
+(* Bodies that catch everything raised into them, then invoke again or
+   return a value instead of unwinding. *)
+let invokes_again work () = match work () with v -> v | exception _ -> Proc.read (oid 0)
+let returns_anyway work () = match work () with v -> v | exception _ -> i 42
+
+(* Incarnations a run gave up on, read from its result. *)
+let abandoned (r : Engine.result) =
+  let crashes =
+    List.length (List.filter (function Trace.Proc_crash _ -> true | _ -> false) r.Engine.trace)
+  in
+  Array.fold_left
+    (fun acc o ->
+      match o with
+      | Engine.Hung | Engine.Exhausted _ | Engine.Step_limited | Engine.Cancelled -> acc + 1
+      | Engine.Decided _ | Engine.Crashed _ -> acc)
+    crashes r.Engine.outcomes
+
+let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore
+
+(* Six CAS steps, each expecting what the last one on its object saw, so
+   that most of them write; then decide. *)
+let finite p () =
+  let seen = Array.make 2 Value.Bottom in
+  for k = 0 to 5 do
+    let o = k mod 2 and desired = i (p + k + 1) in
+    let old = Proc.cas (oid o) ~expected:seen.(o) ~desired in
+    seen.(o) <- (if Value.equal old seen.(o) then desired else old)
+  done;
+  i p
+
+(* Every seed of one scenario, each run four times: plain bodies, counted
+   ones, and both kinds that catch everything. Each incarnation of the
+   counted run ends exactly once, the abandoned ones by unwinding, and
+   all four runs render the same. Returns the plain results. *)
+let unwind_runs ?(rate = 0.5) ?recover ~cfg ~work () =
+  List.map
+    (fun seed ->
+      let run wrap =
+        let recovery = Option.map (fun r p -> wrap (r p)) recover in
+        Engine.run_with_driver ?recovery (cfg ())
+          (logging_driver quiet ~seed ~rate)
+          ~bodies:(Array.init 3 (fun p -> wrap (work p)))
+      in
+      let show r = render (fun ppf -> pp_result ~world:spin_world ppf r) in
+      let plain = run Fun.id in
+      let tally = { started = 0; returned = 0; unwound = 0 } in
+      let r = run (counted tally) in
+      check Alcotest.int "every abandoned incarnation unwound once" (abandoned r) tally.unwound;
+      check Alcotest.int "every incarnation ended once" tally.started
+        (tally.returned + tally.unwound);
+      check Alcotest.string "unwinding leaves no trace" (show plain) (show r);
+      check Alcotest.string "a body that invokes while unwinding" (show plain)
+        (show (run invokes_again));
+      check Alcotest.string "a body that returns while unwinding" (show plain)
+        (show (run returns_anyway));
+      plain)
+    seeds
+
+let test_unwind_crash () =
+  let cfg () =
+    Engine.config ~world:spin_world
+      ~budget:(Budget.create ~max_crashes_per_proc:2 ~max_faulty_objects:0
+                 ~max_faults_per_object:None ())
+      ()
+  in
+  let runs = unwind_runs ~recover:finite ~cfg ~work:finite () in
+  let crashed effect =
+    List.exists
+      (fun (r : Engine.result) ->
+        List.exists
+          (function
+            | Trace.Proc_crash c -> Crash_plan.equal_crash_effect c.effect effect | _ -> false)
+          r.Engine.trace)
+      runs
+  in
+  check Alcotest.bool "a crash vanished an op" true (crashed Crash_plan.Vanish);
+  check Alcotest.bool "a crash linearized an op" true (crashed Crash_plan.Linearize)
+
+let test_unwind_hang () =
+  let cfg () =
+    Engine.config ~allowed_faults:[ Fault_kind.Nonresponsive ] ~world:spin_world
+      ~budget:(Budget.create ~max_faulty_objects:2 ~max_faults_per_object:(Some 2) ())
+      ()
+  in
+  let runs = unwind_runs ~rate:0.3 ~cfg ~work:finite () in
+  check Alcotest.bool "some process hung" true
+    (List.exists
+       (fun (r : Engine.result) ->
+         Array.exists (function Engine.Hung -> true | _ -> false) r.Engine.outcomes)
+       runs)
+
+(* Spinning bodies are all still parked when a limit ends the run. *)
+let test_unwind_limit ~expect cfg () =
+  let runs = unwind_runs ~rate:0.3 ~cfg ~work:spin () in
+  List.iter
+    (fun (r : Engine.result) ->
+      Array.iter
+        (fun o ->
+          if not (expect o) then
+            Alcotest.failf "unexpected outcome %a" Engine.pp_proc_outcome o)
+        r.Engine.outcomes)
+    runs
+
+exception Driver_gave_up
+
+(* A driver that raises at step 10: every process is parked, and each
+   must be unwound before the exception leaves the engine. *)
+let test_unwind_driver_raises () =
+  let run wrap =
+    let d = logging_driver quiet ~seed:1L ~rate:0.3 in
+    let driver =
+      {
+        d with
+        Engine.choose_proc =
+          (fun ~enabled ~step ->
+            if step = 10 then raise Driver_gave_up;
+            d.Engine.choose_proc ~enabled ~step);
+      }
+    in
+    match
+      Engine.run_with_driver
+        (spin_cfg ~max_steps_per_proc:1000 ~max_total_steps:1000 ())
+        driver
+        ~bodies:(Array.init 3 (fun p -> wrap (spin p)))
+    with
+    | _ -> Alcotest.fail "the driver's exception was lost"
+    | exception Driver_gave_up -> ()
+  in
+  run Fun.id;
+  let tally = { started = 0; returned = 0; unwound = 0 } in
+  run (counted tally);
+  check Alcotest.int "all three unwound" 3 tally.unwound;
+  check Alcotest.int "none returned" 0 tally.returned;
+  run invokes_again;
+  run returns_anyway
+
 let suites =
   [
     ( "sim.engine-edge",
@@ -549,6 +708,24 @@ let suites =
         (fun ((name, _, _) as case) ->
           Alcotest.test_case name `Quick (test_engine_golden case))
         engine_golden );
+    ( "sim.engine-unwind",
+      [
+        Alcotest.test_case "crash-restart vanish and linearize" `Quick test_unwind_crash;
+        Alcotest.test_case "nonresponsive hang" `Quick test_unwind_hang;
+        Alcotest.test_case "per-process step limit" `Quick
+          (test_unwind_limit
+             ~expect:(function Engine.Exhausted _ -> true | _ -> false)
+             (spin_cfg ~max_steps_per_proc:7 ~max_total_steps:1000));
+        Alcotest.test_case "total step limit" `Quick
+          (test_unwind_limit
+             ~expect:(function Engine.Step_limited -> true | _ -> false)
+             (spin_cfg ~max_steps_per_proc:1000 ~max_total_steps:25));
+        Alcotest.test_case "interrupt" `Quick
+          (test_unwind_limit
+             ~expect:(function Engine.Cancelled -> true | _ -> false)
+             (spin_cfg ~interrupt:3 ~max_steps_per_proc:10_000 ~max_total_steps:100_000));
+        Alcotest.test_case "driver raises" `Quick test_unwind_driver_raises;
+      ] );
     ( "consensus.properties",
       [ qcheck prop_fig2_agreement_random_settings; qcheck prop_fig3_agreement_random_settings ]
     );
