@@ -5,6 +5,7 @@ module Engine = Ffault_sim.Engine
 module Budget = Ffault_fault.Budget
 module Value = Ffault_objects.Value
 module Metrics = Ffault_telemetry.Metrics
+module Clock = Ffault_telemetry.Clock
 module Tracer = Ffault_telemetry.Tracer
 module Stats = Ffault_stats.Summary
 module Retry = Ffault_supervise.Retry
@@ -222,7 +223,7 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
   let timeouts = ref 0 in
   let retried = ref 0 in
   let quarantined = ref 0 in
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ns () in
   (* A crash cell's trials run under a crash plan derived from the trial
      seed mixed with the spec's crash-seed, so --crash-seed re-rolls the
      crash schedules without touching the primitive-fault streams. *)
@@ -306,7 +307,7 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
     on_record record
   in
   Runner.run_tasks ~domains ~total:tasks ~worker ~consume ();
-  let wall_s = Unix.gettimeofday () -. started in
+  let wall_s = Clock.ns_to_s (Clock.now_ns () - started) in
   {
     total;
     executed = !executed;

@@ -6,6 +6,7 @@ module Dfs = Ffault_verify.Dfs
 module Injector = Ffault_fault.Injector
 module Crash_plan = Ffault_recover.Crash_plan
 module Protocol = Ffault_consensus.Protocol
+module Clock = Ffault_telemetry.Clock
 
 (* One trial = one engine run driven by a recorded random decision
    vector. Recording follows the Dfs convention exactly — an index into
@@ -88,7 +89,7 @@ let run_recorded ?interrupt ?crash_plan setup ~rate ~seed =
       after_step = (fun _ -> []);
     }
   in
-  let report = Check.run_with_driver ?interrupt setup driver in
+  let report = Check.run_with_driver ?interrupt ~trace:false setup driver in
   (report, Array.of_list (List.rev !decisions))
 
 let minimize setup decisions =
@@ -113,7 +114,7 @@ type result = {
 }
 
 let run_trial ?(shrink = true) ?interrupt ?crash_plan setup ~rate ~seed =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ns () in
   let report, decisions = run_recorded ?interrupt ?crash_plan setup ~rate ~seed in
   (* A cancelled run must never shrink or carry a witness: its decision
      vector was truncated by wall-clock, so it neither replays
@@ -126,7 +127,7 @@ let run_trial ?(shrink = true) ?interrupt ?crash_plan setup ~rate ~seed =
       | Some (shrunk, _) -> Some shrunk
       | None -> Some decisions
   in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. started) *. 1e9) in
+  let wall_ns = Clock.now_ns () - started in
   { report; decisions; witness; wall_ns }
 
 let replay setup decisions = Dfs.replay setup decisions

@@ -26,7 +26,11 @@ val run_recorded :
     by plan, never by [rate]. Equal (setup, rate, crash_plan, seed) give
     equal reports — unless [interrupt] (the engine's cancellation hook,
     see {!Ffault_sim.Engine}) fires, which truncates the run at a
-    wall-clock-dependent point. *)
+    wall-clock-dependent point.
+
+    The run is untraced: the report's [result.trace] is [[]], since a
+    campaign reads only its outcomes. {!replay} of the decision vector
+    gives the same run with its trace. *)
 
 val minimize :
   Ffault_verify.Consensus_check.setup -> int array -> (int array * Ffault_verify.Consensus_check.report) option
@@ -37,7 +41,7 @@ type result = {
   report : Ffault_verify.Consensus_check.report;
   decisions : int array;  (** the recorded vector *)
   witness : int array option;  (** shrunk vector when the trial failed *)
-  wall_ns : int;
+  wall_ns : int;  (** the trial's duration, on the monotonic clock *)
 }
 
 val run_trial :

@@ -5,6 +5,7 @@ module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Metrics = Ffault_telemetry.Metrics
 module Events = Ffault_telemetry.Events
+module Clock = Ffault_telemetry.Clock
 
 type config = {
   endpoint : Transport.endpoint;
@@ -147,7 +148,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
        (match status with
        | Some ep -> Fmt.str " (status on %s)" (Transport.endpoint_to_string ep)
        | None -> ""));
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ns () in
   let step () =
     let fds =
       (Transport.listener_fd listener
@@ -201,7 +202,7 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
   | () ->
       Events.emit events ~scope:"dist" "campaign complete";
       finish ();
-      let summary = Core.summary core ~wall_s:(Unix.gettimeofday () -. started) in
+      let summary = Core.summary core ~wall_s:(Clock.ns_to_s (Clock.now_ns () - started)) in
       Campaign.Telemetry_io.write ~dir (Campaign.Telemetry_io.snapshot ());
       Checkpoint.write_atomic
         ~path:(Checkpoint.workers_path ~dir)

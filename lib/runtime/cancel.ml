@@ -1,16 +1,12 @@
 module Clock = Ffault_telemetry.Clock
 
 type t = {
-  state : string option Atomic.t;
+  tripped : bool Atomic.t;
   deadline : int; (* absolute monotonic ns; max_int = none *)
   now : unit -> int;
-  is_never : bool;
 }
 
 exception Cancelled of string
-
-let never =
-  { state = Atomic.make None; deadline = max_int; now = (fun () -> 0); is_never = true }
 
 let create ?deadline_ns ?(now = Clock.now_ns) () =
   let deadline =
@@ -22,32 +18,22 @@ let create ?deadline_ns ?(now = Clock.now_ns) () =
         (* saturate: a huge relative deadline must not wrap negative *)
         if n > max_int - d then max_int else n + d
   in
-  { state = Atomic.make None; deadline; now; is_never = false }
+  { tripped = Atomic.make false; deadline; now }
+
+let never = create ()
 
 let after ~seconds =
   if not (Float.is_finite seconds) || seconds < 0.0 then
     invalid_arg "Cancel.after: seconds must be finite and non-negative";
   create ~deadline_ns:(int_of_float (seconds *. 1e9)) ()
 
-let trip t reason = ignore (Atomic.compare_and_set t.state None (Some reason))
-
-let cancel t ~reason =
-  if t.is_never then invalid_arg "Cancel.cancel: the shared `never' token";
-  trip t reason
-
 let cancelled t =
-  match Atomic.get t.state with
-  | Some _ -> true
-  | None ->
-      t.deadline <> max_int
-      && t.now () >= t.deadline
-      && begin
-           trip t "deadline exceeded";
-           true
-         end
+  Atomic.get t.tripped
+  || (t.deadline <> max_int
+     && t.now () >= t.deadline
+     && begin
+          Atomic.set t.tripped true;
+          true
+        end)
 
-let reason t = if cancelled t then Atomic.get t.state else None
-
-let check t =
-  if cancelled t then
-    raise (Cancelled (Option.value (Atomic.get t.state) ~default:"cancelled"))
+let check t = if cancelled t then raise (Cancelled "deadline exceeded")

@@ -193,7 +193,7 @@ exception Unwind
    unwinding there instead of looping the engine. *)
 let drop = Some (fun (_ : (Value.t, unit) Effect.Deep.continuation) -> ())
 
-let run_with_driver ?recovery cfg driver ~bodies =
+let run_with_driver ?recovery ?(trace = true) cfg driver ~bodies =
   let world = cfg.world in
   let n = World.n_procs world in
   if Array.length bodies <> n then
@@ -209,6 +209,8 @@ let run_with_driver ?recovery cfg driver ~bodies =
      pre, post): the write the lossy persistence mode may drop when that
      process crashes. Kept only in that mode, its one reader. *)
   let last_write = Array.make n None in
+  (* Every [emit] sits under [if trace], so an untraced run builds no
+     event record at all, not even one that is then dropped. *)
   let trace_rev = ref [] in
   let step_counter = ref 0 in
   let op_counter = ref 0 in
@@ -268,10 +270,11 @@ let run_with_driver ?recovery cfg driver ~bodies =
   let start proc body = Effect.Deep.match_with body () handlers.(proc) in
   (* Trace a process that has just decided or raised. *)
   let settled proc =
-    match statuses.(proc) with
-    | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
-    | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
-    | Pending _ | Hung_at _ | Limited -> ()
+    if trace then
+      match statuses.(proc) with
+      | Finished v -> emit (Trace.Decided { step = !step_counter; proc; value = v })
+      | Failed msg -> emit (Trace.Crashed { step = !step_counter; proc; error = msg })
+      | Pending _ | Hung_at _ | Limited -> ()
   in
   Array.iteri
     (fun i body ->
@@ -344,18 +347,19 @@ let run_with_driver ?recovery cfg driver ~bodies =
     let post = outcome.Semantics.post_state in
     obj_states.(oi) <- post;
     if lossy && not (Value.equal pre post) then last_write.(proc) <- Some (oi, pre, post);
-    emit
-      (Trace.Op_step
-         {
-           step = !step_counter;
-           proc;
-           obj;
-           op;
-           pre_state = pre;
-           post_state = post;
-           response = outcome.Semantics.response;
-           injected;
-         });
+    if trace then
+      emit
+        (Trace.Op_step
+           {
+             step = !step_counter;
+             proc;
+             obj;
+             op;
+             pre_state = pre;
+             post_state = post;
+             response = outcome.Semantics.response;
+             injected;
+           });
     Effect.Deep.continue k outcome.Semantics.response;
     settled proc
   in
@@ -369,9 +373,10 @@ let run_with_driver ?recovery cfg driver ~bodies =
       | Crash_plan.Linearize -> correct.Semantics.post_state
     in
     obj_states.(oi) <- post;
-    emit
-      (Trace.Proc_crash
-         { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post; effect });
+    if trace then
+      emit
+        (Trace.Proc_crash
+           { step = !step_counter; proc; obj; op; pre_state = pre; post_state = post; effect });
     (* Lossy persistence: the crashing process's most recent completed
        write may not have been flushed — roll it back if the object still
        holds that exact value. *)
@@ -380,9 +385,10 @@ let run_with_driver ?recovery cfg driver ~bodies =
        | Some (wi, wpre, wpost)
          when Value.equal obj_states.(wi) wpost && not (Value.equal wpre wpost) ->
            obj_states.(wi) <- wpre;
-           emit
-             (Trace.Nvm_loss
-                { step = !step_counter; obj = Obj_id.of_int wi; before = wpost; after = wpre })
+           if trace then
+             emit
+               (Trace.Nvm_loss
+                  { step = !step_counter; obj = Obj_id.of_int wi; before = wpost; after = wpre })
        | _ -> ());
     (* Volatile objects (not NVM-tagged) do not survive the crash: they
        revert to their initial value. *)
@@ -395,13 +401,14 @@ let run_with_driver ?recovery cfg driver ~bodies =
             let init = World.init_of world id in
             if not (Value.equal before init) then begin
               obj_states.(i) <- init;
-              emit (Trace.Nvm_loss { step = !step_counter; obj = id; before; after = init })
+              if trace then
+                emit (Trace.Nvm_loss { step = !step_counter; obj = id; before; after = init })
             end
           end
         done
     | Persistence.Persist_all | Persistence.Persist_lossy -> ());
     last_write.(proc) <- None;
-    emit (Trace.Restart { step = !step_counter; proc });
+    if trace then emit (Trace.Restart { step = !step_counter; proc });
     let recover = (Option.get recovery) proc in
     (* The captured continuation is unwound, never resumed: that IS the
        crash — program counter and locals are gone (same mechanism as a
@@ -422,7 +429,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
         | Error e ->
             let error = Fmt.str "illegal operation: %a" Semantics.pp_error e in
             statuses.(proc) <- Failed error;
-            emit (Trace.Crashed { step = !step_counter; proc; error })
+            if trace then emit (Trace.Crashed { step = !step_counter; proc; error })
         | Ok correct -> (
             let ctx =
               {
@@ -453,7 +460,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
                     Metrics.incr (m_fault_of fk);
                     abandon proc;
                     statuses.(proc) <- Hung_at { obj; op };
-                    emit (Trace.Hang { step = !step_counter; proc; obj; op })
+                    if trace then emit (Trace.Hang { step = !step_counter; proc; obj; op })
                 | Ok (Faulty_semantics.Outcome o) ->
                     Budget.charge cfg.budget obj;
                     Metrics.incr (m_fault_of fk);
@@ -471,7 +478,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
       Budget.charge cfg.budget obj;
       Metrics.incr m_corruptions;
       obj_states.(oi) <- value;
-      emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
+      if trace then emit (Trace.Corruption { step = !step_counter; obj; before; after = value })
     end
   in
   let apply_data_faults () =
@@ -505,7 +512,7 @@ let run_with_driver ?recovery cfg driver ~bodies =
           if steps_taken.(proc) > cfg.max_steps_per_proc then begin
             abandon proc;
             statuses.(proc) <- Limited;
-            emit (Trace.Step_limit_hit { step = !step_counter; proc })
+            if trace then emit (Trace.Step_limit_hit { step = !step_counter; proc })
           end
           else exec_step proc;
           incr step_counter;

@@ -90,7 +90,7 @@ type result = {
   final_states : Value.t array;  (** object contents at the end *)
   steps_taken : int array;  (** operation steps executed per process *)
   total_steps : int;
-  trace : Trace.t;
+  trace : Trace.t;  (** [[]] when {!run_with_driver} ran with [~trace:false] *)
   budget : Fault.Budget.t;  (** final fault accounting *)
   total_limit_hit : bool;  (** [max_total_steps] exhausted with work left *)
   interrupted : bool;  (** the [interrupt] hook ended the run early *)
@@ -139,9 +139,20 @@ val config :
     [interrupt] never fires, [persistence] = [Persist_all]. *)
 
 val run_with_driver :
-  ?recovery:(int -> unit -> Value.t) -> config -> driver -> bodies:(unit -> Value.t) array -> result
+  ?recovery:(int -> unit -> Value.t) ->
+  ?trace:bool ->
+  config ->
+  driver ->
+  bodies:(unit -> Value.t) array ->
+  result
 (** [bodies.(i)] is process i's program; it runs to its first operation at
     engine start.
+
+    [trace] (default [true]) asks for the execution trace. With [false]
+    the result's [trace] is [[]] and no event is built, and nothing else
+    changes: outcomes, final states, step counts, budget charges and the
+    sequence of driver calls are those of the traced run. A campaign
+    trial, which reads outcomes only, runs untraced.
 
     [recovery i] is process i's {e recovery section}: the program a
     crash-restarted process re-enters (its old incarnation is unwound

@@ -64,9 +64,6 @@ let pp_event ~world ppf = function
 
 let pp ~world ppf t = Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut (pp_event ~world)) t
 
-let op_steps t =
-  List.fold_left (fun acc -> function Op_step _ -> acc + 1 | _ -> acc) 0 t
-
 let injected_faults t =
   List.filter_map
     (function
@@ -76,12 +73,6 @@ let injected_faults t =
       | Nvm_loss _ | Restart _ ->
           None)
     t
-
-let crash_count t =
-  List.fold_left (fun acc -> function Proc_crash _ -> acc + 1 | _ -> acc) 0 t
-
-let restart_count t =
-  List.fold_left (fun acc -> function Restart _ -> acc + 1 | _ -> acc) 0 t
 
 type audit_error = { at_step : int; reason : string }
 

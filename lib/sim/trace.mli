@@ -54,20 +54,10 @@ type t = event list
 val pp_event : world:World.t -> Format.formatter -> event -> unit
 val pp : world:World.t -> Format.formatter -> t -> unit
 
-val op_steps : t -> int
-(** Number of [Op_step] events. *)
-
 val injected_faults : t -> (Obj_id.t * Ffault_fault.Fault_kind.t) list
 (** Primitive fault injections in order (from [Op_step.injected] and
-    [Hang]); crash-restarts are a process fault and counted separately by
-    {!crash_count}. *)
-
-val crash_count : t -> int
-(** Number of [Proc_crash] events. *)
-
-val restart_count : t -> int
-(** Number of [Restart] events (equal to {!crash_count} in engine-produced
-    traces: every crash restarts). *)
+    [Hang]); crash-restarts are a process fault, recorded as
+    [Proc_crash] events, and not listed here. *)
 
 type audit_error = { at_step : int; reason : string }
 

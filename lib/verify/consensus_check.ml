@@ -137,8 +137,8 @@ let run ?interrupt s ~scheduler ~injector ?data_faults () =
   let result = Engine.run cfg ~scheduler ~injector ?data_faults ~bodies () in
   { violations = check_result s result; result }
 
-let run_with_driver ?interrupt s driver =
+let run_with_driver ?interrupt ?trace s driver =
   let cfg = engine_config ?interrupt s in
   let bodies = Protocol.bodies s.protocol s.params ~inputs:s.inputs in
-  let result = Engine.run_with_driver ?recovery:(recovery_of s) cfg driver ~bodies in
+  let result = Engine.run_with_driver ?recovery:(recovery_of s) ?trace cfg driver ~bodies in
   { violations = check_result s result; result }

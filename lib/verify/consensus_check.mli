@@ -112,4 +112,10 @@ val run :
   unit ->
   report
 
-val run_with_driver : ?interrupt:(unit -> bool) -> setup -> Engine.driver -> report
+val run_with_driver :
+  ?interrupt:(unit -> bool) -> ?trace:bool -> setup -> Engine.driver -> report
+(** One run under [driver], crash menus armed when the setup has a
+    [recover] setting. [trace] (default [true]) is
+    {!Ffault_sim.Engine.run_with_driver}'s: with [false] the report's
+    [result.trace] is [[]], and its violations and every other field are
+    those of the traced run. *)

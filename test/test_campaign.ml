@@ -13,6 +13,8 @@ module Pool = Campaign.Pool
 module Report = Campaign.Report
 module Live = Campaign.Live
 module Check = Ffault_verify.Consensus_check
+module Engine = Ffault_sim.Engine
+module Trace = Ffault_sim.Trace
 module Fault_kind = Ffault_fault.Fault_kind
 
 let check = Alcotest.check
@@ -249,6 +251,50 @@ let test_trial_replays () =
   let report, decisions = Shrink_on_fail.run_recorded setup ~rate:0.9 ~seed:7L in
   let replayed = Shrink_on_fail.replay setup decisions in
   check Alcotest.bool "replay reproduces the verdict" (Check.ok report) (Check.ok replayed)
+
+(* A campaign trial builds no trace. Its trace, when wanted, comes from
+   replaying its decision vector, and is the trace of a traced run that
+   takes the same choices. *)
+let test_trial_carries_no_trace () =
+  let setup = failing_setup () in
+  let rec first_failure seed =
+    let report, decisions = Shrink_on_fail.run_recorded setup ~rate:0.9 ~seed in
+    if Check.ok report then first_failure (Int64.add seed 1L) else (report, decisions)
+  in
+  let trial, decisions = first_failure 1L in
+  check Alcotest.bool "the trial carries no trace" true (trial.Check.result.Engine.trace = []);
+  (* one recorded index per branchable point, as Dfs records them *)
+  let next = ref 0 in
+  let take = function
+    | [ only ] -> only
+    | options ->
+        let c = decisions.(!next) in
+        incr next;
+        List.nth options c
+  in
+  let traced =
+    Check.run_with_driver setup
+      {
+        Engine.choose_proc = (fun ~enabled ~step:_ -> take enabled);
+        choose_outcome = (fun _ ~options -> take options);
+        after_step = (fun _ -> []);
+      }
+  in
+  let replayed = Shrink_on_fail.replay setup decisions in
+  let render (r : Check.report) =
+    Fmt.str "%a" (Trace.pp ~world:(Check.world setup)) r.Check.result.Engine.trace
+  in
+  let verdict (r : Check.report) =
+    ( Array.to_list (Array.map Engine.proc_outcome_to_string r.Check.result.Engine.outcomes),
+      List.map Check.violation_to_string r.Check.violations,
+      r.Check.result.Engine.total_steps )
+  in
+  let verdict_t = Alcotest.(triple (list string) (list string) int) in
+  check Alcotest.bool "the traced run has a trace" true (traced.Check.result.Engine.trace <> []);
+  check verdict_t "the traced run is the trial's run" (verdict trial) (verdict traced);
+  check verdict_t "the replay is the trial's run" (verdict trial) (verdict replayed);
+  check Alcotest.string "the replay renders the traced run's trace" (render traced)
+    (render replayed)
 
 let test_shrink_produces_replayable_witness () =
   let setup = failing_setup () in
@@ -1063,6 +1109,7 @@ let suites =
       [
         Alcotest.test_case "deterministic" `Quick test_trial_deterministic;
         Alcotest.test_case "replays" `Quick test_trial_replays;
+        Alcotest.test_case "carries no trace" `Quick test_trial_carries_no_trace;
         Alcotest.test_case "shrink witness" `Quick test_shrink_produces_replayable_witness;
       ] );
     ( "campaign.journal",

@@ -214,9 +214,9 @@ let pp_ctx ppf (c : Injector.ctx) =
     Op.pp c.Injector.op Value.pp c.Injector.state c.Injector.step c.Injector.op_index Budget.pp
     c.Injector.budget
 
-let pp_result ~world ppf (r : Engine.result) =
-  Fmt.pf ppf "%a@.outcomes %a@.final %a@.steps %a@.total %d, limit hit %b, interrupted %b@.%a@."
-    (Trace.pp ~world) r.Engine.trace
+(* Everything a run returns but its trace. *)
+let pp_fields ppf (r : Engine.result) =
+  Fmt.pf ppf "outcomes %a@.final %a@.steps %a@.total %d, limit hit %b, interrupted %b@.%a@."
     Fmt.(array ~sep:(any "; ") Engine.pp_proc_outcome)
     r.Engine.outcomes
     Fmt.(array ~sep:(any "; ") Value.pp)
@@ -224,6 +224,9 @@ let pp_result ~world ppf (r : Engine.result) =
     Fmt.(array ~sep:(any " ") int)
     r.Engine.steps_taken r.Engine.total_steps r.Engine.total_limit_hit r.Engine.interrupted
     Budget.pp r.Engine.budget
+
+let pp_result ~world ppf (r : Engine.result) =
+  Fmt.pf ppf "%a@.%a" (Trace.pp ~world) r.Engine.trace pp_fields r
 
 (* A seeded driver that logs what it is shown: a uniform pick among the
    enabled processes, then, with probability [rate], a uniform pick from
@@ -397,10 +400,21 @@ let golden_strategy () =
         (injectors seed))
     seeds
 
+let fig3_f2_setup () =
+  Check.setup Consensus.Bounded_faults.protocol (Protocol.params ~t:2 ~n_procs:3 ~f:2 ())
+
+(* Corrupt O0 to the other input every third step, and O1 to its own
+   content (a no-op the engine must drop). *)
+let corrupt_every_third (c : Data_fault.ctx) =
+  if c.Data_fault.step mod 3 <> 0 then []
+  else
+    [
+      { Data_fault.obj = oid 0; value = i (100 + (c.Data_fault.step mod 2)) };
+      { Data_fault.obj = oid 1; value = c.Data_fault.state_of (oid 1) };
+    ]
+
 let golden_data_faults () =
-  let setup =
-    Check.setup Consensus.Bounded_faults.protocol (Protocol.params ~t:2 ~n_procs:3 ~f:2 ())
-  in
+  let setup = fig3_f2_setup () in
   let world = Check.world setup in
   List.concat_map
     (fun seed ->
@@ -416,18 +430,9 @@ let golden_data_faults () =
           in
           pp_result ~world ppf report.Check.result);
         (fun ppf ->
-          (* corrupt O0 to the other input every third step, and O1 to
-             its own content (a no-op the engine must drop) *)
-          let after_step (c : Data_fault.ctx) =
-            if c.Data_fault.step mod 3 <> 0 then []
-            else
-              [
-                { Data_fault.obj = oid 0; value = i (100 + (c.Data_fault.step mod 2)) };
-                { Data_fault.obj = oid 1; value = c.Data_fault.state_of (oid 1) };
-              ]
-          in
           let report =
-            Check.run_with_driver setup (logging_driver ~after_step ppf ~seed ~rate:0.5)
+            Check.run_with_driver setup
+              (logging_driver ~after_step:corrupt_every_third ppf ~seed ~rate:0.5)
           in
           pp_result ~world ppf report.Check.result);
       ])
@@ -460,16 +465,17 @@ let spin_cfg ?interrupt ~max_steps_per_proc ~max_total_steps () =
     ~budget:(Budget.create ~max_faulty_objects:1 ~max_faults_per_object:(Some 2) ())
     ()
 
+let spin_run ?interrupt ?trace ~max_steps_per_proc ~max_total_steps log ~seed =
+  Engine.run_with_driver ?trace
+    (spin_cfg ?interrupt ~max_steps_per_proc ~max_total_steps ())
+    (logging_driver log ~seed ~rate:0.3)
+    ~bodies:(Array.init 3 spin)
+
 let spin_runs ~max_steps_per_proc ~max_total_steps ?interrupt () =
   List.map
     (fun seed ppf ->
-      let r =
-        Engine.run_with_driver
-          (spin_cfg ?interrupt ~max_steps_per_proc ~max_total_steps ())
-          (logging_driver ppf ~seed ~rate:0.3)
-          ~bodies:(Array.init 3 spin)
-      in
-      pp_result ~world:spin_world ppf r)
+      pp_result ~world:spin_world ppf
+        (spin_run ?interrupt ~max_steps_per_proc ~max_total_steps ppf ~seed))
     (List.filteri (fun k _ -> k < 2) seeds)
 
 (* Bodies that decide before any operation, raise before or after one,
@@ -658,24 +664,25 @@ let test_unwind_limit ~expect cfg () =
 
 exception Driver_gave_up
 
+(* The logging driver, but it raises at step 10. *)
+let gives_up log ~seed =
+  let d = logging_driver log ~seed ~rate:0.3 in
+  {
+    d with
+    Engine.choose_proc =
+      (fun ~enabled ~step ->
+        if step = 10 then raise Driver_gave_up;
+        d.Engine.choose_proc ~enabled ~step);
+  }
+
 (* A driver that raises at step 10: every process is parked, and each
    must be unwound before the exception leaves the engine. *)
 let test_unwind_driver_raises () =
   let run wrap =
-    let d = logging_driver quiet ~seed:1L ~rate:0.3 in
-    let driver =
-      {
-        d with
-        Engine.choose_proc =
-          (fun ~enabled ~step ->
-            if step = 10 then raise Driver_gave_up;
-            d.Engine.choose_proc ~enabled ~step);
-      }
-    in
     match
       Engine.run_with_driver
         (spin_cfg ~max_steps_per_proc:1000 ~max_total_steps:1000 ())
-        driver
+        (gives_up quiet ~seed:1L)
         ~bodies:(Array.init 3 (fun p -> wrap (spin p)))
     with
     | _ -> Alcotest.fail "the driver's exception was lost"
@@ -688,6 +695,103 @@ let test_unwind_driver_raises () =
   check Alcotest.int "none returned" 0 tally.returned;
   run invokes_again;
   run returns_anyway
+
+(* ---- an untraced run is the traced run without its trace ---- *)
+
+(* Each scenario runs one logging driver, traced or not, and returns its
+   result, or [None] when the driver raised [Driver_gave_up]. Together
+   they reach every kind of trace event: fig3 and herlihy cells of every
+   CAS fault kind, naive-tas and rec-cas crash cells under each
+   persistence mode, data corruptions, both step limits, an interrupt
+   and a driver that raises. *)
+module Grid = Ffault_campaign.Grid
+
+let cell_scenario ?(crashes = 0) ?(persistence = Persistence.Persist_all) protocol ~f ?t ~n kind =
+  let cell = { Grid.f; t; n; kind; rate = 0.5; crashes; crash_rate = 0.0; persistence } in
+  let setup = Grid.setup cell protocol in
+  fun ~trace log ~seed ->
+    Some (Check.run_with_driver ~trace setup (logging_driver log ~seed ~rate:0.5)).Check.result
+
+let corrupting_scenario ~trace log ~seed =
+  let driver = logging_driver ~after_step:corrupt_every_third log ~seed ~rate:0.5 in
+  Some (Check.run_with_driver ~trace (fig3_f2_setup ()) driver).Check.result
+
+let spin_scenario ?interrupt ~max_steps_per_proc ~max_total_steps () ~trace log ~seed =
+  Some (spin_run ?interrupt ~trace ~max_steps_per_proc ~max_total_steps log ~seed)
+
+let raising_scenario ~trace log ~seed =
+  match
+    Engine.run_with_driver ~trace
+      (spin_cfg ~max_steps_per_proc:1000 ~max_total_steps:1000 ())
+      (gives_up log ~seed) ~bodies:(Array.init 3 spin)
+  with
+  | r -> Some r
+  | exception Driver_gave_up -> None
+
+let untraced_scenarios =
+  List.concat
+    [
+      List.concat_map
+        (fun kind ->
+          [
+            cell_scenario Consensus.Bounded_faults.protocol ~f:2 ~t:1 ~n:3 kind;
+            cell_scenario Consensus.Single_cas.herlihy ~f:1 ~n:3 kind;
+          ])
+        all_cas_kinds;
+      List.concat_map
+        (fun persistence ->
+          [
+            cell_scenario ~crashes:2 ~persistence Consensus.Recoverable.naive_tas ~f:0 ~n:2
+              Fault_kind.Overriding;
+            cell_scenario ~crashes:2 ~persistence Consensus.Recoverable.rec_cas ~f:1 ~t:1 ~n:3
+              Fault_kind.Overriding;
+          ])
+        Persistence.[ Persist_all; Persist_lossy; Persist_only [ oid 2 ] ];
+      [
+        corrupting_scenario;
+        spin_scenario ~max_steps_per_proc:7 ~max_total_steps:1000 ();
+        spin_scenario ~max_steps_per_proc:1000 ~max_total_steps:25 ();
+        spin_scenario ~interrupt:3 ~max_steps_per_proc:10_000 ~max_total_steps:100_000 ();
+        raising_scenario;
+      ];
+    ]
+
+(* The driver-call log and every field but the trace, rendered; the
+   budget's totals are part of [Budget.pp]. *)
+let untraced_view scenario ~trace ~seed =
+  let log = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer log in
+  let r = scenario ~trace ppf ~seed in
+  Format.pp_print_flush ppf ();
+  let fields =
+    match r with
+    | None -> "the driver raised"
+    | Some r ->
+        Fmt.str "%a faults %d, crashes %d" pp_fields r
+          (Budget.total_faults r.Engine.budget)
+          (Budget.total_crashes r.Engine.budget)
+  in
+  (Buffer.contents log, fields, Option.map (fun r -> r.Engine.trace) r)
+
+let prop_untraced_run_agrees =
+  QCheck.Test.make ~name:"an untraced run is the traced run without its trace" ~count:20
+    QCheck.int64 (fun seed ->
+      List.iteri
+        (fun k scenario ->
+          let log_t, fields_t, trace_t = untraced_view scenario ~trace:true ~seed in
+          let log_u, fields_u, trace_u = untraced_view scenario ~trace:false ~seed in
+          if not (String.equal log_t log_u) then
+            QCheck.Test.fail_reportf "scenario %d: the driver saw different calls" k;
+          if not (String.equal fields_t fields_u) then
+            QCheck.Test.fail_reportf "scenario %d: traced@.%s@.untraced@.%s" k fields_t fields_u;
+          match trace_t, trace_u with
+          | Some [], _ -> QCheck.Test.fail_reportf "scenario %d: the traced run has no trace" k
+          | Some _, Some [] | None, None -> ()
+          | _, Some (_ :: _) -> QCheck.Test.fail_reportf "scenario %d: untraced run has a trace" k
+          | Some _, None | None, Some _ ->
+              QCheck.Test.fail_reportf "scenario %d: one run raised and one did not" k)
+        untraced_scenarios;
+      true)
 
 let suites =
   [
@@ -726,6 +830,7 @@ let suites =
              (spin_cfg ~interrupt:3 ~max_steps_per_proc:10_000 ~max_total_steps:100_000));
         Alcotest.test_case "driver raises" `Quick test_unwind_driver_raises;
       ] );
+    ("sim.engine-untraced", [ qcheck prop_untraced_run_agrees ]);
     ( "consensus.properties",
       [ qcheck prop_fig2_agreement_random_settings; qcheck prop_fig3_agreement_random_settings ]
     );

@@ -248,27 +248,35 @@ let test_run_tasks_fail_fast () =
 
 (* ---- Cancel ---- *)
 
+(* A token whose deadline, 100 ns after creation on a fake clock, is
+   reached when [t] is set to 100. *)
+let fake_deadline_token () =
+  let t = ref 0 in
+  (t, Cancel.create ~deadline_ns:100 ~now:(fun () -> !t) ())
+
+let raised_reason c =
+  match Cancel.check c with () -> None | exception Cancel.Cancelled r -> Some r
+
 let test_cancel_first_reason_wins () =
-  let c = Cancel.create () in
+  let t, c = fake_deadline_token () in
   check Alcotest.bool "fresh token untripped" false (Cancel.cancelled c);
-  check Alcotest.(option string) "no reason yet" None (Cancel.reason c);
-  Cancel.cancel c ~reason:"first";
-  Cancel.cancel c ~reason:"second";
+  check Alcotest.(option string) "check passes before the deadline" None (raised_reason c);
+  t := 100;
   check Alcotest.bool "tripped" true (Cancel.cancelled c);
-  check Alcotest.(option string) "first reason wins" (Some "first") (Cancel.reason c);
-  match Cancel.check c with
-  | () -> Alcotest.fail "check on a tripped token must raise"
-  | exception Cancel.Cancelled r -> check Alcotest.string "check carries the reason" "first" r
+  check Alcotest.(option string) "check carries the reason" (Some "deadline exceeded")
+    (raised_reason c);
+  t := 1_000;
+  check Alcotest.(option string) "a later poll keeps the reason" (Some "deadline exceeded")
+    (raised_reason c)
 
 let test_cancel_deadline_fake_clock () =
-  let t = ref 0 in
-  let c = Cancel.create ~deadline_ns:100 ~now:(fun () -> !t) () in
+  let t, c = fake_deadline_token () in
   check Alcotest.bool "before the deadline" false (Cancel.cancelled c);
   t := 99;
   check Alcotest.bool "still before" false (Cancel.cancelled c);
   t := 100;
   check Alcotest.bool "the deadline instant trips (inclusive)" true (Cancel.cancelled c);
-  (match Cancel.reason c with
+  (match raised_reason c with
   | Some r ->
       check Alcotest.bool "reason names the deadline" true
         (String.length r >= 8 && String.sub r 0 8 = "deadline")
@@ -279,17 +287,19 @@ let test_cancel_deadline_fake_clock () =
 
 let test_cancel_never_is_inert () =
   check Alcotest.bool "never untripped" false (Cancel.cancelled Cancel.never);
-  match Cancel.cancel Cancel.never ~reason:"nope" with
-  | () -> Alcotest.fail "cancelling the shared never token must be rejected"
-  | exception Invalid_argument _ -> ()
+  check Alcotest.(option string) "check on never passes" None (raised_reason Cancel.never);
+  let t, c = fake_deadline_token () in
+  t := 100;
+  check Alcotest.bool "another token trips" true (Cancel.cancelled c);
+  check Alcotest.bool "never still untripped" false (Cancel.cancelled Cancel.never)
 
 let test_cas_observes_tripped_token () =
-  let cancel = Cancel.create () in
+  let t, cancel = fake_deadline_token () in
   let cell = Faulty_cas.make ~cancel ~init:(Packed.of_int 1) () in
-  Cancel.cancel cancel ~reason:"external abort";
+  t := 100;
   match Faulty_cas.cas cell ~expected:(Packed.of_int 1) ~desired:(Packed.of_int 2) with
   | _ -> Alcotest.fail "cas on a tripped token must raise"
-  | exception Cancel.Cancelled r -> check Alcotest.string "reason" "external abort" r
+  | exception Cancel.Cancelled r -> check Alcotest.string "reason" "deadline exceeded" r
 
 (* ---- Consensus_mc ---- *)
 
