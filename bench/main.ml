@@ -296,13 +296,6 @@ let multicore_run ~protocol ~domains ~p ~seed =
     in
     ignore (R.Consensus_mc.execute cfg)
 
-(* Netsim: one complete simulated distributed campaign — coordinator
-   engine + workers + fault schedule in virtual time — per run. The
-   rate here is what bounds `ffault netsim --schedules N`. *)
-let netsim_run ~workers ~trials ~seed =
-  let cfg = Ffault_netsim.Sim.config ~workers ~trials ~lease_trials:32 () in
-  fun () -> ignore (Ffault_netsim.Sim.run cfg ~seed)
-
 (* Dist: one complete real distributed campaign per run — coordinator
    thread + worker threads over a Unix socket in a throwaway dir. The
    [status] variant attaches the HTTP endpoint; [scrape] additionally
@@ -459,12 +452,6 @@ let groups =
         ("campaign/fig3-256/1dom", campaign_run ~domains:1);
         ("campaign/fig3-256/2dom", campaign_run ~domains:2);
         ("campaign/fig3-256/4dom", campaign_run ~domains:4);
-      ];
-    group "netsim"
-      [
-        ("netsim/3w-200t", netsim_run ~workers:3 ~trials:200 ~seed:0x11L);
-        ("netsim/3w-200t/seed2", netsim_run ~workers:3 ~trials:200 ~seed:0x22L);
-        ("netsim/6w-400t", netsim_run ~workers:6 ~trials:400 ~seed:0x33L);
       ];
     group "dist"
       [

@@ -1216,7 +1216,7 @@ let netsim_cmd =
     match schedule with
     | Some i ->
         let sseed = Netsim.Search.schedule_seed ~root i in
-        let r = Netsim.Sim.run config ~seed:sseed in
+        let r = Netsim.Sim.run ~trace:print_trace config ~seed:sseed in
         if print_trace then
           List.iter (fun l -> Fmt.pr "%s@." l) r.Netsim.Sim.trace;
         Fmt.pr "schedule %d (seed %Ld): %d record(s), %d fired atom(s), %d event(s), %dms virtual@."

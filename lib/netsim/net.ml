@@ -24,7 +24,7 @@ type conn = {
 and t = {
   sched : Sched.t;
   plan : Fault_plan.t;
-  trace : string -> unit;
+  trace : (string -> unit) option; (* [None]: nothing is formatted *)
   n_workers : int;
   mutable listener : (conn -> unit) option;
   k : int array; (* per-link frame counter, survives reconnections *)
@@ -33,7 +33,7 @@ and t = {
   mutable endpoints : conn list; (* every endpoint ever created *)
 }
 
-let create ~sched ~plan ?(trace = ignore) ~workers () =
+let create ~sched ~plan ?trace ~workers () =
   {
     sched;
     plan;
@@ -48,12 +48,16 @@ let create ~sched ~plan ?(trace = ignore) ~workers () =
 
 let set_listener t l = t.listener <- l
 
+(* Untraced, a line's arguments are skipped unread: a link's name goes
+   through [%a], so it is not even built. *)
 let tr t fmt =
-  Printf.ksprintf
-    (fun s -> t.trace (Printf.sprintf "%10.3fms net: %s" (float_of_int (Sched.now_ns t.sched) /. 1e6) s))
-    fmt
+  match t.trace with
+  | None -> Printf.ifprintf () fmt
+  | Some trace ->
+      let ms = float_of_int (Sched.now_ns t.sched) /. 1e6 in
+      Printf.ksprintf (fun s -> trace (Printf.sprintf "%10.3fms net: %s" ms s)) fmt
 
-let link_name link =
+let link_name () link =
   if link land 1 = 0 then Printf.sprintf "w%d->c" (link / 2)
   else Printf.sprintf "c->w%d" (link / 2)
 
@@ -99,7 +103,7 @@ let send_bytes src bytes =
   | None -> ()
   | Some dst ->
       if t.partitioned.(src.e_worker) then
-        tr t "partition eats frame on %s" (link_name src.e_link)
+        tr t "partition eats frame on %a" link_name src.e_link
       else begin
         let link = src.e_link in
         let k = t.k.(link) in
@@ -111,16 +115,16 @@ let send_bytes src bytes =
           ns
         in
         match Fault_plan.frame_fault t.plan ~link ~k with
-        | Some Fault_plan.Drop -> tr t "drop %s #%d" (link_name link) k
+        | Some Fault_plan.Drop -> tr t "drop %a #%d" link_name link k
         | Some Fault_plan.Dup ->
-            tr t "dup %s #%d" (link_name link) k;
+            tr t "dup %a #%d" link_name link k;
             schedule_delivery t ~dst ~at_ns:(clamp base) bytes;
             schedule_delivery t ~dst ~at_ns:(clamp base) bytes
         | Some (Fault_plan.Delay extra) ->
-            tr t "delay %s #%d +%dus" (link_name link) k (extra / 1_000);
+            tr t "delay %a #%d +%dus" link_name link k (extra / 1_000);
             schedule_delivery t ~dst ~at_ns:(clamp (base + extra)) bytes
         | Some (Fault_plan.Reorder extra) ->
-            tr t "reorder %s #%d +%dus" (link_name link) k (extra / 1_000);
+            tr t "reorder %a #%d +%dus" link_name link k (extra / 1_000);
             schedule_delivery t ~dst ~at_ns:(base + extra) bytes
         | None -> schedule_delivery t ~dst ~at_ns:(clamp base) bytes
       end

@@ -28,6 +28,9 @@ type handler = {
 
 val create :
   sched:Sched.t -> plan:Fault_plan.t -> ?trace:(string -> unit) -> workers:int -> unit -> t
+(** [trace] receives one line per network event (a fault, a connect, a
+    crash, a partition or heal). Without it nothing is formatted, and
+    the network behaves exactly as it does traced. *)
 
 val set_listener : t -> (conn -> unit) option -> unit
 (** The coordinator's accept path: called synchronously with the

@@ -6,7 +6,9 @@
     is set to each event's timestamp before it runs, so every timeout,
     lease expiry and heartbeat-silence decision made by code reading
     {!clock} is a pure function of the event sequence. Nothing here
-    reads the wall clock. *)
+    reads the wall clock. The keys are unique, so that order is total
+    and does not depend on how the queue is stored: a binary min-heap,
+    where {!at} and each executed event cost O(log pending). *)
 
 type t
 
@@ -27,6 +29,7 @@ val after : t -> ns:int -> (unit -> unit) -> unit
     @raise Invalid_argument if [ns < 0]. *)
 
 val pending : t -> int
+(** Events queued and not yet executed; O(1). *)
 
 val run : t -> until_ns:int -> [ `Drained | `Horizon ]
 (** Execute events in order until the queue drains or the next event

@@ -20,7 +20,7 @@ let shrink ~config ~seed ~atoms ~violation =
     if !probes >= max_probes then None
     else begin
       incr probes;
-      (Sim.run ~atoms:sub config ~seed).Sim.violation
+      (Sim.run ~atoms:sub ~trace:false config ~seed).Sim.violation
     end
   in
   (* ddmin (Zeller-Hildebrandt): probe chunks, then complements, at
@@ -76,7 +76,7 @@ let explore ?(on_progress = fun _ -> ()) ?(max_violations = 1) ~config ~root
   (try
      for i = 0 to schedules - 1 do
        let seed = schedule_seed ~root i in
-       let r = Sim.run config ~seed in
+       let r = Sim.run ~trace:false config ~seed in
        explored := i + 1;
        events := !events + r.Sim.events;
        (match r.Sim.violation with

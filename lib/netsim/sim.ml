@@ -47,7 +47,6 @@ type result = {
   violation : violation option;
   fired : Fault_plan.atom list;
   records : Journal.record list;
-  journal_bytes : string;
   trace : string list;
   events : int;
   end_ns : int;
@@ -77,8 +76,8 @@ let connect_retry =
    every trial "runs" to the same synthetic pass record, a pure
    function of the grid — which is what makes the journal of a run a
    deterministic artifact worth diffing. *)
-let record_of spec id =
-  let tr = Grid.trial spec id in
+let record_of spec cells id =
+  let tr = Grid.trial_of_cells spec cells id in
   {
     Journal.trial = id;
     cell = tr.Grid.cell;
@@ -123,25 +122,30 @@ type wactor = {
   mutable conn_fails : int; (* consecutive refused connects *)
 }
 
-let run ?atoms cfg ~seed =
+let run ?atoms ?(trace = true) cfg ~seed =
   let sched = Sched.create () in
   let trace_rev = ref [] in
   let push s = trace_rev := s :: !trace_rev in
   let tracef fmt =
-    Printf.ksprintf
-      (fun s ->
-        push
-          (Printf.sprintf "%10.3fms %s"
-             (float_of_int (Sched.now_ns sched) /. 1e6)
-             s))
-      fmt
+    if trace then
+      Printf.ksprintf
+        (fun s ->
+          push
+            (Printf.sprintf "%10.3fms %s"
+               (float_of_int (Sched.now_ns sched) /. 1e6)
+               s))
+        fmt
+    else Printf.ifprintf () fmt
   in
   let plan =
     let full = Fault_plan.generate ~seed ~workers:cfg.workers in
     match atoms with None -> full | Some atoms -> Fault_plan.replay full ~atoms
   in
-  let net = Net.create ~sched ~plan ~trace:push ~workers:cfg.workers () in
+  let net =
+    Net.create ~sched ~plan ?trace:(if trace then Some push else None) ~workers:cfg.workers ()
+  in
   let spec = Spec.v ~name:"netsim" ~protocol:"fig1" ~trials:cfg.trials () in
+  let cells = Grid.cells spec in
   let total = Grid.total_trials spec in
   let records_rev = ref [] in
   (* the coordinator's structured event log, on virtual time and graded
@@ -390,7 +394,7 @@ let run ?atoms cfg ~seed =
         List.iter
           (fun id ->
             w.sent <- w.sent + 1;
-            send_msg w (Codec.Result (record_of spec id)))
+            send_msg w (Codec.Result (record_of spec cells id)))
           (List.rev wl.wl_prod_rev);
         send_msg w (Codec.Complete { lease = wl.wl_id; epoch = wl.wl_epoch })
   and run_lease w ~lease ~epoch ~ids =
@@ -407,7 +411,7 @@ let run ?atoms cfg ~seed =
               w.sent <- w.sent + 1;
               log_exec w ~epoch ~lease id;
               wl.wl_prod_rev <- id :: wl.wl_prod_rev;
-              send_msg w (Codec.Result (record_of spec id))
+              send_msg w (Codec.Result (record_of spec cells id))
             end))
       ids;
     Sched.after sched
@@ -623,10 +627,10 @@ let run ?atoms cfg ~seed =
     violation;
     fired = Fault_plan.fired plan;
     records;
-    journal_bytes =
-      String.concat "" (List.map (fun r -> Journal.to_line r ^ "\n") records);
     trace = List.rev !trace_rev;
     events = Sched.executed sched;
     end_ns = Sched.now_ns sched;
     status_probes = List.rev !status_probes_rev;
   }
+
+let journal_bytes r = String.concat "" (List.map (fun r -> Journal.to_line r ^ "\n") r.records)

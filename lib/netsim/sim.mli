@@ -72,8 +72,8 @@ type result = {
   violation : violation option;  (** first violation found, severity order *)
   fired : Fault_plan.atom list;  (** the schedule's fired atoms — shrinker input *)
   records : Ffault_campaign.Journal.record list;  (** append order *)
-  journal_bytes : string;  (** the JSONL the journal file would hold *)
-  trace : string list;  (** deterministic event trace, forward order *)
+  trace : string list;
+      (** deterministic event trace, forward order; [[]] untraced *)
   events : int;  (** scheduler events executed *)
   end_ns : int;  (** virtual time at exit *)
   status_probes : (int * string * string) list;
@@ -84,8 +84,19 @@ type result = {
           so the tests pin them byte-for-byte. *)
 }
 
-val run : ?atoms:Fault_plan.atom list -> config -> seed:int64 -> result
+val run : ?atoms:Fault_plan.atom list -> ?trace:bool -> config -> seed:int64 -> result
 (** Simulate one schedule. Without [atoms] the full schedule of [seed]
     runs (generate mode); with [atoms] only those fire (replay mode —
     the shrinker's probe). Two calls with equal arguments return equal
-    results. *)
+    results.
+
+    [trace] (default [true]) builds [result.trace]. With [false] no
+    trace line is formatted, by the harness or by {!Net}, and [trace]
+    is [[]]; every other field (violation, fired atoms, records, events,
+    end time, status probes) is the traced run's. The sweep and the
+    shrinker run untraced. *)
+
+val journal_bytes : result -> string
+(** The JSONL the journal file would hold: one {!Ffault_campaign.Journal.to_line}
+    per record of [records], in order, each ending in a newline. Derived
+    on demand, so a run that never reads it never renders it. *)

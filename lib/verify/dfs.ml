@@ -19,8 +19,8 @@ let pp_stats ppf s =
    take the default (or the forced policy, for fault points). Returns the
    report, the branch factors of the branchable points visited, and
    whether any branchable point fell past [max_branch_depth]. *)
-let run_once setup ~explore_schedules ~explore_faults ~forced_outcome ~max_branch_depth
-    decisions =
+let run_once ~trace setup ~explore_schedules ~explore_faults ~forced_outcome
+    ~max_branch_depth decisions =
   let counts_rev = ref [] in
   let idx = ref 0 in
   let deep = ref false in
@@ -53,7 +53,7 @@ let run_once setup ~explore_schedules ~explore_faults ~forced_outcome ~max_branc
       after_step = (fun _ -> []);
     }
   in
-  let report = Consensus_check.run_with_driver setup driver in
+  let report = Consensus_check.run_with_driver ~trace setup driver in
   (report, Array.of_list (List.rev !counts_rev), !deep)
 
 let explore ?(max_executions = 200_000) ?(max_branch_depth = 64) ?(max_witnesses = 1)
@@ -76,8 +76,8 @@ let explore ?(max_executions = 200_000) ?(max_branch_depth = 64) ?(max_witnesses
         stack := rest;
         incr executions;
         let report, counts, deep =
-          run_once setup ~explore_schedules ~explore_faults ~forced_outcome ~max_branch_depth
-            prefix
+          run_once ~trace:true setup ~explore_schedules ~explore_faults ~forced_outcome
+            ~max_branch_depth prefix
         in
         if deep then truncated := true;
         if Array.length counts > !max_cp then max_cp := Array.length counts;
@@ -106,9 +106,9 @@ let explore ?(max_executions = 200_000) ?(max_branch_depth = 64) ?(max_witnesses
     truncated = !truncated;
   }
 
-let replay setup decisions =
+let replay ?(trace = true) setup decisions =
   let report, _, _ =
-    run_once setup ~explore_schedules:true ~explore_faults:true ~forced_outcome:None
+    run_once ~trace setup ~explore_schedules:true ~explore_faults:true ~forced_outcome:None
       ~max_branch_depth:max_int decisions
   in
   report

@@ -60,6 +60,9 @@ val explore :
 
     [on_report] observes every completed execution. *)
 
-val replay : Consensus_check.setup -> int array -> Consensus_check.report
+val replay : ?trace:bool -> Consensus_check.setup -> int array -> Consensus_check.report
 (** Re-execute one decision vector (e.g. a stored witness) and return its
-    report, for rendering traces. *)
+    report, for rendering traces. [trace] (default [true]) is
+    {!Consensus_check.run_with_driver}'s: with [false] the report's
+    [result.trace] is [[]] and every other field is the traced replay's,
+    which is all a caller that reads only {!Consensus_check.ok} needs. *)

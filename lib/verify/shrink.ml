@@ -1,11 +1,12 @@
 (* Every shrink candidate costs one full replay; the counter makes
    shrink explosions (a hopeless cell minimizing forever) visible in
-   campaign telemetry. *)
+   campaign telemetry. A candidate's verdict reads no trace, so none is
+   built: only the final replay in [witness_report] is traced. *)
 let m_replays = Ffault_telemetry.Metrics.counter "shrink.iterations"
 
 let violates setup decisions =
   Ffault_telemetry.Metrics.incr m_replays;
-  not (Consensus_check.ok (Dfs.replay setup decisions))
+  not (Consensus_check.ok (Dfs.replay ~trace:false setup decisions))
 
 let truncate_zeros decisions =
   (* trailing zeros are semantically absent — drop them outright *)

@@ -8,7 +8,8 @@
     individual entries, and (3) decrements entries, re-replaying after
     each candidate change and keeping it only if the violation
     persists. The result is locally minimal: no single such edit
-    preserves the violation. *)
+    preserves the violation. Candidates replay untraced
+    ([Dfs.replay ~trace:false]): their verdict reads no trace. *)
 
 val witness : Consensus_check.setup -> int array -> int array
 (** [witness setup decisions] assumes [decisions] replays to a violating
@@ -17,4 +18,4 @@ val witness : Consensus_check.setup -> int array -> int array
 
 val witness_report :
   Consensus_check.setup -> int array -> int array * Consensus_check.report
-(** The shrunk vector together with its replayed report. *)
+(** The shrunk vector together with its replayed report, traced. *)

@@ -296,6 +296,59 @@ let test_trial_carries_no_trace () =
   check Alcotest.string "the replay renders the traced run's trace" (render traced)
     (render replayed)
 
+(* [Shrink] replays each candidate untraced, since its verdict reads no
+   trace. An untraced [Dfs.replay] of a journaled witness must be the
+   traced replay in everything but the trace, on primitive-fault cells
+   and on a crash cell alike. *)
+let test_untraced_replay_matches_traced () =
+  let module Dfs = Ffault_verify.Dfs in
+  let witnesses spec =
+    let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
+    let cells = Grid.cells spec in
+    let found = ref [] in
+    let on_record (r : Journal.record) =
+      match r.Journal.witness with
+      | None -> ()
+      | Some w ->
+          let cell = (Grid.trial_of_cells spec cells r.Journal.trial).Grid.cell in
+          found := (r.Journal.trial, Grid.setup cell protocol, w) :: !found
+    in
+    ignore (Pool.run_trials ~domains:1 ~on_record spec);
+    List.rev !found
+  in
+  let verdict (r : Check.report) =
+    let res = r.Check.result in
+    ( Array.to_list (Array.map Engine.proc_outcome_to_string res.Engine.outcomes),
+      List.map Check.violation_to_string r.Check.violations,
+      (Array.to_list res.Engine.steps_taken, res.Engine.total_steps) )
+  in
+  let verdict_t = Alcotest.(triple (list string) (list string) (pair (list int) int)) in
+  List.iter
+    (fun (name, spec) ->
+      let ws = witnesses spec in
+      check Alcotest.bool (name ^ ": the grid fails") true (ws <> []);
+      List.iter
+        (fun (id, setup, w) ->
+          let what = Fmt.str "%s trial %d" name id in
+          let traced = Dfs.replay setup w in
+          let untraced = Dfs.replay ~trace:false setup w in
+          check Alcotest.bool (what ^ ": the witness violates") false (Check.ok traced);
+          check Alcotest.bool (what ^ ": traced has a trace") true
+            (traced.Check.result.Engine.trace <> []);
+          check verdict_t what (verdict traced) (verdict untraced);
+          check Alcotest.bool (what ^ ": untraced has no trace") true
+            (untraced.Check.result.Engine.trace = []))
+        ws)
+    [
+      ("herlihy", failing_spec ());
+      ( "fig3",
+        Spec.v ~name:"fig3-hang" ~protocol:"fig3" ~f:[ 1 ] ~t:[ Some 1 ] ~n:[ 3 ]
+          ~kinds:[ Fault_kind.Nonresponsive ] ~rates:[ 0.9 ] ~trials:20 () );
+      ( "naive-tas crash",
+        Spec.v ~name:"naive-crash" ~protocol:"naive-tas" ~f:[ 0 ] ~n:[ 2 ] ~rates:[ 0.0 ]
+          ~crashes:[ 1 ] ~crash_rates:[ 0.4 ] ~trials:40 () );
+    ]
+
 let test_shrink_produces_replayable_witness () =
   let setup = failing_setup () in
   (* Scan seeds for a violating trial; p ~ 0.9 so the first few hit. *)
@@ -1111,6 +1164,7 @@ let suites =
         Alcotest.test_case "replays" `Quick test_trial_replays;
         Alcotest.test_case "carries no trace" `Quick test_trial_carries_no_trace;
         Alcotest.test_case "shrink witness" `Quick test_shrink_produces_replayable_witness;
+        Alcotest.test_case "untraced replay = traced" `Quick test_untraced_replay_matches_traced;
       ] );
     ( "campaign.journal",
       [

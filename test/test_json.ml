@@ -392,7 +392,7 @@ let test_golden_netsim () =
   let r = Sim.run cfg ~seed:0xCAFE1L in
   check Alcotest.int "events" 498 r.Sim.events;
   pin "netsim journal_bytes" ~expected:"9d248cb14b4c0532fd8c396eddca9e4e"
-    (hex r.Sim.journal_bytes);
+    (hex (Sim.journal_bytes r));
   pin "netsim trace" ~expected:"afcb8c3bc3c5f32cf60634d17f3b65b8"
     (hex (String.concat "\n" r.Sim.trace))
 
@@ -414,7 +414,7 @@ let test_golden_netsim_sweep () =
       Buffer.add_char b '\n'
     in
     List.iter line r.Sim.trace;
-    Buffer.add_string b r.Sim.journal_bytes;
+    Buffer.add_string b (Sim.journal_bytes r);
     List.iter (fun a -> line (Plan.atom_to_string a)) r.Sim.fired;
     List.iter
       (fun (ns, path, body) -> Buffer.add_string b (Fmt.str "%d %s %s\n" ns path body))

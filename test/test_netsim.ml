@@ -63,6 +63,83 @@ let test_sched_negative_after () =
     (Invalid_argument "Sched.after: negative delay") (fun () ->
       Sched.after s ~ns:(-1) ignore)
 
+(* A random program of [at]/[after] calls, some made by running events,
+   against a reference model: a list in insertion order, whose next
+   event is the first of the earliest (clamped) time. Short times make
+   ties common, absolute times fall before now once the clock has moved
+   (clamped), and the run stops at two random horizons before draining. *)
+type sched_op = { rel : bool; ns : int; kids : sched_op list }
+
+let gen_sched_program =
+  let open QCheck.Gen in
+  let rec ops depth =
+    if depth = 0 then return []
+    else
+      list_size (int_bound 3)
+        (map3 (fun rel ns kids -> { rel; ns; kids }) bool (int_bound 12) (ops (depth - 1)))
+  in
+  let top = map3 (fun rel ns kids -> { rel; ns; kids }) bool (int_bound 30) (ops 2) in
+  quad (int_bound 5) (list_size (int_range 1 12) top) (int_bound 60) (int_bound 60)
+
+let sched_real ~start_ns prog horizons =
+  let s = Sched.create ~start_ns () in
+  let next = ref 0 and log = ref [] in
+  let rec push op =
+    let id = !next in
+    incr next;
+    let f () =
+      log := (id, Sched.now_ns s) :: !log;
+      List.iter push op.kids
+    in
+    if op.rel then Sched.after s ~ns:op.ns f else Sched.at s ~ns:op.ns f
+  in
+  List.iter push prog;
+  let stops =
+    List.map
+      (fun until_ns ->
+        let v = Sched.run s ~until_ns in
+        (v, Sched.now_ns s, Sched.executed s, Sched.pending s))
+      horizons
+  in
+  (List.rev !log, stops)
+
+let sched_model ~start_ns prog horizons =
+  let now = ref start_ns and next = ref 0 and executed = ref 0 in
+  let queue = ref [] (* (time, id, kids), insertion order *) and log = ref [] in
+  let push op =
+    let time = if op.rel then !now + op.ns else max op.ns !now in
+    queue := !queue @ [ (time, !next, op.kids) ];
+    incr next
+  in
+  List.iter push prog;
+  let rec run until =
+    match List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !queue with
+    | [] -> `Drained
+    | (time, _, _) :: _ when time > until ->
+        if until > !now then now := until;
+        `Horizon
+    | (time, id, kids) :: _ ->
+        queue := List.filter (fun (_, id', _) -> id' <> id) !queue;
+        now := time;
+        incr executed;
+        log := (id, time) :: !log;
+        List.iter push kids;
+        run until
+  in
+  let stops =
+    List.map
+      (fun until -> let v = run until in (v, !now, !executed, List.length !queue))
+      horizons
+  in
+  (List.rev !log, stops)
+
+let test_sched_matches_model =
+  QCheck.Test.make ~name:"random programs run in the model's order" ~count:300
+    (QCheck.make gen_sched_program)
+    (fun (start_ns, prog, h1, h2) ->
+      let horizons = [ h1; h2; 1_000_000 ] in
+      sched_real ~start_ns prog horizons = sched_model ~start_ns prog horizons)
+
 (* ---- fault plans ---- *)
 
 let test_plan_deterministic () =
@@ -230,16 +307,16 @@ let test_sim_deterministic () =
   let a = Sim.run cfg ~seed:0xCAFE1L in
   let b = Sim.run cfg ~seed:0xCAFE1L in
   Alcotest.(check bool) "violation-free" true (a.Sim.violation = None);
-  Alcotest.(check string) "byte-identical journal" a.Sim.journal_bytes
-    b.Sim.journal_bytes;
+  Alcotest.(check string) "byte-identical journal" (Sim.journal_bytes a)
+    (Sim.journal_bytes b);
   Alcotest.(check (list string)) "identical trace" a.Sim.trace b.Sim.trace;
   Alcotest.(check int) "same event count" a.Sim.events b.Sim.events;
   Alcotest.(check int) "same end time" a.Sim.end_ns b.Sim.end_ns;
   Alcotest.(check bool) "fired atoms equal" true (a.Sim.fired = b.Sim.fired);
   (* replaying the full fired set is the same run *)
   let c = Sim.run ~atoms:a.Sim.fired cfg ~seed:0xCAFE1L in
-  Alcotest.(check string) "replay(full fired) journal" a.Sim.journal_bytes
-    c.Sim.journal_bytes;
+  Alcotest.(check string) "replay(full fired) journal" (Sim.journal_bytes a)
+    (Sim.journal_bytes c);
   Alcotest.(check (list string)) "replay(full fired) trace" a.Sim.trace c.Sim.trace
 
 let test_sim_exactly_once_sweep () =
@@ -322,6 +399,44 @@ let test_fencing_bug_caught_and_shrunk () =
   Alcotest.(check bool) "fencing engine survives the same faults" true
     (ok.Sim.violation = None)
 
+(* An untraced run formats no trace line and changes nothing else: the
+   sweep's schedules, both planted bugs' catches, and a replay. *)
+let check_untraced what ?atoms cfg ~seed =
+  let a = Sim.run ?atoms cfg ~seed in
+  let b = Sim.run ?atoms ~trace:false cfg ~seed in
+  let violation r = Option.map Sim.violation_to_string r.Sim.violation in
+  let lines r = List.map Ffault_campaign.Journal.to_line r.Sim.records in
+  Alcotest.(check bool) (what ^ ": traced has a trace") true (a.Sim.trace <> []);
+  Alcotest.(check (list string)) (what ^ ": untraced has none") [] b.Sim.trace;
+  Alcotest.(check (option string)) (what ^ ": violation") (violation a) (violation b);
+  Alcotest.(check (list string))
+    (what ^ ": fired")
+    (List.map Fault_plan.atom_to_string a.Sim.fired)
+    (List.map Fault_plan.atom_to_string b.Sim.fired);
+  Alcotest.(check (list string)) (what ^ ": records") (lines a) (lines b);
+  Alcotest.(check string)
+    (what ^ ": journal bytes") (Sim.journal_bytes a) (Sim.journal_bytes b);
+  Alcotest.(check int) (what ^ ": events") a.Sim.events b.Sim.events;
+  Alcotest.(check int) (what ^ ": end time") a.Sim.end_ns b.Sim.end_ns;
+  Alcotest.(check (list (triple int string string)))
+    (what ^ ": status probes") a.Sim.status_probes b.Sim.status_probes;
+  a
+
+let test_untraced_equals_traced () =
+  let cfg = Sim.config () in
+  let seed = Search.schedule_seed in
+  for i = 0 to 39 do
+    ignore (check_untraced (Printf.sprintf "root 7 schedule %d" i) cfg ~seed:(seed ~root:7L i))
+  done;
+  let caught what cfg ~seed =
+    let r = check_untraced what cfg ~seed in
+    Alcotest.(check bool) (what ^ ": caught") true (r.Sim.violation <> None)
+  in
+  caught "break-complete" (Sim.config ~verify_complete:false ()) ~seed:(seed ~root:7L 0);
+  caught "break-fencing" (Sim.config ~fence_epochs:false ()) ~seed:(seed ~root:2L 7);
+  let first = Sim.run ~trace:false cfg ~seed:(seed ~root:7L 0) in
+  ignore (check_untraced "replay" ~atoms:first.Sim.fired cfg ~seed:(seed ~root:7L 0))
+
 let test_sim_config_validation () =
   Alcotest.check_raises "workers < 1"
     (Invalid_argument "Sim.config: workers must be >= 1") (fun () ->
@@ -335,6 +450,7 @@ let suites =
         Alcotest.test_case "nested scheduling" `Quick test_sched_nested;
         Alcotest.test_case "horizon" `Quick test_sched_horizon;
         Alcotest.test_case "negative delay" `Quick test_sched_negative_after;
+        QCheck_alcotest.to_alcotest test_sched_matches_model;
       ] );
     ( "netsim.plan",
       [
@@ -347,6 +463,7 @@ let suites =
       [
         Alcotest.test_case "same seed, same bytes" `Quick test_sim_deterministic;
         Alcotest.test_case "exactly-once sweep" `Quick test_sim_exactly_once_sweep;
+        Alcotest.test_case "untraced equals traced" `Quick test_untraced_equals_traced;
         Alcotest.test_case "config validation" `Quick test_sim_config_validation;
       ] );
     ( "netsim.search",
