@@ -41,7 +41,7 @@ bench:
 # real timing. The files go to _campaigns/bench-smoke/, so the committed
 # baselines at the root stay as they are. CI runs this on every push.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke campaign dist recover b1 e1
+	dune exec bench/main.exe -- --smoke dist e1
 
 examples:
 	dune exec examples/quickstart.exe
@@ -54,6 +54,8 @@ examples:
 
 # A 200-trial end-to-end campaign: run, report, and a self-diff that must
 # come back regression-free. Exercises the whole artifact pipeline in CI.
+# Its telemetry.json must not carry a coordinator's gauge: a pool run
+# reports only the metrics it touched.
 # Then the supervised path: one herlihy grid run plain and under a
 # per-trial deadline must diff clean both ways at zero tolerance, so a
 # supervised run that loses or gains a single violation fails the step.
@@ -66,6 +68,7 @@ campaign-smoke:
 	dune exec bin/main.exe -- campaign run --name ci-smoke --protocol fig3 \
 	  -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2 \
 	  --trace _campaigns/ci-smoke/trace.json
+	! grep -q '"dist.workers_connected"' _campaigns/ci-smoke/telemetry.json
 	dune exec bin/main.exe -- campaign report --name ci-smoke
 	dune exec bin/main.exe -- campaign diff _campaigns/ci-smoke _campaigns/ci-smoke
 	dune exec bin/main.exe -- campaign run --name ci-smoke-plain --protocol herlihy \
@@ -113,11 +116,15 @@ coord-chaos-smoke:
 recover-smoke:
 	sh scripts/recover_smoke.sh
 
-# Memory stays flat over a long crash or hang campaign: the engine
-# unwinds every process it abandons. A crash grid and a hang grid each
-# run twice on 2 domains, the second time ten times as long; a leg
+# Memory stays flat over a long crash or hang campaign, and over a
+# report or a resume of a long journal: the engine unwinds every
+# process it abandons, and each journal pass streams the file once. A
+# crash grid and a hang grid each run twice on 2 domains, the second
+# time ten times as long; a failing herlihy grid is journaled at 100k
+# and 1M trials, reported, cut to 3/4 of its lines and resumed. A leg
 # fails when the longer run's peak RSS (telemetry.json's
-# `process.peak_rss_kb`) exceeds the shorter one's by over 16 MiB.
+# `process.peak_rss_kb`; for `report`, its VmHWM polled every 20 ms)
+# exceeds the shorter one's by over 16 MiB.
 mem-smoke:
 	sh scripts/mem_smoke.sh
 

@@ -1,8 +1,11 @@
 (* Bechamel benchmarks — one group per paper artifact (figures and
-   theorems, mirroring experiments E1..E9) plus the performance series
-   B1..B3 from DESIGN.md. Each benchmark times one complete adversarial
-   run of the relevant construction or analysis, so the series show how
-   the cost of consensus (and of defeating it) scales with f, t and n.
+   theorems, mirroring experiments E1..E14), the real-multicore series
+   B3 from DESIGN.md, and one distributed campaign with and without its
+   status endpoint. Each benchmark times one complete adversarial run of
+   the relevant construction or analysis, so the series show how the
+   cost of consensus (and of defeating it) scales with f, t and n.
+   Campaign, crash-restart and engine-step throughput are perfbench's
+   workloads (perfbench/README.md), in trials/s and ns/step.
 
    Run: dune exec bench/main.exe            (all groups)
         dune exec bench/main.exe -- e3 b3   (selected groups) *)
@@ -229,62 +232,6 @@ let relaxed_queue_run ~k ~p =
          ~scheduler:(Sim.Scheduler.random ~seed:56L)
          ~injector ~bodies:(Array.init 3 body) ())
 
-(* Campaign engine: the same 256-trial fig3 grid pushed through the
-   work-stealing pool at increasing domain counts. Records are
-   discarded, so the series isolates pool + trial cost — the speedup
-   over campaign/1dom is the acceptance number for the orchestrator. *)
-let campaign_run ~domains =
-  let spec =
-    Ffault_campaign.Spec.v ~name:"bench" ~protocol:"fig3" ~f:[ 2 ] ~t:[ Some 1 ] ~n:[ 3 ]
-      ~rates:[ 0.3 ] ~trials:256 ~seed:77L ()
-  in
-  fun () ->
-    let s = Ffault_campaign.Pool.run_trials ~domains ~on_record:(fun _ -> ()) spec in
-    if s.Ffault_campaign.Pool.failures > 0 then failwith "bench: campaign violation"
-
-(* Recover: overhead of the crash-restart machinery — the campaign pool
-   workload with the crash axes live. The recoverable protocols must
-   stay clean under a crash-only schedule (asserted, so the bench
-   doubles as a smoke check); naive-tas is measured without the
-   assertion because its violations are the point of the baseline. *)
-let recover_run ~protocol ~expect_clean ~domains =
-  let spec =
-    Ffault_campaign.Spec.v ~name:"bench-recover" ~protocol ~f:[ 0 ] ~n:[ 2 ] ~rates:[ 0.0 ]
-      ~crashes:[ 1 ] ~crash_rates:[ 0.4 ]
-      ~persistence:[ Ffault_recover.Persistence.Persist_all ] ~trials:256 ~seed:77L ()
-  in
-  fun () ->
-    let s =
-      Ffault_campaign.Pool.run_trials ~domains ~on_record:(fun _ -> ()) spec
-    in
-    if expect_clean && s.Ffault_campaign.Pool.failures > 0 then
-      failwith "bench: recoverable protocol violated under crash-only schedule"
-
-(* B1: raw simulator throughput — a tight CAS ping-pong between n
-   processes for a fixed number of steps. *)
-let sim_throughput ~n ~steps =
-  let open Ffault_objects in
-  let world = Sim.World.cas_world ~n_procs:n ~objects:1 in
-  let per_proc = steps / n in
-  fun () ->
-    let body me () =
-      let o = Obj_id.of_int 0 in
-      for k = 0 to per_proc - 1 do
-        ignore
-          (Sim.Proc.cas o ~expected:(Value.Int ((k * n) + me)) ~desired:(Value.Int me))
-      done;
-      Value.Int me
-    in
-    let cfg =
-      Sim.Engine.config ~max_steps_per_proc:(per_proc + 1)
-        ~max_total_steps:(steps + n) ~world ~budget:(Fault.Budget.none ()) ()
-    in
-    ignore
-      (Sim.Engine.run cfg
-         ~scheduler:(Sim.Scheduler.round_robin ())
-         ~injector:Fault.Injector.never
-         ~bodies:(Array.init n body) ())
-
 (* B3: the real-multicore substrate. *)
 let multicore_run ~protocol ~domains ~p ~seed =
   fun () ->
@@ -447,30 +394,11 @@ let groups =
         ("relaxed-queue/k=2/p=0.3", relaxed_queue_run ~k:2 ~p:0.3);
         ("relaxed-queue/k=8/p=0.5", relaxed_queue_run ~k:8 ~p:0.5);
       ];
-    group "campaign"
-      [
-        ("campaign/fig3-256/1dom", campaign_run ~domains:1);
-        ("campaign/fig3-256/2dom", campaign_run ~domains:2);
-        ("campaign/fig3-256/4dom", campaign_run ~domains:4);
-      ];
     group "dist"
       [
         ("dist/2w-128t", dist_run ~workers:2 ~status:false ~scrape:false);
         ("dist/2w-128t/status", dist_run ~workers:2 ~status:true ~scrape:false);
         ("dist/2w-128t/status+scrape", dist_run ~workers:2 ~status:true ~scrape:true);
-      ];
-    group "recover"
-      [
-        ("recover/rec-tas-256/1dom", recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:1);
-        ("recover/rec-tas-256/4dom", recover_run ~protocol:"rec-tas" ~expect_clean:true ~domains:4);
-        ("recover/rec-cas-256/1dom", recover_run ~protocol:"rec-cas" ~expect_clean:true ~domains:1);
-        ( "recover/naive-tas-256/1dom",
-          recover_run ~protocol:"naive-tas" ~expect_clean:false ~domains:1 );
-      ];
-    group "b1"
-      [
-        ("sim-steps/n=2/10k", sim_throughput ~n:2 ~steps:10_000);
-        ("sim-steps/n=8/10k", sim_throughput ~n:8 ~steps:10_000);
       ];
     group "b3"
       [

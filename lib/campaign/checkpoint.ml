@@ -98,17 +98,39 @@ let mark st id =
 
 let completed st = st.completed
 
+(* From the top id down, so the ranges cons up in ascending order. *)
 let remaining st =
-  let ids = ref [] in
-  for id = st.total - 1 downto 0 do
-    if not (is_done st id) then ids := id :: !ids
-  done;
-  !ids
+  let rec bottom lo = if lo > 0 && not (is_done st (lo - 1)) then bottom (lo - 1) else lo in
+  let rec ranges hi acc =
+    if hi = 0 then acc
+    else if is_done st (hi - 1) then ranges (hi - 1) acc
+    else
+      let lo = bottom (hi - 1) in
+      ranges lo ((lo, hi) :: acc)
+  in
+  ranges st.total []
 
-let scan ~dir ~total =
+(* Repair a crash-torn journal tail before any append-mode writer
+   reopens the file, or the first new record would concatenate onto the
+   torn bytes and corrupt both; then replay the journal into a done-mask
+   in one pass. Every line then ends in a newline, so the lines that do
+   not parse are interior damage, which a crash cannot cause: [on_warn]
+   hears of both findings at once. *)
+let resume_scan ~on_warn ~dir ~total =
+  let path = journal_path ~dir in
+  let tail = (Journal.recover ~path).Journal.warning in
   let st = fresh ~total in
-  Journal.fold ~path:(journal_path ~dir) ~init:()
-    ~f:(fun () r -> mark st r.Journal.trial);
+  let (), h = Journal.scan ~path ~init:() ~f:(fun () r -> mark st r.Journal.trial) in
+  (match h.Journal.h_malformed with
+  | 0 -> Option.iter on_warn tail
+  | n ->
+      let interior =
+        Fmt.str
+          "journal %s: %d interior record(s) do not parse — not crash damage (appends are \
+           sequential); their trials will be re-run, but the file deserves a look"
+          path n
+      in
+      on_warn (match tail with None -> interior | Some w -> interior ^ "; " ^ w));
   st
 
 (* The shared open/resume protocol of every campaign executor (the
@@ -138,14 +160,7 @@ let open_campaign ?(resume = false) ?(on_skip = fun () -> ()) ?(on_warn = fun _ 
       else Error (Fmt.str "manifest under %s disagrees with the spec; refusing to resume" dir)
   in
   let total = Grid.total_trials spec in
-  (* Repair a crash-torn journal tail before any append-mode writer
-     reopens the file, or the first new record would concatenate onto
-     the torn bytes and corrupt both. *)
-  if resume then begin
-    let r = Journal.recover ~path:(journal_path ~dir) in
-    Option.iter on_warn r.Journal.warning
-  end;
-  let st = if resume then scan ~dir ~total else fresh ~total in
+  let st = if resume then resume_scan ~on_warn ~dir ~total else fresh ~total in
   for _ = 1 to st.completed do
     on_skip ()
   done;

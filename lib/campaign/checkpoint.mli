@@ -62,9 +62,11 @@ val is_done : t -> int -> bool
 val mark : t -> int -> unit
 val completed : t -> int
 
-val remaining : t -> int list
-(** The trial ids not yet marked, ascending — what a resumed run still
-    has to execute. *)
+val remaining : t -> (int * int) list
+(** The trial ids not yet marked, as ascending, disjoint, maximal,
+    non-empty [\[lo, hi)] ranges — what a resumed run still has to
+    execute ({!Pool.run_trials}'s [ids]), in memory that grows with the
+    number of ranges, not of ids. *)
 
 val open_campaign :
   ?resume:bool ->
@@ -77,9 +79,12 @@ val open_campaign :
     in-process {!Pool} and the distributed coordinator): guard the
     manifest (fresh run must not clobber, resume must agree with the
     recorded spec), repair a crash-torn journal tail
-    ({!Journal.recover}, surfaced through [on_warn]) {e before} the
-    journal is reopened for append, and replay the journal into the
-    resume state. [on_skip] is then called once per already-journaled
-    trial, before the executor runs its first trial — progress meters
-    use it to account for resume. Returns the campaign directory and
-    the done-mask (empty for a fresh run). *)
+    ({!Journal.recover}) {e before} the journal is reopened for append,
+    and replay the journal into the resume state in one {!Journal.scan}.
+    Once the tail is repaired, the lines that scan finds malformed are
+    interior damage, which a crash cannot cause; their trials re-run.
+    The repair and the interior damage are reported together, in one
+    call of [on_warn]. [on_skip] is then called once per
+    already-journaled trial, before the executor runs its first trial —
+    progress meters use it to account for resume. Returns the campaign
+    directory and the done-mask (empty for a fresh run). *)

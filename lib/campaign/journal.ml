@@ -339,30 +339,20 @@ let close_writer w =
 
 (* ---- crash recovery ---- *)
 
-type recovery = { dropped_bytes : int; interior_torn : int; warning : string option }
+type recovery = { dropped_bytes : int; warning : string option }
 
-let clean = { dropped_bytes = 0; interior_torn = 0; warning = None }
+let clean = { dropped_bytes = 0; warning = None }
 
-(* Malformed newline-terminated lines. A crash can only tear the final
-   line (appends are sequential, so what reached the file is a prefix
-   of the written bytes, even where the channel wrote out a full buffer
-   mid-line), so interior damage means something else — filesystem
-   corruption, a concurrent writer, a hand-edited journal. [fold] skips
-   such lines silently; recovery and the report's health section must
-   not. *)
-let count_interior_torn text =
-  let torn = ref 0 in
-  let next = ref 0 in
-  let len = String.length text in
-  while !next < len do
-    match String.index_from_opt text !next '\n' with
-    | None -> next := len (* unterminated tail: judged separately *)
-    | Some nl ->
-        let line = String.trim (String.sub text !next (nl - !next)) in
-        if line <> "" && Result.is_error (of_line line) then incr torn;
-        next := nl + 1
-  done;
-  !torn
+(* The offset just past the last newline among the first [stop] bytes of
+   [ic], or 0 without one: read back from the end, 4 KiB at a time. *)
+let rec tail_start ic stop =
+  if stop = 0 then 0
+  else
+    let start = max 0 (stop - 4096) in
+    In_channel.seek ic (Int64.of_int start);
+    match String.rindex_opt (really_input_string ic (stop - start)) '\n' with
+    | Some i -> start + i + 1
+    | None -> tail_start ic start
 
 (* A campaign killed mid-write leaves a torn final line: the bytes that
    reached the file are a prefix of the records written, and a group
@@ -370,115 +360,71 @@ let count_interior_torn text =
    a record. Left in place, the next resume's append-mode writer would
    concatenate its first record onto the torn bytes, silently corrupting
    BOTH records for every later reader — so resume must repair the tail
-   before reopening the file for append. A torn line that still parses
-   just lost its newline and is completed; anything else is dropped (the
-   checkpoint scan then re-runs that trial). *)
+   before reopening the file for append. Only the final line can tear,
+   so only the bytes after the last newline are read. A torn line that
+   still parses just lost its newline and is completed; anything else is
+   dropped (the checkpoint scan then re-runs that trial). *)
 let recover ~path =
   if not (Sys.file_exists path) then clean
   else
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    let len = String.length text in
-    if len = 0 then clean
+    let len, start, tail =
+      In_channel.with_open_bin path (fun ic ->
+          let len = Int64.to_int (In_channel.length ic) in
+          let start = tail_start ic len in
+          In_channel.seek ic (Int64.of_int start);
+          (len, start, really_input_string ic (len - start)))
+    in
+    if start = len then clean (* empty or newline-terminated: no torn tail *)
     else
-      let interior_torn = count_interior_torn text in
-      let interior_warning =
-        if interior_torn = 0 then None
-        else
-          Some
-            (Fmt.str
-               "journal %s: %d interior record(s) do not parse — not crash damage \
-                (appends are sequential); their trials will be re-run, but the file \
-                deserves a look"
-               path interior_torn)
-      in
-      let combine tail_warning =
-        match interior_warning, tail_warning with
-        | None, w | w, None -> w
-        | Some a, Some b -> Some (a ^ "; " ^ b)
-      in
-      let tail_start =
-        match String.rindex_opt text '\n' with Some i -> i + 1 | None -> 0
-      in
-      if tail_start >= len then
-        (* newline-terminated: no torn tail *)
-        { clean with interior_torn; warning = combine None }
-      else
-        let tail = String.sub text tail_start (len - tail_start) in
-        match of_line (String.trim tail) with
-        | Ok _ ->
-            (* complete record, torn newline: finish the line *)
-            Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o644 path
-              (fun oc -> output_char oc '\n');
-            {
-              dropped_bytes = 0;
-              interior_torn;
-              warning =
-                combine
-                  (Some
-                     (Fmt.str
-                        "journal %s: final record was missing its newline (crash \
-                         mid-append); repaired"
-                        path));
-            }
-        | Error _ ->
-            let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-            Fun.protect
-              ~finally:(fun () -> Unix.close fd)
-              (fun () -> Unix.ftruncate fd tail_start);
-            {
-              dropped_bytes = len - tail_start;
-              interior_torn;
-              warning =
-                combine
-                  (Some
-                     (Fmt.str
-                        "journal %s: dropped a torn %d-byte partial trailing record \
-                         (crash mid-append); its trial will be re-run"
-                        path (len - tail_start)));
-            }
-
-(* ---- health ---- *)
-
-type health = { h_lines : int; h_parsed : int; h_malformed : int }
-
-let healthy = { h_lines = 0; h_parsed = 0; h_malformed = 0 }
-
-let health ~path =
-  if not (Sys.file_exists path) then healthy
-  else
-    In_channel.with_open_text path (fun ic ->
-        let rec go h =
-          match In_channel.input_line ic with
-          | None -> h
-          | Some line ->
-              let line = String.trim line in
-              if line = "" then go h
-              else
-                let h = { h with h_lines = h.h_lines + 1 } in
-                go
-                  (match of_line line with
-                  | Ok _ -> { h with h_parsed = h.h_parsed + 1 }
-                  | Error _ -> { h with h_malformed = h.h_malformed + 1 })
-        in
-        go healthy)
+      match of_line (String.trim tail) with
+      | Ok _ ->
+          (* complete record, torn newline: finish the line *)
+          Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o644 path (fun oc ->
+              output_char oc '\n');
+          let warning =
+            Fmt.str
+              "journal %s: final record was missing its newline (crash mid-append); repaired"
+              path
+          in
+          { dropped_bytes = 0; warning = Some warning }
+      | Error _ ->
+          Unix.truncate path start;
+          let warning =
+            Fmt.str
+              "journal %s: dropped a torn %d-byte partial trailing record (crash mid-append); \
+               its trial will be re-run"
+              path (len - start)
+          in
+          { dropped_bytes = len - start; warning = Some warning }
 
 (* ---- reading ---- *)
 
-let fold ~path ~init ~f =
-  if not (Sys.file_exists path) then init
-  else
-    In_channel.with_open_text path (fun ic ->
-        let rec go acc =
-          match In_channel.input_line ic with
-          | None -> acc
-          | Some line ->
-              let line = String.trim line in
-              if line = "" then go acc
-              else (
-                (* tolerate a torn trailing line from a killed run *)
-                match of_line line with Ok r -> go (f acc r) | Error _ -> go acc)
-        in
-        go init)
+type health = { h_lines : int; h_parsed : int; h_malformed : int }
+
+(* The one line reader: every path that reads a journal streams it
+   through here, one line at a time. *)
+let scan ~path ~init ~f =
+  let lines = ref 0 and malformed = ref 0 in
+  let rec go ic acc =
+    match In_channel.input_line ic with
+    | None -> acc
+    | Some line -> (
+        let line = String.trim line in
+        if line = "" then go ic acc
+        else (
+          incr lines;
+          match of_line line with
+          | Ok r -> go ic (f acc r)
+          | Error _ ->
+              incr malformed;
+              go ic acc))
+  in
+  let acc =
+    if Sys.file_exists path then In_channel.with_open_text path (fun ic -> go ic init) else init
+  in
+  (acc, { h_lines = !lines; h_parsed = !lines - !malformed; h_malformed = !malformed })
+
+let fold ~path ~init ~f = fst (scan ~path ~init ~f)
 
 let load ~path = List.rev (fold ~path ~init:[] ~f:(fun acc r -> r :: acc))
 

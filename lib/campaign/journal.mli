@@ -107,48 +107,42 @@ val close_writer : writer -> unit
 
 (** {2 Crash recovery} *)
 
-type recovery = {
-  dropped_bytes : int;
-  interior_torn : int;
-      (** malformed {e newline-terminated} records. A crash can only tear
-          the final line (appends are sequential, so the file holds a
-          prefix of the written bytes, whether a group write or a full
-          channel buffer stopped mid-line), so interior damage points at
-          filesystem corruption, a concurrent writer, or hand edits —
-          surfaced here and in the report's health section rather than
-          silently skipped by {!fold}. *)
-  warning : string option;
-}
+type recovery = { dropped_bytes : int; warning : string option }
 
 val recover : path:string -> recovery
 (** Repair the torn trailing line a killed run can leave (a write that
-    stopped inside ["record\n"]). A parseable tail that merely lost its
-    newline is completed in place; an unparseable tail is truncated
-    away, so the checkpoint scan re-runs that trial. Also counts
-    interior torn records (see {!recovery.interior_torn}); those are
-    left in place — their trials re-run via the checkpoint scan. Must be
-    called before reopening the journal for append on resume — otherwise
-    the next record would concatenate onto the torn bytes and corrupt
-    both. A missing, empty, or newline-terminated file repairs nothing. *)
+    stopped inside ["record\n"]). Appends are sequential, so only that
+    line can tear: [recover] reads only the bytes after the file's last
+    newline, seeking back from its end. A parseable tail that merely
+    lost its newline is completed in place; an unparseable tail is
+    truncated away, so the checkpoint scan re-runs that trial. Must be
+    called before reopening the journal for append on resume —
+    otherwise the next record would concatenate onto the torn bytes and
+    corrupt both. A missing, empty, or newline-terminated file repairs
+    nothing. Malformed interior lines are left in place; {!scan} counts
+    them. *)
 
-(** {2 Health} *)
+(** {2 Reading} *)
 
 type health = {
   h_lines : int;  (** non-blank lines *)
   h_parsed : int;
-  h_malformed : int;  (** lines {!fold} would silently skip *)
+  h_malformed : int;
+      (** lines that do not parse. Only the final line can tear in a
+          crash, so once {!recover} has run, each one points at
+          filesystem corruption, a concurrent writer, or hand edits *)
 }
 
-val health : path:string -> health
-(** Scan the whole journal and report its parse health — what
-    [campaign report]'s health section shows. A missing file is healthy
-    (all zeros). *)
-
-(** {2 Reading} *)
+val scan : path:string -> init:'a -> f:('a -> record -> 'a) -> 'a * health
+(** The one journal reader: stream the file once, in write order,
+    folding [f] over the records that parse, and count its lines and its
+    malformed lines — what [campaign report]'s health section shows.
+    Memory is one line at a time plus [f]'s accumulator. A missing file
+    is an empty, healthy journal (all zeros). *)
 
 val fold : path:string -> init:'a -> f:('a -> record -> 'a) -> 'a
-(** Stream the journal in write order. A missing file is an empty
-    journal; malformed lines (a torn final write) are skipped. *)
+(** {!scan} without the health: malformed lines (a torn final write) are
+    skipped. *)
 
 val load : path:string -> record list
 val count : path:string -> int

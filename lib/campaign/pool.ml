@@ -210,13 +210,26 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
         d
   in
   let total = Grid.total_trials spec in
-  (* task k runs trial [id_of k]; the whole grid needs no id array *)
-  let tasks, id_of =
-    match ids with
-    | None -> (total, Fun.id)
-    | Some ids ->
-        let ids = Array.of_list ids in
-        (Array.length ids, Array.get ids)
+  (* Task k runs trial [id_of k]. Range i's first task is [firsts.(i)],
+     ascending, so k's range is the last one starting at or before k
+     (an empty range starts where the next one does). *)
+  let ranges = Array.of_list (Option.value ids ~default:[ (0, total) ]) in
+  let firsts = Array.make (Array.length ranges + 1) 0 in
+  Array.iteri
+    (fun i (lo, hi) ->
+      if hi < lo then invalid_arg "Pool.run_trials: a range ends before it starts";
+      firsts.(i + 1) <- firsts.(i) + hi - lo)
+    ranges;
+  let tasks = firsts.(Array.length ranges) in
+  let rec range_of k lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if firsts.(mid) <= k then range_of k mid hi else range_of k lo mid
+  in
+  let id_of k =
+    let i = range_of k 0 (Array.length ranges) in
+    fst ranges.(i) + k - firsts.(i)
   in
   let executed = ref 0 in
   let failures = ref 0 in

@@ -83,17 +83,18 @@ val default_max_shrinks_per_cell : int
 
 val run_trials :
   ?domains:int ->
-  ?ids:int list ->
+  ?ids:(int * int) list ->
   ?supervision:supervision ->
   on_record:(Journal.record -> unit) ->
   Spec.t ->
   summary
-(** In-memory engine: run each trial id of [ids] (default every id of
-    the grid, [0 … total−1]) and hand each record to [on_record], which
-    is called under a single lock and need not synchronize. The ids must
-    be distinct; on 1 domain they run in list order. A distributed lease
-    passes its range minus the ids already journaled, a resumed
-    {!run_dir} the ids its journal lacks. Defaults: 1 domain,
+(** In-memory engine: run each trial id of the [\[lo, hi)] ranges [ids]
+    (default [\[(0, total)\]], the whole grid) and hand each record to
+    [on_record], which is called under a single lock and need not
+    synchronize. The ranges must be disjoint; on 1 domain their ids run
+    in list order, one runner task per id. A distributed lease passes
+    its range minus the ids already journaled, {!run_dir} the ids its
+    journal lacks ({!Checkpoint.remaining}). Defaults: 1 domain,
     {!default_supervision} (unsupervised).
 
     With a deadline set, each trial runs under a cancellation token
@@ -109,8 +110,9 @@ val run_trials :
     its witness; nothing is minimized here. [wall_us] covers the run
     alone.
     @raise Invalid_argument if the spec's protocol does not resolve,
-    [domains < 1], or an id lies outside the grid — raised when that
-    id's turn comes, so the ids before it may already have run. *)
+    [domains < 1] or a range ends before it starts, and when the turn of
+    an id outside the grid comes, so the ids before it may already have
+    run. *)
 
 val run_dir :
   ?domains:int ->

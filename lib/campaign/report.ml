@@ -86,7 +86,7 @@ let add_witness a (id, w) =
     a.a_rest <- best a.a_rest (Some (List.nth first first_failures))
   end
 
-let of_records ?telemetry ?workers ?journal_health spec records =
+let of_records ?telemetry ?workers spec iter =
   let protocol =
     match Spec.resolve_protocol spec.Spec.protocol with
     | Ok p -> Some p
@@ -115,7 +115,7 @@ let of_records ?telemetry ?workers ?journal_health spec records =
   in
   let total = ref 0 in
   let total_failures = ref 0 in
-  List.iter
+  iter
     (fun (r : Journal.record) ->
       let cell_id = r.Journal.trial / spec.Spec.trials in
       if cell_id >= 0 && cell_id < n_cells then begin
@@ -153,8 +153,7 @@ let of_records ?telemetry ?workers ?journal_health spec records =
           a.a_crashes <- a.a_crashes + r.Journal.crash_faults;
           a.a_wall <- a.a_wall +. float_of_int r.Journal.wall_us
         end
-      end)
-    records;
+      end);
   (* A witness that does not minimize, or a protocol that does not
      resolve, keeps the raw vector. *)
   let minimized cell (id, w) =
@@ -207,7 +206,7 @@ let of_records ?telemetry ?workers ?journal_health spec records =
           (fun (c : cell_stats) ->
             if c.quarantined > 0 then Some (Grid.cell_key c.cell) else None)
           cell_stats;
-      journal = journal_health;
+      journal = None;
     }
   in
   {
@@ -237,13 +236,18 @@ let of_dir ~dir =
   match Checkpoint.load_manifest ~dir with
   | Error _ as e -> e
   | Ok spec ->
-      let path = Checkpoint.journal_path ~dir in
-      Ok
-        (of_records
-           ?telemetry:(Telemetry_io.load ~dir)
-           ?workers:(load_workers ~dir)
-           ~journal_health:(Journal.health ~path)
-           spec (Journal.load ~path))
+      (* one pass over the journal: the records and the file's health *)
+      let journal = ref None in
+      let report =
+        of_records ?telemetry:(Telemetry_io.load ~dir) ?workers:(load_workers ~dir) spec
+          (fun step ->
+            let (), health =
+              Journal.scan ~path:(Checkpoint.journal_path ~dir) ~init:() ~f:(fun () r ->
+                  step r)
+            in
+            journal := Some health)
+      in
+      Ok { report with health = { report.health with journal = !journal } }
 
 (* ---- rendering ---- *)
 

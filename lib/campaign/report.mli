@@ -1,9 +1,12 @@
 (** Journal aggregation: per-cell statistics, rendered reports, and
     regression diffs between two campaign runs.
 
-    Aggregation is streaming-friendly (per-cell
-    {!Ffault_stats.Summary} accumulators, which cap their percentile
-    reservoirs), so million-trial journals aggregate in bounded
+    Aggregation is one streaming pass: each record is folded into its
+    cell's accumulators ({!Ffault_stats.Summary}, which caps its
+    percentile reservoir, and the cell's first few witnesses) and then
+    dropped, and {!of_dir} reads the journal once, through
+    {!Journal.scan}. So a report's memory grows with the grid's cells,
+    not with the journal: million-trial journals aggregate in bounded
     memory. *)
 
 type cell_stats = {
@@ -70,19 +73,18 @@ type t = {
 }
 
 val of_records :
-  ?telemetry:Json.t ->
-  ?workers:Json.t ->
-  ?journal_health:Journal.health ->
-  Spec.t ->
-  Journal.record list ->
-  t
-(** [min_witness] and [min_witness_len] do not depend on the records'
+  ?telemetry:Json.t -> ?workers:Json.t -> Spec.t -> ((Journal.record -> unit) -> unit) -> t
+(** [of_records spec iter] aggregates the records [iter] hands to the
+    step it is given, which keeps none of them: [iter] may stream a
+    journal ({!Journal.scan}) or a pool run ([fun step ->
+    Pool.run_trials ~on_record:step spec]). [health.journal] is [None].
+    [min_witness] and [min_witness_len] do not depend on the records'
     order. Minimizes at most {!Pool.default_max_shrinks_per_cell}
     witnesses per cell. *)
 
 val of_dir : dir:string -> (t, string) result
-(** Also scans the journal file's parse health ({!Journal.health}) into
-    [health.journal]. *)
+(** Streams the journal once, through {!Journal.scan}: the same pass
+    gives the records and the file's parse health, [health.journal]. *)
 
 val to_markdown : t -> string
 

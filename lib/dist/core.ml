@@ -16,7 +16,6 @@ let m_deduped = Metrics.counter "dist.results_deduped"
 let m_connects = Metrics.counter "dist.worker_connects"
 let m_reconnects = Metrics.counter "dist.worker_reconnects"
 let m_stale_completes = Metrics.counter "dist.stale_completes"
-let g_workers = Metrics.gauge "dist.workers_connected"
 
 (* Heartbeat frames received. Every frame renews its sender's liveness
    slot, but only a [Codec.Heartbeat] counts here. *)
@@ -181,6 +180,9 @@ type 'c t = {
   on_requeue : string -> int -> unit;
   on_drop : 'c client -> unit;
   leases : Lease.t;
+  g_workers : Metrics.gauge;
+      (* dist.workers_connected, registered by [create]: a process that
+         never coordinates (a pool run, a worker) reports no such gauge *)
   beats : int array;
       (* per heartbeat slot: the clock at its holder's last frame (a
          slot is stamped when a Hello takes it), -1 = never held.
@@ -252,6 +254,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     on_requeue;
     on_drop;
     leases;
+    g_workers = Metrics.gauge "dist.workers_connected";
     beats = Array.make max_workers (-1);
     free_slots = List.init max_workers Fun.id;
     clients = [];
@@ -270,7 +273,7 @@ let dropped c = c.c_dropped
 let add_client t conn =
   let c = { c_conn = conn; cname = None; slot = -1; c_dropped = false } in
   t.clients <- c :: t.clients;
-  Metrics.add_gauge g_workers 1;
+  Metrics.add_gauge t.g_workers 1;
   c
 
 let wstat_of t name =
@@ -338,7 +341,7 @@ let drop_client t ~why c =
       t.free_slots <- c.slot :: t.free_slots;
       c.slot <- -1
     end;
-    Metrics.add_gauge g_workers (-1);
+    Metrics.add_gauge t.g_workers (-1);
     t.on_drop c;
     t.io.close c.c_conn
   end

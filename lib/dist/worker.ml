@@ -84,12 +84,15 @@ module Protocol = struct
     | Codec.Heartbeat _ -> Ignore (* tolerated, not expected *)
     | m -> Unexpected (Fmt.str "expected lease, got %a" Codec.pp m)
 
+  (* [lo, hi) cut at each done id inside it, from the lowest up *)
   let ids_to_run ~lo ~hi ~done_ids =
-    let done_tbl = Hashtbl.create (List.length done_ids * 2 + 1) in
-    List.iter (fun id -> Hashtbl.replace done_tbl id ()) done_ids;
-    List.filter
-      (fun id -> not (Hashtbl.mem done_tbl id))
-      (List.init (hi - lo) (fun i -> lo + i))
+    let rec cut from acc = function
+      | d :: rest when from <= d && d < hi ->
+          cut (d + 1) (if from < d then (from, d) :: acc else acc) rest
+      | _ :: rest -> cut from acc rest
+      | [] -> List.rev (if from < hi then (from, hi) :: acc else acc)
+    in
+    cut lo [] (List.sort_uniq Int.compare done_ids)
 end
 
 (* The observability payload of one beat: the current metrics snapshot

@@ -96,9 +96,12 @@ module Protocol : sig
       [Lease] whose [\[lo, hi)] is not inside the spec's grid is
       [Unexpected]: a protocol error, not work. *)
 
-  val ids_to_run : lo:int -> hi:int -> done_ids:int list -> int list
-  (** The trial ids of a lease still needing execution, ascending —
-      [\[lo, hi)] minus the already-journaled [done_ids]. *)
+  val ids_to_run : lo:int -> hi:int -> done_ids:int list -> (int * int) list
+  (** The trial ids of a lease still needing execution — [\[lo, hi)]
+      minus the already-journaled [done_ids] — as ascending, disjoint,
+      maximal, non-empty [\[lo, hi)] ranges, the shape
+      {!Ffault_campaign.Pool.run_trials} takes. [done_ids] may come in
+      any order, repeat, or lie outside the lease. *)
 end
 
 type summary = {

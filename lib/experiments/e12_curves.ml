@@ -11,11 +11,8 @@ module Bounded_faults = Consensus.Bounded_faults
    artifacts can never drift apart. *)
 
 let campaign_report spec =
-  let records = ref [] in
-  let _ =
-    Campaign.Pool.run_trials ~on_record:(fun r -> records := r :: !records) spec
-  in
-  Campaign.Report.of_records spec (List.rev !records)
+  Campaign.Report.of_records spec (fun step ->
+      ignore (Campaign.Pool.run_trials ~on_record:step spec))
 
 let cell_rate (c : Campaign.Report.cell_stats) = c.cell.Campaign.Grid.rate
 

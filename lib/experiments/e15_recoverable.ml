@@ -9,11 +9,8 @@ module Persistence = Ffault_recover.Persistence
    pair) produces, so the experiment and the CLI artifacts cannot drift. *)
 
 let campaign_report spec =
-  let records = ref [] in
-  let _ =
-    Campaign.Pool.run_trials ~on_record:(fun r -> records := r :: !records) spec
-  in
-  Campaign.Report.of_records spec (List.rev !records)
+  Campaign.Report.of_records spec (fun step ->
+      ignore (Campaign.Pool.run_trials ~on_record:step spec))
 
 (* The swept grid, per protocol: f = 0 rows are crash-only (an empty
    fault budget offers no primitive fault regardless of rate), f = 1

@@ -489,7 +489,11 @@ let run ?atoms ?(trace = true) cfg ~seed =
     | Awaiting -> (
         match Protocol.lease_reply spec msg with
         | Protocol.Granted { lease; epoch; lo; hi; done_ids } ->
-            run_lease w ~lease ~epoch ~ids:(Protocol.ids_to_run ~lo ~hi ~done_ids)
+            run_lease w ~lease ~epoch
+              ~ids:
+                (List.concat_map
+                   (fun (lo, hi) -> List.init (hi - lo) (( + ) lo))
+                   (Protocol.ids_to_run ~lo ~hi ~done_ids))
         | Protocol.Backoff s ->
             bump w;
             let inc = w.inc and seq = w.seq in

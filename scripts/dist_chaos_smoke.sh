@@ -129,6 +129,12 @@ if [ ! -s "$DIR/events.jsonl" ]; then
   exit 1
 fi
 
+# A coordinator reports its connected-workers gauge (a pool run does not).
+if ! grep -q '"dist.workers_connected"' "$DIR/telemetry.json"; then
+  echo "dist-chaos-smoke FAILED: coordinator's telemetry.json has no dist.workers_connected gauge" >&2
+  exit 1
+fi
+
 "$BIN" campaign report --name "$NAME" >/dev/null
 if ! grep -q '^## Workers' "$DIR/report.md"; then
   echo "dist-chaos-smoke FAILED: report.md has no Workers section" >&2

@@ -464,6 +464,9 @@ let test_journal_group_commit () =
 
 (* ---- Pool ---- *)
 
+(* The report of records held in a list. *)
+let report_of spec records = Report.of_records spec (fun step -> List.iter step records)
+
 (* A whole journal line but its [wall_us], witness included: what a
    trial journals whichever executor ran it. *)
 let line (r : Journal.record) = Journal.to_line { r with Journal.wall_us = 0 }
@@ -509,7 +512,7 @@ let test_pool_lease_split () =
     (fun spec ->
       let _, whole = run_collect ~domains:1 spec in
       let total = Grid.total_trials spec in
-      let lease lo = List.init (min 7 (total - lo)) (fun i -> lo + i) in
+      let lease lo = [ (lo, min (lo + 7) total) ] in
       let split =
         List.concat_map
           (fun k -> snd (run_collect ~ids:(lease (7 * k)) ~domains:1 spec))
@@ -526,12 +529,17 @@ let test_pool_lease_split () =
 
 let test_pool_ids () =
   let spec = healthy_spec () in
-  let odd = List.filter (fun id -> id mod 2 = 1) (List.init (Grid.total_trials spec) Fun.id) in
-  let summary, records = run_collect ~ids:odd ~domains:2 spec in
+  let odd = List.init (Grid.total_trials spec / 2) (fun i -> (2 * i) + 1) in
+  let summary, records =
+    run_collect ~ids:(List.map (fun id -> (id, id + 1)) odd) ~domains:2 spec
+  in
   check Alcotest.int "half skipped" 20 summary.Pool.skipped;
   check Alcotest.int "half executed" 20 summary.Pool.executed;
   check Alcotest.(list int) "exactly the odd ids ran" odd
-    (List.map (fun r -> r.Journal.trial) records)
+    (List.map (fun r -> r.Journal.trial) records);
+  Alcotest.check_raises "a range that ends before it starts"
+    (Invalid_argument "Pool.run_trials: a range ends before it starts") (fun () ->
+      ignore (Pool.run_trials ~ids:[ (0, 1); (3, 2) ] ~on_record:ignore spec))
 
 (* ---- run_dir + resume (the acceptance scenario) ---- *)
 
@@ -682,7 +690,7 @@ let test_pool_supervised_deadline_quarantine () =
           Alcotest.fail "no trial can finish under a 1ns deadline")
     !records;
   (* the report separates harness health from protocol failures *)
-  let report = Report.of_records spec !records in
+  let report = report_of spec !records in
   check Alcotest.int "report: no failures" 0 report.Report.total_failures;
   check Alcotest.int "report: timeouts" (2 * n_cells) report.Report.health.Report.timeouts;
   check Alcotest.int "report: quarantined" (18 * n_cells)
@@ -886,18 +894,79 @@ let test_journal_interior_torn_and_health () =
   output_string oc "{corrupted beyond parsing}\n";
   output_string oc (Journal.to_line (sample_record ~trial:1 ()) ^ "\n");
   close_out oc;
+  let bytes () = In_channel.with_open_bin path In_channel.input_all in
+  let before = bytes () in
   let r = Journal.recover ~path in
   check Alcotest.int "interior damage is not a torn tail" 0 r.Journal.dropped_bytes;
-  check Alcotest.int "interior torn counted" 1 r.Journal.interior_torn;
-  check Alcotest.bool "warned" true (r.Journal.warning <> None);
+  check Alcotest.bool "no tail to repair: no warning" true (r.Journal.warning = None);
+  check Alcotest.string "recover leaves the interior alone" before (bytes ());
   check Alcotest.int "valid records still readable" 2 (Journal.count ~path);
-  let h = Journal.health ~path in
+  let trials, h = Journal.scan ~path ~init:[] ~f:(fun acc r -> r.Journal.trial :: acc) in
+  check Alcotest.(list int) "scan: the records that parse" [ 1; 0 ] trials;
   check Alcotest.int "health: lines" 3 h.Journal.h_lines;
   check Alcotest.int "health: parsed" 2 h.Journal.h_parsed;
   check Alcotest.int "health: malformed" 1 h.Journal.h_malformed;
   (* missing file is healthy *)
-  let h = Journal.health ~path:(Filename.concat root "absent.jsonl") in
+  let n, h =
+    Journal.scan ~path:(Filename.concat root "absent.jsonl") ~init:7 ~f:(fun n _ -> n + 1)
+  in
+  check Alcotest.int "missing: init" 7 n;
   check Alcotest.int "missing: zeros" 0 (h.Journal.h_lines + h.Journal.h_parsed + h.Journal.h_malformed)
+
+(* [recover] reads back from the end of the file to its last newline, a
+   block at a time: tails shorter and longer than a block, tails that
+   straddle a block boundary, a file with no newline at all, and a clean
+   file. *)
+let test_journal_recover_backwards () =
+  let root = tmp_root () in
+  let path = Filename.concat root "journal.jsonl" in
+  let bytes () = In_channel.with_open_bin path In_channel.input_all in
+  let write text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  let head =
+    String.concat "" (List.init 3 (fun i -> Journal.to_line (sample_record ~trial:i ()) ^ "\n"))
+  in
+  (* A clean file: nothing read past its last byte, nothing changed. *)
+  write head;
+  let r = Journal.recover ~path in
+  check Alcotest.int "clean: nothing dropped" 0 r.Journal.dropped_bytes;
+  check Alcotest.bool "clean: no warning" true (r.Journal.warning = None);
+  check Alcotest.string "clean: bytes unchanged" head (bytes ());
+  (* Garbage tails around the 4096-byte block. *)
+  List.iter
+    (fun k ->
+      write (head ^ String.make k 'x');
+      let r = Journal.recover ~path in
+      check Alcotest.int (Fmt.str "a %d-byte tail dropped" k) k r.Journal.dropped_bytes;
+      check Alcotest.string (Fmt.str "a %d-byte tail: the head kept" k) head (bytes ()))
+    [ 1; 4095; 4096; 4097; 4096 - String.length head; 10_000 ];
+  (* A record longer than a block (a long violations list), torn, then
+     whole but for its newline. *)
+  let long =
+    Journal.to_line
+      {
+        (sample_record ~trial:3 ()) with
+        Journal.violations = List.init 300 (fun i -> Fmt.str "consistency: violation %d" i);
+      }
+  in
+  check Alcotest.bool "the record spans blocks" true (String.length long > 2 * 4096);
+  write (head ^ String.sub long 0 (String.length long - 10));
+  let r = Journal.recover ~path in
+  check Alcotest.int "long torn tail dropped" (String.length long - 10) r.Journal.dropped_bytes;
+  check Alcotest.string "long torn tail: the head kept" head (bytes ());
+  write (head ^ long);
+  let r = Journal.recover ~path in
+  check Alcotest.int "long whole tail: nothing dropped" 0 r.Journal.dropped_bytes;
+  check Alcotest.string "long whole tail: completed" (head ^ long ^ "\n") (bytes ());
+  (* No newline at all: the whole file is the tail. *)
+  write (String.sub long 0 5000);
+  let r = Journal.recover ~path in
+  check Alcotest.int "no newline, torn: all dropped" 5000 r.Journal.dropped_bytes;
+  check Alcotest.string "no newline, torn: empty" "" (bytes ());
+  write long;
+  let r = Journal.recover ~path in
+  check Alcotest.int "no newline, whole: nothing dropped" 0 r.Journal.dropped_bytes;
+  check Alcotest.string "no newline, whole: completed" (long ^ "\n") (bytes ());
+  check Alcotest.int "no newline, whole: one record" 1 (Journal.count ~path)
 
 let test_journal_legacy_line_compat () =
   (* A pre-supervision journal line has no outcome/retries: readers must
@@ -961,6 +1030,101 @@ let test_resume_after_torn_tail () =
       check Alcotest.int "report sees every trial" total
         (List.fold_left (fun acc c -> acc + c.Report.trials) 0 report.Report.cells)
 
+(* An interior garbage line and a torn last line: resume warns once,
+   with both findings, and re-runs exactly those two trials. *)
+let test_resume_interior_and_tail () =
+  let root = tmp_root () in
+  let spec = healthy_spec ~trials:30 ~name:"interior-tail" () in
+  let total = Grid.total_trials spec in
+  (match Pool.run_dir ~domains:2 ~root spec with
+  | Error m -> Alcotest.fail m
+  | Ok _ -> ());
+  let path = Checkpoint.journal_path ~dir:(Checkpoint.campaign_dir ~root spec) in
+  (* line 40 garbled, and only the first 20 bytes of the last line *)
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iteri
+        (fun i l ->
+          if i = total - 1 then output_string oc (String.sub l 0 20)
+          else output_string oc ((if i = 40 then "{corrupted beyond parsing}" else l) ^ "\n"))
+        lines);
+  let warnings = ref [] in
+  (match
+     Pool.run_dir ~domains:2 ~resume:true ~root
+       ~on_warn:(fun m -> warnings := m :: !warnings)
+       spec
+   with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      check Alcotest.int "the two damaged trials re-ran" 2 s.Pool.executed;
+      check Alcotest.int "the rest skipped" (total - 2) s.Pool.skipped);
+  check Alcotest.(list string) "one warning, both findings"
+    [
+      Fmt.str
+        "journal %s: 1 interior record(s) do not parse — not crash damage (appends are \
+         sequential); their trials will be re-run, but the file deserves a look; journal %s: \
+         dropped a torn 20-byte partial trailing record (crash mid-append); its trial will be \
+         re-run"
+        path path;
+    ]
+    !warnings;
+  let trials, h = Journal.scan ~path ~init:[] ~f:(fun acc r -> r.Journal.trial :: acc) in
+  check Alcotest.(list int) "every trial exactly once" (List.init total Fun.id)
+    (List.sort compare trials);
+  check Alcotest.int "the interior line stays" 1 h.Journal.h_malformed
+
+(* A done-mask of [total] ids: all clear, all set, or each set with a
+   random probability, so runs of every length occur. *)
+let done_mask =
+  QCheck.make
+    ~print:(fun m ->
+      String.init (Array.length m) (fun i -> if m.(i) then '1' else '0'))
+    QCheck.Gen.(
+      int_range 0 300 >>= fun total ->
+      frequency
+        [
+          (1, return (Array.make total false));
+          (1, return (Array.make total true));
+          ( 6,
+            float_bound_inclusive 1.0 >>= fun p ->
+            array_repeat total (map (fun x -> x < p) (float_bound_exclusive 1.0)) );
+        ])
+
+let runner_tasks () =
+  Option.value ~default:0
+    (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ())
+       "runner.tasks")
+
+(* [remaining] gives the unmarked ids as ascending, disjoint, maximal,
+   non-empty ranges, and a pool handed them runs exactly those ids, one
+   runner task each, in order on 1 domain. *)
+let prop_remaining_ranges =
+  QCheck.Test.make ~name:"remaining ranges run the unmarked ids" ~count:60 done_mask
+    (fun mask ->
+      let total = Array.length mask in
+      let st = Checkpoint.fresh ~total in
+      Array.iteri (fun id marked -> if marked then Checkpoint.mark st id) mask;
+      let ranges = Checkpoint.remaining st in
+      let unmarked = List.filter (fun id -> not mask.(id)) (List.init total Fun.id) in
+      let rec shaped = function
+        | (lo, hi) :: ((lo', _) :: _ as rest) -> lo < hi && hi < lo' && shaped rest
+        | [ (lo, hi) ] -> lo < hi
+        | [] -> true
+      in
+      let spec = Spec.v ~name:"ranges" ~protocol:"fig1" ~trials:(max 1 total) () in
+      let ran = ref [] in
+      let before = runner_tasks () in
+      let summary =
+        Pool.run_trials ~domains:1 ~ids:ranges
+          ~on_record:(fun r -> ran := r.Journal.trial :: !ran)
+          spec
+      in
+      shaped ranges
+      && List.concat_map (fun (lo, hi) -> List.init (hi - lo) (( + ) lo)) ranges = unmarked
+      && List.rev !ran = unmarked
+      && runner_tasks () - before = List.length unmarked
+      && summary.Pool.skipped = max 1 total - List.length unmarked)
+
 let test_run_dir_refuses_clobber_and_mismatch () =
   let root = tmp_root () in
   let spec = healthy_spec ~name:"guarded" () in
@@ -978,7 +1142,7 @@ let test_run_dir_refuses_clobber_and_mismatch () =
 let test_report_aggregates () =
   let spec = failing_spec ~trials:40 () in
   let _, records = run_collect ~domains:2 spec in
-  let report = Report.of_records spec records in
+  let report = report_of spec records in
   check Alcotest.int "one cell" 1 (List.length report.Report.cells);
   let c = List.hd report.Report.cells in
   check Alcotest.int "trials counted" 40 c.Report.trials;
@@ -991,7 +1155,7 @@ let test_report_aggregates () =
 let test_report_diff_detects_regression () =
   let spec = healthy_spec () in
   let _, records = run_collect ~domains:1 spec in
-  let a = Report.of_records spec records in
+  let a = report_of spec records in
   (* Self-diff: clean. *)
   let d = Report.diff a a in
   check Alcotest.int "self-diff has no regressions" 0 d.Report.regressions;
@@ -1005,7 +1169,7 @@ let test_report_diff_detects_regression () =
         else r)
       records
   in
-  let b = Report.of_records spec doctored in
+  let b = report_of spec doctored in
   let d = Report.diff a b in
   check Alcotest.bool "regression detected" true (d.Report.regressions >= 1);
   let d' = Report.diff b a in
@@ -1053,7 +1217,7 @@ let test_report_min_witness () =
     (fun spec ->
       let _, records = run_collect ~domains:1 spec in
       let protocol = Result.get_ok (Spec.resolve_protocol spec.Spec.protocol) in
-      let report = Report.of_records spec records in
+      let report = report_of spec records in
       check Alcotest.bool "a cell with more failures than get minimized" true
         (List.exists
            (fun (c : Report.cell_stats) ->
@@ -1092,7 +1256,7 @@ let test_report_order_independent () =
   let witnesses records =
     List.map
       (fun (c : Report.cell_stats) -> (c.Report.min_witness_len, c.Report.min_witness))
-      (Report.of_records spec records).Report.cells
+      (report_of spec records).Report.cells
   in
   let expected = witnesses records in
   let rng = Random.State.make [| 21 |] in
@@ -1173,6 +1337,8 @@ let suites =
         Alcotest.test_case "torn line" `Quick test_journal_tolerates_torn_line;
         Alcotest.test_case "recover torn tail" `Quick test_journal_recover_unit;
         Alcotest.test_case "interior torn + health" `Quick test_journal_interior_torn_and_health;
+        Alcotest.test_case "recover reads back to the last newline" `Quick
+          test_journal_recover_backwards;
         Alcotest.test_case "legacy line compat" `Quick test_journal_legacy_line_compat;
         Alcotest.test_case "group commit" `Quick test_journal_group_commit;
       ] );
@@ -1189,6 +1355,11 @@ let suites =
           test_run_dir_stopped_keeps_appends;
         Alcotest.test_case "clobber + mismatch guards" `Quick
           test_run_dir_refuses_clobber_and_mismatch;
+      ] );
+    ( "campaign.resume",
+      [
+        Alcotest.test_case "interior + tail" `Quick test_resume_interior_and_tail;
+        QCheck_alcotest.to_alcotest prop_remaining_ranges;
       ] );
     ( "campaign.supervised",
       [

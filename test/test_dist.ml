@@ -1278,14 +1278,28 @@ let test_lease_runs_its_ids () =
     List.rev !out
   in
   let full = lines () in
-  let ids = Dist.Worker.Protocol.ids_to_run ~lo:10 ~hi:30 ~done_ids:[ 12; 13; 29 ] in
+  let ranges = Dist.Worker.Protocol.ids_to_run ~lo:10 ~hi:30 ~done_ids:[ 12; 13; 29 ] in
+  check Alcotest.(list (pair int int)) "the lease's ranges" [ (10, 12); (14, 29) ] ranges;
+  let ids = List.init 2 (( + ) 10) @ List.init 15 (( + ) 14) in
   let before = runner_tasks () in
-  let lease = lines ~ids () in
+  let lease = lines ~ids:ranges () in
   check Alcotest.int "one runner task per id" (List.length ids) (runner_tasks () - before);
   check Alcotest.(list int) "the lease's ids, in order" ids (List.map fst lease);
   check Alcotest.(list string) "records as in the full run"
     (List.map (fun id -> List.assoc id full) ids)
-    (List.map snd lease)
+    (List.map snd lease);
+  List.iter
+    (fun (what, lo, hi, done_ids, expected) ->
+      check Alcotest.(list (pair int int)) what expected
+        (Dist.Worker.Protocol.ids_to_run ~lo ~hi ~done_ids))
+    [
+      ("unsorted and repeated", 10, 30, [ 29; 13; 12; 29; 13 ], [ (10, 12); (14, 29) ]);
+      ("outside the lease", 10, 30, [ 9; 30; 12; 45; -1 ], [ (10, 12); (13, 30) ]);
+      ("at both ends", 10, 30, [ 10; 29; 11 ], [ (12, 29) ]);
+      ("none done", 10, 30, [], [ (10, 30) ]);
+      ("all done", 10, 13, [ 12; 10; 11 ], []);
+      ("an empty lease", 10, 10, [ 10 ], []);
+    ]
 
 (* ---- the end of a campaign, against a scripted socket worker ---- *)
 
