@@ -54,6 +54,7 @@ examples:
 
 # A 200-trial end-to-end campaign: run, report, and a self-diff that must
 # come back regression-free. Exercises the whole artifact pipeline in CI.
+# Its trace must hold as many span ends as begins, in one process row.
 # Its telemetry.json must not carry a coordinator's gauge: a pool run
 # reports only the metrics it touched.
 # Then the supervised path: one herlihy grid run plain and under a
@@ -68,6 +69,9 @@ campaign-smoke:
 	dune exec bin/main.exe -- campaign run --name ci-smoke --protocol fig3 \
 	  -f 1..2 -t 1 -n 3 --rates 0.3,0.6 --trials 50 --domains 2 \
 	  --trace _campaigns/ci-smoke/trace.json
+	test "$$(grep -o '"ph":"B"' _campaigns/ci-smoke/trace.json | wc -l)" \
+	  -eq "$$(grep -o '"ph":"E"' _campaigns/ci-smoke/trace.json | wc -l)"
+	test "$$(grep -o '"name":"process_name"' _campaigns/ci-smoke/trace.json | wc -l)" -eq 1
 	! grep -q '"dist.workers_connected"' _campaigns/ci-smoke/telemetry.json
 	dune exec bin/main.exe -- campaign report --name ci-smoke
 	dune exec bin/main.exe -- campaign diff _campaigns/ci-smoke _campaigns/ci-smoke

@@ -204,9 +204,7 @@ let trace_cmd =
       match load [] files with
       | Error m -> fail m
       | Ok rows ->
-          let oc = open_out out in
-          output_string oc (Campaign.Json.to_string (Campaign.Trace_merge.merge rows));
-          close_out oc;
+          Campaign.Trace_merge.write out rows;
           Fmt.pr "wrote %s (%d process row(s), %d event(s)) — open in chrome://tracing@."
             out (List.length rows)
             (List.fold_left (fun n (_, evs) -> n + List.length evs) 0 rows);
@@ -600,10 +598,10 @@ let run_campaign ~resume ~root ~domains ~supervision obs spec =
   Option.iter
     (fun path ->
       Telemetry.Tracer.disable ();
-      Telemetry.Tracer.export_to_file path;
+      let events = Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) in
+      Campaign.Trace_merge.write path [ ("campaign", events) ];
       Fmt.pr "trace: %s (%d events, %d dropped) — open in chrome://tracing or Perfetto@."
-        path
-        (Telemetry.Tracer.event_count ())
+        path (List.length events)
         (Telemetry.Tracer.dropped_count ()))
     obs.trace;
   match result with
@@ -826,9 +824,7 @@ let campaign_serve_cmd =
                 Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) )
               :: s.Dist.Coordinator.worker_spans
             in
-            let oc = open_out path in
-            output_string oc (Campaign.Json.to_string (Campaign.Trace_merge.merge rows));
-            close_out oc;
+            Campaign.Trace_merge.write path rows;
             Fmt.pr "trace: %s (%d process row(s)) — open in chrome://tracing or Perfetto@."
               path (List.length rows))
           obs.trace;

@@ -113,7 +113,7 @@ let default_max_shrinks_per_cell = 5
 
 (* A violating trial journals the decision vector its run recorded, so
    the line is a function of (spec, trial id) whichever executor ran it;
-   [Report.of_records] minimizes each cell's first failures. *)
+   a rendered [Report] minimizes each cell's first failures. *)
 let record_of_result ?(retries = 0) trial (res : Shrink_on_fail.result) =
   let result = res.Shrink_on_fail.report.Check.result in
   let max_steps = Array.fold_left max 0 result.Engine.steps_taken in

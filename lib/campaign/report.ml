@@ -19,8 +19,7 @@ type cell_stats = {
   attr_primitive_only : int;
       (** violating trials with primitive faults but no crash *)
   attr_mixed : int;  (** violating trials with both *)
-  min_witness_len : int option;
-  min_witness : (int * int array) option;
+  min_witness : (int * int array) option Lazy.t;
   mean_wall_us : float;
 }
 
@@ -170,7 +169,8 @@ let of_records ?telemetry ?workers spec iter =
           let cell = cells.(cell_id) in
           let ran = a.a_trials - a.a_quarantined in
           let min_witness =
-            List.fold_left (fun acc x -> best acc (minimized cell x)) a.a_rest a.a_first
+            lazy
+              (List.fold_left (fun acc x -> best acc (minimized cell x)) a.a_rest a.a_first)
           in
           Some
             {
@@ -189,7 +189,6 @@ let of_records ?telemetry ?workers spec iter =
               attr_crash_only = a.a_attr_crash;
               attr_primitive_only = a.a_attr_prim;
               attr_mixed = a.a_attr_mixed;
-              min_witness_len = Option.map (fun (_, w) -> Array.length w) min_witness;
               min_witness;
               mean_wall_us = (if ran = 0 then 0.0 else a.a_wall /. float_of_int ran);
             })
@@ -251,6 +250,11 @@ let of_dir ~dir =
 
 (* ---- rendering ---- *)
 
+(* Minimizes the cell's first witnesses on first use: only a rendered
+   report reads them. *)
+let min_witness_len c =
+  Option.map (fun (_, w) -> Array.length w) (Lazy.force c.min_witness)
+
 let to_table report =
   (* Crash columns only appear on campaigns that sweep a crash axis, so
      crash-free reports keep their historical shape byte-for-byte. *)
@@ -305,7 +309,7 @@ let to_table report =
            Table.cell_float ~decimals:0 (Summary.percentile c.steps 99.0);
            Table.cell_float ~decimals:0 (Summary.max_value c.steps);
            Table.cell_int c.total_faults;
-           Table.cell_opt Table.cell_int c.min_witness_len;
+           Table.cell_opt Table.cell_int (min_witness_len c);
          ]
         @ crash_cells))
     report.cells;
@@ -489,9 +493,11 @@ let to_json report =
                     ("max_ops", Json.Float (Summary.max_value c.steps));
                     ("faults", Json.Int c.total_faults);
                     ( "min_witness_len",
-                      match c.min_witness_len with Some l -> Json.Int l | None -> Json.Null );
+                      match min_witness_len c with
+                      | Some l -> Json.Int l
+                      | None -> Json.Null );
                     ( "min_witness",
-                      match c.min_witness with
+                      match Lazy.force c.min_witness with
                       | Some (trial, w) ->
                           Json.Obj
                             [

@@ -29,13 +29,15 @@ type cell_stats = {
   attr_primitive_only : int;
       (** violating trials with primitive faults but no crash *)
   attr_mixed : int;  (** violating trials charging both dimensions *)
-  min_witness_len : int option;  (** the length of [min_witness] *)
-  min_witness : (int * int array) option;
+  min_witness : (int * int array) option Lazy.t;
       (** [(trial, vector)]: the cell's shortest witness, the lowest
           trial id on ties, or [None] without failures. The witnesses of
           the cell's {!Pool.default_max_shrinks_per_cell} lowest-id
           violations compete minimized ({!Shrink_on_fail.minimize} under
-          {!Grid.setup}; raw when that fails), every other one raw. *)
+          {!Grid.setup}; raw when that fails), every other one raw. The
+          minimization runs when the value is first forced: rendering
+          ({!to_markdown}, {!write}) forces it, {!diff} and callers that
+          read only the counts never do. *)
   mean_wall_us : float;  (** over trials that actually ran *)
 }
 (** Crash statistics render (markdown columns, JSON fields) only when
@@ -80,7 +82,7 @@ val of_records :
     Pool.run_trials ~on_record:step spec]). [health.journal] is [None].
     [min_witness] and [min_witness_len] do not depend on the records'
     order. Minimizes at most {!Pool.default_max_shrinks_per_cell}
-    witnesses per cell. *)
+    witnesses per cell, and only when [min_witness] is forced. *)
 
 val of_dir : dir:string -> (t, string) result
 (** Streams the journal once, through {!Journal.scan}: the same pass

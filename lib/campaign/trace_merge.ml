@@ -1,7 +1,7 @@
-(* Merging per-process Chrome traces into one: each input becomes a pid
-   row, named via a process_name metadata event, so a campaign's
-   coordinator and workers land side by side on one Perfetto timeline.
-   Pure Json -> Json; file parsing and writing stay in the CLI. *)
+(* The one Chrome-trace writer: each input becomes a pid row, named via
+   a process_name metadata event and repaired to balanced B/E pairs, so
+   a campaign run, a coordinator with its workers, a worker on its own
+   and a merge of trace files all come out the same way. *)
 
 module Tracer = Ffault_telemetry.Tracer
 
@@ -30,12 +30,14 @@ let events_of_trace j =
   | Json.List evs -> evs
   | _ -> []
 
-(* Stamp [pid] on one event, replacing any pid the source process wrote
-   (its own OS pid is meaningless once rows are merged). *)
-let with_pid pid ev =
+(* [ev] with field [k] set to [v] in place, or added at the end: a
+   source's own pid (its OS pid, meaningless once rows are merged) is
+   replaced. *)
+let with_field k v ev =
   match ev with
-  | Json.Obj fields ->
-      Json.Obj (List.filter (fun (k, _) -> k <> "pid") fields @ [ ("pid", Json.Int pid) ])
+  | Json.Obj fields when List.mem_assoc k fields ->
+      Json.Obj (List.map (fun (k', x) -> if k' = k then (k, v) else (k', x)) fields)
+  | Json.Obj fields -> Json.Obj (fields @ [ (k, v) ])
   | other -> other
 
 let process_name ~pid name =
@@ -50,10 +52,50 @@ let process_name ~pid name =
 
 (* A source's own process_name metadata would fight the fresh row label
    once its pid is reassigned (e.g. merging an already-merged trace). *)
-let is_process_name ev =
-  match ev with
-  | Json.Obj _ -> Json.member "name" ev = Some (Json.Str "process_name")
-  | _ -> false
+let is_process_name ev = Json.member "name" ev = Some (Json.Str "process_name")
+
+let ts ev = Option.bind (Json.member "ts" ev) Json.get_float
+
+(* A row comes in timestamp order, stably: a worker's heartbeat thread
+   and its flush beat each drain the tracer and then send, so their
+   batches can arrive swapped. Then a ring that overwrote events
+   orphans some: an "E" whose "B" was overwritten, or a "B" whose "E"
+   never came (still open at the drain, or its process was killed).
+   Chrome misrenders an unbalanced track, so a row is repaired per tid,
+   its pid being the row's: an orphan "E" is dropped, and every "B"
+   still open at the end gets an "E" at the row's last timestamp,
+   innermost first. *)
+let balance events =
+  let events =
+    List.stable_sort (fun a b -> Option.compare Float.compare (ts a) (ts b)) events
+  in
+  let last_ts =
+    List.fold_left (fun m ev -> match ts ev with None -> m | t -> t) None events
+  in
+  let stacks = Hashtbl.create 8 in
+  let kept =
+    List.filter
+      (fun ev ->
+        let tid = Json.member "tid" ev in
+        let open_bs = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+        match Json.member "ph" ev with
+        | Some (Json.Str "B") ->
+            Hashtbl.replace stacks tid (ev :: open_bs);
+            true
+        | Some (Json.Str "E") -> (
+            match open_bs with
+            | [] -> false
+            | _ :: rest ->
+                Hashtbl.replace stacks tid rest;
+                true)
+        | _ -> true)
+      events
+  in
+  let close b =
+    let e = with_field "ph" (Json.Str "E") b in
+    match last_ts with Some t -> with_field "ts" (Json.Float t) e | None -> e
+  in
+  kept @ Hashtbl.fold (fun _ open_bs acc -> List.map close open_bs @ acc) stacks []
 
 let merge inputs =
   let rows =
@@ -61,7 +103,9 @@ let merge inputs =
       (fun i (label, events) ->
         let pid = i + 1 in
         process_name ~pid label
-        :: List.map (with_pid pid) (List.filter (fun e -> not (is_process_name e)) events))
+        :: List.map
+             (with_field "pid" (Json.Int pid))
+             (balance (List.filter (fun e -> not (is_process_name e)) events)))
       inputs
   in
   Json.Obj
@@ -69,3 +113,8 @@ let merge inputs =
       ("traceEvents", Json.List (List.concat rows));
       ("displayTimeUnit", Json.Str "ms");
     ]
+
+let write path inputs =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string (merge inputs));
+      output_char oc '\n')

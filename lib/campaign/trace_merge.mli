@@ -1,18 +1,20 @@
-(** Merging per-process Chrome traces into one multi-process timeline.
+(** The Chrome trace writer: every trace file the CLI writes comes
+    from {!write}.
 
-    A distributed campaign produces span streams from several
-    processes: the coordinator's own {!Ffault_telemetry.Tracer} export
-    and the batches each worker piggybacked on its heartbeats. This
-    module folds them into a single [trace_event] document where every
-    input is its own pid row (Perfetto and [chrome://tracing] group
-    tracks by pid), named by a [process_name] metadata event.
-
-    Pure [Json] to [Json] — [ffault trace merge] does the file IO. *)
+    A trace is a list of rows, one per process: a local campaign run is
+    one row, a distributed campaign is the coordinator's own spans plus
+    the batches each worker piggybacked on its heartbeats, and
+    [ffault trace merge] makes one row per input file. Each row becomes
+    its own pid in one [trace_event] document (Perfetto and
+    [chrome://tracing] group tracks by pid), named by a [process_name]
+    metadata event, and is repaired to balanced B/E pairs per
+    (pid, tid), so the file loads even after a ring overwrote events or
+    a process died mid-span. *)
 
 val of_tracer_events : Ffault_telemetry.Tracer.event list -> Json.t list
 (** Drained {!Ffault_telemetry.Tracer} events as pid-less Chrome span
-    objects ([ts] in microseconds) — the heartbeat-batch shape
-    {!merge} expects. *)
+    objects ([ts] in microseconds): the shape of a row, and of the
+    batches a worker ships on its heartbeats. *)
 
 val events_of_trace : Json.t -> Json.t list
 (** The event array of a trace document: the ["traceEvents"] member of
@@ -21,8 +23,16 @@ val events_of_trace : Json.t -> Json.t list
 
 val merge : (string * Json.t list) list -> Json.t
 (** [merge [(label, events); ...]] assigns pid [1, 2, ...] to each
-    input in order (replacing any pid the source stamped — OS pids are
+    row in order (replacing any pid the source stamped — OS pids are
     meaningless across hosts), prepends each row's [process_name]
     metadata event (dropping any the source carried, so re-merging a
     merged trace stays cleanly labelled), and wraps everything as
-    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
+    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Each row is
+    put in timestamp order (stably; events without a [ts] first), then
+    repaired per tid: an ["E"] with no open ["B"] is dropped, and each
+    ["B"] still open at the row's end is closed by an ["E"] at the
+    row's last timestamp, innermost first. *)
+
+val write : string -> (string * Json.t list) list -> unit
+(** [write path rows] writes [merge rows] into [path]
+    (created/truncated). *)

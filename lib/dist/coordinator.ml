@@ -28,52 +28,15 @@ let config ?(lease_trials = 1000) ?(lease_timeout_s = 30.0) ?(hb_interval_s = 2.
   if max_workers < 1 then invalid_arg "Coordinator.config: max_workers < 1";
   { endpoint; lease_trials; lease_timeout_s; hb_interval_s; max_workers; supervision }
 
-type worker_stats = Core.worker_stats = {
-  w_name : string;
-  w_peer : string;
-  w_domains : int;
-  w_granted : int;
-  w_completed : int;
-  w_expired : int;
-  w_results : int;
-  w_deduped : int;
-  w_reconnects : int;
-  w_telemetry : Json.t option;
-}
-
 type summary = Core.summary = {
   pool : Pool.summary;
-  workers : worker_stats list;
+  workers : Core.wview list;
   epoch : int;
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
   worker_spans : (string * Json.t list) list;
 }
-
-(* Engine events are plain strings; grade them for the structured log
-   by the trouble words the messages are built from (lease expiry,
-   reclaim, holes, drops). Anything unrecognized is Info. The bytes are
-   compared in place: nothing is allocated per message. *)
-let trouble_words =
-  [ "expired"; "reclaimed"; "requeued"; "unjournaled"; "left"; "mismatch"; "fenced" ]
-
-(* [word] from its byte [j] on is at [msg]'s byte [i + j]; the caller
-   checked that it fits *)
-let rec matches msg i word j =
-  j = String.length word
-  || Char.equal (String.unsafe_get msg (i + j)) (String.unsafe_get word j)
-     && matches msg i word (j + 1)
-
-let rec occurs msg word i =
-  i + String.length word <= String.length msg
-  && (matches msg i word 0 || occurs msg word (i + 1))
-
-let rec any_occurs msg = function
-  | [] -> false
-  | word :: words -> occurs msg word 0 || any_occurs msg words
-
-let classify msg = if any_occurs msg trouble_words then Events.Warn else Events.Info
 
 (* ---- the serve loop: a socket driver around the Core engine ---- *)
 
@@ -104,8 +67,9 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
             e)
   in
   let writer = Journal.create_writer ~path:(Checkpoint.journal_path ~dir) in
-  (* the structured event log: everything [on_event] narrates, graded
-     and ring-buffered for /events, streamed to events.jsonl *)
+  (* the structured event log: everything the engine narrates, at the
+     severity it was raised with, ring-buffered for /events and
+     streamed to events.jsonl *)
   let events = Events.create () in
   let ev_oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 (Filename.concat dir "events.jsonl")
@@ -116,8 +80,8 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
          output_string ev_oc line;
          output_char ev_oc '\n';
          flush ev_oc));
-  let on_event msg =
-    Events.emit events ~severity:(classify msg) ~scope:"dist" msg;
+  let on_event severity msg =
+    Events.emit events ~severity ~scope:"dist" msg;
     on_event msg
   in
   let clients : (Unix.file_descr, Transport.conn Core.client) Hashtbl.t =

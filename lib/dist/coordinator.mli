@@ -60,41 +60,19 @@ val config :
     @raise Invalid_argument on non-positive sizes/timeouts or a
     heartbeat interval not under the lease timeout. *)
 
-(** Per-worker statistics, persisted as [workers.json] and rendered by
-    [campaign report]'s Workers section. Workers are keyed by their
-    hello name; a name reconnecting (its process restarted, or its
-    connection was dropped for heartbeat silence) counts a reconnect. *)
-type worker_stats = Core.worker_stats = {
-  w_name : string;
-  w_peer : string;  (** last known address *)
-  w_domains : int;
-  w_granted : int;
-  w_completed : int;
-  w_expired : int;  (** leases lost to disconnect or heartbeat silence *)
-  w_results : int;  (** records journaled from this worker *)
-  w_deduped : int;  (** zombie results dropped by trial-id dedup *)
-  w_reconnects : int;
-  w_telemetry : Ffault_campaign.Json.t option;
-      (** last telemetry snapshot piggybacked on a heartbeat *)
-}
-
 type summary = Core.summary = {
   pool : Ffault_campaign.Pool.summary;  (** same shape as a local run *)
-  workers : worker_stats list;
+  workers : Core.wview list;
+      (** persisted as [workers.json], rendered by [campaign report]'s
+          Workers section *)
   epoch : int;  (** the finishing incarnation ([owner.json]) *)
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
   worker_spans : (string * Ffault_campaign.Json.t list) list;
       (** per-worker Chrome span events shipped on heartbeats,
-          name-sorted; feeds [ffault trace merge] *)
+          name-sorted: the worker rows of [serve --trace]'s file *)
 }
-
-val classify : string -> Ffault_telemetry.Events.severity
-(** Severity grade for an [on_event] message (lease expiry, reclaims,
-    journal holes and drops are [Warn]; the rest [Info]). Exposed so
-    the netsim driver grades identically and the [/events] goldens
-    cover the real mapping. *)
 
 val serve :
   ?resume:bool ->
@@ -118,8 +96,9 @@ val serve :
     {!Ffault_campaign.Pool.run_dir}, so the live progress line plugs in
     unchanged). [on_event] receives one-line
     join/leave/lease lifecycle messages; the same messages also land,
-    severity-graded, in a structured {!Ffault_telemetry.Events} log
-    that is streamed to [<dir>/events.jsonl] and served by [/events].
+    at the severity {!Core} raised them with, in a structured
+    {!Ffault_telemetry.Events} log that is streamed to
+    [<dir>/events.jsonl] and served by [/events].
     [status] additionally serves the read-only {!Status} endpoint
     ([/status], [/workers], [/metrics], [/events]) over {!Http} from
     inside the same select loop. Also writes [telemetry.json]

@@ -7,6 +7,7 @@ module Pool = Campaign.Pool
 module Grid = Campaign.Grid
 module Clock = Ffault_runtime.Clock
 module Metrics = Ffault_telemetry.Metrics
+module Events = Ffault_telemetry.Events
 
 let m_leases_granted = Metrics.counter "dist.leases_granted"
 let m_leases_completed = Metrics.counter "dist.leases_completed"
@@ -27,22 +28,24 @@ type 'c io = {
   close : 'c -> unit;
 }
 
-type worker_stats = {
-  w_name : string;
-  w_peer : string;
-  w_domains : int;
-  w_granted : int;
-  w_completed : int;
-  w_expired : int;
-  w_results : int;
-  w_deduped : int;
-  w_reconnects : int;
-  w_telemetry : Json.t option;
+type wview = {
+  v_name : string;
+  v_peer : string;
+  v_domains : int;
+  v_connected : bool;
+  v_hb_age_s : float option;  (* since the last frame; None = never heard *)
+  v_granted : int;
+  v_completed : int;
+  v_expired : int;
+  v_results : int;
+  v_deduped : int;
+  v_reconnects : int;
+  v_telemetry : Json.t option;
 }
 
 type summary = {
   pool : Pool.summary;
-  workers : worker_stats list;
+  workers : wview list;
   epoch : int;
   leases_granted : int;
   leases_completed : int;
@@ -68,18 +71,22 @@ type wstat = {
   mutable spans_rev : Json.t list;  (* piggybacked span batches, newest first *)
 }
 
-let stats_of_wstat w =
+let wview_of ~now w =
   {
-    w_name = w.name;
-    w_peer = w.peer;
-    w_domains = w.domains;
-    w_granted = w.granted;
-    w_completed = w.completed;
-    w_expired = w.expired;
-    w_results = w.results;
-    w_deduped = w.deduped;
-    w_reconnects = w.reconnects;
-    w_telemetry = w.telemetry;
+    v_name = w.name;
+    v_peer = w.peer;
+    v_domains = w.domains;
+    v_connected = w.connected;
+    v_hb_age_s =
+      (if w.last_seen_ns < 0 then None
+       else Some (float_of_int (now - w.last_seen_ns) /. 1e9));
+    v_granted = w.granted;
+    v_completed = w.completed;
+    v_expired = w.expired;
+    v_results = w.results;
+    v_deduped = w.deduped;
+    v_reconnects = w.reconnects;
+    v_telemetry = w.telemetry;
   }
 
 (* Fleet-wide counters: per-worker snapshots summed by counter name.
@@ -106,7 +113,7 @@ let merge_counter_snapshots snaps =
 
 let workers_json s =
   let fleet =
-    merge_counter_snapshots (List.filter_map (fun w -> w.w_telemetry) s.workers)
+    merge_counter_snapshots (List.filter_map (fun w -> w.v_telemetry) s.workers)
   in
   Json.Obj
     ([
@@ -126,18 +133,18 @@ let workers_json s =
               (fun w ->
                 Json.Obj
                   ([
-                     ("name", Json.Str w.w_name);
-                     ("peer", Json.Str w.w_peer);
-                     ("domains", Json.Int w.w_domains);
-                     ("granted", Json.Int w.w_granted);
-                     ("completed", Json.Int w.w_completed);
-                     ("expired", Json.Int w.w_expired);
-                     ("results", Json.Int w.w_results);
-                     ("deduped", Json.Int w.w_deduped);
-                     ("reconnects", Json.Int w.w_reconnects);
+                     ("name", Json.Str w.v_name);
+                     ("peer", Json.Str w.v_peer);
+                     ("domains", Json.Int w.v_domains);
+                     ("granted", Json.Int w.v_granted);
+                     ("completed", Json.Int w.v_completed);
+                     ("expired", Json.Int w.v_expired);
+                     ("results", Json.Int w.v_results);
+                     ("deduped", Json.Int w.v_deduped);
+                     ("reconnects", Json.Int w.v_reconnects);
                    ]
                   @
-                  match w.w_telemetry with
+                  match w.v_telemetry with
                   | Some t -> [ ("telemetry", t) ]
                   | None -> []))
               s.workers) );
@@ -176,7 +183,7 @@ type 'c t = {
   supervision : Codec.supervision;
   verify_complete : bool;
   observe : Journal.record -> unit;
-  on_event : string -> unit;
+  on_event : Events.severity -> string -> unit;
   on_requeue : string -> int -> unit;
   on_drop : 'c client -> unit;
   leases : Lease.t;
@@ -199,7 +206,7 @@ type 'c t = {
 }
 
 let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
-    ?(verify_complete = true) ?(observe = fun _ -> ()) ?(on_event = fun _ -> ())
+    ?(verify_complete = true) ?(observe = fun _ -> ()) ?(on_event = fun _ _ -> ())
     ?(on_requeue = fun _ _ -> ()) ?(on_drop = fun _ -> ())
     ~io ~append ~st ~spec ~lease_trials ~lease_timeout_s ~hb_interval_s
     ~max_workers ~supervision () =
@@ -230,7 +237,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     end
   done;
   if !recovered > 0 then
-    on_event
+    on_event Events.Info
       (Fmt.str "recovery: %d of %d shard(s) already complete in the journal"
          !recovered (Lease.n_shards leases));
   {
@@ -322,7 +329,7 @@ let drop_leases_of t ~why name =
       List.iter
         (fun (l : Lease.lease) ->
           t.on_requeue name l.Lease.id;
-          t.on_event
+          t.on_event Events.Warn
             (Fmt.str "lease #%d [%d,%d) reclaimed from %s (%s)" l.Lease.id l.Lease.lo
                l.Lease.hi name why))
         lost
@@ -334,7 +341,7 @@ let drop_client t ~why c =
     (match c.cname with
     | Some name ->
         (wstat_of t name).connected <- false;
-        t.on_event (Fmt.str "worker %s left (%s)" name why);
+        t.on_event Events.Warn (Fmt.str "worker %s left (%s)" name why);
         drop_leases_of t ~why name
     | None -> ());
     if c.slot >= 0 then begin
@@ -384,7 +391,7 @@ let reconcile t name =
           ignore (Lease.complete t.leases ~id:l.Lease.id);
           w.completed <- w.completed + 1;
           Metrics.incr m_leases_completed;
-          t.on_event
+          t.on_event Events.Info
             (Fmt.str "lease #%d [%d,%d) of %s retired at request (complete lost in flight)"
                l.Lease.id l.Lease.lo l.Lease.hi name)
         end
@@ -393,7 +400,7 @@ let reconcile t name =
           w.expired <- w.expired + 1;
           Metrics.incr m_leases_expired;
           t.on_requeue name l.Lease.id;
-          t.on_event
+          t.on_event Events.Warn
             (Fmt.str
                "lease #%d [%d,%d) of %s reconciled at request: %d trial(s) unjournaled — requeued"
                l.Lease.id l.Lease.lo l.Lease.hi name missing)
@@ -438,7 +445,7 @@ let handle_msg t c msg =
             c.slot <- slot;
             t.beats.(slot) <- Clock.now_ns t.clock
         | [] -> () (* more workers than slots: liveness by lease expiry only *));
-        t.on_event
+        t.on_event Events.Info
           (Fmt.str "worker %s joined from %s (%d domains)%s%s" name w.peer domains
              (if w.reconnects > 0 then Fmt.str " — reconnect #%d" w.reconnects else "")
              (if last_epoch > 0 && last_epoch <> t.epoch then
@@ -466,7 +473,7 @@ let handle_msg t c msg =
                 let w = wstat_of t name in
                 w.granted <- w.granted + 1;
                 Metrics.incr m_leases_granted;
-                t.on_event
+                t.on_event Events.Info
                   (Fmt.str "lease #%d [%d,%d) -> %s" l.Lease.id l.Lease.lo l.Lease.hi
                      name);
                 send_or_drop t c
@@ -526,7 +533,7 @@ let handle_msg t c msg =
         if t.fence_epochs then begin
           t.stale_completes <- t.stale_completes + 1;
           Metrics.incr m_stale_completes;
-          t.on_event
+          t.on_event Events.Warn
             (Fmt.str "complete #%d fenced: grant epoch %d, coordinator epoch %d%s" id
                epoch t.epoch
                (match c.cname with Some n -> Fmt.str " (from %s)" n | None -> ""));
@@ -559,7 +566,7 @@ let handle_msg t c msg =
               Option.iter (fun w -> w.expired <- w.expired + 1) (stat_of_client t c);
               Metrics.incr m_leases_expired;
               Option.iter (fun name -> t.on_requeue name id) c.cname;
-              t.on_event
+              t.on_event Events.Warn
                 (Fmt.str "lease #%d completed with %d trial(s) unjournaled — requeued" id
                    missing)
             end)
@@ -593,7 +600,7 @@ let tick t =
       w.expired <- w.expired + 1;
       Metrics.incr m_leases_expired;
       t.on_requeue owner l.Lease.id;
-      t.on_event
+      t.on_event Events.Warn
         (Fmt.str "lease #%d [%d,%d) of %s expired (no traffic for %gs)" l.Lease.id
            l.Lease.lo l.Lease.hi owner t.lease_timeout_s))
     (Lease.expire t.leases);
@@ -626,6 +633,12 @@ let finish t =
   List.iter (fun c -> ignore (t.io.send c.c_conn (Codec.Bye { reason = "campaign complete" }))) cs;
   List.iter (fun c -> drop_client t ~why:"campaign complete" c) cs
 
+(* Every worker the engine has heard from, name-sorted: the live view's
+   rows and the final summary's. *)
+let wviews t ~now =
+  Hashtbl.fold (fun _ w acc -> wview_of ~now w :: acc) t.wstats []
+  |> List.sort (fun a b -> String.compare a.v_name b.v_name)
+
 let summary t ~wall_s =
   let pool =
     {
@@ -640,10 +653,6 @@ let summary t ~wall_s =
       trials_per_s = Pool.trials_rate ~executed:t.executed ~wall_s;
     }
   in
-  let workers =
-    Hashtbl.fold (fun _ w acc -> stats_of_wstat w :: acc) t.wstats []
-    |> List.sort (fun a b -> compare a.w_name b.w_name)
-  in
   let worker_spans =
     Hashtbl.fold
       (fun _ w acc ->
@@ -653,7 +662,7 @@ let summary t ~wall_s =
   in
   {
     pool;
-    workers;
+    workers = wviews t ~now:(Clock.now_ns t.clock);
     epoch = t.epoch;
     leases_granted = Lease.granted_total t.leases;
     leases_completed = Lease.completed_total t.leases;
@@ -662,21 +671,6 @@ let summary t ~wall_s =
   }
 
 (* ---- live inspection (feeds Status) ---- *)
-
-type wview = {
-  v_name : string;
-  v_peer : string;
-  v_domains : int;
-  v_connected : bool;
-  v_hb_age_s : float option;  (* since the last frame; None = never heard *)
-  v_granted : int;
-  v_completed : int;
-  v_expired : int;
-  v_results : int;
-  v_deduped : int;
-  v_reconnects : int;
-  v_telemetry : Json.t option;
-}
 
 type view = {
   vw_campaign : string;
@@ -707,29 +701,6 @@ type view = {
 
 let view t =
   let now = Clock.now_ns t.clock in
-  let workers =
-    Hashtbl.fold
-      (fun _ w acc ->
-        {
-          v_name = w.name;
-          v_peer = w.peer;
-          v_domains = w.domains;
-          v_connected = w.connected;
-          v_hb_age_s =
-            (if w.last_seen_ns < 0 then None
-             else Some (float_of_int (now - w.last_seen_ns) /. 1e9));
-          v_granted = w.granted;
-          v_completed = w.completed;
-          v_expired = w.expired;
-          v_results = w.results;
-          v_deduped = w.deduped;
-          v_reconnects = w.reconnects;
-          v_telemetry = w.telemetry;
-        }
-        :: acc)
-      t.wstats []
-    |> List.sort (fun a b -> compare a.v_name b.v_name)
-  in
   {
     vw_campaign = t.spec.Spec.name;
     vw_protocol = t.spec.Spec.protocol;
@@ -754,5 +725,5 @@ let view t =
     vw_leases_granted = Lease.granted_total t.leases;
     vw_leases_completed = Lease.completed_total t.leases;
     vw_leases_expired = Lease.expired_total t.leases;
-    vw_workers = workers;
+    vw_workers = wviews t ~now;
   }

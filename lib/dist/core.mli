@@ -26,19 +26,29 @@ type 'c io = {
 type 'c t
 type 'c client
 
-(** {2 Worker statistics} (persisted as [workers.json]) *)
+(** {2 Workers}
 
-type worker_stats = {
-  w_name : string;
-  w_peer : string;  (** last known address *)
-  w_domains : int;
-  w_granted : int;
-  w_completed : int;
-  w_expired : int;  (** leases lost to disconnect, silence or reconcile *)
-  w_results : int;  (** records journaled from this worker *)
-  w_deduped : int;  (** zombie results dropped by trial-id dedup *)
-  w_reconnects : int;
-  w_telemetry : Campaign.Json.t option;
+    One record per worker the engine has heard from, keyed by its hello
+    name: a row of the live view ({!view}, served as [/workers]) and of
+    the final {!summary} (persisted as [workers.json]). A name
+    reconnecting (its process restarted, or its connection was dropped
+    for heartbeat silence) counts a reconnect. *)
+
+type wview = {
+  v_name : string;
+  v_peer : string;  (** last known address *)
+  v_domains : int;
+  v_connected : bool;
+  v_hb_age_s : float option;
+      (** seconds since the engine last heard any frame from this
+          worker, on the engine's clock; [None] before the first frame *)
+  v_granted : int;
+  v_completed : int;
+  v_expired : int;  (** leases lost to disconnect, silence or reconcile *)
+  v_results : int;  (** records journaled from this worker *)
+  v_deduped : int;  (** zombie results dropped by trial-id dedup *)
+  v_reconnects : int;
+  v_telemetry : Campaign.Json.t option;
       (** last telemetry snapshot this worker piggybacked on a heartbeat
           ({!Ffault_campaign.Telemetry_io} shape); [None] for
           pre-observability workers *)
@@ -46,7 +56,7 @@ type worker_stats = {
 
 type summary = {
   pool : Campaign.Pool.summary;  (** same shape as a local run *)
-  workers : worker_stats list;
+  workers : wview list;  (** name-sorted, disconnected included *)
   epoch : int;  (** the finishing incarnation; restarts = epoch - 1 *)
   leases_granted : int;
   leases_completed : int;
@@ -58,32 +68,16 @@ type summary = {
 }
 
 val workers_json : summary -> Campaign.Json.t
-(** The [workers.json] artifact (version 2): per-worker stats plus, when
-    any worker piggybacked telemetry, its last snapshot and a top-level
-    ["fleet"] object summing the per-worker counters by name. *)
+(** The [workers.json] artifact (version 2): each {!wview} but its
+    [v_connected] and [v_hb_age_s], plus, when any worker piggybacked
+    telemetry, its last snapshot and a top-level ["fleet"] object
+    summing the per-worker counters by name. *)
 
 (** {2 Live inspection}
 
     A transport-free snapshot of the engine for the status endpoint:
     {!Status} renders it to JSON, the HTTP layer only moves bytes. Pure
     reads — taking a view never mutates the engine. *)
-
-type wview = {
-  v_name : string;
-  v_peer : string;
-  v_domains : int;
-  v_connected : bool;
-  v_hb_age_s : float option;
-      (** seconds since the engine last heard any frame from this
-          worker, on the engine's clock; [None] before the first frame *)
-  v_granted : int;
-  v_completed : int;
-  v_expired : int;
-  v_results : int;
-  v_deduped : int;
-  v_reconnects : int;
-  v_telemetry : Campaign.Json.t option;
-}
 
 type view = {
   vw_campaign : string;
@@ -122,7 +116,7 @@ val create :
   ?fence_epochs:bool ->
   ?verify_complete:bool ->
   ?observe:(Campaign.Journal.record -> unit) ->
-  ?on_event:(string -> unit) ->
+  ?on_event:(Ffault_telemetry.Events.severity -> string -> unit) ->
   ?on_requeue:(string -> int -> unit) ->
   ?on_drop:('c client -> unit) ->
   io:'c io ->
@@ -143,6 +137,14 @@ val create :
     restarted incarnation never re-grants finished work — the lease
     table of the previous incarnation is lost with its process and
     deliberately not trusted.
+
+    [on_event severity message] narrates the engine's lifecycle, each
+    message graded where it is raised. [Warn]: a worker left, a lease
+    was reclaimed from a departed worker, expired, came back
+    [Complete] with unjournaled trials, or was reconciled at request
+    with unjournaled trials; a [Complete] was fenced for a stale epoch.
+    [Info]: recovery, a worker joined, a lease was granted, or retired
+    at request.
 
     [max_workers] (at least 1) is the number of heartbeat slots: a
     worker takes a free one at its [Hello] and holds it until dropped,

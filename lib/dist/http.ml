@@ -12,8 +12,7 @@
 type pending = { p_fd : Unix.file_descr; p_buf : Buffer.t }
 
 type server = {
-  s_fd : Unix.file_descr;
-  s_path : string option;  (* unix-socket path, unlinked on close *)
+  listener : Transport.listener;
   pendings : (Unix.file_descr, pending) Hashtbl.t;
   mutable s_closed : bool;
 }
@@ -22,39 +21,18 @@ type response = Status.response = { code : int; content_type : string; body : st
 
 let max_request_bytes = 8192
 
-let listen ?(backlog = 16) endpoint =
-  match Transport.sockaddr_of endpoint with
-  | Error _ as e -> e
-  | Ok addr -> (
-      (match endpoint with
-      | Transport.Unix_sock path when Sys.file_exists path -> (
-          try Unix.unlink path with Unix.Unix_error _ -> ())
-      | _ -> ());
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      try
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd addr;
-        Unix.listen fd backlog;
-        Ok
-          {
-            s_fd = fd;
-            s_path =
-              (match endpoint with
-              | Transport.Unix_sock p -> Some p
-              | Transport.Tcp _ -> None);
-            pendings = Hashtbl.create 8;
-            s_closed = false;
-          }
-      with Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error
-          (Printf.sprintf "http: listen on %s: %s"
-             (Transport.endpoint_to_string endpoint)
-             (Unix.error_message e)))
+(* The listening socket is Transport's; only the accepted connections
+   are ours, since an HTTP peer needs no wire decoder. *)
+let listen endpoint =
+  match Transport.listen ~backlog:16 endpoint with
+  | Ok listener -> Ok { listener; pendings = Hashtbl.create 8; s_closed = false }
+  | Error m -> Error ("http: " ^ m)
 
 let fds t =
   if t.s_closed then []
-  else t.s_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.pendings []
+  else
+    Transport.listener_fd t.listener
+    :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.pendings []
 
 let drop t (p : pending) =
   Hashtbl.remove t.pendings p.p_fd;
@@ -141,8 +119,8 @@ let handle t ~readable ~respond =
   if not t.s_closed then
     List.iter
       (fun fd ->
-        if fd = t.s_fd then (
-          match Unix.accept t.s_fd with
+        if fd = Transport.listener_fd t.listener then (
+          match Unix.accept fd with
           | cfd, _ ->
               Hashtbl.replace t.pendings cfd { p_fd = cfd; p_buf = Buffer.create 128 }
           | exception Unix.Unix_error _ -> ())
@@ -157,10 +135,7 @@ let close t =
     t.s_closed <- true;
     Hashtbl.iter (fun _ p -> try Unix.close p.p_fd with Unix.Unix_error _ -> ()) t.pendings;
     Hashtbl.reset t.pendings;
-    (try Unix.close t.s_fd with Unix.Unix_error _ -> ());
-    match t.s_path with
-    | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | None -> ()
+    Transport.close_listener t.listener
   end
 
 (* ---- client ---- *)

@@ -15,9 +15,10 @@ type server
 
 type response = Status.response = { code : int; content_type : string; body : string }
 
-val listen : ?backlog:int -> Transport.endpoint -> (server, string) result
-(** Bind and listen (stale Unix-socket files are unlinked first, and
-    again on {!close}). *)
+val listen : Transport.endpoint -> (server, string) result
+(** Bind and listen through {!Transport.listen} (a stale Unix-socket
+    file is unlinked first, and again on {!close}); its error, which
+    names the endpoint, comes back prefixed ["http: "]. *)
 
 val fds : server -> Unix.file_descr list
 (** The listener plus any half-read client connections — merge these

@@ -140,25 +140,6 @@ let start_heartbeat conn ~interval_s ~beat =
     Atomic.set stop true;
     Thread.join thread
 
-let write_local_trace path spans =
-  let pid = Unix.getpid () in
-  let stamped =
-    List.map
-      (fun s ->
-        match s with
-        | Json.Obj fields -> Json.Obj (fields @ [ ("pid", Json.Int pid) ])
-        | other -> other)
-      spans
-  in
-  let doc =
-    Json.Obj
-      [ ("traceEvents", Json.List stamped); ("displayTimeUnit", Json.Str "ms") ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string doc))
-
 (* How one connected session ends: the campaign is over ([Done]), the
    connection died and a fresh session should resume ([Lost]), or the
    protocol itself went wrong and retrying is pointless ([Fatal]). *)
@@ -352,7 +333,10 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
   let finish r =
     if trace_path <> None && Tracer.enabled () then
       keep (Campaign.Trace_merge.of_tracer_events (Tracer.drain ()));
-    Option.iter (fun path -> write_local_trace path (List.rev !local_spans_rev)) trace_path;
+    Option.iter
+      (fun path ->
+        Campaign.Trace_merge.write path [ (cfg.name, List.rev !local_spans_rev) ])
+      trace_path;
     r
   in
   match go () with

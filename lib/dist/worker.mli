@@ -125,5 +125,7 @@ val run :
     receives connection-trouble messages (failed connects, lost
     sessions) with the scheduled retry. [retry] bounds the backoff
     schedule ({!default_retry} if omitted). [trace_path] additionally
-    writes this worker's own spans as a standalone Chrome trace on exit
-    (requires the tracer enabled to record anything). *)
+    writes this worker's own spans on exit, through
+    {!Ffault_campaign.Trace_merge.write}, as a one-row Chrome trace
+    named after the worker (requires the tracer enabled to record
+    anything). *)

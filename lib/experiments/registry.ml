@@ -28,6 +28,3 @@ let all =
 let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> String.equal e.id id) all
-
-let run_all ?(quick = false) ?(seed = 0xF417L) () =
-  List.map (fun e -> e.run ~quick ~seed) all

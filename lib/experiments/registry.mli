@@ -13,5 +13,3 @@ val all : entry list
 
 val find : string -> entry option
 (** Case-insensitive lookup by id. *)
-
-val run_all : ?quick:bool -> ?seed:int64 -> unit -> Report.t list

@@ -12,13 +12,6 @@ type ctx = {
 
 type decision = No_fault | Fault of { kind : Fault_kind.t; payload : Value.t option }
 
-let pp_decision ppf = function
-  | No_fault -> Fmt.string ppf "no-fault"
-  | Fault { kind; payload } ->
-      Fmt.pf ppf "fault:%a%a" Fault_kind.pp kind
-        (Fmt.option (fun ppf v -> Fmt.pf ppf "(%a)" Value.pp v))
-        payload
-
 type t = { name : string; decide : ctx -> decision }
 
 let arbitrary_payload_default ctx = Value.Pair (Str "junk", Int ctx.op_index)

@@ -30,8 +30,6 @@ type decision =
   | No_fault
   | Fault of { kind : Fault_kind.t; payload : Value.t option }
 
-val pp_decision : Format.formatter -> decision -> unit
-
 type t = { name : string; decide : ctx -> decision }
 
 val never : t

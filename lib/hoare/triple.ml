@@ -8,10 +8,6 @@ type step = {
   response : Value.t;
 }
 
-let pp_step ppf s =
-  Fmt.pf ppf "@[%a: %a / %a \xe2\x87\x92 %a / %a@]" Kind.pp s.kind Value.pp s.pre_state Op.pp
-    s.op Value.pp s.post_state Value.pp s.response
-
 type pre = Kind.t -> state:Value.t -> Op.t -> bool
 type post = step -> bool
 type t = { name : string; pre : pre; post : post }

@@ -19,8 +19,6 @@ type step = {
 }
 (** One operation execution, as observed in a trace. *)
 
-val pp_step : Format.formatter -> step -> unit
-
 type pre = Kind.t -> state:Value.t -> Op.t -> bool
 (** Precondition Ψ: judged on the pre-state and the invocation. *)
 

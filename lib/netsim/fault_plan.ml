@@ -35,8 +35,6 @@ let atom_to_string = function
       Printf.sprintf "crash coord @%dms restart@%dms" (at_ns / 1_000_000)
         (restart_ns / 1_000_000)
 
-let pp_atom ppf a = Fmt.string ppf (atom_to_string a)
-
 type params = {
   drop_p : float;
   dup_p : float;

@@ -38,7 +38,6 @@ type atom =
           next incarnation at [restart_ns] *)
 
 val atom_to_string : atom -> string
-val pp_atom : Format.formatter -> atom -> unit
 
 type t
 

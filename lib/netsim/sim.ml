@@ -7,7 +7,6 @@ module Checkpoint = Campaign.Checkpoint
 module Codec = Ffault_dist.Codec
 module Core = Ffault_dist.Core
 module Status = Ffault_dist.Status
-module Coordinator = Ffault_dist.Coordinator
 module Protocol = Ffault_dist.Worker.Protocol
 module Retry = Ffault_supervise.Retry
 module Events = Ffault_telemetry.Events
@@ -148,9 +147,9 @@ let run ?atoms ?(trace = true) cfg ~seed =
   let cells = Grid.cells spec in
   let total = Grid.total_trials spec in
   let records_rev = ref [] in
-  (* the coordinator's structured event log, on virtual time and graded
-     by the real coordinator's classifier — /events is golden-testable.
-     One log across incarnations, like the appended events.jsonl. *)
+  (* the coordinator's structured event log, on virtual time and at the
+     severities the engine raises — /events is golden-testable. One log
+     across incarnations, like the appended events.jsonl. *)
   let evlog = Events.create ~now:(fun () -> Sched.now_ns sched) () in
   let io = { Core.peer = Net.peer; send = Net.send; close = Net.close } in
   (* ---- the worker-side exactly-once log ----
@@ -215,8 +214,8 @@ let run ?atoms ?(trace = true) cfg ~seed =
     let co =
       Core.create ~clock:(Sched.clock sched) ~epoch:this_epoch
         ~fence_epochs:cfg.fence_epochs ~verify_complete:cfg.verify_complete
-        ~on_event:(fun s ->
-          Events.emit evlog ~severity:(Coordinator.classify s) ~scope:"dist" s;
+        ~on_event:(fun severity s ->
+          Events.emit evlog ~severity ~scope:"dist" s;
           tracef "coord: %s" s)
         ~on_requeue:(fun _name lease -> Hashtbl.replace requeued (this_epoch, lease) ())
         ~io

@@ -1,10 +1,9 @@
 (** SplitMix64 pseudo-random number generator.
 
-    A small, fast, splittable generator (Steele, Lea, Flood 2014) used both
-    directly for reproducible simulation randomness and to seed
-    {!Ffault_prng.Xoshiro}. All state is explicit: there is no global
-    generator, so concurrent experiments never interfere and every run is
-    replayable from its seed. *)
+    A small, fast, splittable generator (Steele, Lea, Flood 2014): the
+    library's one source of reproducible simulation randomness. All state
+    is explicit: there is no global generator, so concurrent experiments
+    never interfere and every run is replayable from its seed. *)
 
 type t
 (** Mutable generator state. *)

@@ -76,8 +76,6 @@ let injected_faults t =
 
 type audit_error = { at_step : int; reason : string }
 
-let pp_audit_error ppf e = Fmt.pf ppf "step %d: %s" e.at_step e.reason
-
 let audit ~world t =
   List.filter_map
     (function

@@ -61,8 +61,6 @@ val injected_faults : t -> (Obj_id.t * Ffault_fault.Fault_kind.t) list
 
 type audit_error = { at_step : int; reason : string }
 
-val pp_audit_error : Format.formatter -> audit_error -> unit
-
 val audit : world:World.t -> t -> audit_error list
 (** Check every [Op_step] against Definition 1, independently of the
     engine's execution path: an unlabeled step must satisfy Φ (the

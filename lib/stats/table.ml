@@ -9,8 +9,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row width differs from header";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 (* Display width in characters, counting UTF-8 multibyte sequences as one
    column (good enough for the symbols we use: ⊥, ⟨⟩, ∞). *)
 let display_width s =

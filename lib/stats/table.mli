@@ -12,8 +12,6 @@ val create : columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rows : t -> string list list -> unit
-
 val pp : Format.formatter -> t -> unit
 (** Render with a header separator, columns padded to their widest cell. *)
 

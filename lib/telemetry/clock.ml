@@ -1,4 +1,3 @@
 external now_ns : unit -> int = "ffault_monotonic_ns" [@@noalloc]
 
-let now_us () = float_of_int (now_ns ()) /. 1e3
 let ns_to_s ns = float_of_int ns /. 1e9

@@ -8,9 +8,5 @@ val now_ns : unit -> int
 (** Nanoseconds since an arbitrary (per-boot) epoch. Monotonic,
     non-decreasing across domains. *)
 
-val now_us : unit -> float
-(** {!now_ns} as fractional microseconds — the unit of the Chrome
-    [trace_event] format. *)
-
 val ns_to_s : int -> float
 (** Convenience: a nanosecond interval as seconds. *)

@@ -247,12 +247,3 @@ let expose ?snapshot:snap () =
       Buffer.add_string b (Printf.sprintf "%s_count %d\n" n h.h_count))
     s.histograms;
   Buffer.contents b
-
-let pp_snapshot ppf s =
-  List.iter (fun (n, v) -> Fmt.pf ppf "%s = %d@." n v) s.counters;
-  List.iter (fun (n, v) -> Fmt.pf ppf "%s ~ %d@." n v) s.gauges;
-  List.iter
-    (fun h ->
-      Fmt.pf ppf "%s : count=%d sum=%d mean=%.1f@." h.h_name h.h_count h.h_sum
-        (if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count))
-    s.histograms

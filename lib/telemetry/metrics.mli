@@ -84,9 +84,6 @@ val reset : unit -> unit
 (** Zero every registered metric (benches and tests; racy against
     concurrent writers by design). *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-(** Human-readable dump, one metric per line. *)
-
 val expose : ?snapshot:snapshot -> unit -> string
 (** Prometheus text exposition of a snapshot (taken now if not given):
     every metric renamed to [ffault_<name>] with non-identifier

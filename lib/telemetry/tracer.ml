@@ -73,27 +73,10 @@ let with_span ?cat name f =
   end
   else f ()
 
-let collect () =
-  let acc = ref [] in
-  Array.iter
-    (fun r ->
-      Mutex.lock r.lock;
-      let n = Array.length r.events in
-      if n > 0 then begin
-        let len = if r.filled then n else r.head in
-        let start = if r.filled then r.head else 0 in
-        for k = 0 to len - 1 do
-          acc := r.events.((start + k) mod n) :: !acc
-        done
-      end;
-      Mutex.unlock r.lock)
-    rings;
-  List.stable_sort (fun a b -> compare a.ts_ns b.ts_ns) !acc
-
-(* Collect-and-reset: the piggyback path (a worker shipping span
-   batches on its heartbeat frames) wants each event exactly once, so
-   draining empties every ring while keeping the cumulative drop
-   count. *)
+(* Collect-and-reset: the trace writer and the piggyback path (a
+   worker shipping span batches on its heartbeat frames) want each
+   event exactly once, so draining empties every ring while keeping
+   the cumulative drop count. *)
 let drain () =
   let acc = ref [] in
   Array.iter
@@ -112,88 +95,6 @@ let drain () =
       Mutex.unlock r.lock)
     rings;
   List.stable_sort (fun a b -> compare a.ts_ns b.ts_ns) !acc
-
-(* Ring overwrite can orphan events: an 'E' whose 'B' was overwritten,
-   or a 'B' whose 'E' is still pending at export time. Chrome refuses
-   (or misrenders) unbalanced tracks, so repair per tid: drop orphan
-   'E's, close dangling 'B's at the trace's final timestamp. *)
-let balance events =
-  let max_ts = List.fold_left (fun m e -> max m e.ts_ns) 0 events in
-  let stacks : (int, event list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add stacks tid s;
-        s
-  in
-  let out = ref [] in
-  List.iter
-    (fun e ->
-      match e.ph with
-      | 'B' ->
-          let s = stack e.tid in
-          s := e :: !s;
-          out := e :: !out
-      | 'E' -> (
-          let s = stack e.tid in
-          match !s with
-          | [] -> () (* orphan: its B was overwritten *)
-          | _ :: rest ->
-              s := rest;
-              out := e :: !out)
-      | _ -> out := e :: !out)
-    events;
-  let closers = ref [] in
-  Hashtbl.iter
-    (fun _ s ->
-      List.iter
-        (fun b -> closers := { b with ph = 'E'; ts_ns = max_ts } :: !closers)
-        !s)
-    stacks;
-  (* closers go after the body; stable sort keeps them there on ties *)
-  List.stable_sort
-    (fun a b -> compare a.ts_ns b.ts_ns)
-    (List.rev !out @ List.rev !closers)
-
-let escape name =
-  (* metric/span names are identifiers, but never trust a string into
-     JSON unescaped *)
-  let b = Buffer.create (String.length name + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    name;
-  Buffer.contents b
-
-let export () =
-  let events = balance (collect ()) in
-  let pid = Unix.getpid () in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Fmt.str "{\"ph\":\"%c\",\"name\":\"%s\",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f%s}"
-           e.ph (escape e.name)
-           (escape (if e.cat = "" then "ffault" else e.cat))
-           pid e.tid
-           (float_of_int e.ts_ns /. 1e3)
-           (if e.ph = 'i' then ",\"s\":\"t\"" else "")))
-    events;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
-
-let export_to_file path =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (export ());
-      output_char oc '\n')
 
 let event_count () =
   Array.fold_left

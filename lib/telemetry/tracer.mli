@@ -2,11 +2,11 @@
 
     Begin/end/instant events are stamped with the monotonic clock and
     written into per-domain ring buffers (oldest events overwritten when
-    a ring fills), then exported as a JSON object whose [traceEvents]
-    array loads directly in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto} — so a whole campaign (pool
-    chunks, trials, shrinks, journal writes) can be inspected on a
-    timeline.
+    a ring fills), then {!drain}ed into
+    [Ffault_campaign.Trace_merge], which writes the Chrome trace that
+    loads in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}
+    — so a whole campaign (pool chunks, trials, journal writes) can be
+    inspected on a timeline.
 
     The tracer is disabled by default and every recording call starts
     with one atomic load — a disabled tracer is a no-op, which is the
@@ -24,7 +24,7 @@ val enable : ?capacity:int -> unit -> unit
 
 val disable : unit -> unit
 (** Stop recording; already-buffered events survive until the next
-    {!enable} and can still be {!export}ed. *)
+    {!enable} and can still be {!drain}ed. *)
 
 val enabled : unit -> bool
 
@@ -41,11 +41,11 @@ val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [begin_span]/[end_span] around the thunk (end emitted on exceptions
     too). *)
 
-(** {2 Export} *)
+(** {2 Draining} *)
 
-(** One buffered event, exposed for cross-process aggregation: a worker
-    drains its rings and ships batches to the coordinator, which merges
-    them into one Chrome trace with a pid row per worker. *)
+(** One buffered event. The trace writer turns a drained list into a
+    Chrome trace row; a worker ships drained batches to the coordinator,
+    which writes them as one row per worker. *)
 type event = {
   ph : char;  (** ['B'] | ['E'] | ['i'] *)
   name : string;
@@ -55,19 +55,10 @@ type event = {
 }
 
 val drain : unit -> event list
-(** Remove and return every buffered event, oldest first. Unlike
-    {!export} this empties the rings (the drop count is kept), so
-    repeated drains see each event exactly once. *)
-
-val export : unit -> string
-(** The buffered events as a Chrome trace JSON object
-    [{"traceEvents": [...], "displayTimeUnit": "ms"}], events sorted by
-    timestamp. The export is repaired to keep B/E balanced per track
-    even when a ring overwrote events: orphaned ["E"]s are dropped and
-    unclosed ["B"]s get a synthetic ["E"] at the latest timestamp. *)
-
-val export_to_file : string -> unit
-(** {!export} into a file (created/truncated). *)
+(** Remove and return every buffered event, oldest first, so repeated
+    drains see each event exactly once (the drop count is kept). A ring
+    that overwrote events leaves spans unbalanced; the writer repairs
+    them. *)
 
 val event_count : unit -> int
 (** Events currently buffered (post-overwrite). *)

@@ -7,6 +7,11 @@
 # stale results (if any) are deduped by trial id. This is the
 # exactly-once claim of doc/DISTRIBUTED.md run as a test;
 # `make dist-chaos-smoke` and CI both drive it.
+#
+# The coordinator and chaos-w1 and chaos-w2 trace. The coordinator's
+# merged trace holds a row of the killed chaos-w1, cut mid-span, and its
+# own ring overflows on this grid; chaos-w2 writes its own file. Both
+# files must hold as many span ends as begins.
 set -eu
 
 ROOT=_campaigns
@@ -32,7 +37,7 @@ rm -f "$SOCK" "$STATUS_SOCK"
   --faults 1..2 --bound 1 --procs 3 --rates 0.3,0.6 --trials 25000 \
   --listen "unix:$SOCK" --status "unix:$STATUS_SOCK" \
   --lease-trials 500 --lease-timeout 2 \
-  --hb-interval 0.5 --quiet &
+  --hb-interval 0.5 --trace "$DIR/trace.json" --quiet &
 SERVE_PID=$!
 mkdir -p "$SCRAPES"
 
@@ -48,9 +53,11 @@ while [ ! -S "$SOCK" ]; do
   sleep 0.1
 done
 
-"$BIN" worker --connect "unix:$SOCK" --name chaos-w1 --domains 2 --quiet &
+"$BIN" worker --connect "unix:$SOCK" --name chaos-w1 --domains 2 \
+  --trace "$DIR/trace-chaos-w1.json" --quiet &
 W1=$!
-"$BIN" worker --connect "unix:$SOCK" --name chaos-w2 --domains 2 --quiet &
+"$BIN" worker --connect "unix:$SOCK" --name chaos-w2 --domains 2 \
+  --trace "$DIR/trace-chaos-w2.json" --quiet &
 W2=$!
 "$BIN" worker --connect "unix:$SOCK" --name chaos-w3 --domains 2 --quiet &
 W3=$!
@@ -134,6 +141,28 @@ if ! grep -q '"dist.workers_connected"' "$DIR/telemetry.json"; then
   echo "dist-chaos-smoke FAILED: coordinator's telemetry.json has no dist.workers_connected gauge" >&2
   exit 1
 fi
+
+# A trace holds as many span ends as begins, in the expected number of
+# process rows: the coordinator's and one per tracing worker that
+# shipped spans, or the worker's own. The totals can agree while a track
+# does not, so each (pid, tid) track is also walked in file order: no
+# end before its begin, none left open.
+tracks_nest() {
+  grep -o '"ph":"[BE]","ts":[^,]*,"tid":[0-9]*,"pid":[0-9]*' "$1" \
+    | awk -F'[:,]' '{ k = $8 " " $6; d[k] += ($2 == "\"B\"") ? 1 : -1; if (d[k] < 0) bad = 1 }
+        END { for (k in d) if (d[k] != 0) bad = 1; exit bad }'
+}
+check_trace() {
+  B=$(grep -o '"ph":"B"' "$1" | wc -l)
+  E=$(grep -o '"ph":"E"' "$1" | wc -l)
+  ROWS=$(grep -o '"name":"process_name"' "$1" | wc -l)
+  if [ "$B" -eq 0 ] || [ "$B" -ne "$E" ] || [ "$ROWS" -ne "$2" ] || ! tracks_nest "$1"; then
+    echo "dist-chaos-smoke FAILED: $1 has $B begins, $E ends and $ROWS process row(s), expected equal counts nesting on every track, and $2 row(s)" >&2
+    exit 1
+  fi
+}
+check_trace "$DIR/trace.json" 3
+check_trace "$DIR/trace-chaos-w2.json" 1
 
 "$BIN" campaign report --name "$NAME" >/dev/null
 if ! grep -q '^## Workers' "$DIR/report.md"; then

@@ -1230,13 +1230,8 @@ let test_report_min_witness () =
             Alcotest.(option (pair int (array int)))
             (Fmt.str "%s cell %d min_witness" spec.Spec.name cell_id)
             (expected_min_witness spec records cell_id)
-            c.Report.min_witness;
-          check
-            Alcotest.(option int)
-            "min_witness_len is its length"
-            (Option.map (fun (_, w) -> Array.length w) c.Report.min_witness)
-            c.Report.min_witness_len;
-          match c.Report.min_witness with
+            (Lazy.force c.Report.min_witness);
+          match Lazy.force c.Report.min_witness with
           | None -> check Alcotest.int "no witness, no failure" 0 c.Report.failures
           | Some (_, w) ->
               check Alcotest.bool "min_witness replays to a violation" false
@@ -1255,7 +1250,7 @@ let test_report_order_independent () =
   let _, records = run_collect ~domains:1 spec in
   let witnesses records =
     List.map
-      (fun (c : Report.cell_stats) -> (c.Report.min_witness_len, c.Report.min_witness))
+      (fun (c : Report.cell_stats) -> Lazy.force c.Report.min_witness)
       (report_of spec records).Report.cells
   in
   let expected = witnesses records in
@@ -1267,6 +1262,28 @@ let test_report_order_independent () =
     (fun order ->
       check Alcotest.bool "same min_witness in every cell" true (witnesses order = expected))
     [ List.rev records; shuffle records; shuffle records ]
+
+(* [campaign diff] reads failure rates and step counts: reading both
+   sides of a failing grid and diffing them runs no engine, so no
+   witness is minimized. Rendering a report still minimizes. *)
+let test_report_diff_runs_nothing () =
+  let spec = two_failing_cells "diff-no-shrink" in
+  let root = tmp_root () in
+  (match Pool.run_dir ~domains:1 ~root spec with
+  | Error m -> Alcotest.fail m
+  | Ok s -> check Alcotest.bool "a failing grid" true (s.Pool.failures > 0));
+  let dir = Checkpoint.campaign_dir ~root spec in
+  let runs () =
+    Option.value ~default:0
+      (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ()) "sim.runs")
+  in
+  let before = runs () in
+  let a = Result.get_ok (Report.of_dir ~dir) and b = Result.get_ok (Report.of_dir ~dir) in
+  let d = Report.diff a b in
+  check Alcotest.int "no regressions" 0 d.Report.regressions;
+  check Alcotest.int "of_dir and diff run no engine" before (runs ());
+  ignore (Report.to_markdown a);
+  check Alcotest.bool "rendering minimizes" true (runs () > before)
 
 (* ---- Live ---- *)
 
@@ -1384,6 +1401,7 @@ let suites =
         Alcotest.test_case "first failures minimized" `Quick test_report_min_witness;
         Alcotest.test_case "min_witness order-independent" `Quick
           test_report_order_independent;
+        Alcotest.test_case "diff minimizes nothing" `Quick test_report_diff_runs_nothing;
       ] );
     ("campaign.live", [ Alcotest.test_case "violations only" `Quick test_live_counts_violations ]);
   ]

@@ -582,7 +582,7 @@ let test_restart_recovers_torn_journal () =
   let core =
     Core.create ~epoch ~io:fake_io
       ~append:(fun _ -> ())
-      ~on_event:(fun e -> events := e :: !events)
+      ~on_event:(fun _ e -> events := e :: !events)
       ~st ~spec ~lease_trials:16 ~lease_timeout_s:10.0 ~hb_interval_s:0.5
       ~max_workers:4 ~supervision:Codec.no_supervision ()
   in
@@ -631,7 +631,7 @@ let test_stale_complete_fenced_results_deduped () =
   let core =
     Core.create ~epoch:2 ~io:fake_io
       ~append:(fun _ -> incr appended)
-      ~on_event:(fun e -> events := e :: !events)
+      ~on_event:(fun _ e -> events := e :: !events)
       ~st ~spec ~lease_trials:16 ~lease_timeout_s:10.0 ~hb_interval_s:0.5
       ~max_workers:4 ~supervision:Codec.no_supervision ()
   in
@@ -675,52 +675,77 @@ let test_stale_complete_fenced_results_deduped () =
   check Alcotest.int "requeued shard re-granted" 2 v.Core.vw_leases_outstanding
 
 (* The grade every engine message reaches events.jsonl and /events
-   with: one rendered message per [on_event] call site of core.ml and
-   coordinator.ml, then each trouble word where a scan can go wrong. *)
+   with is the one its call site in core.ml states: one engine driven
+   through each call site, its events pinned with their severities.
+   Worker names that read like trouble ("leftover-1", "expired-host")
+   grade like any other. *)
 let test_classify_events () =
   let module Events = Ffault_telemetry.Events in
+  let spec = Spec.v ~name:"grades" ~protocol:"fig1" ~trials:96 () in
+  let st = Checkpoint.fresh ~total:(Grid.total_trials spec) in
+  for t = 0 to 15 do
+    Checkpoint.mark st t
+  done;
+  let clock, advance = fake_clock 0 in
+  let events = ref [] in
+  let core =
+    Core.create ~clock ~epoch:2 ~io:fake_io
+      ~append:(fun _ -> ())
+      ~on_event:(fun severity e -> events := (severity, e) :: !events)
+      ~st ~spec ~lease_trials:16 ~lease_timeout_s:10.0 ~hb_interval_s:0.5
+      ~max_workers:4 ~supervision:Codec.no_supervision ()
+  in
+  let send cl m = Core.deliver core cl (Codec.to_frame m) in
+  let join name =
+    let cl = Core.add_client core name in
+    send cl (Codec.Hello { version = Wire.version; name; domains = 1; last_epoch = 0 });
+    cl
+  in
+  let leftover = join "leftover-1" in
+  let expired = join "expired-host" in
+  send expired Codec.Request;
+  for t = 16 to 31 do
+    send expired (Codec.Result (record_for spec t))
+  done;
+  (* its Complete is lost: the next Request retires the lease *)
+  send expired Codec.Request;
+  send expired (Codec.Complete { lease = 1; epoch = 2 });
+  send expired (Codec.Complete { lease = 0; epoch = 1 });
+  send leftover Codec.Request;
+  send leftover Codec.Request;
+  let w3 = join "w3" in
+  send w3 Codec.Request;
+  Core.client_closed core w3 ~why:"connection closed";
+  advance 10_000_000_001;
+  Core.tick core;
   let grade = Alcotest.testable Fmt.(using Events.severity_to_string string) ( = ) in
-  List.iter
-    (fun (severity, msg) -> check grade msg severity (Dist.Coordinator.classify msg))
+  check
+    Alcotest.(list (pair grade string))
+    "every call site at its severity"
     [
-      (Events.Info, "recovery: 2 of 7 shard(s) already complete in the journal");
-      (Events.Warn, "lease #3 [96,128) reclaimed from w1 (heartbeat silence (watchdog))");
-      (Events.Warn, "worker w1 left (connection closed)");
-      (Events.Info, "lease #3 [96,128) of w1 retired at request (complete lost in flight)");
+      (Events.Info, "recovery: 1 of 6 shard(s) already complete in the journal");
+      (Events.Info, "worker leftover-1 joined from fake://leftover-1 (1 domains)");
+      (Events.Info, "worker expired-host joined from fake://expired-host (1 domains)");
+      (Events.Info, "lease #0 [16,32) -> expired-host");
+      ( Events.Info,
+        "lease #0 [16,32) of expired-host retired at request (complete lost in flight)" );
+      (Events.Info, "lease #1 [32,48) -> expired-host");
+      (Events.Warn, "lease #1 completed with 16 trial(s) unjournaled \xe2\x80\x94 requeued");
+      (Events.Warn, "complete #0 fenced: grant epoch 1, coordinator epoch 2 (from expired-host)");
+      (Events.Info, "lease #2 [48,64) -> leftover-1");
       ( Events.Warn,
-        "lease #3 [96,128) of w1 reconciled at request: 4 trial(s) unjournaled \xe2\x80\x94 \
+        "lease #2 [48,64) of leftover-1 reconciled at request: 16 trial(s) unjournaled \xe2\x80\x94 \
          requeued" );
-      (Events.Info, "worker w1 joined from unix:/tmp/c.sock (2 domains)");
-      ( Events.Info,
-        "worker w1 joined from unix:/tmp/c.sock (2 domains) \xe2\x80\x94 reconnect #1 \xe2\x80\x94 \
-         returning from epoch 1" );
-      (Events.Info, "lease #4 [128,160) -> w2");
-      (Events.Warn, "complete #0 fenced: grant epoch 1, coordinator epoch 2 (from w-b)");
-      (Events.Warn, "lease #4 completed with 3 trial(s) unjournaled \xe2\x80\x94 requeued");
-      (Events.Warn, "lease #4 [128,160) of w2 expired (no traffic for 30s)");
-      (Events.Warn, "worker w1 left (version mismatch)");
-      (Events.Warn, "worker w1 left (result for trial 5 carries another trial's cell or seed)");
-      ( Events.Info,
-        "serving fig3 on unix:/tmp/c.sock as epoch 2 (restart #1) (status on tcp:127.0.0.1:8080)" );
-      (Events.Info, "campaign complete");
-      (Events.Info, "");
-      (Events.Info, "lease #1 [0,32) -> w1 (nothing wrong here)");
-    ];
-  List.iter
-    (fun word ->
-      let cut = String.sub word 0 (String.length word - 1) in
-      List.iter
-        (fun (severity, msg) -> check grade msg severity (Dist.Coordinator.classify msg))
-        [
-          (Events.Warn, word);
-          (Events.Warn, word ^ " at the start");
-          (Events.Warn, "at the end " ^ word);
-          (Events.Warn, "in the " ^ word ^ " middle");
-          (Events.Info, cut);
-          (Events.Info, "cut short by the end " ^ cut);
-          (Events.Info, String.sub word 1 (String.length word - 1) ^ " is not it");
-        ])
-    [ "expired"; "reclaimed"; "requeued"; "unjournaled"; "left"; "mismatch"; "fenced" ]
+      (Events.Info, "lease #3 [64,80) -> leftover-1");
+      (Events.Info, "worker w3 joined from fake://w3 (1 domains)");
+      (Events.Info, "lease #4 [80,96) -> w3");
+      (Events.Warn, "worker w3 left (connection closed)");
+      (Events.Warn, "lease #4 [80,96) reclaimed from w3 (connection closed)");
+      (Events.Warn, "lease #3 [64,80) of leftover-1 expired (no traffic for 10s)");
+      (Events.Warn, "worker expired-host left (heartbeat silence (watchdog))");
+      (Events.Warn, "worker leftover-1 left (heartbeat silence (watchdog))");
+    ]
+    (List.rev !events)
 
 (* A Result whose cell or seed is not its trial's is a protocol
    violation, like an out-of-grid id: not journaled, and its sender is
@@ -739,7 +764,7 @@ let test_result_of_another_trial_dropped () =
   let core =
     Core.create ~io:fake_io
       ~append:(fun r -> appended := r.Journal.trial :: !appended)
-      ~on_event:(fun e -> events := e :: !events)
+      ~on_event:(fun severity e -> events := (severity, e) :: !events)
       ~st ~spec ~lease_trials:4 ~lease_timeout_s:10.0 ~hb_interval_s:0.5 ~max_workers:4
       ~supervision:Codec.no_supervision ()
   in
@@ -757,11 +782,11 @@ let test_result_of_another_trial_dropped () =
     check Alcotest.bool (what ^ ": client dropped") true (Core.dropped cl);
     check Alcotest.(list int) (what ^ ": nothing journaled") [] !appended;
     match new_events with
-    | [ e ] ->
+    | [ (severity, e) ] ->
         check Alcotest.bool (what ^ ": the event names the trial") true
           (String.starts_with ~prefix:(Fmt.str "worker %s left (result for trial 1 " what) e);
         check Alcotest.bool (what ^ ": a warning") true
-          (Dist.Coordinator.classify e = Ffault_telemetry.Events.Warn)
+          (severity = Ffault_telemetry.Events.Warn)
     | es -> Alcotest.failf "%s: %d events, expected one" what (List.length es)
   in
   let crash_free = record_for spec 1 and crash = record_for spec 5 in
@@ -795,7 +820,7 @@ let test_silent_client_dropped () =
   let core =
     Core.create ~clock ~io:fake_io
       ~append:(fun _ -> ())
-      ~on_event:(fun e -> events := e :: !events)
+      ~on_event:(fun _ e -> events := e :: !events)
       ~on_drop:(fun c -> dropped := Core.conn c :: !dropped)
       ~st ~spec ~lease_trials:16 ~lease_timeout_s:2.0 ~hb_interval_s:0.5
       ~max_workers:4 ~supervision:Codec.no_supervision ()
@@ -1380,7 +1405,7 @@ let serve_scripted ~name ~lease_timeout_s ~hb_interval_s tail =
 let scripted_worker summary =
   match
     List.find_opt
-      (fun w -> w.Dist.Coordinator.w_name = "w-script")
+      (fun w -> w.Dist.Core.v_name = "w-script")
       summary.Dist.Coordinator.workers
   with
   | Some w -> w
@@ -1409,8 +1434,8 @@ let test_serve_reads_flush_beat () =
   let w = scripted_worker summary in
   check Alcotest.(option string) "the flush beat's snapshot is in the summary"
     (Some (Json.to_string marker))
-    (Option.map Json.to_string w.Dist.Coordinator.w_telemetry);
-  check Alcotest.int "the lease completed" 1 w.Dist.Coordinator.w_completed;
+    (Option.map Json.to_string w.Dist.Core.v_telemetry);
+  check Alcotest.int "the lease completed" 1 w.Dist.Core.v_completed;
   check Alcotest.int "no lease expired" 0 summary.Dist.Coordinator.leases_expired
 
 (* A worker that goes silent after its last Result never sends its
@@ -1426,7 +1451,7 @@ let test_serve_silent_holder_expires () =
     (waited >= 0.8 *. lease_timeout_s && waited < 5.0);
   check Alcotest.int "the lease expired" 1 summary.Dist.Coordinator.leases_expired;
   check Alcotest.int "booked to the silent worker" 1
-    (scripted_worker summary).Dist.Coordinator.w_expired
+    (scripted_worker summary).Dist.Core.v_expired
 
 (* A lease reaching outside the Welcome's grid is a protocol error the
    worker stops on, not a range to clip. *)

@@ -2,7 +2,6 @@
    distribution sanity of the sampling helpers. *)
 
 module Splitmix = Ffault_prng.Splitmix
-module Xoshiro = Ffault_prng.Xoshiro
 module Rng = Ffault_prng.Rng
 
 let check = Alcotest.check
@@ -52,20 +51,6 @@ let test_hash_stateless () =
   check Alcotest.int64 "hash is a pure function" (Splitmix.hash 123L) (Splitmix.hash 123L);
   check Alcotest.bool "hash separates close inputs" true
     (not (Int64.equal (Splitmix.hash 123L) (Splitmix.hash 124L)))
-
-let test_xoshiro_deterministic () =
-  let a = Xoshiro.create 5L and b = Xoshiro.create 5L in
-  for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Xoshiro.next a) (Xoshiro.next b)
-  done
-
-let test_xoshiro_jump () =
-  let a = Xoshiro.create 5L in
-  let b = Xoshiro.copy a in
-  Xoshiro.jump b;
-  let xs = List.init 20 (fun _ -> Xoshiro.next a) in
-  let ys = List.init 20 (fun _ -> Xoshiro.next b) in
-  check Alcotest.bool "jumped stream differs" true (xs <> ys)
 
 let prop_next_int_in_range =
   QCheck.Test.make ~name:"Splitmix.next_int stays in [0, bound)" ~count:500
@@ -249,8 +234,6 @@ let suites =
         Alcotest.test_case "splitmix state roundtrip" `Quick test_splitmix_state_roundtrip;
         Alcotest.test_case "split independence" `Quick test_split_independence;
         Alcotest.test_case "hash stateless" `Quick test_hash_stateless;
-        Alcotest.test_case "xoshiro deterministic" `Quick test_xoshiro_deterministic;
-        Alcotest.test_case "xoshiro jump" `Quick test_xoshiro_jump;
         Alcotest.test_case "next_int rejects bad bound" `Quick test_next_int_rejects_bad_bound;
         Alcotest.test_case "rng int_in range" `Quick test_rng_int_in;
         Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;

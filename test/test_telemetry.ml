@@ -1,13 +1,14 @@
-(* Telemetry: sharded metrics, the Chrome-trace exporter, and the live
-   progress reporter. Metrics are process-global, so every test that
-   counts starts from Metrics.reset — the alcotest runner is
-   single-threaded, which makes that safe. *)
+(* Telemetry: sharded metrics, span tracing through the Chrome-trace
+   writer, and the live progress reporter. Metrics are process-global,
+   so every test that counts starts from Metrics.reset — the alcotest
+   runner is single-threaded, which makes that safe. *)
 
 module Metrics = Ffault_telemetry.Metrics
 module Tracer = Ffault_telemetry.Tracer
 module Progress = Ffault_telemetry.Progress
 module Runner = Ffault_runtime.Runner
 module Json = Ffault_campaign.Json
+module Trace_merge = Ffault_campaign.Trace_merge
 module Pool = Ffault_campaign.Pool
 
 (* ---- metrics ---- *)
@@ -96,42 +97,60 @@ let test_histogram_observe () =
         (let ubs = List.map fst v.Metrics.h_buckets in
          List.sort compare ubs = ubs)
 
-(* ---- tracer ---- *)
+(* ---- tracer and the trace writer ---- *)
+
+(* [rows] through the one writer, read back: every event of the file. *)
+let written rows =
+  let path = Filename.temp_file "ffault_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_merge.write path rows;
+      match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+      | Error e -> Alcotest.fail ("trace is not valid JSON: " ^ e)
+      | Ok j -> (
+          match Json.member "traceEvents" j with
+          | Some (Json.List events) -> events
+          | _ -> Alcotest.fail "traceEvents missing or not a list"))
+
+let str k e = match Json.member k e with Some (Json.Str s) -> s | _ -> "?"
+let int k e = Option.value ~default:(-1) (Option.bind (Json.member k e) Json.get_int)
+
+(* B/E balance per (pid, tid), in file order, and one process_name row
+   per input row. *)
+let check_balanced what ~rows events =
+  Alcotest.(check int)
+    (what ^ ": one process_name per row")
+    rows
+    (List.length (List.filter (fun e -> str "name" e = "process_name") events));
+  let depth = Hashtbl.create 4 in
+  List.iter
+    (fun e ->
+      let track = (int "pid" e, int "tid" e) in
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth track) in
+      match str "ph" e with
+      | "B" -> Hashtbl.replace depth track (d + 1)
+      | "E" ->
+          Alcotest.(check bool) (what ^ ": E never precedes its B") true (d > 0);
+          Hashtbl.replace depth track (d - 1)
+      | _ -> ())
+    events;
+  Hashtbl.iter
+    (fun (pid, tid) d ->
+      Alcotest.(check int) (Printf.sprintf "%s: pid %d tid %d balanced" what pid tid) 0 d)
+    depth
+
+let drained () = Trace_merge.of_tracer_events (Tracer.drain ())
 
 let test_trace_export_valid_json () =
   Tracer.enable ();
   Tracer.with_span ~cat:"test" "outer" (fun () ->
       Tracer.with_span ~cat:"test" "inner" (fun () -> ());
       Tracer.instant ~cat:"test" "mark \"quoted\"");
-  let json = Tracer.export () in
+  let events = written [ ("campaign", drained ()) ] in
   Tracer.disable ();
-  match Json.of_string json with
-  | Error e -> Alcotest.fail ("trace is not valid JSON: " ^ e)
-  | Ok j -> (
-      match Json.member "traceEvents" j with
-      | Some (Json.List events) ->
-          Alcotest.(check int) "2 spans + 1 instant = 5 events" 5 (List.length events);
-          (* B/E balance per tid, in timestamp order *)
-          let depth = Hashtbl.create 4 in
-          List.iter
-            (fun e ->
-              let ph = match Json.member "ph" e with Some (Json.Str s) -> s | _ -> "?" in
-              let tid =
-                match Option.bind (Json.member "tid" e) Json.get_int with Some t -> t | None -> -1
-              in
-              let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-              match ph with
-              | "B" -> Hashtbl.replace depth tid (d + 1)
-              | "E" ->
-                  Alcotest.(check bool) "E never precedes its B" true (d > 0);
-                  Hashtbl.replace depth tid (d - 1)
-              | _ -> ())
-            events;
-          Hashtbl.iter
-            (fun tid d ->
-              Alcotest.(check int) (Printf.sprintf "tid %d balanced" tid) 0 d)
-            depth
-      | _ -> Alcotest.fail "traceEvents missing or not a list")
+  Alcotest.(check int) "process_name + 2 spans + 1 instant = 6 events" 6 (List.length events);
+  check_balanced "campaign" ~rows:1 events
 
 let test_trace_disabled_is_noop () =
   Tracer.disable ();
@@ -141,31 +160,52 @@ let test_trace_disabled_is_noop () =
   Alcotest.(check int) "no events recorded while disabled" before (Tracer.event_count ())
 
 let test_trace_ring_overflow_repaired () =
-  (* A tiny ring forces overwrites; the export must still parse and
-     stay B/E-balanced (orphans repaired at export time). *)
+  (* A tiny ring forces overwrites; the written trace must still parse
+     and stay B/E-balanced (orphans repaired by the writer). *)
   Tracer.enable ~capacity:8 ();
   for i = 1 to 100 do
     Tracer.with_span (Printf.sprintf "span%d" i) (fun () -> ())
   done;
-  let json = Tracer.export () in
+  let events = drained () in
   Alcotest.(check bool) "overflow dropped events" true (Tracer.dropped_count () > 0);
   Tracer.disable ();
-  match Json.of_string json with
-  | Error e -> Alcotest.fail ("overflowed trace is not valid JSON: " ^ e)
-  | Ok j -> (
-      match Json.member "traceEvents" j with
-      | Some (Json.List events) ->
-          let balance =
-            List.fold_left
-              (fun acc e ->
-                match Json.member "ph" e with
-                | Some (Json.Str "B") -> acc + 1
-                | Some (Json.Str "E") -> acc - 1
-                | _ -> acc)
-              0 events
-          in
-          Alcotest.(check int) "B and E counts equal after repair" 0 balance
-      | _ -> Alcotest.fail "traceEvents missing")
+  check_balanced "overflowed" ~rows:1 (written [ ("campaign", events) ])
+
+(* Span [a] around ten [b] spans in a capacity-8 ring: the ring keeps
+   the last 8 events, the close of b7 and of a among them, so the raw
+   events read 3 B and 5 E. Each way the CLI writes a trace must come
+   out balanced: a campaign run's one row, a worker's own file (its
+   heartbeat batches, the first drained before the overflow), and a
+   serve file with a coordinator row beside a worker row. *)
+let test_trace_overflow_balanced_everywhere () =
+  let b_spans lo hi =
+    for i = lo to hi do
+      Tracer.with_span (Printf.sprintf "b%d" i) (fun () -> ())
+    done
+  in
+  let count ph evs = List.length (List.filter (fun e -> str "ph" e = ph) evs) in
+  Tracer.enable ~capacity:8 ();
+  Tracer.begin_span "a";
+  b_spans 1 10;
+  Tracer.end_span "a";
+  let run = drained () in
+  Alcotest.(check (pair int int)) "raw: 3 B, 5 E" (3, 5) (count "B" run, count "E" run);
+  Tracer.begin_span "a";
+  b_spans 1 3;
+  let first_batch = drained () in
+  b_spans 4 10;
+  Tracer.end_span "a";
+  let second_batch = drained () in
+  Tracer.disable ();
+  let worker = first_batch @ second_batch in
+  check_balanced "campaign run" ~rows:1 (written [ ("campaign", run) ]);
+  check_balanced "worker file" ~rows:1 (written [ ("w1", worker) ]);
+  check_balanced "serve file" ~rows:2 (written [ ("coordinator", run); ("w1", worker) ]);
+  (* batches that arrive swapped write the same file *)
+  Alcotest.(check string)
+    "swapped batches"
+    (Json.to_string (Trace_merge.merge [ ("w1", worker) ]))
+    (Json.to_string (Trace_merge.merge [ ("w1", second_batch @ first_batch) ]))
 
 (* ---- progress ---- *)
 
@@ -225,6 +265,8 @@ let suites =
         Alcotest.test_case "export is valid balanced JSON" `Quick test_trace_export_valid_json;
         Alcotest.test_case "disabled tracer records nothing" `Quick test_trace_disabled_is_noop;
         Alcotest.test_case "ring overflow repaired" `Quick test_trace_ring_overflow_repaired;
+        Alcotest.test_case "overflow balanced on every write path" `Quick
+          test_trace_overflow_balanced_everywhere;
       ] );
     ( "telemetry.progress",
       [ Alcotest.test_case "non-ANSI output has no escapes" `Quick test_progress_non_ansi_no_escapes ] );
