@@ -504,7 +504,7 @@ let max_retries_arg =
   let doc = "Deadline-cancelled attempts to retry (seed-perturbed backoff) before giving up." in
   Arg.(
     value
-    & opt int Ffault_supervise.Retry.default_policy.Ffault_supervise.Retry.max_retries
+    & opt int Campaign.Pool.(default_supervision.max_retries)
     & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let quarantine_after_arg =
@@ -512,28 +512,19 @@ let quarantine_after_arg =
     "Give-ups in one grid cell before the cell degrades: its remaining trials are \
      journaled as quarantined without running."
   in
-  Arg.(value & opt int 3 & info [ "quarantine-after" ] ~docv:"K" ~doc)
-
-let adaptive_deadline_arg =
-  let doc =
-    "Derive a per-cell deadline from each cell's observed trial durations (8 x its p99, \
-     capped at --deadline) once enough trials have completed — cuts tail latency on \
-     mixed grids where one global deadline must be sized for the slowest cell. \
-     Requires --deadline."
-  in
-  Arg.(value & flag & info [ "adaptive-deadline" ] ~doc)
+  Arg.(
+    value
+    & opt int Campaign.Pool.(default_supervision.quarantine_after)
+    & info [ "quarantine-after" ] ~docv:"K" ~doc)
 
 (* The supervision flags as the record the pool runs under and the
    coordinator ships to its workers. *)
 let supervision_term =
-  let make deadline max_retries quarantine_after adaptive_deadline =
+  let make deadline max_retries quarantine_after =
     validated (fun () ->
-        Campaign.Pool.supervision ?deadline_s:deadline ~max_retries ~quarantine_after
-          ~adaptive_deadline ())
+        Campaign.Pool.supervision ?deadline_s:deadline ~max_retries ~quarantine_after ())
   in
-  Term.(
-    const make $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg
-    $ adaptive_deadline_arg)
+  Term.(const make $ deadline_flag_arg $ max_retries_arg $ quarantine_after_arg)
 
 (* Observability flags, shared by run, resume and serve. *)
 

@@ -7,7 +7,6 @@ module Value = Ffault_objects.Value
 module Metrics = Ffault_telemetry.Metrics
 module Clock = Ffault_telemetry.Clock
 module Tracer = Ffault_telemetry.Tracer
-module Stats = Ffault_stats.Summary
 module Retry = Ffault_supervise.Retry
 module Quarantine = Ffault_supervise.Quarantine
 
@@ -21,21 +20,18 @@ let m_deterministic = Metrics.counter "supervise.deterministic_protocol"
 
 type supervision = {
   deadline_s : float option;
-  retry : Retry.policy;
+  max_retries : int;
   quarantine_after : int;
-  adaptive_deadline : bool;
 }
 
 let default_supervision =
   {
     deadline_s = None;
-    retry = Retry.default_policy;
+    max_retries = Retry.default_policy.Retry.max_retries;
     quarantine_after = 3;
-    adaptive_deadline = false;
   }
 
-let supervision ?deadline_s ?max_retries ?quarantine_after ?(adaptive_deadline = false) ()
-    =
+let supervision ?deadline_s ?max_retries ?quarantine_after () =
   (match deadline_s with
   | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
       invalid_arg "Pool.supervision: deadline_s must be finite and positive"
@@ -43,33 +39,13 @@ let supervision ?deadline_s ?max_retries ?quarantine_after ?(adaptive_deadline =
   (match quarantine_after with
   | Some q when q < 1 -> invalid_arg "Pool.supervision: quarantine_after < 1"
   | _ -> ());
-  if adaptive_deadline && deadline_s = None then
-    invalid_arg "Pool.supervision: adaptive_deadline needs a deadline to cap at";
   {
     deadline_s;
-    retry = Retry.policy ?max_retries ();
+    (* [Retry.policy] owns the rule on retry counts *)
+    max_retries = (Retry.policy ?max_retries ()).Retry.max_retries;
     quarantine_after =
       Option.value quarantine_after ~default:default_supervision.quarantine_after;
-    adaptive_deadline;
   }
-
-(* ---- adaptive per-cell deadlines ----
-
-   One global --deadline sized for the slowest cell makes every
-   pathological trial in a fast cell wait the whole budget. With
-   --adaptive-deadline, each cell's deadline is derived from its own
-   observed trial durations: generous until enough samples exist, then
-   a multiple of the cell's p99 — so a wedged trial in a microsecond
-   cell is cut off in milliseconds, while the global deadline remains
-   the upper bound (and the verdict for genuinely slow cells). *)
-
-let adaptive_min_samples = 30
-let adaptive_margin = 8.0
-let adaptive_floor_s = 0.001
-
-let adaptive_deadline_s ~p99_s ~cap_s =
-  if (not (Float.is_finite p99_s)) || p99_s < 0.0 then cap_s
-  else Float.min cap_s (Float.max adaptive_floor_s (adaptive_margin *. p99_s))
 
 type summary = {
   total : int;
@@ -179,36 +155,6 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
     Quarantine.create ~threshold:supervision.quarantine_after
       ~cells:(Array.length cells) ()
   in
-  (* Per-cell trial durations, feeding the adaptive deadline. Guarded
-     by a lock: Summary is single-writer, and percentile reads race
-     with adds. The lock is per-completed-attempt, far off the engine's
-     hot path. *)
-  let durations =
-    if supervision.adaptive_deadline && supervision.deadline_s <> None then
-      Some (Mutex.create (), Array.init (Array.length cells) (fun _ -> Stats.create ()))
-    else None
-  in
-  let note_duration cell_id wall_ns =
-    match durations with
-    | None -> ()
-    | Some (lock, stats) ->
-        Mutex.lock lock;
-        Stats.add stats.(cell_id) (float_of_int wall_ns /. 1e9);
-        Mutex.unlock lock
-  in
-  let deadline_for cell_id base =
-    match durations with
-    | None -> base
-    | Some (lock, stats) ->
-        Mutex.lock lock;
-        let s = stats.(cell_id) in
-        let d =
-          if Stats.count s < adaptive_min_samples then base
-          else adaptive_deadline_s ~p99_s:(Stats.percentile s 99.0) ~cap_s:base
-        in
-        Mutex.unlock lock;
-        d
-  in
   let total = Grid.total_trials spec in
   (* Task k runs trial [id_of k]. Range i's first task is [firsts.(i)],
      ascending, so k's range is the last one starting at or before k
@@ -256,32 +202,29 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
   (* The supervised attempt loop: run under a deadline token; a timed-out
      attempt is retried (seed unchanged — the trial is deterministic, so
      only infrastructure noise can change the verdict) after a
-     seed-perturbed backoff, up to the policy's budget. Success after a
+     seed-perturbed backoff, up to [max_retries] times. Success after a
      failure classifies the failure transient-infra; exhausting the
-     budget classifies the cell's behavior deterministic-protocol and
+     retries classifies the cell's behavior deterministic-protocol and
      costs the cell a quarantine strike. *)
   let run_supervised trial =
     match supervision.deadline_s with
     | None -> (run_attempt trial, 0)
     | Some deadline_s ->
         let rec attempt failed =
-          let cancel =
-            Cancel.after ~seconds:(deadline_for trial.Grid.cell_id deadline_s)
-          in
+          let cancel = Cancel.after ~seconds:deadline_s in
           let res = run_attempt ~interrupt:(fun () -> Cancel.cancelled cancel) trial in
           if not res.Shrink_on_fail.report.Check.result.Engine.interrupted then begin
-            note_duration trial.Grid.cell_id res.Shrink_on_fail.wall_ns;
             if failed > 0 then Metrics.incr m_transient;
             (res, failed)
           end
           else begin
             Metrics.incr m_timeouts;
             let failed = failed + 1 in
-            if failed <= supervision.retry.Retry.max_retries then begin
+            if failed <= supervision.max_retries then begin
               Metrics.incr m_retries;
               Unix.sleepf
                 (float_of_int
-                   (Retry.backoff_ns supervision.retry ~seed:trial.Grid.seed
+                   (Retry.backoff_ns Retry.default_policy ~seed:trial.Grid.seed
                       ~attempt:failed)
                 /. 1e9);
               attempt failed

@@ -16,41 +16,22 @@ type supervision = {
   deadline_s : float option;
       (** per-trial wall-clock deadline; [None] disables supervision
           (no deadline, retries or strikes) *)
-  retry : Ffault_supervise.Retry.policy;
+  max_retries : int;
+      (** timed-out attempts of one trial to retry, after a backoff
+          within {!Ffault_supervise.Retry.default_policy}'s bounds *)
   quarantine_after : int;  (** deterministic-protocol strikes to degrade a cell *)
-  adaptive_deadline : bool;
-      (** derive a per-cell deadline from that cell's observed trial
-          durations (a multiple of its p99, capped at [deadline_s]) once
-          {!adaptive_min_samples} trials have completed — cuts tail
-          latency on mixed grids where one global deadline must be sized
-          for the slowest cell *)
 }
+(** The three values of [campaign run|resume|serve]'s supervision flags,
+    and of the supervision a coordinator's [Welcome] carries. *)
 
 val default_supervision : supervision
-(** No deadline; {!Ffault_supervise.Retry.default_policy}; 3 strikes;
-    no adaptive deadline. *)
+(** No deadline; {!Ffault_supervise.Retry.default_policy}'s 2 retries; 3
+    strikes. *)
 
 val supervision :
-  ?deadline_s:float ->
-  ?max_retries:int ->
-  ?quarantine_after:int ->
-  ?adaptive_deadline:bool ->
-  unit ->
-  supervision
-(** @raise Invalid_argument on a non-positive deadline,
-    [quarantine_after < 1], or [adaptive_deadline] without a deadline
-    (the adaptation needs a cap). *)
-
-(** {2 Adaptive deadline derivation} (exposed for tests) *)
-
-val adaptive_min_samples : int
-(** 30 — completed trials a cell must show before its deadline adapts;
-    below this the global deadline applies. *)
-
-val adaptive_deadline_s : p99_s:float -> cap_s:float -> float
-(** The derived deadline: [8 × p99], clamped to [\[1ms, cap_s\]]. A
-    non-finite or negative p99 yields [cap_s] (never a tighter bound on
-    garbage data). *)
+  ?deadline_s:float -> ?max_retries:int -> ?quarantine_after:int -> unit -> supervision
+(** @raise Invalid_argument on a non-positive deadline, a negative
+    [max_retries] or [quarantine_after < 1]. *)
 
 type summary = {
   total : int;  (** grid size *)
@@ -97,10 +78,11 @@ val run_trials :
     journal lacks ({!Checkpoint.remaining}). Defaults: 1 domain,
     {!default_supervision} (unsupervised).
 
-    With a deadline set, each trial runs under a cancellation token
-    polled by the engine; a timed-out attempt retries (same seed, so a
-    deterministic trial reproduces; backoff seed-perturbed) up to the
-    retry policy, then journals a [Timeout] record and strikes its cell;
+    With a deadline set, each attempt runs under a cancellation token
+    that expires [deadline_s] after it starts, polled by the engine; a
+    timed-out attempt retries (same seed, so a deterministic trial
+    reproduces; backoff seed-perturbed) up to [max_retries] times, then
+    journals a [Timeout] record and strikes its cell;
     a cell with [quarantine_after] strikes degrades, and its remaining
     trials journal [Quarantined] records without running — which is what
     bounds a campaign over pathological cells to finitely many deadline

@@ -30,6 +30,20 @@ let events_of_trace j =
   | Json.List evs -> evs
   | _ -> []
 
+(* Rows that grow batch by batch keep what a tracer ring keeps. *)
+type row = Json.t Queue.t
+
+let row () = Queue.create ()
+
+let add row batch =
+  List.iter
+    (fun ev ->
+      Queue.push ev row;
+      if Queue.length row > Tracer.default_capacity then ignore (Queue.pop row))
+    batch
+
+let events row = List.of_seq (Queue.to_seq row)
+
 (* [ev] with field [k] set to [v] in place, or added at the end: a
    source's own pid (its OS pid, meaningless once rows are merged) is
    replaced. *)

@@ -21,6 +21,24 @@ val events_of_trace : Json.t -> Json.t list
     a full trace object, or the list itself when given a bare array;
     [[]] for anything else. *)
 
+(** {2 Bounded rows} *)
+
+type row
+(** One process's span events as its batches arrive, of which only the
+    newest {!Ffault_telemetry.Tracer.default_capacity} are kept: the
+    bound of each of the tracer's own rings, so every row of a trace
+    keeps its newest 65,536 events. A coordinator keeps one per worker,
+    a worker one for its own [--trace] file. Not thread-safe. *)
+
+val row : unit -> row
+
+val add : row -> Json.t list -> unit
+(** Append a batch, oldest event first, dropping the oldest events past
+    the bound. *)
+
+val events : row -> Json.t list
+(** The kept events, oldest first. *)
+
 val merge : (string * Json.t list) list -> Json.t
 (** [merge [(label, events); ...]] assigns pid [1, 2, ...] to each
     row in order (replacing any pid the source stamped — OS pids are

@@ -41,20 +41,19 @@ let tag_of = function
   | Wait _ -> 'z'
   | Bye _ -> 'y'
 
-(* The wire carries the retry policy's [max_retries] alone: a worker
-   rebuilds the rest of the policy from the defaults. *)
 let supervision_to_json (s : supervision) =
   Json.Obj
     [
       ( "deadline_s",
         match s.Pool.deadline_s with Some d -> Json.Float d | None -> Json.Null );
-      ("max_retries", Json.Int s.Pool.retry.Ffault_supervise.Retry.max_retries);
+      ("max_retries", Json.Int s.Pool.max_retries);
       ("quarantine_after", Json.Int s.Pool.quarantine_after);
-      ("adaptive_deadline", Json.Bool s.Pool.adaptive_deadline);
     ]
 
-(* Absent fields take the defaults; values the Pool builder rejects are
-   a decode error, never an exception in the worker. *)
+(* Absent fields take the defaults, and unknown keys are ignored (an
+   older coordinator also sends "adaptive_deadline"); values the Pool
+   builder rejects are a decode error, never an exception in the
+   worker. *)
 let supervision_of_json j =
   let get name get = Option.bind (Json.member name j) get in
   match
@@ -62,7 +61,6 @@ let supervision_of_json j =
       ?deadline_s:(get "deadline_s" Json.get_float)
       ?max_retries:(get "max_retries" Json.get_int)
       ?quarantine_after:(get "quarantine_after" Json.get_int)
-      ?adaptive_deadline:(get "adaptive_deadline" Json.get_bool)
       ()
   with
   | s -> Ok s

@@ -15,10 +15,10 @@ module Spec = Ffault_campaign.Spec
 module Journal = Ffault_campaign.Journal
 
 (** The supervision settings a coordinator imposes on its workers: the
-    record the workers' pools run under. A [Welcome] carries four of
-    its fields ([deadline_s], the retry policy's [max_retries],
-    [quarantine_after], [adaptive_deadline]); the decoder rebuilds the
-    rest of the retry policy from its defaults. *)
+    record the workers' pools run under. A [Welcome] carries its three
+    fields ([deadline_s], [max_retries], [quarantine_after]); the
+    decoder gives an absent one its default and ignores any other key,
+    such as the ["adaptive_deadline"] an older coordinator sends. *)
 type supervision = Ffault_campaign.Pool.supervision
 
 val no_supervision : supervision
@@ -74,8 +74,7 @@ val of_frame : Wire.frame -> (msg, string) result
     [seconds] is negative or not finite, or a [Welcome] whose
     [hb_interval_s] is not finite and positive or whose supervision
     {!Ffault_campaign.Pool.supervision} rejects (a deadline that is not
-    finite and positive, [max_retries < 0], [quarantine_after < 1], an
-    adaptive deadline without a deadline). *)
+    finite and positive, [max_retries < 0], [quarantine_after < 1]). *)
 
 val pp : Format.formatter -> msg -> unit
 (** One-line rendering for logs (records and specs elided). *)

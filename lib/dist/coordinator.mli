@@ -70,8 +70,9 @@ type summary = Core.summary = {
   leases_completed : int;
   leases_expired : int;
   worker_spans : (string * Ffault_campaign.Json.t list) list;
-      (** per-worker Chrome span events shipped on heartbeats,
-          name-sorted: the worker rows of [serve --trace]'s file *)
+      (** per-worker Chrome span events shipped on heartbeats, each
+          worker's newest 65,536, name-sorted: the worker rows of
+          [serve --trace]'s file *)
 }
 
 val serve :

@@ -8,6 +8,8 @@ module Grid = Campaign.Grid
 module Clock = Ffault_runtime.Clock
 module Metrics = Ffault_telemetry.Metrics
 module Events = Ffault_telemetry.Events
+module Tracer = Ffault_telemetry.Tracer
+module Trace_merge = Campaign.Trace_merge
 
 let m_leases_granted = Metrics.counter "dist.leases_granted"
 let m_leases_completed = Metrics.counter "dist.leases_completed"
@@ -68,7 +70,7 @@ type wstat = {
   mutable connected : bool;
   mutable last_seen_ns : int;  (* engine clock at the last frame; -1 = never *)
   mutable telemetry : Json.t option;  (* last piggybacked snapshot *)
-  mutable spans_rev : Json.t list;  (* piggybacked span batches, newest first *)
+  spans : Trace_merge.row;  (* piggybacked span batches *)
 }
 
 let wview_of ~now w =
@@ -301,7 +303,7 @@ let wstat_of t name =
           connected = false;
           last_seen_ns = -1;
           telemetry = None;
-          spans_rev = [];
+          spans = Trace_merge.row ();
         }
       in
       Hashtbl.replace t.wstats name w;
@@ -573,13 +575,14 @@ let handle_msg t c msg =
   | Codec.Heartbeat { snapshot; spans } -> (
       Metrics.incr m_heartbeats;
       (* the piggybacked observability payload: latest snapshot wins,
-         span batches accumulate for the merged trace *)
+         span batches accumulate for the merged trace when this process
+         writes one *)
       match stat_of_client t c with
       | None -> ()
       | Some w ->
           (match snapshot with Some s -> w.telemetry <- Some s | None -> ());
           (match spans with
-          | Some (Json.List batch) -> w.spans_rev <- List.rev_append batch w.spans_rev
+          | Some (Json.List batch) when Tracer.enabled () -> Trace_merge.add w.spans batch
           | Some _ | None -> ()))
   | Codec.Bye { reason } -> drop_client t ~why:(Fmt.str "bye: %s" reason) c
   | Codec.Welcome _ | Codec.Lease _ | Codec.Wait _ ->
@@ -656,7 +659,7 @@ let summary t ~wall_s =
   let worker_spans =
     Hashtbl.fold
       (fun _ w acc ->
-        if w.spans_rev = [] then acc else (w.name, List.rev w.spans_rev) :: acc)
+        match Trace_merge.events w.spans with [] -> acc | evs -> (w.name, evs) :: acc)
       t.wstats []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in

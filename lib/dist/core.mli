@@ -63,8 +63,10 @@ type summary = {
   leases_expired : int;
   worker_spans : (string * Campaign.Json.t list) list;
       (** Chrome-format span events each worker shipped on its
-          heartbeats, oldest first, name-sorted; only workers that
-          shipped any appear. Feeds {!Ffault_campaign.Trace_merge}. *)
+          heartbeats while this process traced, oldest first, cut to
+          the newest 65,536 per worker ({!Ffault_campaign.Trace_merge.row}),
+          name-sorted; only workers with any kept appear. Feeds
+          {!Ffault_campaign.Trace_merge.write}. *)
 }
 
 val workers_json : summary -> Campaign.Json.t

@@ -3,6 +3,7 @@ module Pool = Campaign.Pool
 module Journal = Campaign.Journal
 module Json = Campaign.Json
 module Telemetry_io = Campaign.Telemetry_io
+module Trace_merge = Campaign.Trace_merge
 module Metrics = Ffault_telemetry.Metrics
 module Tracer = Ffault_telemetry.Tracer
 module Retry = Ffault_supervise.Retry
@@ -107,7 +108,7 @@ let piggyback ~keep () =
   let spans =
     if not (Tracer.enabled ()) then None
     else
-      match Campaign.Trace_merge.of_tracer_events (Tracer.drain ()) with
+      match Trace_merge.of_tracer_events (Tracer.drain ()) with
       | [] -> None
       | batch ->
           keep batch;
@@ -162,11 +163,11 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
   (* the heartbeat thread and the engine both drain the tracer; [keep]
      is the only shared state and stays mutex-guarded *)
   let spans_lock = Mutex.create () in
-  let local_spans_rev = ref [] in
+  let local_spans = Trace_merge.row () in
   let keep batch =
     if trace_path <> None then begin
       Mutex.lock spans_lock;
-      local_spans_rev := List.rev_append batch !local_spans_rev;
+      Trace_merge.add local_spans batch;
       Mutex.unlock spans_lock
     end
   in
@@ -332,10 +333,10 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
   in
   let finish r =
     if trace_path <> None && Tracer.enabled () then
-      keep (Campaign.Trace_merge.of_tracer_events (Tracer.drain ()));
+      keep (Trace_merge.of_tracer_events (Tracer.drain ()));
     Option.iter
       (fun path ->
-        Campaign.Trace_merge.write path [ (cfg.name, List.rev !local_spans_rev) ])
+        Trace_merge.write path [ (cfg.name, Trace_merge.events local_spans) ])
       trace_path;
     r
   in

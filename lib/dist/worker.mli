@@ -9,8 +9,7 @@
     deadlines and retries behave as in a local run, and a lease's
     records equal those of a local run apart from [wall_us]. The
     supervision state a pool call keeps starts fresh per lease: each
-    cell's quarantine strikes and adaptive-deadline samples count only
-    that lease's trials.
+    cell's quarantine strikes count only that lease's trials.
     [Wait] (every shard is leased) bounds how long it idles before
     asking again; it idles watching its socket, so the [Bye] sent when
     the campaign completes (or a closed socket) ends it at once.
@@ -127,5 +126,5 @@ val run :
     schedule ({!default_retry} if omitted). [trace_path] additionally
     writes this worker's own spans on exit, through
     {!Ffault_campaign.Trace_merge.write}, as a one-row Chrome trace
-    named after the worker (requires the tracer enabled to record
-    anything). *)
+    named after the worker that keeps its newest 65,536 events
+    (requires the tracer enabled to record anything). *)

@@ -11,7 +11,9 @@
 # The coordinator and chaos-w1 and chaos-w2 trace. The coordinator's
 # merged trace holds a row of the killed chaos-w1, cut mid-span, and its
 # own ring overflows on this grid; chaos-w2 writes its own file. Both
-# files must hold as many span ends as begins.
+# files must hold as many span ends as begins, and chaos-w2's row in each
+# no more than the 65,536 events a trace row keeps. The script prints the
+# coordinator's and chaos-w2's peak RSS.
 set -eu
 
 ROOT=_campaigns
@@ -163,6 +165,25 @@ check_trace() {
 }
 check_trace "$DIR/trace.json" 3
 check_trace "$DIR/trace-chaos-w2.json" 1
+
+# Every row keeps its newest 65,536 events, as each tracer ring does.
+# chaos-w2 exits cleanly, so the writer closes none of its spans: its
+# row holds exactly the events kept for it.
+row_events() {
+  pid=$(grep -o '"pid":[0-9]*,"tid":0,"args":{"name":"'"$2"'"}' "$1" | sed 's/^"pid":\([0-9]*\).*/\1/')
+  grep -o '"ph":"[BEi]","ts":[^,]*,"tid":[0-9]*,"pid":[0-9]*' "$1" \
+    | awk -F'"pid":' -v pid="$pid" '$2 == pid { n++ } END { print n + 0 }'
+}
+for f in "$DIR/trace.json" "$DIR/trace-chaos-w2.json"; do
+  N=$(row_events "$f" chaos-w2)
+  if [ "$N" -eq 0 ] || [ "$N" -gt 65536 ]; then
+    echo "dist-chaos-smoke FAILED: chaos-w2's row in $f holds $N events, expected 1 to 65536" >&2
+    exit 1
+  fi
+done
+
+peak_kb() { grep -o '"process.peak_rss_kb":[0-9]*' | head -1 | cut -d: -f2; }
+echo "process.peak_rss_kb: coordinator $(peak_kb <"$DIR/telemetry.json"), chaos-w2 $(grep -o '"name":"chaos-w2".*' "$DIR/workers.json" | peak_kb)"
 
 "$BIN" campaign report --name "$NAME" >/dev/null
 if ! grep -q '^## Workers' "$DIR/report.md"; then

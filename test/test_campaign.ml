@@ -791,61 +791,6 @@ let test_pool_failing_trial_runs_once () =
         && a.Journal.witness = b.Journal.witness))
     records supervised
 
-(* ---- adaptive deadlines ---- *)
-
-let test_adaptive_deadline_math () =
-  let cap = 2.0 in
-  check (Alcotest.float 1e-9) "8 x p99" 0.8 (Pool.adaptive_deadline_s ~p99_s:0.1 ~cap_s:cap);
-  check (Alcotest.float 1e-9) "capped at the global deadline" cap
-    (Pool.adaptive_deadline_s ~p99_s:10.0 ~cap_s:cap);
-  check (Alcotest.float 1e-9) "floored at 1ms" 0.001
-    (Pool.adaptive_deadline_s ~p99_s:1e-9 ~cap_s:cap);
-  check (Alcotest.float 1e-9) "nan p99 falls back to the cap" cap
-    (Pool.adaptive_deadline_s ~p99_s:Float.nan ~cap_s:cap);
-  check (Alcotest.float 1e-9) "negative p99 falls back to the cap" cap
-    (Pool.adaptive_deadline_s ~p99_s:(-1.0) ~cap_s:cap);
-  check Alcotest.bool "min samples is sane" true (Pool.adaptive_min_samples >= 1)
-
-let test_adaptive_requires_deadline () =
-  (match Pool.supervision ~adaptive_deadline:true () with
-  | _ -> Alcotest.fail "adaptive without a deadline must be rejected"
-  | exception Invalid_argument _ -> ());
-  let s = Pool.supervision ~deadline_s:1.0 ~adaptive_deadline:true () in
-  check Alcotest.bool "adaptive set" true s.Pool.adaptive_deadline
-
-(* A healthy grid with enough trials per cell to trip the adaptation
-   threshold: trial outcomes must match the unsupervised run exactly
-   (the adapted deadline tightens, but healthy trials are orders of
-   magnitude under it). *)
-let test_adaptive_run_matches_unsupervised () =
-  let spec = healthy_spec ~trials:40 ~name:"healthy-adaptive" () in
-  let collect supervision =
-    let records = ref [] in
-    let s =
-      Pool.run_trials ~domains:2 ?supervision
-        ~on_record:(fun r -> records := r :: !records)
-        spec
-    in
-    let sorted =
-      List.sort (fun a b -> compare a.Journal.trial b.Journal.trial) !records
-    in
-    (s, sorted)
-  in
-  let s_plain, r_plain = collect None in
-  let s_adapt, r_adapt =
-    collect (Some (Pool.supervision ~deadline_s:10.0 ~adaptive_deadline:true ()))
-  in
-  check Alcotest.int "same executed" s_plain.Pool.executed s_adapt.Pool.executed;
-  check Alcotest.int "no timeouts" 0 s_adapt.Pool.timeouts;
-  check Alcotest.int "no quarantine" 0 s_adapt.Pool.quarantined;
-  List.iter2
-    (fun a b ->
-      check Alcotest.bool
-        (Fmt.str "trial %d outcome invariant" a.Journal.trial)
-        true
-        (a.Journal.outcome = b.Journal.outcome && a.Journal.steps = b.Journal.steps))
-    r_plain r_adapt
-
 (* ---- crash mid-append: torn-tail recovery ---- *)
 
 let test_journal_recover_unit () =
@@ -1389,10 +1334,6 @@ let suites =
         Alcotest.test_case "validation" `Quick test_supervision_validation;
         Alcotest.test_case "a failing trial runs once" `Quick
           test_pool_failing_trial_runs_once;
-        Alcotest.test_case "adaptive deadline math" `Quick test_adaptive_deadline_math;
-        Alcotest.test_case "adaptive needs a cap" `Quick test_adaptive_requires_deadline;
-        Alcotest.test_case "adaptive matches unsupervised" `Quick
-          test_adaptive_run_matches_unsupervised;
       ] );
     ( "campaign.report",
       [

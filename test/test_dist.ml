@@ -179,8 +179,7 @@ let all_msgs =
         epoch = 1;
         spec = fixture_spec;
         supervision =
-          Campaign.Pool.supervision ~deadline_s:2.5 ~max_retries:3
-            ~quarantine_after:5 ~adaptive_deadline:true ();
+          Campaign.Pool.supervision ~deadline_s:2.5 ~max_retries:3 ~quarantine_after:5 ();
         hb_interval_s = 2.0;
       };
     Codec.Welcome
@@ -284,7 +283,6 @@ let test_codec_rejects_garbage () =
       ("\"deadline_s\":null", "\"deadline_s\":1e999");
       ("\"quarantine_after\":3", "\"quarantine_after\":0");
       ("\"max_retries\":2", "\"max_retries\":-1");
-      ("\"adaptive_deadline\":false", "\"adaptive_deadline\":true");
     ];
   (* fuzz: random tags and payloads error, never raise *)
   let state = ref 0x9E3779B9 in
@@ -298,6 +296,33 @@ let test_codec_rejects_garbage () =
     try ignore (Codec.of_frame (frame tag payload))
     with e -> Alcotest.failf "codec raised: %s" (Printexc.to_string e)
   done
+
+(* An older coordinator's Welcome also carries "adaptive_deadline": a
+   worker decodes it to the same three values and ignores the key. *)
+let test_codec_ignores_adaptive_deadline () =
+  let supervision =
+    Campaign.Pool.supervision ~deadline_s:2.5 ~max_retries:3 ~quarantine_after:5 ()
+  in
+  let welcome =
+    Codec.to_frame
+      (Codec.Welcome
+         {
+           version = Wire.version;
+           epoch = 1;
+           spec = fixture_spec;
+           supervision;
+           hb_interval_s = 0.5;
+         })
+  in
+  let payload =
+    replace ~sub:"\"quarantine_after\":5"
+      ~by:"\"quarantine_after\":5,\"adaptive_deadline\":true" welcome.Wire.payload
+  in
+  match Codec.of_frame { welcome with Wire.payload } with
+  | Ok (Codec.Welcome { supervision = s; _ }) ->
+      check Alcotest.bool "the same three values" true (s = supervision)
+  | Ok m -> Alcotest.failf "decoded as %a" Codec.pp m
+  | Error m -> Alcotest.failf "older Welcome rejected: %s" m
 
 (* A spec whose protocol cannot be built at some cell it sweeps (Fig. 3
    needs a bounded t) is a decode error wherever it arrives from: a
@@ -907,6 +932,39 @@ let test_core_heartbeat_slots () =
   check Alcotest.bool "the slotless worker stays" false (Core.dropped slotless);
   check Alcotest.int "connected" 1 (Core.view core).Core.vw_workers_connected
 
+(* A worker's trace row keeps what a tracer ring keeps: a Core fed more
+   than 65,536 span events over several heartbeats reports exactly the
+   newest 65,536 for that worker while this process traces, and keeps
+   none while it does not. *)
+let test_core_bounds_worker_spans () =
+  let module Tracer = Ffault_telemetry.Tracer in
+  let batches = 5 and per_batch = 20_000 in
+  let total = batches * per_batch in
+  let ev i =
+    Json.Obj [ ("name", Json.Str "t"); ("ph", Json.Str "i"); ("ts", Json.Int i) ]
+  in
+  let feed () =
+    let core = slot_core ~dropped:(ref []) ~max_workers:1 () in
+    let cl = Core.add_client core "w-spans" in
+    say_hello core cl;
+    for b = 0 to batches - 1 do
+      let spans = Json.List (List.init per_batch (fun i -> ev ((b * per_batch) + i))) in
+      Core.deliver core cl
+        (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = Some spans }))
+    done;
+    (Core.summary core ~wall_s:1.0).Core.worker_spans
+  in
+  Tracer.enable ();
+  let traced = Fun.protect ~finally:Tracer.disable feed in
+  let cap = Tracer.default_capacity in
+  (match traced with
+  | [ ("w-spans", evs) ] ->
+      check Alcotest.int "the newest 65,536 kept" cap (List.length evs);
+      check Alcotest.bool "exactly the newest, oldest first" true
+        (evs = List.init cap (fun i -> ev (total - cap + i)))
+  | rows -> Alcotest.failf "%d worker row(s) while tracing" (List.length rows));
+  check Alcotest.int "no row while not tracing" 0 (List.length (feed ()))
+
 (* Heartbeats live in Core as one clock stamp per slot. The Hello that
    takes a slot stamps it, every later frame re-stamps it, and [tick]
    drops a holder whose stamp is older than the lease timeout: 1 ns
@@ -1491,6 +1549,8 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+        Alcotest.test_case "ignores an older Welcome's adaptive_deadline" `Quick
+          test_codec_ignores_adaptive_deadline;
         Alcotest.test_case "rejects an unbuildable spec" `Quick
           test_codec_rejects_unbuildable_spec;
         Alcotest.test_case "endpoints" `Quick test_endpoint_parse;
@@ -1527,7 +1587,12 @@ let suites =
         Alcotest.test_case "serve reads the flush beat" `Quick test_serve_reads_flush_beat;
         Alcotest.test_case "silent holder expires" `Quick test_serve_silent_holder_expires;
       ] );
-    ("dist.core", [ Alcotest.test_case "heartbeat slots" `Quick test_core_heartbeat_slots ]);
+    ( "dist.core",
+      [
+        Alcotest.test_case "heartbeat slots" `Quick test_core_heartbeat_slots;
+        Alcotest.test_case "a worker's spans keep the ring's bound" `Quick
+          test_core_bounds_worker_spans;
+      ] );
     (* named for lib/supervise, where the heartbeat lived before Core
        took it over as per-slot stamps *)
     ( "supervise.heartbeat",
