@@ -120,15 +120,17 @@ coord-chaos-smoke:
 recover-smoke:
 	sh scripts/recover_smoke.sh
 
-# Memory stays flat over a long crash or hang campaign, and over a
-# report or a resume of a long journal: the engine unwinds every
-# process it abandons, and each journal pass streams the file once. A
+# Memory stays flat over a long crash or hang campaign, over a report
+# or a resume of a long journal, and under --trace: the engine unwinds
+# every process it abandons, each journal pass streams the file once,
+# and the tracer allocates a ring only for a domain that records. A
 # crash grid and a hang grid each run twice on 2 domains, the second
 # time ten times as long; a failing herlihy grid is journaled at 100k
-# and 1M trials, reported, cut to 3/4 of its lines and resumed. A leg
-# fails when the longer run's peak RSS (telemetry.json's
-# `process.peak_rss_kb`; for `report`, its VmHWM polled every 20 ms)
-# exceeds the shorter one's by over 16 MiB.
+# and 1M trials, reported, cut to 3/4 of its lines and resumed; a small
+# herlihy grid runs untraced, then traced. A leg fails when the second
+# run's peak RSS (telemetry.json's `process.peak_rss_kb`; for
+# `report`, its VmHWM polled every 20 ms) exceeds the first one's by
+# over 16 MiB.
 mem-smoke:
 	sh scripts/mem_smoke.sh
 

@@ -47,6 +47,25 @@ let supervision ?deadline_s ?max_retries ?quarantine_after () =
       Option.value quarantine_after ~default:default_supervision.quarantine_after;
   }
 
+type tally = {
+  mutable executed : int;
+  mutable failures : int;
+  mutable timeouts : int;
+  mutable retried : int;
+  mutable quarantined : int;
+}
+
+let tally () = { executed = 0; failures = 0; timeouts = 0; retried = 0; quarantined = 0 }
+
+let count t (r : Journal.record) =
+  t.executed <- t.executed + 1;
+  (match r.Journal.outcome with
+  | Journal.Violation -> t.failures <- t.failures + 1
+  | Journal.Timeout -> t.timeouts <- t.timeouts + 1
+  | Journal.Quarantined -> t.quarantined <- t.quarantined + 1
+  | Journal.Pass -> ());
+  t.retried <- t.retried + r.Journal.retries
+
 type summary = {
   total : int;
   executed : int;
@@ -68,6 +87,19 @@ let min_measurable_wall_s = 1e-6
 let trials_rate ~executed ~wall_s =
   if executed <= 0 || Float.is_nan wall_s || wall_s < min_measurable_wall_s then 0.0
   else float_of_int executed /. wall_s
+
+let summarize (t : tally) ~total ~skipped ~wall_s =
+  {
+    total;
+    executed = t.executed;
+    skipped;
+    failures = t.failures;
+    timeouts = t.timeouts;
+    retried = t.retried;
+    quarantined = t.quarantined;
+    wall_s;
+    trials_per_s = trials_rate ~executed:t.executed ~wall_s;
+  }
 
 let pp_summary ppf s =
   let rate =
@@ -177,11 +209,7 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
     let i = range_of k 0 (Array.length ranges) in
     fst ranges.(i) + k - firsts.(i)
   in
-  let executed = ref 0 in
-  let failures = ref 0 in
-  let timeouts = ref 0 in
-  let retried = ref 0 in
-  let quarantined = ref 0 in
+  let tally = tally () in
   let started = Clock.now_ns () in
   (* A crash cell's trials run under a crash plan derived from the trial
      seed mixed with the spec's crash-seed, so --crash-seed re-rolls the
@@ -253,28 +281,12 @@ let run_trials ?(domains = 1) ?ids ?(supervision = default_supervision) ~on_reco
         end)
   in
   let consume _k record =
-    incr executed;
-    (match record.Journal.outcome with
-    | Journal.Violation -> incr failures
-    | Journal.Timeout -> incr timeouts
-    | Journal.Quarantined -> incr quarantined
-    | Journal.Pass -> ());
-    if record.Journal.retries > 0 then retried := !retried + record.Journal.retries;
+    count tally record;
     on_record record
   in
   Runner.run_tasks ~domains ~total:tasks ~worker ~consume ();
-  let wall_s = Clock.ns_to_s (Clock.now_ns () - started) in
-  {
-    total;
-    executed = !executed;
-    skipped = total - tasks;
-    failures = !failures;
-    timeouts = !timeouts;
-    retried = !retried;
-    quarantined = !quarantined;
-    wall_s;
-    trials_per_s = trials_rate ~executed:!executed ~wall_s;
-  }
+  summarize tally ~total ~skipped:(total - tasks)
+    ~wall_s:(Clock.ns_to_s (Clock.now_ns () - started))
 
 let run_dir ?domains ?supervision ?(resume = false) ?on_skip ?(observe = fun _ -> ())
     ?(on_warn = fun _ -> ()) ~root spec =

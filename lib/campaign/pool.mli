@@ -33,6 +33,24 @@ val supervision :
 (** @raise Invalid_argument on a non-positive deadline, a negative
     [max_retries] or [quarantine_after < 1]. *)
 
+(** The outcomes of the records one executor journals, counted as they
+    come: the pool's and a distributed coordinator's. *)
+type tally = {
+  mutable executed : int;
+  mutable failures : int;
+  mutable timeouts : int;
+  mutable retried : int;
+  mutable quarantined : int;
+}
+
+val tally : unit -> tally
+(** All zero. *)
+
+val count : tally -> Journal.record -> unit
+(** Counts one journaled record: [executed] always, [retried] by its
+    retries, and [failures], [timeouts] or [quarantined] by its
+    outcome. *)
+
 type summary = {
   total : int;  (** grid size *)
   executed : int;  (** trials run by this call (includes quarantine skips) *)
@@ -46,6 +64,9 @@ type summary = {
   wall_s : float;
   trials_per_s : float;
 }
+
+val summarize : tally -> total:int -> skipped:int -> wall_s:float -> summary
+(** The tally's counts, with [trials_per_s] from {!trials_rate}. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Prints ["rate n/a"] instead of a number when the rate is zero or

@@ -147,7 +147,7 @@ let of_records ?telemetry ?workers spec iter =
         if r.Journal.outcome <> Journal.Quarantined then begin
           (* quarantined trials never executed; their zero step counts
              would drag every ops statistic toward zero *)
-          Summary.add_int a.a_steps r.Journal.max_steps;
+          Summary.add a.a_steps r.Journal.max_steps;
           a.a_faults <- a.a_faults + r.Journal.faults;
           a.a_crashes <- a.a_crashes + r.Journal.crash_faults;
           a.a_wall <- a.a_wall +. float_of_int r.Journal.wall_us
@@ -255,6 +255,11 @@ let of_dir ~dir =
 let min_witness_len c =
   Option.map (fun (_, w) -> Array.length w) (Lazy.force c.min_witness)
 
+(* A step statistic of the cell's trials that ran: [None] when none did
+   (every record quarantined), rendered [-] and [null]. *)
+let ops c stat = if Summary.count c.steps = 0 then None else Some (stat c.steps)
+let p99 s = Summary.percentile s 99.0
+
 let to_table report =
   (* Crash columns only appear on campaigns that sweep a crash axis, so
      crash-free reports keep their historical shape byte-for-byte. *)
@@ -305,9 +310,9 @@ let to_table report =
             else if c.in_envelope then Fmt.str "%d (!!)" c.failures
             else Table.cell_int c.failures);
            Table.cell_float ~decimals:4 c.failure_rate;
-           Table.cell_float ~decimals:1 (Summary.mean c.steps);
-           Table.cell_float ~decimals:0 (Summary.percentile c.steps 99.0);
-           Table.cell_float ~decimals:0 (Summary.max_value c.steps);
+           Table.cell_opt (Table.cell_float ~decimals:1) (ops c Summary.mean);
+           Table.cell_opt (Table.cell_float ~decimals:0) (ops c p99);
+           Table.cell_opt (Table.cell_float ~decimals:0) (ops c Summary.max_value);
            Table.cell_int c.total_faults;
            Table.cell_opt Table.cell_int (min_witness_len c);
          ]
@@ -463,6 +468,8 @@ let health_json h =
               ] );
         ])
 
+let ops_json c stat = match ops c stat with Some x -> Json.Float x | None -> Json.Null
+
 let to_json report =
   Json.Obj
     ([
@@ -488,9 +495,9 @@ let to_json report =
                     ("timeouts", Json.Int c.timeouts);
                     ("quarantined", Json.Int c.quarantined);
                     ("retries", Json.Int c.retries);
-                    ("mean_ops", Json.Float (Summary.mean c.steps));
-                    ("p99_ops", Json.Float (Summary.percentile c.steps 99.0));
-                    ("max_ops", Json.Float (Summary.max_value c.steps));
+                    ("mean_ops", ops_json c Summary.mean);
+                    ("p99_ops", ops_json c p99);
+                    ("max_ops", ops_json c Summary.max_value);
                     ("faults", Json.Int c.total_faults);
                     ( "min_witness_len",
                       match min_witness_len c with

@@ -2,12 +2,13 @@
     regression diffs between two campaign runs.
 
     Aggregation is one streaming pass: each record is folded into its
-    cell's accumulators ({!Ffault_stats.Summary}, which caps its
-    percentile reservoir, and the cell's first few witnesses) and then
-    dropped, and {!of_dir} reads the journal once, through
-    {!Journal.scan}. So a report's memory grows with the grid's cells,
-    not with the journal: million-trial journals aggregate in bounded
-    memory. *)
+    cell's accumulators (an exact {!Ffault_stats.Summary} of its step
+    counts, which keeps one count per distinct value, and the cell's
+    first few witnesses) and then dropped, and {!of_dir} reads the
+    journal once, through {!Journal.scan}. So a report's memory grows
+    with the grid's cells, not with the journal: million-trial journals
+    aggregate in bounded memory. No statistic depends on the order of
+    the records. *)
 
 type cell_stats = {
   cell : Grid.cell;
@@ -20,7 +21,10 @@ type cell_stats = {
   timeouts : int;
   quarantined : int;
   retries : int;
-  steps : Ffault_stats.Summary.t;  (** per-trial worst ops/process *)
+  steps : Ffault_stats.Summary.t;
+      (** per-trial worst ops/process, over the trials that ran (not
+          the quarantined ones); empty when none did, and then rendered
+          [-] and [null] *)
   total_faults : int;
   total_crashes : int;  (** crash-restarts charged across the cell's trials *)
   attr_crash_only : int;
@@ -80,9 +84,9 @@ val of_records :
     step it is given, which keeps none of them: [iter] may stream a
     journal ({!Journal.scan}) or a pool run ([fun step ->
     Pool.run_trials ~on_record:step spec]). [health.journal] is [None].
-    [min_witness] and [min_witness_len] do not depend on the records'
-    order. Minimizes at most {!Pool.default_max_shrinks_per_cell}
-    witnesses per cell, and only when [min_witness] is forced. *)
+    Nothing in the report depends on the records' order. Minimizes at
+    most {!Pool.default_max_shrinks_per_cell} witnesses per cell, and
+    only when [min_witness] is forced. *)
 
 val of_dir : dir:string -> (t, string) result
 (** Streams the journal once, through {!Journal.scan}: the same pass

@@ -199,11 +199,7 @@ type 'c t = {
   mutable free_slots : int list;
   mutable clients : 'c client list;
   wstats : (string, wstat) Hashtbl.t;
-  mutable executed : int;
-  mutable failures : int;
-  mutable timeouts : int;
-  mutable retried : int;
-  mutable quarantined : int;
+  tally : Pool.tally;  (* the records this incarnation journaled *)
   mutable stale_completes : int;  (* Completes fenced for a stale epoch *)
 }
 
@@ -268,11 +264,7 @@ let create ?(clock = Clock.monotonic) ?(epoch = 1) ?(fence_epochs = true)
     free_slots = List.init max_workers Fun.id;
     clients = [];
     wstats = Hashtbl.create 16;
-    executed = 0;
-    failures = 0;
-    timeouts = 0;
-    retried = 0;
-    quarantined = 0;
+    tally = Pool.tally ();
     stale_completes = 0;
   }
 
@@ -513,13 +505,7 @@ let handle_msg t c msg =
       else begin
         t.append r;
         Checkpoint.mark t.st r.Journal.trial;
-        t.executed <- t.executed + 1;
-        (match r.Journal.outcome with
-        | Journal.Violation -> t.failures <- t.failures + 1
-        | Journal.Timeout -> t.timeouts <- t.timeouts + 1
-        | Journal.Quarantined -> t.quarantined <- t.quarantined + 1
-        | Journal.Pass -> ());
-        if r.Journal.retries > 0 then t.retried <- t.retried + r.Journal.retries;
+        Pool.count t.tally r;
         Option.iter (fun w -> w.results <- w.results + 1) w;
         Metrics.incr m_results;
         t.observe r
@@ -643,19 +629,7 @@ let wviews t ~now =
   |> List.sort (fun a b -> String.compare a.v_name b.v_name)
 
 let summary t ~wall_s =
-  let pool =
-    {
-      Pool.total = t.total;
-      executed = t.executed;
-      skipped = t.skipped;
-      failures = t.failures;
-      timeouts = t.timeouts;
-      retried = t.retried;
-      quarantined = t.quarantined;
-      wall_s;
-      trials_per_s = Pool.trials_rate ~executed:t.executed ~wall_s;
-    }
-  in
+  let pool = Pool.summarize t.tally ~total:t.total ~skipped:t.skipped ~wall_s in
   let worker_spans =
     Hashtbl.fold
       (fun _ w acc ->
@@ -714,11 +688,11 @@ let view t =
     vw_total = t.total;
     vw_done = Checkpoint.completed t.st;
     vw_skipped = t.skipped;
-    vw_executed = t.executed;
-    vw_failures = t.failures;
-    vw_timeouts = t.timeouts;
-    vw_retried = t.retried;
-    vw_quarantined = t.quarantined;
+    vw_executed = t.tally.Pool.executed;
+    vw_failures = t.tally.Pool.failures;
+    vw_timeouts = t.tally.Pool.timeouts;
+    vw_retried = t.tally.Pool.retried;
+    vw_quarantined = t.tally.Pool.quarantined;
     vw_elapsed_s = float_of_int (now - t.created_ns) /. 1e9;
     vw_workers_connected = List.length (List.filter (fun c -> not c.c_dropped) t.clients);
     vw_hb_interval_s = t.hb_interval_s;

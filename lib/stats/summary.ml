@@ -1,96 +1,42 @@
-module Splitmix = Ffault_prng.Splitmix
+module Counts = Map.Make (Int)
 
 type t = {
+  mutable counts : int Counts.t;  (* each distinct sample's occurrences *)
   mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
-  capacity : int;
-  rng : Splitmix.t;  (* reservoir replacement decisions; deterministic *)
-  mutable reservoir : float array;  (* grows geometrically up to capacity *)
-  mutable filled : int;
-  mutable sorted : float array option;  (* cache, invalidated by add *)
+  mutable sum : int;
 }
 
-let default_capacity = 65_536
-
-let create ?(capacity = default_capacity) ?(seed = 0x5EEDL) () =
-  if capacity < 1 then invalid_arg "Summary.create: capacity < 1";
-  {
-    n = 0;
-    mean = 0.0;
-    m2 = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
-    capacity;
-    rng = Splitmix.create seed;
-    reservoir = [||];
-    filled = 0;
-    sorted = None;
-  }
+let create () = { counts = Counts.empty; n = 0; sum = 0 }
 
 let add s x =
+  s.counts <- Counts.update x (fun c -> Some (1 + Option.value c ~default:0)) s.counts;
   s.n <- s.n + 1;
-  let delta = x -. s.mean in
-  s.mean <- s.mean +. (delta /. float_of_int s.n);
-  s.m2 <- s.m2 +. (delta *. (x -. s.mean));
-  if x < s.min_v then s.min_v <- x;
-  if x > s.max_v then s.max_v <- x;
-  (* Vitter's algorithm R: keep a uniform sample of capacity elements. *)
-  if s.filled < s.capacity then begin
-    if s.filled >= Array.length s.reservoir then begin
-      let grown =
-        Array.make (min s.capacity (max 64 (2 * Array.length s.reservoir))) 0.0
-      in
-      Array.blit s.reservoir 0 grown 0 s.filled;
-      s.reservoir <- grown
-    end;
-    s.reservoir.(s.filled) <- x;
-    s.filled <- s.filled + 1;
-    s.sorted <- None
-  end
-  else begin
-    let j = Splitmix.next_int s.rng ~bound:s.n in
-    if j < s.capacity then begin
-      s.reservoir.(j) <- x;
-      s.sorted <- None
-    end
-  end
-
-let add_int s x = add s (float_of_int x)
+  s.sum <- s.sum + x
 
 let count s = s.n
-let capacity s = s.capacity
-let retained s = s.filled
-let mean s = if s.n = 0 then 0.0 else s.mean
-let variance s = if s.n < 2 then 0.0 else s.m2 /. float_of_int (s.n - 1)
-let stddev s = sqrt (variance s)
-let min_value s = s.min_v
-let max_value s = s.max_v
+let mean s = if s.n = 0 then 0.0 else float_of_int s.sum /. float_of_int s.n
 
-let sorted s =
-  match s.sorted with
-  | Some a -> a
-  | None ->
-      let a = Array.sub s.reservoir 0 s.filled in
-      Array.sort Float.compare a;
-      s.sorted <- Some a;
-      a
+let nonempty fn s = if s.n = 0 then invalid_arg ("Summary." ^ fn ^ ": empty accumulator")
+
+let max_value s =
+  nonempty "max_value" s;
+  float_of_int (fst (Counts.max_binding s.counts))
+
+(* The [i]-th smallest sample, counting from 0; [i < count s]. *)
+let nth s i =
+  let rec walk i seq =
+    match seq () with
+    | Seq.Cons ((v, c), rest) -> if i < c then v else walk (i - c) rest
+    | Seq.Nil -> assert false
+  in
+  float_of_int (walk i (Counts.to_seq s.counts))
 
 let percentile s p =
-  if s.n = 0 then invalid_arg "Summary.percentile: empty accumulator";
+  nonempty "percentile" s;
   if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: p out of [0, 100]";
-  let a = sorted s in
-  let rank = p /. 100.0 *. float_of_int (Array.length a - 1) in
+  let rank = p /. 100.0 *. float_of_int (s.n - 1) in
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-  if lo = hi then a.(lo)
+  if lo = hi then nth s lo
   else
     let w = rank -. float_of_int lo in
-    (a.(lo) *. (1.0 -. w)) +. (a.(hi) *. w)
-
-let pp ppf s =
-  if s.n = 0 then Fmt.string ppf "n=0"
-  else
-    Fmt.pf ppf "n=%d, mean=%.2f, sd=%.2f, min=%.0f, p50=%.0f, p99=%.0f, max=%.0f" s.n (mean s)
-      (stddev s) (min_value s) (percentile s 50.0) (percentile s 99.0) (max_value s)
+    (nth s lo *. (1.0 -. w)) +. (nth s hi *. w)

@@ -1,58 +1,27 @@
-(** Streaming summary statistics (Welford) and percentile estimation
-    over a capped reservoir.
+(** The exact distribution of a stream of integer samples.
 
-    Used by the experiment driver, the campaign reports and the benches
-    to aggregate per-run measurements (step counts, stage counts,
-    latencies). Count, mean, variance, min and max are always {e exact}
-    regardless of stream length. Percentiles are computed over a uniform
-    reservoir sample (Vitter's algorithm R, deterministic seeded
-    replacement): exact while the stream fits the capacity (default
-    65 536 samples), an unbiased estimate beyond it — so million-trial
-    campaigns aggregate in O(capacity) memory instead of retaining every
-    sample. *)
+    The campaign reports and the experiments aggregate per-trial step
+    counts with it. It keeps one count per distinct sample, plus
+    the integer sum and count, so every statistic is exact and none
+    depends on the order of the samples. Memory grows with the distinct
+    values (a few dozen for a cell's step counts), not with the
+    stream. *)
 
 type t
 (** A mutable accumulator. *)
 
-val default_capacity : int
-(** 65 536. *)
-
-val create : ?capacity:int -> ?seed:int64 -> unit -> t
-(** [create ()] uses {!default_capacity} and a fixed seed (equal streams
-    give equal estimates).
-    @raise Invalid_argument if [capacity < 1]. *)
-
-val add : t -> float -> unit
-val add_int : t -> int -> unit
+val create : unit -> t
+val add : t -> int -> unit
 
 val count : t -> int
-(** Samples observed (not retained). *)
-
-val capacity : t -> int
-val retained : t -> int
-(** Samples currently in the reservoir: [min (count s) (capacity s)]. *)
 
 val mean : t -> float
-(** 0 when empty. Exact. *)
-
-val variance : t -> float
-(** Sample variance (n - 1 denominator); 0 for fewer than two samples.
-    Exact. *)
-
-val stddev : t -> float
-val min_value : t -> float
-(** [infinity] when empty. Exact. *)
-
-val max_value : t -> float
-(** [neg_infinity] when empty. Exact. *)
+(** The sum divided by the count, rounded once; 0 when empty. *)
 
 val percentile : t -> float -> float
-(** [percentile s p] for p in [\[0, 100\]], by linear interpolation over
-    the retained reservoir. Exact when [count s <= capacity s]; a
-    sampling estimate otherwise (the estimator change from the
-    retain-everything original — min/max remain exact, so p0/p100 of a
-    long stream may differ slightly from {!min_value}/{!max_value}).
+(** [percentile s p] for p in [\[0, 100\]]: linear interpolation
+    between the sorted samples around rank [p / 100 × (count - 1)].
     @raise Invalid_argument if empty or p out of range. *)
 
-val pp : Format.formatter -> t -> unit
-(** "n=…, mean=…, sd=…, min=…, p50=…, p99=…, max=…". *)
+val max_value : t -> float
+(** @raise Invalid_argument if empty. *)

@@ -9,10 +9,13 @@ type event = {
 (* One ring per domain shard. Recording under the ring's mutex keeps
    every stored event internally consistent (no torn name/ts pairs when
    domain ids collide on a shard); the mutex is per-ring, so domains
-   only ever contend on hash collisions. *)
+   only ever contend on hash collisions. A ring gets its slots at its
+   first record: a process runs far fewer domains than there are
+   shards. *)
 type ring = {
   lock : Mutex.t;
-  mutable events : event array;  (* length = capacity; [dummy] when empty *)
+  mutable capacity : int;
+  mutable events : event array;  (* [||] until the first record, then [capacity] slots *)
   mutable head : int;  (* next write position *)
   mutable filled : bool;  (* head has wrapped at least once *)
   mutable dropped : int;
@@ -24,7 +27,14 @@ let default_capacity = 65_536
 
 let rings =
   Array.init n_rings (fun _ ->
-      { lock = Mutex.create (); events = [||]; head = 0; filled = false; dropped = 0 })
+      {
+        lock = Mutex.create ();
+        capacity = default_capacity;
+        events = [||];
+        head = 0;
+        filled = false;
+        dropped = 0;
+      })
 
 let on = Atomic.make false
 let enabled () = Atomic.get on
@@ -34,7 +44,8 @@ let enable ?(capacity = default_capacity) () =
   Array.iter
     (fun r ->
       Mutex.lock r.lock;
-      r.events <- Array.make capacity dummy;
+      r.capacity <- capacity;
+      r.events <- [||];
       r.head <- 0;
       r.filled <- false;
       r.dropped <- 0;
@@ -50,14 +61,13 @@ let record ph cat name =
     let r = rings.(tid land (n_rings - 1)) in
     let ev = { ph; name; cat; ts_ns = Clock.now_ns (); tid } in
     Mutex.lock r.lock;
-    if Array.length r.events > 0 then begin
-      if r.filled then r.dropped <- r.dropped + 1;
-      r.events.(r.head) <- ev;
-      r.head <- r.head + 1;
-      if r.head = Array.length r.events then begin
-        r.head <- 0;
-        r.filled <- true
-      end
+    if Array.length r.events = 0 then r.events <- Array.make r.capacity dummy;
+    if r.filled then r.dropped <- r.dropped + 1;
+    r.events.(r.head) <- ev;
+    r.head <- r.head + 1;
+    if r.head = r.capacity then begin
+      r.head <- 0;
+      r.filled <- true
     end;
     Mutex.unlock r.lock
   end

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Memory smoke: a long campaign, and every pass over its journal, must
-# fit in about the memory of a short one. Each leg measures one command
-# at two sizes, the second ten times the first, on 2 domains, and fails
-# when the larger run's peak resident set exceeds the smaller run's by
-# more than 16 MiB.
+# fit in about the memory of a short one, and a traced campaign in about
+# the memory of an untraced one. Each leg measures one command twice on
+# 2 domains (the size legs at two sizes, the second ten times the
+# first), and fails when the second run's peak resident set exceeds the
+# first's by more than 16 MiB.
 # - crash and hang legs: the engine unwinds every simulated process it
 #   abandons (a crash-restart's old incarnation, a nonresponsive hang);
 #   a process left suspended instead would keep its fiber stack until
@@ -15,6 +16,10 @@
 #   lines plus 40 bytes of the next one. It reads only the torn tail to
 #   repair it, scans the journal once, and hands the pool the missing
 #   ids as ranges, not as a list. Peak: the resume's telemetry.json.
+# - trace leg: a small herlihy grid without and then with --trace. The
+#   tracer gives a domain its ring of 65,536 events at its first record,
+#   so a traced run holds a ring per running domain, not one per shard
+#   (64 rings cost about 34 MB). Peak: telemetry.json.
 # `make mem-smoke` and CI both drive it.
 set -eu
 
@@ -44,8 +49,9 @@ polled_peak_kb() {
   echo "$PEAK"
 }
 
-# bound NAME SMALL LARGE A B: peak A at SMALL trials/cell and peak B at
-# LARGE must both be readings, and B may exceed A by SLACK_KB at most.
+# bound NAME FIRST SECOND A B: peak A of the FIRST run and peak B of
+# the SECOND must both be readings, and B may exceed A by SLACK_KB at
+# most.
 bound() {
   if [ -z "$4" ] || [ -z "$5" ] || [ "$4" -eq 0 ] || [ "$5" -eq 0 ]; then
     echo "mem-smoke FAILED ($1): no peak RSS reading ('$4', '$5')" >&2
@@ -53,10 +59,10 @@ bound() {
   fi
   GROWTH=$(($5 - $4))
   if [ "$GROWTH" -gt "$SLACK_KB" ]; then
-    echo "mem-smoke FAILED ($1): peak RSS grew from $4 kB at $2 trials/cell to $5 kB at $3 (+$GROWTH kB, bound $SLACK_KB)" >&2
+    echo "mem-smoke FAILED ($1): peak RSS grew from $4 kB $2 to $5 kB $3 (+$GROWTH kB, bound $SLACK_KB)" >&2
     exit 1
   fi
-  echo "mem-smoke OK ($1): peak RSS $4 kB at $2 trials/cell, $5 kB at $3 (+$GROWTH kB, bound $SLACK_KB)"
+  echo "mem-smoke OK ($1): peak RSS $4 kB $2, $5 kB $3 (+$GROWTH kB, bound $SLACK_KB)"
 }
 
 # leg NAME SMALL LARGE GRID-FLAGS...: run the grid at SMALL, then at
@@ -70,7 +76,8 @@ leg() {
     rm -rf "$ROOT/$NAME-$T"
     "$BIN" campaign run --name "$NAME-$T" --trials "$T" --domains 2 --quiet "$@"
   done
-  bound "$NAME" "$SMALL" "$LARGE" "$(peak_kb "$NAME-$SMALL")" "$(peak_kb "$NAME-$LARGE")"
+  bound "$NAME" "at $SMALL trials/cell" "at $LARGE" \
+    "$(peak_kb "$NAME-$SMALL")" "$(peak_kb "$NAME-$LARGE")"
 }
 
 # Crash-restarts: each abandons the crashing process's old incarnation.
@@ -104,5 +111,15 @@ journal_peaks() {
 SMALL=$(journal_peaks 100000)
 LARGE=$(journal_peaks 1000000)
 set -- $SMALL $LARGE
-bound mem-smoke-report 100000 1000000 "${1:-}" "${3:-}"
-bound mem-smoke-resume 100000 1000000 "${2:-}" "${4:-}"
+bound mem-smoke-report "at 100000 trials/cell" "at 1000000" "${1:-}" "${3:-}"
+bound mem-smoke-resume "at 100000 trials/cell" "at 1000000" "${2:-}" "${4:-}"
+
+# The trace leg: the same small grid untraced, then traced.
+for NAME in mem-smoke-untraced mem-smoke-traced; do
+  rm -rf "${ROOT:?}/$NAME"
+done
+GRID="--trials 1000 --domains 2 --quiet --protocol herlihy -f 1 -n 3 --rates 0.5"
+"$BIN" campaign run --name mem-smoke-untraced $GRID
+"$BIN" campaign run --name mem-smoke-traced $GRID --trace "$ROOT/mem-smoke-traced/trace.json"
+bound mem-smoke-trace untraced traced \
+  "$(peak_kb mem-smoke-untraced)" "$(peak_kb mem-smoke-traced)"

@@ -11,6 +11,7 @@ module Journal = Campaign.Journal
 module Checkpoint = Campaign.Checkpoint
 module Pool = Campaign.Pool
 module Report = Campaign.Report
+module Summary = Ffault_stats.Summary
 module Live = Campaign.Live
 module Check = Ffault_verify.Consensus_check
 module Engine = Ffault_sim.Engine
@@ -1188,8 +1189,7 @@ let test_report_min_witness () =
         ~crashes:[ 1 ] ~crash_rates:[ 0.4 ] ~trials:100 ();
     ]
 
-(* [min_witness] does not depend on the records' order (the Welford
-   means, float sums, may differ in their last bits). *)
+(* [min_witness] does not depend on the records' order. *)
 let test_report_order_independent () =
   let spec = two_failing_cells ~rates:[ 0.3; 0.9 ] "report-order" in
   let _, records = run_collect ~domains:1 spec in
@@ -1207,6 +1207,118 @@ let test_report_order_independent () =
     (fun order ->
       check Alcotest.bool "same min_witness in every cell" true (witnesses order = expected))
     [ List.rev records; shuffle records; shuffle records ]
+
+(* A cell's mean, p99 and max ops are exact, so they do not depend on
+   the records' order: on a whole cell of 70,000 trials and on 3,000
+   trials of the next, they equal the step sum / n and the p99
+   interpolated over the sorted steps, worked out here, bit for bit. *)
+let test_report_order_free () =
+  let spec = healthy_spec ~trials:70_000 ~name:"report-order-free" () in
+  let rng = Random.State.make [| 31 |] in
+  let records =
+    List.init 73_000 (fun trial ->
+        { (sample_record ~trial ~ok:true ()) with Journal.max_steps = 3 + Random.State.int rng 25 })
+  in
+  let expected cell_id =
+    let a =
+      List.filter_map
+        (fun (r : Journal.record) ->
+          if r.Journal.trial / spec.Spec.trials = cell_id then Some r.Journal.max_steps else None)
+        records
+      |> List.sort compare |> Array.of_list
+    in
+    let n = Array.length a in
+    let rank = 0.99 *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let w = rank -. float_of_int lo in
+    ( float_of_int (Array.fold_left ( + ) 0 a) /. float_of_int n,
+      (float_of_int a.(lo) *. (1.0 -. w)) +. (float_of_int a.(lo + 1) *. w),
+      float_of_int a.(n - 1) )
+  in
+  let bits =
+    Alcotest.testable
+      (fun ppf x -> Fmt.pf ppf "%.17g" x)
+      (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  let rng = Random.State.make [| 32 |] in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun r -> (Random.State.bits rng, r)) l))
+  in
+  List.iter
+    (fun (order, records) ->
+      let cells = (report_of spec records).Report.cells in
+      check Alcotest.(list int) (order ^ ": cell sizes") [ 70_000; 3_000 ]
+        (List.map (fun (c : Report.cell_stats) -> c.Report.trials) cells);
+      List.iteri
+        (fun cell_id (c : Report.cell_stats) ->
+          let s = c.Report.steps in
+          check
+            Alcotest.(triple bits bits bits)
+            (Fmt.str "%s: cell %d mean, p99, max ops" order cell_id)
+            (expected cell_id)
+            (Summary.mean s, Summary.percentile s 99.0, Summary.max_value s))
+        cells)
+    [
+      ("forward", records); ("reversed", List.rev records); ("shuffled", shuffle records);
+    ]
+
+(* A cell whose every record is quarantined ran no trial, so it has no
+   step statistics: its report row shows [-] and its JSON [null]. Both
+   domains of a supervised run can journal a degraded cell's quarantined
+   chunk before the records of the trials that struck it, so a live or
+   killed run can leave such a journal. *)
+let test_report_quarantined_cell () =
+  let spec =
+    Spec.v ~name:"report-quarantined" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.3; 0.6 ]
+      ~trials:5 ()
+  in
+  let root = tmp_root () in
+  ignore (Result.get_ok (Pool.run_dir ~domains:1 ~root spec));
+  let dir = Checkpoint.campaign_dir ~root spec in
+  let path = Checkpoint.journal_path ~dir in
+  let records, _ = Journal.scan ~path ~init:[] ~f:(fun acc r -> r :: acc) in
+  let quarantine (r : Journal.record) =
+    if r.Journal.trial < spec.Spec.trials then r
+    else
+      {
+        r with
+        Journal.ok = false;
+        outcome = Journal.Quarantined;
+        violations = [];
+        steps = 0;
+        max_steps = 0;
+        witness = None;
+      }
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun r -> output_string oc (Journal.to_line (quarantine r) ^ "\n"))
+        (List.rev records));
+  let report = Result.get_ok (Report.of_dir ~dir) in
+  Report.write ~dir report;
+  let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+  let json = Result.get_ok (Json.of_string (String.trim (read "report.json"))) in
+  let cells = Option.get (Option.bind (Json.member "cells" json) Json.get_list) in
+  let ops c = List.map (fun k -> Option.get (Json.member k c)) [ "mean_ops"; "p99_ops"; "max_ops" ] in
+  (match cells with
+  | [ ran; quarantined ] ->
+      check Alcotest.bool "the cell that ran has numbers" true
+        (List.for_all (fun v -> Json.get_float v <> None) (ops ran));
+      check Alcotest.bool "the quarantined cell has nulls" true
+        (List.for_all (fun v -> v = Json.Null) (ops quarantined))
+  | _ -> Alcotest.fail "two cells expected");
+  let rows =
+    String.split_on_char '\n' (read "report.md")
+    |> List.filter (fun l -> String.starts_with ~prefix:"| " l)
+    |> List.map (fun l -> List.map String.trim (String.split_on_char '|' l))
+  in
+  let header = List.hd rows in
+  let column name row = List.nth row (Option.get (List.find_index (( = ) name) header)) in
+  let row =
+    List.find (fun r -> List.length r = List.length header && column "rate" r = "0.60") rows
+  in
+  check Alcotest.(list string) "the quarantined row" [ "5"; "-"; "-"; "-" ]
+    (List.map (fun name -> column name row) [ "trials"; "mean ops"; "p99 ops"; "max ops" ])
 
 (* [campaign diff] reads failure rates and step counts: reading both
    sides of a failing grid and diffing them runs no engine, so no
@@ -1342,6 +1454,8 @@ let suites =
         Alcotest.test_case "first failures minimized" `Quick test_report_min_witness;
         Alcotest.test_case "min_witness order-independent" `Quick
           test_report_order_independent;
+        Alcotest.test_case "order-free" `Quick test_report_order_free;
+        Alcotest.test_case "quarantined cell" `Quick test_report_quarantined_cell;
         Alcotest.test_case "diff minimizes nothing" `Quick test_report_diff_runs_nothing;
       ] );
     ("campaign.live", [ Alcotest.test_case "violations only" `Quick test_live_counts_violations ]);

@@ -207,6 +207,40 @@ let test_trace_overflow_balanced_everywhere () =
     (Json.to_string (Trace_merge.merge [ ("w1", worker) ]))
     (Json.to_string (Trace_merge.merge [ ("w1", second_batch @ first_batch) ]))
 
+(* [enable] allocates no ring; a domain's first span allocates its ring
+   of [default_capacity] slots, whose header is one more word, and a
+   second span allocates none. The ring is too big for the minor heap,
+   so [major_words] counts it when it is made. A full major collection
+   first settles that counter, and whatever else runs in the process
+   can only add words, so the least of three attempts is the tracer's
+   own allocation. *)
+let test_trace_ring_on_first_record () =
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let attempt () =
+    Gc.full_major ();
+    let m0 = major () in
+    Tracer.enable ();
+    let m1 = major () in
+    Tracer.with_span "first" (fun () -> ());
+    let m2 = major () in
+    Tracer.with_span "second" (fun () -> ());
+    let m3 = major () in
+    Tracer.disable ();
+    ignore (Tracer.drain ());
+    [ m1 -. m0; m2 -. m1; m3 -. m2 ]
+  in
+  let least =
+    List.fold_left (List.map2 Float.min) [ infinity; infinity; infinity ]
+      (List.init 3 (fun _ -> attempt ()))
+  in
+  let ring_words = float_of_int (Tracer.default_capacity + 1) in
+  match least with
+  | [ enable; first; second ] ->
+      Alcotest.(check bool) "enable allocates less than one ring" true (enable < ring_words);
+      Alcotest.(check (float 0.0)) "the first span allocates one ring" ring_words first;
+      Alcotest.(check (float 0.0)) "the second span allocates no ring" 0.0 second
+  | _ -> assert false
+
 (* ---- progress ---- *)
 
 let test_progress_non_ansi_no_escapes () =
@@ -267,6 +301,8 @@ let suites =
         Alcotest.test_case "ring overflow repaired" `Quick test_trace_ring_overflow_repaired;
         Alcotest.test_case "overflow balanced on every write path" `Quick
           test_trace_overflow_balanced_everywhere;
+        Alcotest.test_case "ring allocated on first record" `Quick
+          test_trace_ring_on_first_record;
       ] );
     ( "telemetry.progress",
       [ Alcotest.test_case "non-ANSI output has no escapes" `Quick test_progress_non_ansi_no_escapes ] );
