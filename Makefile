@@ -99,7 +99,9 @@ chaos-smoke:
 
 # The distributed flavour: coordinator + three workers over a Unix
 # socket, SIGKILL one worker mid-campaign, assert the exactly-once
-# journal and a reassigned lease in the Workers report.
+# journal and a reassigned lease in the Workers report. Then one traced
+# 4-domain worker runs a 200k-trial lease whose flush beat drains four
+# full tracer rings: it must complete within the wire's frame cap.
 dist-chaos-smoke:
 	sh scripts/dist_chaos_smoke.sh
 
@@ -123,14 +125,15 @@ recover-smoke:
 # Memory stays flat over a long crash or hang campaign, over a report
 # or a resume of a long journal, and under --trace: the engine unwinds
 # every process it abandons, each journal pass streams the file once,
-# and the tracer allocates a ring only for a domain that records. A
-# crash grid and a hang grid each run twice on 2 domains, the second
-# time ten times as long; a failing herlihy grid is journaled at 100k
-# and 1M trials, reported, cut to 3/4 of its lines and resumed; a small
-# herlihy grid runs untraced, then traced. A leg fails when the second
-# run's peak RSS (telemetry.json's `process.peak_rss_kb`; for
-# `report`, its VmHWM polled every 20 ms) exceeds the first one's by
-# over 16 MiB.
+# the tracer allocates a ring only for a domain that records, and the
+# trace writer prints one event at a time. A crash grid and a hang grid
+# each run twice on 2 domains, the second time ten times as long; a
+# failing herlihy grid is journaled at 100k and 1M trials, reported,
+# cut to 3/4 of its lines and resumed; a 100k-trial herlihy grid that
+# fills both tracer rings runs untraced, then traced. A leg fails when
+# the second run's peak RSS (telemetry.json's `process.peak_rss_kb`;
+# for `report` and the trace leg, VmHWM polled every 20 ms) exceeds
+# the first one's by over 16 MiB (48 MiB for the trace leg).
 mem-smoke:
 	sh scripts/mem_smoke.sh
 

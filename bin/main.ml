@@ -198,7 +198,7 @@ let trace_cmd =
             | Error m -> Error (Fmt.str "%s: %s" path m)
             | Ok j ->
                 let label = Filename.remove_extension (Filename.basename path) in
-                load ((label, Campaign.Trace_merge.events_of_trace j) :: acc) rest
+                load ((label, Campaign.Trace_merge.of_json j) :: acc) rest
             | exception Sys_error m -> Error m)
       in
       match load [] files with
@@ -589,7 +589,7 @@ let run_campaign ~resume ~root ~domains ~supervision obs spec =
   Option.iter
     (fun path ->
       Telemetry.Tracer.disable ();
-      let events = Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) in
+      let events = Telemetry.Tracer.drain () in
       Campaign.Trace_merge.write path [ ("campaign", events) ];
       Fmt.pr "trace: %s (%d events, %d dropped) — open in chrome://tracing or Perfetto@."
         path (List.length events)
@@ -811,9 +811,7 @@ let campaign_serve_cmd =
             (* one pid row per process: the coordinator's own spans
                plus whatever each worker shipped on its heartbeats *)
             let rows =
-              ( "coordinator",
-                Campaign.Trace_merge.of_tracer_events (Telemetry.Tracer.drain ()) )
-              :: s.Dist.Coordinator.worker_spans
+              ("coordinator", Telemetry.Tracer.drain ()) :: s.Dist.Coordinator.worker_spans
             in
             Campaign.Trace_merge.write path rows;
             Fmt.pr "trace: %s (%d process row(s)) — open in chrome://tracing or Perfetto@."

@@ -546,8 +546,8 @@ type diff_row = {
   rate_a : float;
   rate_b : float;
   delta : float;
-  steps_a : float;
-  steps_b : float;
+  steps_a : float option;
+  steps_b : float option;
   regression : bool;
 }
 
@@ -583,8 +583,8 @@ let diff ?(tolerance = default_tolerance) a b =
                 rate_a = ca.failure_rate;
                 rate_b = cb.failure_rate;
                 delta;
-                steps_a = Summary.mean ca.steps;
-                steps_b = Summary.mean cb.steps;
+                steps_a = ops ca Summary.mean;
+                steps_b = ops cb Summary.mean;
                 regression;
               })
       ia
@@ -614,8 +614,8 @@ let diff_table d =
           Table.cell_float ~decimals:4 r.rate_a;
           Table.cell_float ~decimals:4 r.rate_b;
           Fmt.str "%+.4f" r.delta;
-          Table.cell_float ~decimals:1 r.steps_a;
-          Table.cell_float ~decimals:1 r.steps_b;
+          Table.cell_opt (Table.cell_float ~decimals:1) r.steps_a;
+          Table.cell_opt (Table.cell_float ~decimals:1) r.steps_b;
           (if r.regression then "REGRESSION" else "ok");
         ])
     d.rows;

@@ -104,8 +104,9 @@ type diff_row = {
   rate_a : float;
   rate_b : float;
   delta : float;
-  steps_a : float;
-  steps_b : float;
+  steps_a : float option;
+      (** mean ops of the cell's trials that ran; [None] when none did *)
+  steps_b : float option;
   regression : bool;
 }
 

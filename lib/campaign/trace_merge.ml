@@ -1,37 +1,57 @@
-(* The one Chrome-trace writer: each input becomes a pid row, named via
-   a process_name metadata event and repaired to balanced B/E pairs, so
-   a campaign run, a coordinator with its workers, a worker on its own
-   and a merge of trace files all come out the same way. *)
+(* The one Chrome-trace writer, and the one module that knows the Chrome
+   span shape: a span stays a Tracer event until its bytes leave the
+   process, in a heartbeat frame or a trace file. Each input becomes a
+   pid row, named via a process_name metadata event and repaired to
+   balanced B/E pairs, so a campaign run, a coordinator with its
+   workers, a worker on its own and a merge of trace files all come out
+   the same way. *)
 
 module Tracer = Ffault_telemetry.Tracer
+module Tids = Map.Make (Int)
 
-(* Drained tracer events as pid-less Chrome spans ("ts" in µs, Chrome's
-   native unit) — the shape workers ship on heartbeats and [merge]
-   stamps pids onto. *)
-let of_tracer_events evs =
-  List.map
-    (fun (e : Tracer.event) ->
-      Json.Obj
-        [
-          ("name", Json.Str e.Tracer.name);
-          ("cat", Json.Str e.Tracer.cat);
-          ("ph", Json.Str (String.make 1 e.Tracer.ph));
-          ("ts", Json.Float (float_of_int e.Tracer.ts_ns /. 1e3));
-          ("tid", Json.Int e.Tracer.tid);
-        ])
-    evs
+(* "ts" in µs, Chrome's native unit; a file's events add their row's
+   pid last. *)
+let span_fields (e : Tracer.event) =
+  [
+    ("name", Json.Str e.name);
+    ("cat", Json.Str e.cat);
+    ("ph", Json.Str (String.make 1 e.ph));
+    ("ts", Json.Float (float_of_int e.ts_ns /. 1e3));
+    ("tid", Json.Int e.tid);
+  ]
 
-let events_of_trace j =
-  match j with
-  | Json.Obj _ -> (
-      match Json.member "traceEvents" j with
-      | Some (Json.List evs) -> evs
-      | Some _ | None -> [])
-  | Json.List evs -> evs
-  | _ -> []
+let to_json e = Json.Obj (span_fields e)
+
+(* The µs stamp goes back to the nanosecond the writer divided, so a
+   merged file prints the same "ts" bytes as its input. *)
+let of_entry j =
+  let get k f = Option.bind (Json.member k j) f in
+  match
+    (get "ph" Json.get_str, get "name" Json.get_str, get "ts" Json.get_float, get "tid" Json.get_int)
+  with
+  | Some (("B" | "E" | "i") as ph), Some name, Some ts, Some tid ->
+      Some
+        {
+          Tracer.ph = ph.[0];
+          name;
+          cat = Option.value (get "cat" Json.get_str) ~default:"";
+          ts_ns = Float.to_int (Float.round (ts *. 1e3));
+          tid;
+        }
+  | _ -> None
+
+let of_json j =
+  let entries =
+    match j with
+    | Json.List entries -> entries
+    | Json.Obj _ -> (
+        match Json.member "traceEvents" j with Some (Json.List entries) -> entries | _ -> [])
+    | _ -> []
+  in
+  List.filter_map of_entry entries
 
 (* Rows that grow batch by batch keep what a tracer ring keeps. *)
-type row = Json.t Queue.t
+type row = Tracer.event Queue.t
 
 let row () = Queue.create ()
 
@@ -44,16 +64,6 @@ let add row batch =
 
 let events row = List.of_seq (Queue.to_seq row)
 
-(* [ev] with field [k] set to [v] in place, or added at the end: a
-   source's own pid (its OS pid, meaningless once rows are merged) is
-   replaced. *)
-let with_field k v ev =
-  match ev with
-  | Json.Obj fields when List.mem_assoc k fields ->
-      Json.Obj (List.map (fun (k', x) -> if k' = k then (k, v) else (k', x)) fields)
-  | Json.Obj fields -> Json.Obj (fields @ [ (k, v) ])
-  | other -> other
-
 let process_name ~pid name =
   Json.Obj
     [
@@ -64,71 +74,57 @@ let process_name ~pid name =
       ("args", Json.Obj [ ("name", Json.Str name) ]);
     ]
 
-(* A source's own process_name metadata would fight the fresh row label
-   once its pid is reassigned (e.g. merging an already-merged trace). *)
-let is_process_name ev = Json.member "name" ev = Some (Json.Str "process_name")
-
-let ts ev = Option.bind (Json.member "ts" ev) Json.get_float
-
 (* A row comes in timestamp order, stably: a worker's heartbeat thread
    and its flush beat each drain the tracer and then send, so their
    batches can arrive swapped. Then a ring that overwrote events
    orphans some: an "E" whose "B" was overwritten, or a "B" whose "E"
    never came (still open at the drain, or its process was killed).
-   Chrome misrenders an unbalanced track, so a row is repaired per tid,
-   its pid being the row's: an orphan "E" is dropped, and every "B"
-   still open at the end gets an "E" at the row's last timestamp,
-   innermost first. *)
+   Chrome misrenders an unbalanced track, so a row is repaired per tid:
+   an orphan "E" is dropped, and every "B" still open at the end gets
+   an "E" at the row's last timestamp, innermost first, tid by tid in
+   ascending order. Answers the kept events and those closing ones. *)
 let balance events =
   let events =
-    List.stable_sort (fun a b -> Option.compare Float.compare (ts a) (ts b)) events
+    List.stable_sort (fun (a : Tracer.event) b -> Int.compare a.ts_ns b.ts_ns) events
   in
-  let last_ts =
-    List.fold_left (fun m ev -> match ts ev with None -> m | t -> t) None events
-  in
-  let stacks = Hashtbl.create 8 in
+  let stacks = ref Tids.empty in
   let kept =
     List.filter
-      (fun ev ->
-        let tid = Json.member "tid" ev in
-        let open_bs = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
-        match Json.member "ph" ev with
-        | Some (Json.Str "B") ->
-            Hashtbl.replace stacks tid (ev :: open_bs);
+      (fun (e : Tracer.event) ->
+        let open_bs = Option.value (Tids.find_opt e.tid !stacks) ~default:[] in
+        match e.ph with
+        | 'B' ->
+            stacks := Tids.add e.tid (e :: open_bs) !stacks;
             true
-        | Some (Json.Str "E") -> (
+        | 'E' -> (
             match open_bs with
             | [] -> false
             | _ :: rest ->
-                Hashtbl.replace stacks tid rest;
+                stacks := Tids.add e.tid rest !stacks;
                 true)
         | _ -> true)
       events
   in
-  let close b =
-    let e = with_field "ph" (Json.Str "E") b in
-    match last_ts with Some t -> with_field "ts" (Json.Float t) e | None -> e
-  in
-  kept @ Hashtbl.fold (fun _ open_bs acc -> List.map close open_bs @ acc) stacks []
+  let last_ts = List.fold_left (fun _ (e : Tracer.event) -> e.ts_ns) 0 events in
+  let close (b : Tracer.event) = { b with ph = 'E'; ts_ns = last_ts } in
+  (kept, List.concat_map (fun (_, open_bs) -> List.map close open_bs) (Tids.bindings !stacks))
 
-let merge inputs =
-  let rows =
-    List.mapi
-      (fun i (label, events) ->
-        let pid = i + 1 in
-        process_name ~pid label
-        :: List.map
-             (with_field "pid" (Json.Int pid))
-             (balance (List.filter (fun e -> not (is_process_name e)) events)))
-      inputs
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.concat rows));
-      ("displayTimeUnit", Json.Str "ms");
-    ]
-
-let write path inputs =
+let write path rows =
   Out_channel.with_open_text path (fun oc ->
-      output_string oc (Json.to_string (merge inputs));
-      output_char oc '\n')
+      let sep = ref "" in
+      let print ev =
+        output_string oc !sep;
+        sep := ",";
+        output_string oc (Json.to_string ev)
+      in
+      output_string oc "{\"traceEvents\":[";
+      List.iteri
+        (fun i (label, events) ->
+          let pid = i + 1 in
+          let print_span e = print (Json.Obj (span_fields e @ [ ("pid", Json.Int pid) ])) in
+          print (process_name ~pid label);
+          let kept, closes = balance events in
+          List.iter print_span kept;
+          List.iter print_span closes)
+        rows;
+      output_string oc "],\"displayTimeUnit\":\"ms\"}\n")

@@ -1,5 +1,11 @@
 (** The Chrome trace writer: every trace file the CLI writes comes
-    from {!write}.
+    from {!write}, and this module is the only one that knows the
+    Chrome span format.
+
+    A span stays a {!Ffault_telemetry.Tracer.event} from the tracer's
+    ring to the file; Chrome JSON exists only where bytes leave the
+    process: a worker's heartbeat batch ({!to_json}, read back by
+    {!of_json}) and the trace file.
 
     A trace is a list of rows, one per process: a local campaign run is
     one row, a distributed campaign is the coordinator's own spans plus
@@ -11,15 +17,20 @@
     (pid, tid), so the file loads even after a ring overwrote events or
     a process died mid-span. *)
 
-val of_tracer_events : Ffault_telemetry.Tracer.event list -> Json.t list
-(** Drained {!Ffault_telemetry.Tracer} events as pid-less Chrome span
-    objects ([ts] in microseconds): the shape of a row, and of the
-    batches a worker ships on its heartbeats. *)
+val to_json : Ffault_telemetry.Tracer.event -> Json.t
+(** An event as a pid-less Chrome span object:
+    [{"name":..,"cat":..,"ph":..,"ts":..,"tid":..}], [ts] in
+    microseconds. A trace file's events are these objects with the
+    row's [pid] added last. *)
 
-val events_of_trace : Json.t -> Json.t list
-(** The event array of a trace document: the ["traceEvents"] member of
-    a full trace object, or the list itself when given a bare array;
-    [[]] for anything else. *)
+val of_json : Json.t -> Ffault_telemetry.Tracer.event list
+(** The spans of a heartbeat batch (a list of span objects) or of a
+    trace document (an object whose ["traceEvents"] member is such a
+    list): every ["B"], ["E"] or ["i"] entry with a string [name], a
+    numeric [ts] and an integer [tid], in order, its [cat] [""] when
+    absent and its [ts] rounded to the nanosecond. Total: metadata
+    (such as [process_name]), entries of other phases and malformed
+    entries are dropped, and anything else reads as [[]]. *)
 
 (** {2 Bounded rows} *)
 
@@ -32,25 +43,22 @@ type row
 
 val row : unit -> row
 
-val add : row -> Json.t list -> unit
+val add : row -> Ffault_telemetry.Tracer.event list -> unit
 (** Append a batch, oldest event first, dropping the oldest events past
     the bound. *)
 
-val events : row -> Json.t list
+val events : row -> Ffault_telemetry.Tracer.event list
 (** The kept events, oldest first. *)
 
-val merge : (string * Json.t list) list -> Json.t
-(** [merge [(label, events); ...]] assigns pid [1, 2, ...] to each
-    row in order (replacing any pid the source stamped — OS pids are
-    meaningless across hosts), prepends each row's [process_name]
-    metadata event (dropping any the source carried, so re-merging a
-    merged trace stays cleanly labelled), and wraps everything as
-    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Each row is
-    put in timestamp order (stably; events without a [ts] first), then
+(** {2 Writing} *)
+
+val write : string -> (string * Ffault_telemetry.Tracer.event list) list -> unit
+(** [write path [(label, events); ...]] writes one Chrome trace to
+    [path] (created/truncated), one event at a time:
+    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Row [i] gets
+    pid [i + 1] and starts with its [process_name] metadata event
+    naming it [label]. Its events follow in timestamp order (stably),
     repaired per tid: an ["E"] with no open ["B"] is dropped, and each
     ["B"] still open at the row's end is closed by an ["E"] at the
-    row's last timestamp, innermost first. *)
-
-val write : string -> (string * Json.t list) list -> unit
-(** [write path rows] writes [merge rows] into [path]
-    (created/truncated). *)
+    row's last timestamp, innermost first, tid by tid in ascending
+    order. *)

@@ -2,6 +2,8 @@ module Json = Ffault_campaign.Json
 module Spec = Ffault_campaign.Spec
 module Journal = Ffault_campaign.Journal
 module Pool = Ffault_campaign.Pool
+module Trace_merge = Ffault_campaign.Trace_merge
+module Tracer = Ffault_telemetry.Tracer
 
 type supervision = Pool.supervision
 
@@ -20,13 +22,13 @@ type msg =
   | Lease of { lease : int; epoch : int; lo : int; hi : int; done_ids : int list }
   | Result of Journal.record
   | Complete of { lease : int; epoch : int }
-  | Heartbeat of { snapshot : Json.t option; spans : Json.t option }
+  | Heartbeat of { snapshot : Json.t option; spans : Tracer.event list }
   | Wait of { seconds : float }
   | Bye of { reason : string }
 
 (* The bare liveness beat — what pre-observability workers send, and
    what everything that only cares about liveness should construct. *)
-let heartbeat = Heartbeat { snapshot = None; spans = None }
+let heartbeat = Heartbeat { snapshot = None; spans = [] }
 
 (* One tag byte per message kind. 'R' vs 'r': results are the hot
    frame, requests the idle one. *)
@@ -94,7 +96,10 @@ let payload_of msg =
          so old decoders never see an unknown shape *)
       obj
         ((match snapshot with Some s -> [ ("snapshot", s) ] | None -> [])
-        @ match spans with Some s -> [ ("spans", s) ] | None -> [])
+        @
+        match spans with
+        | [] -> []
+        | spans -> [ ("spans", Json.List (List.map Trace_merge.to_json spans)) ])
   | Lease { lease; epoch; lo; hi; done_ids } ->
       obj
         [
@@ -170,8 +175,10 @@ let of_object tag payload =
       Ok (Complete { lease; epoch = epoch_field "epoch" j })
   | 'b' ->
       (* legacy beats carry "{}"; new ones may piggyback a telemetry
-         snapshot and a span batch — both optional either way *)
-      Ok (Heartbeat { snapshot = Json.member "snapshot" j; spans = Json.member "spans" j })
+         snapshot and a span batch — both optional either way, and a
+         malformed span entry is dropped, not an error *)
+      let spans = Option.fold ~none:[] ~some:Trace_merge.of_json (Json.member "spans" j) in
+      Ok (Heartbeat { snapshot = Json.member "snapshot" j; spans })
   | 'z' ->
       let* seconds = field "seconds" Json.get_float j in
       (* the worker waits this long on its socket: "1e999" would park it
@@ -205,6 +212,6 @@ let pp ppf = function
   | Heartbeat { snapshot; spans } ->
       Fmt.pf ppf "heartbeat%s%s"
         (if snapshot <> None then "+telemetry" else "")
-        (if spans <> None then "+spans" else "")
+        (if spans <> [] then "+spans" else "")
   | Wait { seconds } -> Fmt.pf ppf "wait %gs" seconds
   | Bye { reason } -> Fmt.pf ppf "bye (%s)" reason

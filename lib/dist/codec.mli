@@ -52,21 +52,27 @@ type msg =
           a stale incarnation's bookkeeping, decides the shard's fate).
           Epoch fields are optional on the wire and default to 0, so
           pre-failover frames still decode. *)
-  | Heartbeat of { snapshot : Json.t option; spans : Json.t option }
+  | Heartbeat of { snapshot : Json.t option; spans : Ffault_telemetry.Tracer.event list }
       (** worker → coordinator, liveness while a lease runs. New workers
           piggyback a telemetry snapshot ({!Ffault_campaign.Telemetry_io}
-          shape) and a Chrome-span batch on the beat; both fields are
-          optional on the wire, so a pre-observability worker's bare
-          beat ([{}]) still decodes and a new worker's beat is ignored
-          gracefully by an old coordinator. *)
+          shape) and the span events recorded since the last beat. Both
+          fields are optional on the wire: an absent snapshot is [None],
+          and the spans travel as a ["spans"] list of Chrome span
+          objects ({!Ffault_campaign.Trace_merge.to_json}) only when
+          there are any, read back by
+          {!Ffault_campaign.Trace_merge.of_json}, which drops a
+          malformed entry rather than failing the frame. So a
+          pre-observability worker's bare beat ([{}]) still decodes and
+          a new worker's beat is ignored gracefully by an old
+          coordinator. *)
   | Wait of { seconds : float }
       (** coordinator → worker: no shard free right now (all leased),
           ask again after [seconds] *)
   | Bye of { reason : string }  (** either direction, terminal *)
 
 val heartbeat : msg
-(** The bare liveness beat: [Heartbeat] with neither snapshot nor
-    spans — encodes byte-identically to the legacy frame. *)
+(** The bare liveness beat: [Heartbeat] with no snapshot and no
+    spans — encodes byte-identically to the legacy frame, [{}]. *)
 
 val to_frame : msg -> Wire.frame
 val of_frame : Wire.frame -> (msg, string) result

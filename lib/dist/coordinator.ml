@@ -35,7 +35,7 @@ type summary = Core.summary = {
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
-  worker_spans : (string * Json.t list) list;
+  worker_spans : (string * Ffault_telemetry.Tracer.event list) list;
 }
 
 (* ---- the serve loop: a socket driver around the Core engine ---- *)
@@ -76,8 +76,8 @@ let serve ?(resume = false) ?(observe = fun _ -> ()) ?on_skip ?(on_warn = fun _ 
   in
   Events.set_sink events
     (Some
-       (fun line ->
-         output_string ev_oc line;
+       (fun e ->
+         output_string ev_oc (Json.to_string (Status.event_json e));
          output_char ev_oc '\n';
          flush ev_oc));
   let on_event severity msg =

@@ -69,8 +69,8 @@ type summary = Core.summary = {
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
-  worker_spans : (string * Ffault_campaign.Json.t list) list;
-      (** per-worker Chrome span events shipped on heartbeats, each
+  worker_spans : (string * Ffault_telemetry.Tracer.event list) list;
+      (** per-worker span events shipped on heartbeats, each
           worker's newest 65,536, name-sorted: the worker rows of
           [serve --trace]'s file *)
 }

@@ -52,7 +52,7 @@ type summary = {
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
-  worker_spans : (string * Json.t list) list;
+  worker_spans : (string * Tracer.event list) list;
 }
 
 (* ---- mutable per-worker bookkeeping (keyed by hello name) ---- *)
@@ -567,9 +567,7 @@ let handle_msg t c msg =
       | None -> ()
       | Some w ->
           (match snapshot with Some s -> w.telemetry <- Some s | None -> ());
-          (match spans with
-          | Some (Json.List batch) when Tracer.enabled () -> Trace_merge.add w.spans batch
-          | Some _ | None -> ()))
+          if Tracer.enabled () then Trace_merge.add w.spans spans)
   | Codec.Bye { reason } -> drop_client t ~why:(Fmt.str "bye: %s" reason) c
   | Codec.Welcome _ | Codec.Lease _ | Codec.Wait _ ->
       drop_client t ~why:"coordinator-bound stream carried a coordinator message" c

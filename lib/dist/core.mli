@@ -61,11 +61,12 @@ type summary = {
   leases_granted : int;
   leases_completed : int;
   leases_expired : int;
-  worker_spans : (string * Campaign.Json.t list) list;
-      (** Chrome-format span events each worker shipped on its
-          heartbeats while this process traced, oldest first, cut to
-          the newest 65,536 per worker ({!Ffault_campaign.Trace_merge.row}),
-          name-sorted; only workers with any kept appear. Feeds
+  worker_spans : (string * Ffault_telemetry.Tracer.event list) list;
+      (** the tracer events each worker shipped on its heartbeats
+          while this process traced, as the codec decoded them, oldest
+          first, cut to the newest 65,536 per worker
+          ({!Ffault_campaign.Trace_merge.row}), name-sorted; only
+          workers with any kept appear. Feeds
           {!Ffault_campaign.Trace_merge.write}. *)
 }
 

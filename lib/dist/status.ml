@@ -106,16 +106,15 @@ let workers_json (v : Core.view) =
       ("workers", Json.List (List.map worker v.Core.vw_workers));
     ]
 
-let events_body events =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\":1,\"events\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Events.json_line e))
-    events;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+let event_json (e : Events.event) =
+  Json.Obj
+    [
+      ("seq", Json.Int e.seq);
+      ("ts_ns", Json.Int e.ts_ns);
+      ("severity", Json.Str (Events.severity_to_string e.severity));
+      ("scope", Json.Str e.scope);
+      ("msg", Json.Str e.message);
+    ]
 
 let not_found path =
   json_response ~code:404
@@ -145,9 +144,10 @@ let respond src path =
         body = src.metrics ();
       }
   | "/events" ->
-      {
-        code = 200;
-        content_type = "application/json";
-        body = events_body (src.events ~limit:events_limit);
-      }
+      json_response
+        (Json.Obj
+           [
+             ("version", Json.Int 1);
+             ("events", Json.List (List.map event_json (src.events ~limit:events_limit)));
+           ])
   | p -> not_found p

@@ -20,6 +20,10 @@ type source = {
 
 type response = { code : int; content_type : string; body : string }
 
+val event_json : Ffault_telemetry.Events.event -> Ffault_campaign.Json.t
+(** One event as the coordinator's [events.jsonl] line and its [/events]
+    entry: [{"seq":..,"ts_ns":..,"severity":"..","scope":"..","msg":".."}]. *)
+
 val respond : source -> string -> response
 (** Dispatch a request path ([/status], [/workers], [/metrics],
     [/events]; [/] aliases [/status]; query strings ignored) to its

@@ -1,7 +1,6 @@
 module Campaign = Ffault_campaign
 module Pool = Campaign.Pool
 module Journal = Campaign.Journal
-module Json = Campaign.Json
 module Telemetry_io = Campaign.Telemetry_io
 module Trace_merge = Campaign.Trace_merge
 module Metrics = Ffault_telemetry.Metrics
@@ -99,21 +98,17 @@ end
 (* The observability payload of one beat: the current metrics snapshot
    (cheap — a few hundred counter reads and one read of
    /proc/self/status for the peak-RSS gauge) and, when tracing, whatever
-   spans accumulated since the last beat (pid-less Chrome shape — the
-   coordinator's merge assigns the pid row). [keep] also records the
-   spans locally so [--trace] can write this worker's own file at the
-   end. *)
+   spans accumulated since the last beat. [keep] records the whole drain
+   locally so [--trace] can write this worker's own file at the end. The
+   beat ships only the newest [Tracer.default_capacity] of them, all the
+   coordinator's row of this worker keeps: a drain of several full
+   rings would outgrow the wire's frame cap. *)
 let piggyback ~keep () =
   let snapshot = Some (Telemetry_io.to_json (Telemetry_io.snapshot ())) in
-  let spans =
-    if not (Tracer.enabled ()) then None
-    else
-      match Trace_merge.of_tracer_events (Tracer.drain ()) with
-      | [] -> None
-      | batch ->
-          keep batch;
-          Some (Json.List batch)
-  in
+  let spans = if Tracer.enabled () then Tracer.drain () else [] in
+  keep spans;
+  let older = List.length spans - Tracer.default_capacity in
+  let spans = if older > 0 then List.filteri (fun i _ -> i >= older) spans else spans in
   Codec.Heartbeat { snapshot; spans }
 
 (* The heartbeat thread: one [Heartbeat] frame per interval until
@@ -333,7 +328,7 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
   in
   let finish r =
     if trace_path <> None && Tracer.enabled () then
-      keep (Trace_merge.of_tracer_events (Tracer.drain ()));
+      keep (Tracer.drain ());
     Option.iter
       (fun path ->
         Trace_merge.write path [ (cfg.name, Trace_merge.events local_spans) ])

@@ -38,8 +38,11 @@
     {!Ffault_telemetry.Tracer} is enabled — the span events recorded
     since the last beat, so the coordinator can aggregate fleet-wide
     metrics and a cross-process trace without any extra connection. A
-    final flush beat precedes every [Complete], catching the tail of
-    the last lease.
+    beat ships at most the newest
+    {!Ffault_telemetry.Tracer.default_capacity} of them, all the
+    coordinator's row of this worker keeps, so a drain of several full
+    rings stays under the wire's frame cap. A final flush beat precedes
+    every [Complete], catching the tail of the last lease.
 
     Workers are deliberately crash-oblivious: they journal nothing and
     resume nothing. If one dies mid-lease, the coordinator re-leases the

@@ -371,7 +371,7 @@ let run ?atoms ?(trace = true) cfg ~seed =
                           ( "counters",
                             Json.Obj [ ("netsim.results_sent", Json.Int w.sent) ] );
                         ]);
-                 spans = None;
+                 spans = [];
                });
           arm_heartbeat w
         end)

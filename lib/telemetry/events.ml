@@ -12,20 +12,12 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let severity_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type event = {
   seq : int;
   ts_ns : int;
   severity : severity;
   scope : string;
   message : string;
-  fields : (string * string) list;
 }
 
 type t = {
@@ -36,11 +28,10 @@ type t = {
   mutable filled : bool;  (* head has wrapped at least once *)
   mutable seq : int;  (* total events ever emitted *)
   mutable dropped : int;  (* overwritten before anyone read them *)
-  mutable sink : (string -> unit) option;
+  mutable sink : (event -> unit) option;
 }
 
-let dummy =
-  { seq = -1; ts_ns = 0; severity = Debug; scope = ""; message = ""; fields = [] }
+let dummy = { seq = -1; ts_ns = 0; severity = Debug; scope = ""; message = "" }
 
 let default_capacity = 1024
 
@@ -57,44 +48,6 @@ let create ?(capacity = default_capacity) ?(now = Clock.now_ns) () =
     sink = None;
   }
 
-(* ---- JSONL rendering ---- *)
-
-(* Quotes, backslashes and control characters — exactly the JSON
-   string escapes the hand-rolled campaign parser understands. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_line (e : event) =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d,\"severity\":\"%s\",\"scope\":\"%s\",\"msg\":\"%s\""
-       e.seq e.ts_ns (severity_to_string e.severity) (escape e.scope)
-       (escape e.message));
-  if e.fields <> [] then begin
-    Buffer.add_string b ",\"fields\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-      e.fields;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 (* ---- recording ---- *)
 
 let set_sink t sink =
@@ -102,10 +55,10 @@ let set_sink t sink =
   t.sink <- sink;
   Mutex.unlock t.lock
 
-let emit t ?(severity = Info) ?(fields = []) ~scope message =
+let emit t ?(severity = Info) ~scope message =
   let ts_ns = t.now () in
   Mutex.lock t.lock;
-  let e = { seq = t.seq; ts_ns; severity; scope; message; fields } in
+  let e = { seq = t.seq; ts_ns; severity; scope; message } in
   t.seq <- t.seq + 1;
   if t.filled then t.dropped <- t.dropped + 1;
   t.events.(t.head) <- e;
@@ -117,7 +70,7 @@ let emit t ?(severity = Info) ?(fields = []) ~scope message =
   let sink = t.sink in
   Mutex.unlock t.lock;
   (* the sink runs outside the lock: it may do file IO *)
-  match sink with Some f -> f (json_line e) | None -> ()
+  match sink with Some f -> f e | None -> ()
 
 (* ---- reading ---- *)
 

@@ -1,5 +1,5 @@
 (** A structured event log: ring-buffered, severity-tagged, monotonic
-    timestamps, optional key/value fields, JSONL rendering.
+    timestamps.
 
     Where {!Metrics} counts and {!Tracer} times, [Events] narrates:
     worker joins, lease churn, heartbeat-silence drops — the discrete
@@ -10,16 +10,15 @@
 
     Under pressure the ring overwrites its oldest entry and counts the
     loss ({!dropped}) — emitting never blocks and never allocates
-    beyond the event itself. An optional sink receives each event as a
-    JSONL line at emit time (the coordinator streams [events.jsonl]
-    into the campaign directory through it). *)
+    beyond the event itself. An optional sink receives each event at
+    emit time (the coordinator streams [events.jsonl] into the campaign
+    directory through it). This module prints no JSON: [Dist.Status]
+    renders an event for both [events.jsonl] and [/events]. *)
 
 type severity = Debug | Info | Warn | Error
 
 val severity_to_string : severity -> string
 (** ["debug"] / ["info"] / ["warn"] / ["error"]. *)
-
-val severity_of_string : string -> severity option
 
 type event = {
   seq : int;  (** 0-based emission index, never reused *)
@@ -27,7 +26,6 @@ type event = {
   severity : severity;
   scope : string;  (** subsystem, e.g. ["dist"] *)
   message : string;
-  fields : (string * string) list;
 }
 
 type t
@@ -40,24 +38,18 @@ val create : ?capacity:int -> ?now:(unit -> int) -> unit -> t
     ({!Clock.now_ns}); inject a virtual source for determinism.
     @raise Invalid_argument if [capacity < 2]. *)
 
-val emit :
-  t -> ?severity:severity -> ?fields:(string * string) list -> scope:string -> string -> unit
+val emit : t -> ?severity:severity -> scope:string -> string -> unit
 (** Record one event (default severity [Info]). If the ring is full the
     oldest event is overwritten and counted in {!dropped}. *)
 
-val set_sink : t -> (string -> unit) option -> unit
-(** Attach (or detach) a line consumer: every subsequent {!emit} also
-    renders the event with {!json_line} and passes it on. The sink runs
-    outside the log's lock, in the emitting thread. *)
+val set_sink : t -> (event -> unit) option -> unit
+(** Attach (or detach) a consumer: every subsequent {!emit} also
+    passes the event on. The sink runs outside the log's lock, in the
+    emitting thread. *)
 
 val tail : ?limit:int -> t -> event list
 (** The buffered events oldest-first; with [limit], only the newest
     [limit] of them. *)
-
-val json_line : event -> string
-(** One JSONL object:
-    [{"seq":..,"ts_ns":..,"severity":"..","scope":"..","msg":"..","fields":{..}}]
-    ([fields] omitted when empty). *)
 
 val emitted : t -> int
 (** Total events ever emitted (the next event's [seq]). *)

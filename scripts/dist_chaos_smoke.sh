@@ -14,6 +14,13 @@
 # files must hold as many span ends as begins, and chaos-w2's row in each
 # no more than the 65,536 events a trace row keeps. The script prints the
 # coordinator's and chaos-w2's peak RSS.
+#
+# A second, shorter leg serves one 200,000-trial lease to one traced
+# 4-domain worker under a 10 s heartbeat, so the flush beat before its
+# Complete drains four full rings, up to 262,144 spans. A beat ships at
+# most the newest 65,536 of them, far under the wire's 16 MiB frame cap:
+# the worker must exit 0, the lease complete, and the serve trace hold
+# the worker's row with 1 to 65,536 events.
 set -eu
 
 ROOT=_campaigns
@@ -32,6 +39,20 @@ dune build bin/main.exe
 rm -rf "$DIR"
 rm -f "$SOCK" "$STATUS_SOCK"
 
+# Workers must not race the coordinator's bind.
+await_listen() {
+  tries=0
+  while [ ! -S "$SOCK" ]; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+      echo "dist-chaos-smoke FAILED: coordinator never listened on $SOCK" >&2
+      kill "$SERVE_PID" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
+
 # Run the binaries directly (not through `dune exec`) so the kill lands
 # on the worker process itself, not a wrapper that would orphan it.
 # Small leases + a short timeout keep the post-kill reclaim quick.
@@ -42,18 +63,7 @@ rm -f "$SOCK" "$STATUS_SOCK"
   --hb-interval 0.5 --trace "$DIR/trace.json" --quiet &
 SERVE_PID=$!
 mkdir -p "$SCRAPES"
-
-# Workers must not race the coordinator's bind.
-tries=0
-while [ ! -S "$SOCK" ]; do
-  tries=$((tries + 1))
-  if [ "$tries" -gt 100 ]; then
-    echo "dist-chaos-smoke FAILED: coordinator never listened on $SOCK" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
+await_listen
 
 "$BIN" worker --connect "unix:$SOCK" --name chaos-w1 --domains 2 \
   --trace "$DIR/trace-chaos-w1.json" --quiet &
@@ -196,6 +206,35 @@ if ! grep -q 'expired and reassigned' "$DIR/report.md"; then
   grep -A4 '^## Workers' "$DIR/report.md" >&2 || true
   exit 1
 fi
+
+# The oversized-beat leg.
+BEAT_DIR="$ROOT/$NAME-beat"
+rm -rf "$BEAT_DIR"
+"$BIN" campaign serve --name "$NAME-beat" --protocol herlihy -f 1 -n 3 --rates 0.5 \
+  --trials 200000 --lease-trials 200000 --hb-interval 10 \
+  --listen "unix:$SOCK" --trace "$BEAT_DIR/trace.json" --quiet &
+SERVE_PID=$!
+await_listen
+if ! "$BIN" worker --connect "unix:$SOCK" --name beat-w --domains 4 \
+  --trace "$BEAT_DIR/trace-beat-w.json" --quiet; then
+  echo "dist-chaos-smoke FAILED: the 4-domain traced worker died (a flush beat over the frame cap?)" >&2
+  kill "$SERVE_PID" 2>/dev/null || true
+  rm -f "$SOCK"
+  exit 1
+fi
+wait "$SERVE_PID"
+rm -f "$SOCK"
+if ! grep -q '"leases":{"granted":1,"completed":1,"expired":0}' "$BEAT_DIR/workers.json"; then
+  echo "dist-chaos-smoke FAILED: the 200000-trial lease did not complete" >&2
+  cat "$BEAT_DIR/workers.json" >&2
+  exit 1
+fi
+N=$(row_events "$BEAT_DIR/trace.json" beat-w)
+if [ "$N" -eq 0 ] || [ "$N" -gt 65536 ]; then
+  echo "dist-chaos-smoke FAILED: beat-w's row in $BEAT_DIR/trace.json holds $N events, expected 1 to 65536" >&2
+  exit 1
+fi
+echo "oversized beat: beat-w exited 0, its lease completed, its serve row holds $N events"
 
 echo "dist-chaos-smoke OK: $TOTAL trials exactly once across 3 workers (one SIGKILLed at ~$BEFORE)"
 grep -A2 '^## Workers' "$DIR/report.md" | tail -1

@@ -1262,15 +1262,14 @@ let test_report_order_free () =
       ("forward", records); ("reversed", List.rev records); ("shuffled", shuffle records);
     ]
 
-(* A cell whose every record is quarantined ran no trial, so it has no
-   step statistics: its report row shows [-] and its JSON [null]. Both
-   domains of a supervised run can journal a degraded cell's quarantined
-   chunk before the records of the trials that struck it, so a live or
-   killed run can leave such a journal. *)
-let test_report_quarantined_cell () =
+(* The directory of a two-cell herlihy campaign whose second cell (rate
+   0.6) has every record quarantined. Both domains of a supervised run
+   can journal a degraded cell's quarantined chunk before the records of
+   the trials that struck it, so a live or killed run can leave such a
+   journal. *)
+let quarantined_campaign name =
   let spec =
-    Spec.v ~name:"report-quarantined" ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.3; 0.6 ]
-      ~trials:5 ()
+    Spec.v ~name ~protocol:"herlihy" ~f:[ 1 ] ~n:[ 3 ] ~rates:[ 0.3; 0.6 ] ~trials:5 ()
   in
   let root = tmp_root () in
   ignore (Result.get_ok (Pool.run_dir ~domains:1 ~root spec));
@@ -1294,6 +1293,24 @@ let test_report_quarantined_cell () =
       List.iter
         (fun r -> output_string oc (Journal.to_line (quarantine r) ^ "\n"))
         (List.rev records));
+  dir
+
+(* The markdown table rows of [text] (lines starting "| "), split into
+   trimmed cells, with a lookup of a row's cell by its header name. *)
+let table_rows text =
+  let rows =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> String.starts_with ~prefix:"| " l)
+    |> List.map (fun l -> List.map String.trim (String.split_on_char '|' l))
+  in
+  let header = List.hd rows in
+  let column name row = List.nth row (Option.get (List.find_index (( = ) name) header)) in
+  (List.filter (fun r -> List.length r = List.length header) rows, column)
+
+(* A cell whose every record is quarantined ran no trial, so it has no
+   step statistics: its report row shows [-] and its JSON [null]. *)
+let test_report_quarantined_cell () =
+  let dir = quarantined_campaign "report-quarantined" in
   let report = Result.get_ok (Report.of_dir ~dir) in
   Report.write ~dir report;
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
@@ -1307,18 +1324,22 @@ let test_report_quarantined_cell () =
       check Alcotest.bool "the quarantined cell has nulls" true
         (List.for_all (fun v -> v = Json.Null) (ops quarantined))
   | _ -> Alcotest.fail "two cells expected");
-  let rows =
-    String.split_on_char '\n' (read "report.md")
-    |> List.filter (fun l -> String.starts_with ~prefix:"| " l)
-    |> List.map (fun l -> List.map String.trim (String.split_on_char '|' l))
-  in
-  let header = List.hd rows in
-  let column name row = List.nth row (Option.get (List.find_index (( = ) name) header)) in
-  let row =
-    List.find (fun r -> List.length r = List.length header && column "rate" r = "0.60") rows
-  in
+  let rows, column = table_rows (read "report.md") in
+  let row = List.find (fun r -> column "rate" r = "0.60") rows in
   check Alcotest.(list string) "the quarantined row" [ "5"; "-"; "-"; "-" ]
     (List.map (fun name -> column name row) [ "trials"; "mean ops"; "p99 ops"; "max ops" ])
+
+(* [campaign diff] shows no mean ops for a cell where no trial ran, as
+   the report does, not a mean of 0. *)
+let test_report_diff_quarantined_cell () =
+  let report = Result.get_ok (Report.of_dir ~dir:(quarantined_campaign "diff-quarantined")) in
+  let rows, column = table_rows (Fmt.str "%a" Report.pp_diff (Report.diff report report)) in
+  let mean_ops rate =
+    let row = List.find (fun r -> String.ends_with ~suffix:rate (column "cell" r)) rows in
+    (column "mean ops A" row, column "mean ops B" row)
+  in
+  check Alcotest.(pair string string) "the quarantined cell" ("-", "-") (mean_ops "rate=0.600");
+  check Alcotest.bool "the cell that ran has a mean" true (fst (mean_ops "rate=0.300") <> "-")
 
 (* [campaign diff] reads failure rates and step counts: reading both
    sides of a failing grid and diffing them runs no engine, so no
@@ -1456,6 +1477,7 @@ let suites =
           test_report_order_independent;
         Alcotest.test_case "order-free" `Quick test_report_order_free;
         Alcotest.test_case "quarantined cell" `Quick test_report_quarantined_cell;
+        Alcotest.test_case "diff of a quarantined cell" `Quick test_report_diff_quarantined_cell;
         Alcotest.test_case "diff minimizes nothing" `Quick test_report_diff_runs_nothing;
       ] );
     ("campaign.live", [ Alcotest.test_case "violations only" `Quick test_live_counts_violations ]);

@@ -199,7 +199,10 @@ let all_msgs =
     Codec.Heartbeat
       {
         snapshot = Some (Json.Obj [ ("counters", Json.Obj [ ("x", Json.Int 3) ]) ]);
-        spans = Some (Json.List [ Json.Obj [ ("name", Json.Str "t") ] ]);
+        spans =
+          [
+            { Ffault_telemetry.Tracer.ph = 'B'; name = "t"; cat = "c"; ts_ns = 1_234_567; tid = 1 };
+          ];
       };
     Codec.Wait { seconds = 0.25 };
     Codec.Bye { reason = "campaign complete" };
@@ -862,7 +865,7 @@ let test_silent_client_dropped () =
   for _ = 1 to 4 do
     advance 500_000_000;
     Core.deliver core chatty
-      (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = None }));
+      (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = [] }));
     Core.tick core
   done;
   check (Alcotest.list Alcotest.string) "nothing dropped at 2 s" [] !dropped;
@@ -894,7 +897,7 @@ let say_hello core cl =
        (Codec.Hello { version = Wire.version; name = Core.conn cl; domains = 1; last_epoch = 0 }))
 
 let say_heartbeat core cl =
-  Core.deliver core cl (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = None }))
+  Core.deliver core cl (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = [] }))
 
 (* The heartbeat-slot rules with a single slot, in virtual time: a worker
    that joins while the slot is held gets none, so its silence drops
@@ -940,17 +943,14 @@ let test_core_bounds_worker_spans () =
   let module Tracer = Ffault_telemetry.Tracer in
   let batches = 5 and per_batch = 20_000 in
   let total = batches * per_batch in
-  let ev i =
-    Json.Obj [ ("name", Json.Str "t"); ("ph", Json.Str "i"); ("ts", Json.Int i) ]
-  in
+  let ev i = { Tracer.ph = 'i'; name = "t"; cat = ""; ts_ns = i; tid = 0 } in
   let feed () =
     let core = slot_core ~dropped:(ref []) ~max_workers:1 () in
     let cl = Core.add_client core "w-spans" in
     say_hello core cl;
     for b = 0 to batches - 1 do
-      let spans = Json.List (List.init per_batch (fun i -> ev ((b * per_batch) + i))) in
-      Core.deliver core cl
-        (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans = Some spans }))
+      let spans = List.init per_batch (fun i -> ev ((b * per_batch) + i)) in
+      Core.deliver core cl (Codec.to_frame (Codec.Heartbeat { snapshot = None; spans }))
     done;
     (Core.summary core ~wall_s:1.0).Core.worker_spans
   in
@@ -1033,7 +1033,7 @@ let test_heartbeat_count () =
     advance 400_000_000;
     send (Codec.Result (record_for spec trial));
     if trial mod 2 = 0 then begin
-      send (Codec.Heartbeat { snapshot = None; spans = None });
+      send (Codec.Heartbeat { snapshot = None; spans = [] });
       incr m
     end;
     Core.tick core
@@ -1483,7 +1483,7 @@ let test_serve_reads_flush_beat () =
         (* a coordinator that already left makes these sends fail; the
            checks below report it *)
         ignore
-          (Transport.send_msg raw (Codec.Heartbeat { snapshot = Some marker; spans = None }));
+          (Transport.send_msg raw (Codec.Heartbeat { snapshot = Some marker; spans = [] }));
         ignore (Transport.send_msg raw (Codec.Complete { lease; epoch }));
         match Transport.recv_msg raw with
         | `Msg (Codec.Bye _) | `Closed | `Error _ -> ()

@@ -6,6 +6,7 @@
 
 module Metrics = Ffault_telemetry.Metrics
 module Events = Ffault_telemetry.Events
+module Tracer = Ffault_telemetry.Tracer
 module Dist = Ffault_dist
 module Codec = Dist.Codec
 module Wire = Dist.Wire
@@ -88,21 +89,24 @@ let test_events_overflow () =
   check Alcotest.int "cleared buffered" 0 (Events.buffered log);
   check Alcotest.int "cleared dropped" 0 (Events.dropped log)
 
+(* One renderer writes an event's events.jsonl line and its /events
+   entry: quotes, backslashes and control bytes escaped, UTF-8 as is. *)
 let test_events_json_line () =
   let log = Events.create ~now:(fun () -> 1234) () in
-  Events.emit log ~severity:Events.Warn
-    ~fields:[ ("worker", "w\"1\""); ("lease", "7") ]
-    ~scope:"dist" "lease expired\n";
+  Events.emit log ~severity:Events.Warn ~scope:"di\"st" "lease \\ \"7\"\texpired\n\x01 \xc3\xa9";
   match Events.tail log with
   | [ e ] ->
+      let line = Json.to_string (Dist.Status.event_json e) in
       check Alcotest.string "jsonl"
-        "{\"seq\":0,\"ts_ns\":1234,\"severity\":\"warn\",\"scope\":\"dist\",\"msg\":\"lease \
-         expired\\n\",\"fields\":{\"worker\":\"w\\\"1\\\"\",\"lease\":\"7\"}}"
-        (Events.json_line e);
-      (* the line is valid Json, and a pure one *)
-      (match Json.of_string (Events.json_line e) with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "json_line not Json: %s" m)
+        "{\"seq\":0,\"ts_ns\":1234,\"severity\":\"warn\",\"scope\":\"di\\\"st\",\"msg\":\"lease \
+         \\\\ \\\"7\\\"\\texpired\\n\\u0001 \xc3\xa9\"}"
+        line;
+      (* the line reads back as the event's own text *)
+      (match Json.of_string line with
+      | Ok j ->
+          check Alcotest.(option string) "msg" (Some e.Events.message)
+            (Option.bind (Json.member "msg" j) Json.get_str)
+      | Error m -> Alcotest.failf "event line not Json: %s" m)
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
 
 let test_events_sink () =
@@ -127,17 +131,42 @@ let test_heartbeat_wire_compat () =
   (match Codec.of_frame { Wire.tag = 'b'; payload = "{}" } with
   | Ok m -> check Alcotest.bool "decodes bare" true (m = Codec.heartbeat)
   | Error e -> Alcotest.failf "legacy heartbeat: %s" e);
-  (* a loaded beat round-trips with both payloads intact *)
+  (* a loaded beat carries its spans as Chrome span objects, ts in µs,
+     and round-trips with both payloads intact *)
+  let span ph ts_ns = { Tracer.ph; name = "trial"; cat = "pool"; ts_ns; tid = 2 } in
   let loaded =
     Codec.Heartbeat
       {
         snapshot = Some (Json.Obj [ ("counters", Json.Obj [ ("x", Json.Int 3) ]) ]);
-        spans = Some (Json.List [ Json.Obj [ ("name", Json.Str "trial") ] ]);
+        spans = [ span 'B' 1_500_000; span 'E' 2_250_500 ];
       }
   in
+  check Alcotest.string "loaded payload"
+    "{\"snapshot\":{\"counters\":{\"x\":3}},\"spans\":[{\"name\":\"trial\",\"cat\":\"pool\",\"ph\":\"B\",\"ts\":1500.0,\"tid\":2},{\"name\":\"trial\",\"cat\":\"pool\",\"ph\":\"E\",\"ts\":2250.5,\"tid\":2}]}"
+    (Codec.to_frame loaded).Wire.payload;
   match Codec.of_frame (Codec.to_frame loaded) with
   | Ok m -> check Alcotest.bool "round-trips" true (m = loaded)
   | Error e -> Alcotest.failf "loaded heartbeat: %s" e
+
+(* A span entry the decoder cannot read (no tid, a metadata phase, a
+   string ts, not an object) is dropped from the beat, not a decode
+   error: the beat's liveness and snapshot still count. *)
+let test_heartbeat_drops_malformed_spans () =
+  let beat spans = { Wire.tag = 'b'; payload = "{\"spans\":" ^ spans ^ "}" } in
+  let spans_of spans =
+    match Codec.of_frame (beat spans) with
+    | Ok (Codec.Heartbeat { spans; _ }) -> spans
+    | Ok m -> Alcotest.failf "decoded as %a" Codec.pp m
+    | Error e -> Alcotest.failf "malformed span failed the frame: %s" e
+  in
+  check Alcotest.bool "the readable span is kept" true
+    (spans_of
+       "[{\"name\":\"ok\",\"cat\":\"c\",\"ph\":\"i\",\"ts\":1.5,\"tid\":0},{\"name\":\"no \
+        tid\",\"ph\":\"B\",\"ts\":2},{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"tid\":0},7,{\"name\":\"bad \
+        ts\",\"ph\":\"E\",\"ts\":\"x\",\"tid\":0}]"
+    = [ { Tracer.ph = 'i'; name = "ok"; cat = "c"; ts_ns = 1500; tid = 0 } ]);
+  check Alcotest.int "a spans field that is no list reads as none" 0
+    (List.length (spans_of "7"))
 
 (* ---- netsim status probes ---- *)
 
@@ -210,6 +239,8 @@ let suites =
         Alcotest.test_case "events json line" `Quick test_events_json_line;
         Alcotest.test_case "events sink" `Quick test_events_sink;
         Alcotest.test_case "heartbeat wire compat" `Quick test_heartbeat_wire_compat;
+        Alcotest.test_case "heartbeat drops malformed spans" `Quick
+          test_heartbeat_drops_malformed_spans;
         Alcotest.test_case "probes deterministic" `Quick test_probes_deterministic;
         Alcotest.test_case "/status golden" `Quick test_status_golden;
         Alcotest.test_case "/workers golden" `Quick test_workers_golden;

@@ -99,19 +99,25 @@ let test_histogram_observe () =
 
 (* ---- tracer and the trace writer ---- *)
 
-(* [rows] through the one writer, read back: every event of the file. *)
-let written rows =
+(* The bytes of the file the one writer makes of [rows]. *)
+let file_of rows =
   let path = Filename.temp_file "ffault_trace" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Trace_merge.write path rows;
-      match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-      | Error e -> Alcotest.fail ("trace is not valid JSON: " ^ e)
-      | Ok j -> (
-          match Json.member "traceEvents" j with
-          | Some (Json.List events) -> events
-          | _ -> Alcotest.fail "traceEvents missing or not a list"))
+      In_channel.with_open_text path In_channel.input_all)
+
+let parse text =
+  match Json.of_string text with
+  | Error e -> Alcotest.fail ("trace is not valid JSON: " ^ e)
+  | Ok j -> j
+
+(* [rows] through the one writer, read back: every event of the file. *)
+let written rows =
+  match Json.member "traceEvents" (parse (file_of rows)) with
+  | Some (Json.List events) -> events
+  | _ -> Alcotest.fail "traceEvents missing or not a list"
 
 let str k e = match Json.member k e with Some (Json.Str s) -> s | _ -> "?"
 let int k e = Option.value ~default:(-1) (Option.bind (Json.member k e) Json.get_int)
@@ -140,14 +146,12 @@ let check_balanced what ~rows events =
       Alcotest.(check int) (Printf.sprintf "%s: pid %d tid %d balanced" what pid tid) 0 d)
     depth
 
-let drained () = Trace_merge.of_tracer_events (Tracer.drain ())
-
 let test_trace_export_valid_json () =
   Tracer.enable ();
   Tracer.with_span ~cat:"test" "outer" (fun () ->
       Tracer.with_span ~cat:"test" "inner" (fun () -> ());
       Tracer.instant ~cat:"test" "mark \"quoted\"");
-  let events = written [ ("campaign", drained ()) ] in
+  let events = written [ ("campaign", Tracer.drain ()) ] in
   Tracer.disable ();
   Alcotest.(check int) "process_name + 2 spans + 1 instant = 6 events" 6 (List.length events);
   check_balanced "campaign" ~rows:1 events
@@ -166,7 +170,7 @@ let test_trace_ring_overflow_repaired () =
   for i = 1 to 100 do
     Tracer.with_span (Printf.sprintf "span%d" i) (fun () -> ())
   done;
-  let events = drained () in
+  let events = Tracer.drain () in
   Alcotest.(check bool) "overflow dropped events" true (Tracer.dropped_count () > 0);
   Tracer.disable ();
   check_balanced "overflowed" ~rows:1 (written [ ("campaign", events) ])
@@ -183,19 +187,19 @@ let test_trace_overflow_balanced_everywhere () =
       Tracer.with_span (Printf.sprintf "b%d" i) (fun () -> ())
     done
   in
-  let count ph evs = List.length (List.filter (fun e -> str "ph" e = ph) evs) in
+  let count ph evs = List.length (List.filter (fun (e : Tracer.event) -> e.ph = ph) evs) in
   Tracer.enable ~capacity:8 ();
   Tracer.begin_span "a";
   b_spans 1 10;
   Tracer.end_span "a";
-  let run = drained () in
-  Alcotest.(check (pair int int)) "raw: 3 B, 5 E" (3, 5) (count "B" run, count "E" run);
+  let run = Tracer.drain () in
+  Alcotest.(check (pair int int)) "raw: 3 B, 5 E" (3, 5) (count 'B' run, count 'E' run);
   Tracer.begin_span "a";
   b_spans 1 3;
-  let first_batch = drained () in
+  let first_batch = Tracer.drain () in
   b_spans 4 10;
   Tracer.end_span "a";
-  let second_batch = drained () in
+  let second_batch = Tracer.drain () in
   Tracer.disable ();
   let worker = first_batch @ second_batch in
   check_balanced "campaign run" ~rows:1 (written [ ("campaign", run) ]);
@@ -204,8 +208,75 @@ let test_trace_overflow_balanced_everywhere () =
   (* batches that arrive swapped write the same file *)
   Alcotest.(check string)
     "swapped batches"
-    (Json.to_string (Trace_merge.merge [ ("w1", worker) ]))
-    (Json.to_string (Trace_merge.merge [ ("w1", second_batch @ first_batch) ]))
+    (file_of [ ("w1", worker) ])
+    (file_of [ ("w1", second_batch @ first_batch) ])
+
+(* The writer's exact bytes for two rows given out of timestamp order.
+   The first row holds an orphan E (dropped) and leaves a span open on
+   tid 1 and one on tid 0; the second an orphan E, two nested spans open
+   on tid 3 and one on tid 2. Each row ends with the E events that close
+   its open spans at its last timestamp: tid by tid in ascending order,
+   innermost first. *)
+let test_trace_file_bytes () =
+  let ev ph name tid ts_ns = { Tracer.ph; name; cat = "t"; ts_ns; tid } in
+  let coordinator =
+    [
+      ev 'B' "b" 1 2_000; ev 'E' "x" 1 500; ev 'B' "a" 1 1_000; ev 'i' "m" 0 2_500;
+      ev 'B' "c" 0 1_500; ev 'E' "b" 1 3_000;
+    ]
+  in
+  let worker = [ ev 'E' "y" 3 10; ev 'B' "z" 3 20; ev 'B' "q" 2 25; ev 'B' "z2" 3 30_500 ] in
+  let span name ph ts tid pid =
+    Printf.sprintf "{\"name\":%S,\"cat\":\"t\",\"ph\":\"%s\",\"ts\":%s,\"tid\":%d,\"pid\":%d}"
+      name ph ts tid pid
+  in
+  let process_name pid label =
+    Printf.sprintf
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%S}}" pid
+      label
+  in
+  let expected =
+    "{\"traceEvents\":["
+    ^ String.concat ","
+        [
+          process_name 1 "coordinator";
+          span "a" "B" "1.0" 1 1;
+          span "c" "B" "1.5" 0 1;
+          span "b" "B" "2.0" 1 1;
+          span "m" "i" "2.5" 0 1;
+          span "b" "E" "3.0" 1 1;
+          span "c" "E" "3.0" 0 1;
+          span "a" "E" "3.0" 1 1;
+          process_name 2 "w1";
+          span "z" "B" "0.02" 3 2;
+          span "q" "B" "0.025000000000000001" 2 2;
+          span "z2" "B" "30.5" 3 2;
+          span "q" "E" "30.5" 2 2;
+          span "z2" "E" "30.5" 3 2;
+          span "z" "E" "30.5" 3 2;
+        ]
+    ^ "],\"displayTimeUnit\":\"ms\"}\n"
+  in
+  Alcotest.(check string) "file bytes" expected
+    (file_of [ ("coordinator", coordinator); ("w1", worker) ])
+
+(* [trace merge] reads a file back as one row and writes it again: a
+   file the writer made, of real tracer stamps with an overflowed ring
+   and spans left open, comes back byte for byte. *)
+let test_trace_merge_gives_back_the_file () =
+  Tracer.enable ~capacity:8 ();
+  Tracer.begin_span ~cat:"test" "open";
+  for i = 1 to 10 do
+    Tracer.with_span ~cat:"test" (Printf.sprintf "s%d" i) (fun () -> ())
+  done;
+  Tracer.begin_span ~cat:"test" "inner";
+  Tracer.instant ~cat:"test" "mark \"quoted\"";
+  let events = Tracer.drain () in
+  Tracer.disable ();
+  let file = file_of [ ("campaign", events) ] in
+  Alcotest.(check string)
+    "merged file" file
+    (file_of [ ("campaign", Trace_merge.of_json (parse file)) ])
 
 (* [enable] allocates no ring; a domain's first span allocates its ring
    of [default_capacity] slots, whose header is one more word, and a
@@ -301,6 +372,9 @@ let suites =
         Alcotest.test_case "ring overflow repaired" `Quick test_trace_ring_overflow_repaired;
         Alcotest.test_case "overflow balanced on every write path" `Quick
           test_trace_overflow_balanced_everywhere;
+        Alcotest.test_case "file bytes" `Quick test_trace_file_bytes;
+        Alcotest.test_case "merge gives back the file" `Quick
+          test_trace_merge_gives_back_the_file;
         Alcotest.test_case "ring allocated on first record" `Quick
           test_trace_ring_on_first_record;
       ] );
