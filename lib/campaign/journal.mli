@@ -92,10 +92,15 @@ type writer
 val create_writer : path:string -> writer
 (** Opens (creating or appending) the journal file. *)
 
+val group_size : int
+(** Records per group write: 64. A distributed worker writes its
+    [Result] frames in groups of the same size. *)
+
 val append : writer -> record -> unit
 (** Serialized by an internal mutex. Puts the line in the channel's
-    buffer; every 64th record since the last flush writes the group out
-    (one [campaign.journal.flushes] and one [journal.flush] span). *)
+    buffer; every {!group_size}th record since the last flush writes the
+    group out (one [campaign.journal.flushes] and one [journal.flush]
+    span). *)
 
 val flush : writer -> unit
 (** Writes out the pending records. With none pending it does nothing:

@@ -22,8 +22,11 @@
 
     The loop is single-threaded ([select] over the listener and every
     worker socket), so journal writes, lease bookkeeping and the
-    checkpoint mask need no further synchronization. Each turn of the
-    loop ends with one {!Ffault_campaign.Journal.flush}, so a record never
+    checkpoint mask need no further synchronization. A turn makes one
+    read of at most 64 KiB from each readable worker socket; workers
+    write their [Result]s in groups of up to 64 frames, so a turn's
+    records are up to one such read per worker. Each turn of the loop
+    ends with one {!Ffault_campaign.Journal.flush}, so a record never
     waits out the next [select]; a killed coordinator loses at most its
     last turn's records, which the next epoch re-leases.
 

@@ -5,6 +5,8 @@ let m_bytes_sent = Metrics.counter "dist.bytes_sent"
 let m_bytes_recv = Metrics.counter "dist.bytes_recv"
 let m_frames_sent = Metrics.counter "dist.frames_sent"
 let m_frames_recv = Metrics.counter "dist.frames_recv"
+let m_writes = Metrics.counter "dist.writes"
+let m_reads = Metrics.counter "dist.reads"
 
 type endpoint = Unix_sock of string | Tcp of string * int
 
@@ -83,19 +85,29 @@ type conn = {
   c_fd : Unix.file_descr;
   c_peer : string;
   send_lock : Mutex.t;
+  (* frames pushed and not yet written: [out_frames] of them in the
+     first [out_len] bytes of [out]; guarded by [send_lock] *)
+  out : Bytes.t;
+  mutable out_len : int;
+  mutable out_frames : int;
   decoder : Wire.Decoder.t;
   read_buf : Bytes.t;
   mutable stash : Wire.frame list;  (* decoded, not yet returned by recv_msg *)
   mutable closed : bool;
 }
 
+let io_buffer_bytes = 65_536
+
 let conn_of_fd ~peer fd =
   {
     c_fd = fd;
     c_peer = peer;
     send_lock = Mutex.create ();
+    out = Bytes.create io_buffer_bytes;
+    out_len = 0;
+    out_frames = 0;
     decoder = Wire.Decoder.create ();
-    read_buf = Bytes.create 65_536;
+    read_buf = Bytes.create io_buffer_bytes;
     stash = [];
     closed = false;
   }
@@ -109,8 +121,37 @@ let close c =
     try Unix.close c.c_fd with Unix.Unix_error _ -> ()
   end
 
-let send c frame =
-  let bytes = Wire.encode frame in
+(* Frames per group write: the journal's group size, so a group the
+   coordinator reads fills about one journal group. *)
+let group_frames = Ffault_campaign.Journal.group_size
+
+(* Write the first [len] bytes of [bytes], which hold [frames] frames.
+   The caller holds [send_lock]. *)
+let write c bytes len ~frames =
+  let off = ref 0 in
+  while !off < len do
+    off := !off + Unix.single_write c.c_fd bytes !off (len - !off);
+    Metrics.incr m_writes
+  done;
+  Metrics.add m_bytes_sent len;
+  Metrics.add m_frames_sent frames
+
+let write_pending c =
+  if c.out_frames > 0 then begin
+    let len = c.out_len and frames = c.out_frames in
+    c.out_len <- 0;
+    c.out_frames <- 0;
+    write c c.out len ~frames
+  end
+
+(* Add [msg]'s frame to the pending group, writing the group out first
+   if the frame would not fit; a frame larger than the whole buffer is
+   written on its own. Then [write_pending] if [flush]. A failed write
+   has already emptied the group: its frames are lost with the
+   connection. *)
+let enqueue c msg ~flush =
+  let bytes = Wire.encode (Codec.to_frame msg) in
+  let n = String.length bytes in
   Mutex.lock c.send_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.send_lock)
@@ -118,22 +159,21 @@ let send c frame =
       if c.closed then Error "send: connection closed"
       else
         match
-          let len = String.length bytes in
-          let off = ref 0 in
-          while !off < len do
-            off :=
-              !off
-              + Unix.write_substring c.c_fd bytes !off (len - !off)
-          done
+          if c.out_len + n > Bytes.length c.out then write_pending c;
+          if n > Bytes.length c.out then write c (Bytes.unsafe_of_string bytes) n ~frames:1
+          else begin
+            Bytes.blit_string bytes 0 c.out c.out_len n;
+            c.out_len <- c.out_len + n;
+            c.out_frames <- c.out_frames + 1
+          end;
+          if flush || c.out_frames >= group_frames then write_pending c
         with
-        | () ->
-            Metrics.add m_bytes_sent (String.length bytes);
-            Metrics.incr m_frames_sent;
-            Ok ()
+        | () -> Ok ()
         | exception Unix.Unix_error (e, _, _) ->
             Error (Printf.sprintf "send: %s" (Unix.error_message e)))
 
-let send_msg c msg = send c (Codec.to_frame msg)
+let send_msg c msg = enqueue c msg ~flush:true
+let push_msg c msg = enqueue c msg ~flush:false
 
 let drain_frames c =
   let rec pop acc =
@@ -150,8 +190,10 @@ let recv_step c =
   match Unix.read c.c_fd c.read_buf 0 (Bytes.length c.read_buf) with
   | 0 -> `Closed
   | n -> (
+      Metrics.incr m_reads;
       Metrics.add m_bytes_recv n;
-      Wire.Decoder.feed c.decoder (Bytes.sub_string c.read_buf 0 n);
+      (* [feed] copies the range before the next read reuses the buffer *)
+      Wire.Decoder.feed c.decoder ~len:n (Bytes.unsafe_to_string c.read_buf);
       match drain_frames c with
       | Ok frames -> `Frames frames
       | Error m -> `Error m)

@@ -3,10 +3,13 @@
 
     Endpoints parse from the CLI syntax [unix:PATH] / [tcp:HOST:PORT].
     A {!conn} owns one socket, a send mutex (the worker's heartbeat
-    thread and its result stream interleave safely) and an incremental
-    {!Wire.Decoder}; every byte in or out bumps the [dist.bytes_*]
-    counters, so traffic shows up in the coordinator's
-    [telemetry.json]. *)
+    thread and its result stream interleave safely), a buffer of frames
+    pushed but not yet written ({!push_msg}) and an incremental
+    {!Wire.Decoder}. Every byte, frame, [write] and [read] bumps a
+    counter ([dist.bytes_sent/recv], [dist.frames_sent/recv],
+    [dist.writes], [dist.reads]), so traffic and how it was grouped
+    show up in the coordinator's [telemetry.json] and in each worker's
+    heartbeat snapshot. *)
 
 type endpoint = Unix_sock of string | Tcp of string * int
 
@@ -37,15 +40,31 @@ val peer : conn -> string
 (** Human-readable peer address, for logs and the Workers report. *)
 
 val send_msg : conn -> Codec.msg -> (unit, string) result
-(** Blocking, serialized by the connection's mutex; [Error] on a broken
-    pipe (the peer died — the caller drops the connection). *)
+(** Write the pending group, then this frame, in one [write] while they
+    fit the 64 KiB send buffer: the bytes on the socket keep the order
+    of the calls. Blocking, serialized by the connection's mutex;
+    [Error] on a broken pipe (the peer died — the caller drops the
+    connection, and the frames pending on it are discarded). *)
+
+val push_msg : conn -> Codec.msg -> (unit, string) result
+(** Add the frame to the pending group. The group is written, in one
+    [write], once it holds 64 frames
+    ({!Ffault_campaign.Journal.group_size}); a frame that does not fit
+    the 64 KiB send buffer beside the group first writes the group
+    out. The next {!send_msg} on the connection writes whatever is
+    pending ahead of its own frame. A worker pushes its [Result]
+    frames, so the coordinator wakes, reads and flushes its journal
+    about once per group instead of every few frames. [Error] as for
+    {!send_msg}, from the write it made, if any. *)
 
 val recv_step :
   conn -> [ `Frames of Wire.frame list | `Closed | `Error of string ]
-(** One [read] syscall (blocking until the peer writes or closes — on
-    the coordinator, call only after [select] reports the fd readable),
-    fed to the decoder; returns every frame it completed (possibly
-    none: [`Frames []]). [`Closed] is a clean EOF. *)
+(** One [read] syscall of at most 64 KiB (blocking until the peer writes
+    or closes — on the coordinator, call only after [select] reports the
+    fd readable), fed to the decoder straight from the read buffer;
+    returns every frame it completed (possibly none: [`Frames []]).
+    [`Closed] is a clean EOF. A read that returns bytes counts one
+    [dist.reads]. *)
 
 val recv_msg : conn -> [ `Msg of Codec.msg | `Closed | `Error of string ]
 (** Blocking: pump {!recv_step} until one full message decodes. *)

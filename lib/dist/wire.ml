@@ -22,7 +22,9 @@ module Decoder = struct
 
   let create () = { buf = Buffer.create 4096; pos = 0; poisoned = None }
 
-  let feed t s = if t.poisoned = None then Buffer.add_string t.buf s
+  let feed t ?len s =
+    if t.poisoned = None then
+      Buffer.add_substring t.buf s 0 (Option.value len ~default:(String.length s))
 
   let available t = Buffer.length t.buf - t.pos
 

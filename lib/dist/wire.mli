@@ -32,9 +32,11 @@ module Decoder : sig
 
   val create : unit -> t
 
-  val feed : t -> string -> unit
-  (** Append raw bytes (any split — a frame may arrive one byte at a
-      time, or many frames in one read). *)
+  val feed : t -> ?len:int -> string -> unit
+  (** Append the first [len] bytes of [s] (default: all of them) — any
+      split: a frame may arrive one byte at a time, or many frames in
+      one read. They are copied before [feed] returns, so a reader may
+      pass its own read buffer. *)
 
   val next : t -> (frame option, string) result
   (** Pop the next complete frame. [Ok None] means the buffered bytes

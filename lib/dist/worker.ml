@@ -196,12 +196,12 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                   fin r
                 in
                 (* Replay the lease in flight when the last connection
-                   died: every record it produced, then its [Complete]
-                   under the original grant epoch. The coordinator
-                   dedups the records by trial id; a stale-epoch
-                   [Complete] is fenced there and the shard's fate
-                   decided from the journal — either way, no trial is
-                   re-executed here. *)
+                   died: every record it produced, pushed in groups,
+                   then its [Complete] under the original grant epoch.
+                   The coordinator dedups the records by trial id; a
+                   stale-epoch [Complete] is fenced there and the
+                   shard's fate decided from the journal — either way,
+                   no trial is re-executed here. *)
                 let resend () =
                   match !cur with
                   | None -> Ok ()
@@ -215,7 +215,7 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                             Transport.send_msg conn
                               (Codec.Complete { lease; epoch = grant_epoch })
                         | r :: rest -> (
-                            match Transport.send_msg conn (Codec.Result r) with
+                            match Transport.push_msg conn (Codec.Result r) with
                             | Ok () -> send_all rest
                             | Error _ as e -> e)
                       in
@@ -232,12 +232,19 @@ let run ?(on_event = fun _ -> ()) ?(on_warn = fun _ -> ()) ?(retry = default_ret
                   let buf = ref [] in
                   cur := Some (lease, epoch, buf);
                   let send_error = ref None in
+                  (* The lease's first Result is written at once, so
+                     the coordinator can journal it without waiting for
+                     a group; the rest go out in groups, and any other
+                     frame (the next heartbeat, the flush beat before
+                     [Complete]) writes the pending group ahead of
+                     itself. *)
                   let on_record r =
                     incr trials_run;
                     Metrics.incr m_trials;
+                    let send = if !buf = [] then Transport.send_msg else Transport.push_msg in
                     buf := r :: !buf;
                     if !send_error = None then
-                      match Transport.send_msg conn (Codec.Result r) with
+                      match send conn (Codec.Result r) with
                       | Ok () -> ()
                       | Error e -> send_error := Some e
                   in

@@ -5,9 +5,14 @@
     settings from the [Welcome], then loops: request a lease, run the
     lease's trial ids ({!Protocol.ids_to_run}) through one call of the
     ordinary in-memory engine ({!Ffault_campaign.Pool.run_trials}),
-    stream one [Result] frame per record, and send [Complete]. Domains,
-    deadlines and retries behave as in a local run, and a lease's
-    records equal those of a local run apart from [wall_us]. The
+    send one [Result] frame per record, and send [Complete]. A lease's
+    first [Result] is written at once; the rest are pushed
+    ({!Transport.push_msg}) and written 64 frames per [write], and
+    every other frame the worker sends — a heartbeat, the flush beat,
+    the [Complete], the next [Request] — writes the pending group ahead
+    of itself, so the order on the wire is the order of the calls.
+    Domains, deadlines and retries behave as in a local run, and a
+    lease's records equal those of a local run apart from [wall_us]. The
     supervision state a pool call keeps starts fresh per lease: each
     cell's quarantine strikes count only that lease's trials.
     [Wait] (every shard is leased) bounds how long it idles before
@@ -21,18 +26,20 @@
     thundering-herd), re-[Hello]s carrying the last coordinator epoch
     it saw, and resumes requesting leases. A lease that was in flight
     when the connection died is {e not} re-executed: its records were
-    produced locally and are replayed to the new connection together
-    with its [Complete] under the original grant epoch — the
-    coordinator dedups the records by trial id and fences a stale-epoch
-    [Complete], so at most bookkeeping (never trials) is redone.
-    Consecutive failures beyond the policy's [max_retries] end the
-    worker with an error.
+    produced locally and are replayed to the new connection, pushed in
+    groups as above, then its [Complete] under the original grant
+    epoch — the coordinator dedups the records by trial id and fences a
+    stale-epoch [Complete], so at most bookkeeping (never trials) is
+    redone. Consecutive failures beyond the policy's [max_retries] end
+    the worker with an error.
 
     A background thread heartbeats at the cadence the [Welcome]
     dictates, so a worker grinding through a slow trial range never
-    looks silent to the coordinator's heartbeat check. Results are sent
-    from the engine's serialized [on_record] path and heartbeats from
-    the thread; the connection's send mutex interleaves them safely.
+    looks silent to the coordinator's heartbeat check, and no pushed
+    [Result] waits longer than one interval to be written. Results are
+    sent from the engine's serialized [on_record] path and heartbeats
+    from the thread; the connection's send mutex interleaves them
+    safely.
 
     Each beat piggybacks this process's telemetry snapshot and — when
     {!Ffault_telemetry.Tracer} is enabled — the span events recorded
@@ -47,7 +54,9 @@
     Workers are deliberately crash-oblivious: they journal nothing and
     resume nothing. If one dies mid-lease, the coordinator re-leases the
     shard with the journaled trial ids excluded — the exactly-once
-    guarantee lives entirely on the coordinator side. *)
+    guarantee lives entirely on the coordinator side. A killed worker
+    loses at most its unsent group: up to 63 records, or one heartbeat
+    interval's worth; their trials are re-run under the re-lease. *)
 
 type config = {
   endpoint : Transport.endpoint;

@@ -15,6 +15,11 @@
 # no more than the 65,536 events a trace row keeps. The script prints the
 # coordinator's and chaos-w2's peak RSS.
 #
+# The survivors chaos-w2 and chaos-w3 must show their Results written in
+# groups: their own counters, piggybacked on their last beats into
+# workers.json, must hold at least 16 frames per write (about 1 when
+# each frame is a write of its own; 39–46 with grouped Result writes).
+#
 # A second, shorter leg serves one 200,000-trial lease to one traced
 # 4-domain worker under a 10 s heartbeat, so the flush beat before its
 # Complete drains four full rings, up to 262,144 spans. A beat ships at
@@ -142,6 +147,24 @@ if [ ! -f "$DIR/workers.json" ]; then
   echo "dist-chaos-smoke FAILED: coordinator left no workers.json" >&2
   exit 1
 fi
+
+# One worker's counter in workers.json: each worker's object is cut
+# onto a line of its own first.
+worker_counter() {
+  sed 's/{"name":"/\n&/g' "$DIR/workers.json" | grep "^{\"name\":\"$1\"" \
+    | grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2
+}
+FRAMES_PER_WRITE=16
+for w in chaos-w2 chaos-w3; do
+  FRAMES=$(worker_counter "$w" dist.frames_sent)
+  WRITES=$(worker_counter "$w" dist.writes)
+  if [ -z "$FRAMES" ] || [ -z "$WRITES" ] || [ "$WRITES" -eq 0 ] \
+    || [ "$FRAMES" -lt $((FRAMES_PER_WRITE * WRITES)) ]; then
+    echo "dist-chaos-smoke FAILED: $w sent ${FRAMES:-no} frames in ${WRITES:-no} writes, expected at least $FRAMES_PER_WRITE frames per write" >&2
+    exit 1
+  fi
+  echo "$w: $FRAMES frames in $WRITES writes"
+done
 
 if [ ! -s "$DIR/events.jsonl" ]; then
   echo "dist-chaos-smoke FAILED: coordinator streamed no events.jsonl" >&2

@@ -1235,6 +1235,177 @@ let test_recv_within_closed () =
   check Alcotest.bool "peer closed" true
     (Transport.recv_within conn ~timeout_s:1.0 = `Closed)
 
+(* ---- grouped Result writes ---- *)
+
+(* Both ends of a socketpair as conns: [w] writes as a worker does, [c]
+   reads. *)
+let with_conn_pair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let w = Transport.conn_of_fd ~peer:"w" a and c = Transport.conn_of_fd ~peer:"c" b in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.close w;
+      Transport.close c)
+    (fun () -> f w c)
+
+let sent what = function Ok () -> () | Error e -> Alcotest.failf "%s: %s" what e
+let readable c = match Unix.select [ Transport.fd c ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+(* The next [n] messages on [c], in order. *)
+let recv_n c n =
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match Transport.recv_within c ~timeout_s:2.0 with
+      | `Msg m -> go (m :: acc) (k - 1)
+      | `Timeout -> Alcotest.failf "timed out with %d of %d messages" (n - k) n
+      | `Closed -> Alcotest.fail "closed"
+      | `Error e -> Alcotest.fail e
+  in
+  go [] n
+
+let trial_of = function
+  | Codec.Result r -> r.Journal.trial
+  | m -> Alcotest.failf "expected a Result, got %a" Codec.pp m
+
+let group_spec = Spec.v ~name:"groups" ~protocol:"fig1" ~trials:200 ()
+let result_msg t = Codec.Result (record_for group_spec t)
+
+let counter name =
+  Option.value ~default:0
+    (Ffault_telemetry.Metrics.find_counter (Ffault_telemetry.Metrics.snapshot ()) name)
+
+(* A lease's first Result goes out at once; the 63 pushed after it stay
+   pending, and the 64th writes all of them in one write. *)
+let test_push_writes_groups () =
+  with_conn_pair @@ fun w c ->
+  sent "first" (Transport.send_msg w (result_msg 0));
+  check Alcotest.(list int) "the first Result is readable at once" [ 0 ]
+    (List.map trial_of (recv_n c 1));
+  for t = 1 to 63 do
+    sent "push" (Transport.push_msg w (result_msg t))
+  done;
+  check Alcotest.bool "63 pushed Results: nothing to read" false (readable c);
+  let writes = counter "dist.writes" and frames = counter "dist.frames_sent" in
+  sent "push" (Transport.push_msg w (result_msg 64));
+  check Alcotest.int "the 64th writes the group in one write" 1
+    (counter "dist.writes" - writes);
+  check Alcotest.int "dist.frames_sent counts its frames" 64
+    (counter "dist.frames_sent" - frames);
+  check Alcotest.(list int) "all 64 readable, in order" (List.init 64 (( + ) 1))
+    (List.map trial_of (recv_n c 64));
+  check Alcotest.bool "nothing more" false (readable c)
+
+(* [pushed] Results pushed, then [msg] sent by [send]: the peer reads
+   nothing until [msg] is sent, then the Results in order, then [msg]. *)
+let pending_first ~pushed ~send msg =
+  with_conn_pair @@ fun w c ->
+  for t = 0 to pushed - 1 do
+    sent "push" (Transport.push_msg w (result_msg t))
+  done;
+  check Alcotest.bool (Fmt.str "%d pushed Results: nothing to read" pushed) false
+    (readable c);
+  sent "send" (send w msg);
+  let msgs = recv_n c (pushed + 1) in
+  check Alcotest.(list int) "the pushed Results first, in order" (List.init pushed Fun.id)
+    (List.map trial_of (List.filteri (fun i _ -> i < pushed) msgs));
+  check Alcotest.bool "then the frame sent" true (List.nth msgs pushed = msg)
+
+let test_send_writes_pending_first () =
+  pending_first ~pushed:10 ~send:Transport.send_msg (Codec.Complete { lease = 3; epoch = 1 })
+
+(* The worker's heartbeat thread shares the conn with its result stream:
+   a beat writes whatever the stream has pushed ahead of itself. *)
+let test_heartbeat_writes_pending_first () =
+  pending_first ~pushed:5 Codec.heartbeat ~send:(fun w msg ->
+      let beat = ref (Error "never ran") in
+      Thread.join (Thread.create (fun () -> beat := Transport.send_msg w msg) ());
+      !beat)
+
+(* A worker whose connection dies mid-lease replays the lease on its next
+   session: every record, in trial order, then the lease's [Complete]
+   under the grant's epoch, and it runs no trial twice. A scripted
+   coordinator closes the first session once the lease's first Result
+   arrives. The worker runs in a domain of its own, so it keeps running
+   trials while the script closes the socket. *)
+let test_worker_resends_lease () =
+  let root = tmp_root () in
+  let ep = Transport.Unix_sock (Filename.concat root "coord.sock") in
+  let spec =
+    Spec.v ~name:"dist-resend" ~protocol:"fig3" ~f:[ 1 ] ~t:[ Some 1 ] ~n:[ 3 ]
+      ~rates:[ 0.3 ] ~trials:2000 ~seed:0x5EDL ()
+  in
+  let total = Grid.total_trials spec in
+  let listener = match Transport.listen ep with Ok l -> l | Error e -> Alcotest.fail e in
+  let worker =
+    Domain.spawn (fun () ->
+        Dist.Worker.run
+          ~retry:(Retry.policy ~max_retries:2 ~base_backoff_ns:10_000_000 ())
+          (Dist.Worker.config ~name:"w-resend" ep))
+  in
+  let accept () =
+    match Unix.select [ Transport.listener_fd listener ] [] [] 10.0 with
+    | [], _, _ -> Alcotest.fail "the worker never connected"
+    | _ -> ( match Transport.accept listener with Ok c -> c | Error e -> Alcotest.fail e)
+  in
+  (* the next frame that is not a heartbeat *)
+  let rec recv conn =
+    match Transport.recv_within conn ~timeout_s:10.0 with
+    | `Msg (Codec.Heartbeat _) -> recv conn
+    | `Msg m -> m
+    | `Timeout -> Alcotest.fail "scripted coordinator: timed out"
+    | `Closed -> Alcotest.fail "scripted coordinator: closed"
+    | `Error e -> Alcotest.fail e
+  in
+  let welcome conn ~last_epoch =
+    (match recv conn with
+    | Codec.Hello h -> check Alcotest.int "the Hello's last epoch" last_epoch h.last_epoch
+    | m -> Alcotest.failf "expected hello, got %a" Codec.pp m);
+    sent "welcome"
+      (Transport.send_msg conn
+         (Codec.Welcome
+            {
+              version = Wire.version;
+              epoch = 1;
+              spec;
+              supervision = Codec.no_supervision;
+              hb_interval_s = 10.0;
+            }))
+  in
+  let first = accept () in
+  welcome first ~last_epoch:0;
+  (match recv first with
+  | Codec.Request -> ()
+  | m -> Alcotest.failf "expected request, got %a" Codec.pp m);
+  sent "lease"
+    (Transport.send_msg first (Codec.Lease { lease = 7; epoch = 1; lo = 0; hi = total; done_ids = [] }));
+  check Alcotest.int "the lease's first Result" 0 (trial_of (recv first));
+  Transport.close first;
+  let second = accept () in
+  welcome second ~last_epoch:1;
+  let rec replayed acc =
+    match recv second with
+    | Codec.Result r -> replayed (r.Journal.trial :: acc)
+    | Codec.Complete { lease; epoch } ->
+        check Alcotest.(pair int int) "the Complete of the grant" (7, 1) (lease, epoch);
+        List.rev acc
+    | m -> Alcotest.failf "expected a Result or the Complete, got %a" Codec.pp m
+  in
+  check Alcotest.(list int) "every record, in trial order, then the Complete"
+    (List.init total Fun.id) (replayed []);
+  (match recv second with
+  | Codec.Request -> ()
+  | m -> Alcotest.failf "expected request, got %a" Codec.pp m);
+  sent "bye" (Transport.send_msg second (Codec.Bye { reason = "done" }));
+  let result = Domain.join worker in
+  Transport.close second;
+  Transport.close_listener listener;
+  match result with
+  | Error e -> Alcotest.failf "worker: %s" e
+  | Ok s ->
+      check Alcotest.int "one reconnect" 1 s.Dist.Worker.reconnects;
+      check Alcotest.int "each trial run once" total s.Dist.Worker.trials_run
+
 (* The end-of-campaign tail: a worker told to [Wait] must leave as soon
    as the coordinator says [Bye], not when its wait runs out. A raw
    client holds lease #0 while the real worker runs lease #1, asks for
@@ -1607,5 +1778,13 @@ let suites =
           test_recv_within_stash;
         Alcotest.test_case "recv_within: split frame" `Quick test_recv_within_split_frame;
         Alcotest.test_case "recv_within: peer closed" `Quick test_recv_within_closed;
+        Alcotest.test_case "pushed Results are written 64 at a time" `Quick
+          test_push_writes_groups;
+        Alcotest.test_case "a Complete writes the pending Results first" `Quick
+          test_send_writes_pending_first;
+        Alcotest.test_case "a heartbeat writes the pending Results first" `Quick
+          test_heartbeat_writes_pending_first;
+        Alcotest.test_case "a reconnect resends every record, then the Complete" `Quick
+          test_worker_resends_lease;
       ] );
   ]
